@@ -3,17 +3,17 @@
 Every machine-readable result a CI bench step emits must carry the two
 fields downstream tooling keys on:
 
-* ``criterion`` — what the headline number *is* (wall clock vs modeled
-  critical path vs simulated clock ...), so cross-PR comparisons never mix
+* ``criterion`` — what the headline number *is* (wall clock vs edge
+  operations vs simulated clock ...), so cross-PR comparisons never mix
   measurement regimes silently;
-* ``peak_memory_bytes`` — the tracemalloc(+workers) peak of the measured
-  run, so memory regressions surface alongside timing ones;
+* ``peak_memory_bytes`` — the tracemalloc peak of the measured run, so
+  memory regressions surface alongside timing ones;
 * ``seed`` — the RNG seed (or the primary one, when a bench uses several)
   that drove the measured run, so any headline number can be regenerated
   bit-for-bit instead of argued about.
 
 All are accepted anywhere in the document (top level or nested — e.g. the
-sharded bench stores ``speedup.criterion`` and ``scale_run.peak_memory_bytes``).
+sparse-scale bench stores ``sparse_at_scale.peak_memory_bytes``).
 Extra required dotted paths can be added per file with ``--require``.
 
 Usage::

@@ -12,7 +12,6 @@ from typing import Any, Callable, Mapping
 import pytest
 
 from repro.experiments.common import full_requested, get_environment
-from repro.utils import procmem
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -59,24 +58,12 @@ def measure_peak_memory(fn: Callable[[], Any]) -> tuple[Any, int]:
     diffusion memory.  Tracing adds a few percent of runtime overhead —
     measure wall-clock in a separate untraced run when the same benchmark
     reports both.
-
-    Multiprocessing: tracemalloc is per-process, so worker-pool allocations
-    (e.g. the sharded precompute of :mod:`repro.core.shard`) would silently
-    vanish from a parent-only trace.  Pool-spawning code cooperates through
-    :mod:`repro.utils.procmem`: while ``fn`` runs, workers trace themselves
-    and report their peaks, and the returned figure is
-    ``parent_peak + max(child peaks)`` — the parent's footprint plus the
-    worst concurrently-resident worker.  Single-process callables see plain
-    parent behaviour (``max_child_peak() == 0``).
     """
     gc.collect()
-    procmem.reset_child_peaks()
-    procmem.enable_worker_tracing()
     tracemalloc.start()
     try:
         result = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        procmem.disable_worker_tracing()
-    return result, int(peak) + procmem.max_child_peak()
+    return result, int(peak)

@@ -1,4 +1,4 @@
-"""Benchmarks: ablations of the paper's design choices (DESIGN.md §5).
+"""Benchmarks: ablations of the paper's design choices.
 
 Each bench regenerates one ablation table: the alpha continuum, parallel
 walks, top-k tracking, document placement, and personalization weighting.

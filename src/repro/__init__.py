@@ -17,8 +17,9 @@ Quickstart::
     net.diffuse()
     hit = net.search(model.vector("word00001"), start_node=2000, ttl=50)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See README.md: its "Module map" section inventories the system, and its
+"Tests and benchmarks" section lists the drivers that reproduce the
+paper's tables and figures (results recorded under ``benchmarks/results/``).
 """
 
 from repro.core.search import DiffusionSearchNetwork

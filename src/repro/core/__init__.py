@@ -18,17 +18,10 @@ from repro.core.personalization import (
 from repro.core.backends import (
     DiffusionBackend,
     PushDiffusionBackend,
-    ShardedDiffusionBackend,
     SparseDiffusionBackend,
     available_backends,
     get_backend,
     register_backend,
-)
-from repro.core.shard import (
-    ShardPlan,
-    ShardedRunReport,
-    build_shard_plan,
-    sharded_diffuse,
 )
 from repro.core.diffusion import (
     DiffusionOutcome,
@@ -67,12 +60,7 @@ __all__ = [
     "refresh_embeddings",
     "DiffusionBackend",
     "PushDiffusionBackend",
-    "ShardedDiffusionBackend",
     "SparseDiffusionBackend",
-    "ShardPlan",
-    "ShardedRunReport",
-    "build_shard_plan",
-    "sharded_diffuse",
     "available_backends",
     "get_backend",
     "register_backend",

@@ -1,6 +1,6 @@
 """Pluggable diffusion execution backends.
 
-Importing this package registers the six built-in strategies:
+Importing this package registers the five built-in strategies:
 
 * ``power`` — synchronous power iteration of eq. (7).
 * ``solve`` — exact sparse direct solve of eq. (6); ground truth.
@@ -11,10 +11,6 @@ Importing this package registers the six built-in strategies:
   stay in ``scipy.sparse`` form from personalization through forwarding,
   with degree-normalized ε-truncation bounding support; also
   ``supports_incremental`` via the multi-column sparse push kernel.
-* ``sharded`` — community-partitioned parallel precompute
-  (:mod:`repro.core.shard`): per-shard ``sparse`` diffusion across a
-  forked process pool with exact cross-shard residual exchange; both
-  ``accepts_sparse`` and ``supports_incremental``.
 
 New strategies plug in via :func:`register_backend`; see
 :mod:`repro.core.backends.base` for the interface contract.
@@ -36,7 +32,6 @@ from repro.core.backends.standard import (
 )
 from repro.core.backends.push import PushDiffusionBackend
 from repro.core.backends.sparse import SparseDiffusionBackend
-from repro.core.backends.sharded import ShardedDiffusionBackend
 
 __all__ = [
     "DiffusionBackend",
@@ -51,5 +46,4 @@ __all__ = [
     "SparseSolveBackend",
     "PushDiffusionBackend",
     "SparseDiffusionBackend",
-    "ShardedDiffusionBackend",
 ]

@@ -128,34 +128,6 @@ class DiffusionBackend(ABC):
             f"backend {self.name!r} does not support incremental refresh"
         )
 
-    def diffuse_operator(
-        self,
-        operator,
-        personalization: np.ndarray,
-        *,
-        alpha: float,
-        tol: float = 1e-8,
-        max_iterations: int = 10_000,
-        seed: RngLike = None,
-    ) -> DiffusionOutcome:
-        """Diffuse against a pre-built normalized operator.
-
-        The hook the sharded precompute (:mod:`repro.core.shard`) drives:
-        shard operators are *slices of the globally normalized operator*,
-        so they cannot be reconstructed from a topology + normalization
-        pair — the caller hands the ``scipy.sparse`` operator over
-        directly.  Backends whose :meth:`diffuse` is "normalize, then run a
-        kernel over the operator" implement this with the kernel half and
-        route :meth:`diffuse` through it (built-in: ``sparse``); backends
-        whose execution is inseparable from the topology (``async``) leave
-        it unimplemented and cannot serve as sharding inner engines.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} cannot diffuse a raw operator; "
-            "use a backend that implements diffuse_operator (built-in: "
-            "'sparse') as the sharded inner engine"
-        )
-
 
 _REGISTRY: dict[str, Type[DiffusionBackend]] = {}
 

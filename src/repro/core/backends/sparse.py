@@ -82,33 +82,12 @@ class SparseDiffusionBackend(DiffusionBackend):
         latency: LatencyModel | None = None,
         seed: RngLike = None,
     ) -> DiffusionOutcome:
-        operator = transition_matrix(topology, normalization)
-        return self.diffuse_operator(
-            operator,
-            personalization,
-            alpha=alpha,
-            tol=tol,
-            max_iterations=max_iterations,
-            seed=seed,
-        )
+        """Pruned CSR power iteration.
 
-    def diffuse_operator(
-        self,
-        operator: sp.spmatrix,
-        personalization: np.ndarray | sp.spmatrix,
-        *,
-        alpha: float,
-        tol: float = 1e-8,
-        max_iterations: int = 10_000,
-        seed: RngLike = None,
-    ) -> DiffusionOutcome:
-        """Pruned CSR power iteration over a pre-built operator.
-
-        The sharded-precompute hook (:mod:`repro.core.shard`): shard
-        operators are slices of the globally normalized matrix, handed in
-        directly.  ``seed`` is accepted for interface uniformity; the
-        pruned power iteration is deterministic and ignores it.
+        ``latency`` and ``seed`` are accepted for interface uniformity; the
+        pruned power iteration is deterministic and ignores them.
         """
+        operator = transition_matrix(topology, normalization)
         ppr = SparsePersonalizedPageRank(
             alpha,
             epsilon=self.epsilon,

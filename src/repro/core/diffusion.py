@@ -16,12 +16,6 @@ Built-in strategies (see :mod:`repro.core.backends`):
   and embeddings stay in ``scipy.sparse`` form end to end, so precompute
   memory and work scale with the diffused support instead of
   ``n_nodes × dim``.
-* ``sharded`` — community-partitioned parallel precompute
-  (:mod:`repro.core.shard`); the overlay is cut into shards, each shard
-  runs the ``sparse`` kernel on its slice of the global operator (across a
-  forked process pool), and cross-shard push residuals are exchanged
-  between rounds until the global residual drains — exact up to the inner
-  backend's own tolerance/pruning.
 
 All strategies agree to within tolerance (verified by tests), so experiments
 may use the cheapest one without changing semantics.  Additional strategies
@@ -136,13 +130,13 @@ def refresh_embeddings(
     diffused personalization matrix (zero outside the changed nodes); by
     linearity the corrected diffusion is ``embeddings + H delta``, computed
     at a cost proportional to the change.  Requires a backend with
-    ``supports_incremental`` (built-in: ``push``, ``sparse``, ``sharded``).
+    ``supports_incremental`` (built-in: ``push``, ``sparse``).
     """
     backend = resolve_backend(method)
     if not backend.supports_incremental:
         raise ValueError(
             f"diffusion method {backend.name!r} does not support incremental "
-            "refresh; use method='push', method='sparse', method='sharded', "
+            "refresh; use method='push', method='sparse', "
             "or a custom incremental backend"
         )
     delta = _coerce_for_backend(delta, topology.n_nodes, backend)

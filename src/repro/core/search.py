@@ -27,13 +27,6 @@ power iteration, CSR embedding cache consumed directly by the walk policies
 lazily on first access); ``net.diffuse(method="sparse")`` after further
 placements patches the CSR cache incrementally, like ``push`` does for the
 dense one.
-
-Very large networks: ``net.diffuse(method="sharded")`` adds the parallel
-axis — the overlay is partitioned community-aware
-(:mod:`repro.core.shard`), each shard runs the sparse kernel in a forked
-worker pool, and boundary residuals are exchanged until the diffusion is
-exact.  The backend ``accepts_sparse`` and ``supports_incremental``, so the
-CSR cache, lazy densification, and delta refresh all compose unchanged.
 """
 
 from __future__ import annotations

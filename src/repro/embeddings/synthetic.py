@@ -1,4 +1,4 @@
-"""Synthetic GloVe substitute (substitution documented in DESIGN.md §4).
+"""Synthetic GloVe substitute for the paper's pretrained word vectors.
 
 The paper's retrieval workload only relies on three geometric properties of
 the GloVe space:

@@ -63,7 +63,8 @@ def get_environment(full: bool = False) -> ExperimentEnvironment:
     """Build (or fetch the cached) experiment environment.
 
     ``full=True`` reproduces the paper-scale setup; the default is the scaled
-    configuration described in DESIGN.md §5.
+    configuration (:data:`SCALED_GRAPH`, :data:`SCALED_EMBEDDINGS`,
+    :data:`SCALED_QUERIES`).
     """
     if full:
         graph_config, emb_config, n_queries = FULL_GRAPH, FULL_EMBEDDINGS, FULL_QUERIES

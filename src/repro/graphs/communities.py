@@ -1,28 +1,17 @@
-"""Community detection and community-aware graph partitioning.
+"""Community detection by label propagation.
 
-Label propagation serves two consumers:
-
-* the *correlated document placement* ablation: the paper (§V-B) expects
-  realistic document distributions to exhibit spatial correlation, i.e.
-  nodes in the same community hold topically related documents.
-  Communities give us the "spatial" unit for that placement.
-* the **sharded precompute** (:mod:`repro.core.shard`): partitioning the
-  overlay along community boundaries minimizes cross-shard edges, which is
-  what bounds the residual mass exchanged between shards per round (Hu &
-  Lau's observation that community structure localizes computation in
-  decentralized social networks).  :func:`community_partition` packs
-  detected communities into degree-balanced shards;
-  :func:`degree_balanced_partition` is the structure-free fallback.
+Communities serve the *correlated document placement* ablation: the paper
+(§V-B) expects realistic document distributions to exhibit spatial
+correlation, i.e. nodes in the same community hold topically related
+documents.  Communities give us the "spatial" unit for that placement.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.graphs.adjacency import CompressedAdjacency
-from repro.utils import check_positive, ensure_rng
+from repro.utils import ensure_rng
 from repro.utils.rng import RngLike
 
 
@@ -61,227 +50,3 @@ def label_propagation_communities(
     # Compact labels to 0..k-1 in order of first appearance.
     _, compact = np.unique(labels, return_inverse=True)
     return compact.astype(np.int64)
-
-
-def fast_label_propagation(
-    adjacency: CompressedAdjacency,
-    *,
-    max_iterations: int = 30,
-    batches: int = 8,
-    seed: RngLike = None,
-) -> np.ndarray:
-    """Vectorized label propagation for benchmark-scale graphs.
-
-    :func:`label_propagation_communities` relaxes one node at a time in a
-    Python loop — exact asynchronous semantics, but minutes of wall clock
-    past ~10⁴ nodes.  This variant batches the sweep: nodes are split into
-    ``batches`` random groups per iteration and each group adopts its
-    neighbor-majority label in one vectorized step (ragged CSR gather +
-    lexsort run-length counting), reading the labels left by the previous
-    groups.  Batched semi-asynchronous updates keep the convergence
-    behaviour of the sequential rule (synchronous whole-graph updates can
-    enter two-coloring limit cycles on bipartite-ish structure) at
-    ``O(m log m)`` work per sweep — 10⁶-node overlays finish in seconds
-    per sweep instead of hours.
-
-    Ties are broken uniformly at random per node; with a fixed ``seed`` the
-    result is deterministic.  Labels are compacted to ``0..k-1``.
-    """
-    check_positive(max_iterations, "max_iterations")
-    check_positive(batches, "batches")
-    rng = ensure_rng(seed)
-    n = adjacency.n_nodes
-    labels = np.arange(n, dtype=np.int64)
-    indptr, indices = adjacency.indptr, adjacency.indices
-    degrees = adjacency.degrees
-    order = np.arange(n)
-    for _ in range(max_iterations):
-        changed = False
-        rng.shuffle(order)
-        for batch in np.array_split(order, min(batches, max(1, n))):
-            batch = batch[degrees[batch] > 0]
-            if batch.size == 0:
-                continue
-            counts = degrees[batch]
-            # Ragged gather of every batch node's neighbor list.
-            starts = np.repeat(indptr[batch], counts)
-            within = np.arange(counts.sum()) - np.repeat(
-                np.concatenate(([0], np.cumsum(counts[:-1]))), counts
-            )
-            neighbor_labels = labels[indices[starts + within]]
-            owner = np.repeat(np.arange(batch.size), counts)
-            # Count (owner, label) pairs by sorting, then pick each owner's
-            # most frequent label; random jitter < 1 breaks count ties.
-            sort = np.lexsort((neighbor_labels, owner))
-            owner_sorted = owner[sort]
-            label_sorted = neighbor_labels[sort]
-            boundary = np.empty(owner_sorted.shape[0], dtype=bool)
-            boundary[0] = True
-            np.not_equal(owner_sorted[1:], owner_sorted[:-1], out=boundary[1:])
-            boundary[1:] |= label_sorted[1:] != label_sorted[:-1]
-            group_start = np.flatnonzero(boundary)
-            group_counts = np.diff(np.append(group_start, owner_sorted.shape[0]))
-            group_owner = owner_sorted[group_start]
-            group_label = label_sorted[group_start]
-            keys = group_counts + rng.random(group_counts.shape[0])
-            # Segment argmax over each owner's groups: sort by (owner,
-            # -key) and keep the first row per owner.
-            best = np.lexsort((-keys, group_owner))
-            first = np.flatnonzero(
-                np.concatenate(
-                    ([True], group_owner[best][1:] != group_owner[best][:-1])
-                )
-            )
-            winners = group_label[best][first]
-            winner_owner = group_owner[best][first]
-            new_labels = labels[batch].copy()
-            new_labels[winner_owner] = winners
-            if np.any(new_labels != labels[batch]):
-                changed = True
-                labels[batch] = new_labels
-        if not changed:
-            break
-    _, compact = np.unique(labels, return_inverse=True)
-    return compact.astype(np.int64)
-
-
-def degree_balanced_partition(
-    adjacency: CompressedAdjacency, n_shards: int
-) -> np.ndarray:
-    """Structure-free partition balancing total degree across shards.
-
-    Greedy longest-processing-time bin packing: nodes are visited in
-    descending degree (ties by ascending id, so the result is
-    deterministic) and each goes to the currently lightest shard, weighting
-    a node by ``degree + 1`` so degree-0 nodes still spread out.  This is
-    the fallback partitioner of the sharded precompute — no community
-    structure required, per-shard *work* (proportional to incident edges)
-    balanced within one node of optimal — at the price of a high
-    cross-shard edge fraction on graphs that do have communities.
-    """
-    order = np.argsort(-adjacency.degrees, kind="stable")
-    assignment = np.empty(adjacency.n_nodes, dtype=np.int64)
-    _pack_greedy(
-        assignment,
-        [order[i : i + 1] for i in range(order.shape[0])],
-        (adjacency.degrees[order] + 1).tolist(),
-        n_shards,
-    )
-    return assignment
-
-
-def community_partition(
-    adjacency: CompressedAdjacency,
-    n_shards: int,
-    *,
-    labels: np.ndarray | None = None,
-    seed: RngLike = 0,
-    max_iterations: int = 30,
-) -> np.ndarray:
-    """Community-aware partition: pack communities into balanced shards.
-
-    Detects communities with :func:`fast_label_propagation` (or takes
-    precomputed ``labels``), weighs each community by its total degree
-    (+1 per node), and greedily packs them into ``n_shards`` bins, heaviest
-    first, always into the lightest bin.  Communities heavier than the
-    ideal per-shard load are split into ideal-sized chunks first, so one
-    giant community (the typical label-propagation outcome on graphs
-    *without* community structure) cannot serialize the pool — in that
-    degenerate case the result approaches
-    :func:`degree_balanced_partition`.
-
-    Deterministic for a fixed ``seed`` (default 0 — reproducible by
-    default, matching the shard-plan caching in :mod:`repro.core.shard`).
-    """
-    check_positive(n_shards, "n_shards")
-    n = adjacency.n_nodes
-    if labels is None:
-        labels = fast_label_propagation(
-            adjacency, max_iterations=max_iterations, seed=seed
-        )
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ValueError(
-            f"labels must have shape ({n},), got {labels.shape}"
-        )
-    weights = (adjacency.degrees + 1).astype(np.int64)
-    ideal = max(1.0, float(weights.sum()) / n_shards)
-    # Group nodes by community (sorted ids within each), then split any
-    # community whose weight exceeds the ideal shard load into chunks.
-    order = np.argsort(labels, kind="stable")
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], labels[order][1:] != labels[order][:-1]))
-    )
-    groups: list[np.ndarray] = []
-    group_weights: list[int] = []
-    for i, start in enumerate(boundaries):
-        stop = boundaries[i + 1] if i + 1 < boundaries.shape[0] else n
-        members = np.sort(order[start:stop])
-        member_weights = weights[members]
-        total = int(member_weights.sum())
-        if total <= ideal:
-            groups.append(members)
-            group_weights.append(total)
-            continue
-        # Chunk by cumulative weight so each piece lands near the ideal.
-        chunk_ids = np.minimum(
-            (np.cumsum(member_weights) - 1) // int(ideal),
-            max(1, int(np.ceil(total / ideal))) - 1,
-        )
-        for chunk in range(int(chunk_ids.max()) + 1):
-            piece = members[chunk_ids == chunk]
-            if piece.size:
-                groups.append(piece)
-                group_weights.append(int(weights[piece].sum()))
-    assignment = np.empty(n, dtype=np.int64)
-    _pack_greedy(assignment, groups, group_weights, n_shards)
-    return assignment
-
-
-def _pack_greedy(
-    assignment: np.ndarray,
-    groups: list[np.ndarray],
-    group_weights: list[int],
-    n_shards: int,
-) -> None:
-    """Assign node groups to the least-loaded shard, heaviest group first.
-
-    Writes shard ids into ``assignment`` in place.  Deterministic: groups
-    are processed by (descending weight, insertion order) and load ties
-    break toward the lowest shard id.
-    """
-    check_positive(n_shards, "n_shards")
-    heap = [(0, shard) for shard in range(n_shards)]
-    heapq.heapify(heap)
-    order = sorted(
-        range(len(groups)), key=lambda i: (-group_weights[i], i)
-    )
-    for i in order:
-        load, shard = heapq.heappop(heap)
-        assignment[groups[i]] = shard
-        heapq.heappush(heap, (load + group_weights[i], shard))
-
-
-def cross_shard_fraction(
-    adjacency: CompressedAdjacency, assignment: np.ndarray
-) -> float:
-    """Fraction of edges whose endpoints fall in different shards.
-
-    The quantity community-aware partitioning minimizes: every cross-shard
-    edge carries residual mass between shards each round of the sharded
-    precompute, so this fraction governs both the mailbox traffic and the
-    number of rounds to convergence.  Counted over directed edge slots
-    (each undirected edge twice — the fraction is identical).
-    """
-    assignment = np.asarray(assignment)
-    if assignment.shape != (adjacency.n_nodes,):
-        raise ValueError(
-            f"assignment must have shape ({adjacency.n_nodes},), "
-            f"got {assignment.shape}"
-        )
-    if adjacency.indices.size == 0:
-        return 0.0
-    src = np.repeat(
-        np.arange(adjacency.n_nodes, dtype=np.int64), adjacency.degrees
-    )
-    return float(np.mean(assignment[src] != assignment[adjacency.indices]))

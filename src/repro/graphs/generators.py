@@ -146,11 +146,8 @@ def community_cycle_adjacency(
     cross-node pairs, plus one cycle through a random representative of
     each community so the overlay is connected by construction.  The result
     has strong, discoverable community structure with a tunable cross-edge
-    fraction — the regime where community-aware sharding
-    (:func:`repro.graphs.communities.community_partition`) pays off, and
-    the benchmark topology for the sharded precompute at 10⁵–10⁶ nodes
-    (decentralized social overlays are community-structured; a uniform
-    random graph would make *any* partition equally bad).
+    fraction — the benchmark topology for serving, fault and end-to-end runs
+    (decentralized social overlays are community-structured).
     """
     from repro.graphs.adjacency import CompressedAdjacency
 

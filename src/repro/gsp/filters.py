@@ -55,8 +55,6 @@ def check_pruned_mass(
     estimate_l1: float,
     alpha: float,
     epsilon: float,
-    *,
-    warn: bool = True,
 ) -> float:
     """Surviving-diffusable-mass ratio of an ε-pruned diffusion, with guard.
 
@@ -68,7 +66,7 @@ def check_pruned_mass(
     and faraway nodes score zero (the failure mode behind the reduced-sweep
     observation that ``ε=0.01`` drops overlap@20 to 0.46).  The returned
     ratio is ``(‖E‖₁ − α‖E0‖₁) / ((1−α)·‖E0‖₁)``, clamped to ``[0, 1]``;
-    when it falls below :data:`PRUNED_MASS_WARN_FRACTION` (and ``warn``) a
+    when it falls below :data:`PRUNED_MASS_WARN_FRACTION` a
     :class:`PrunedMassWarning` is emitted.  Sign cancellation in mixed-sign
     embeddings also lowers the ratio a little (≈0.7–0.75 for unpruned
     unit-scale Gaussian rows on the benchmark overlays), so the guard is
@@ -80,7 +78,7 @@ def check_pruned_mass(
         return 1.0
     ratio = (estimate_l1 - alpha * e0_l1) / diffusable
     ratio = float(min(1.0, max(0.0, ratio)))
-    if warn and ratio < PRUNED_MASS_WARN_FRACTION:
+    if ratio < PRUNED_MASS_WARN_FRACTION:
         warnings.warn(
             f"epsilon-pruning (epsilon={epsilon:g}) removed "
             f"{1.0 - ratio:.0%} of the diffusable personalization mass — "
@@ -485,10 +483,7 @@ class SparsePersonalizedPageRank(GraphFilter):
       committed sweep holds top-k overlap ≥ 0.99 at 1e-3 and ≥ 0.96 at
       3e-3); the filter guards the footgun at run time — see
       :func:`check_pruned_mass`, which emits a :class:`PrunedMassWarning`
-      when more than half of the diffusable mass was truncated
-      (``warn_pruned_mass=False`` silences it for callers, like the
-      per-shard workers of :mod:`repro.core.shard`, that re-check the
-      guard on an aggregated result).
+      when more than half of the diffusable mass was truncated.
 
     Pruning is applied with *hysteresis*: a row that has ever exceeded its
     threshold (or carried initial personalization mass) joins a monotone
@@ -508,7 +503,6 @@ class SparsePersonalizedPageRank(GraphFilter):
         epsilon: float = SPARSE_DEFAULT_EPSILON,
         tol: float = 1e-9,
         max_iterations: int = 10_000,
-        warn_pruned_mass: bool = True,
         dtype: np.dtype | type = np.float64,
     ) -> None:
         check_probability(alpha, "alpha")
@@ -527,7 +521,6 @@ class SparsePersonalizedPageRank(GraphFilter):
         self.epsilon = float(epsilon)
         self.tol = float(tol)
         self.max_iterations = int(max_iterations)
-        self.warn_pruned_mass = bool(warn_pruned_mass)
         #: Iterate/output dtype.  float64 (default) is bit-identical to the
         #: dense power loop at ε=0; float32 halves cache memory and keeps
         #: top-k rankings within the tolerance quantified in the committed
@@ -677,7 +670,6 @@ class SparsePersonalizedPageRank(GraphFilter):
                 float(np.abs(cur_block).sum()),
                 alpha,
                 self.epsilon,
-                warn=self.warn_pruned_mass,
             )
         return DiffusionResult(
             signal=self._to_csr(cur_rows, cur_block, n, dim),

@@ -1,6 +1,6 @@
 """Shared utilities: seeded randomness, validation and small helpers."""
 
-from repro.utils.rng import ensure_rng, spawn_rngs, derive_rng, shard_rng
+from repro.utils.rng import ensure_rng, spawn_rngs, derive_rng
 from repro.utils.validation import (
     check_probability,
     check_positive,
@@ -16,7 +16,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "derive_rng",
-    "shard_rng",
     "check_probability",
     "check_positive",
     "check_non_negative",

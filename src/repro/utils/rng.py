@@ -76,25 +76,3 @@ def derive_rng(seed: RngLike, *keys: Union[int, str]) -> np.random.Generator:
         base = int(seed)
     seq = np.random.SeedSequence(entropy=base, spawn_key=tuple(material))
     return np.random.default_rng(seq)
-
-
-def shard_rng(seed: RngLike, shard_id: int) -> np.random.Generator:
-    """Deterministic per-shard generator for worker processes.
-
-    The sharded precompute (:mod:`repro.core.shard`) fans shards out to a
-    process pool; each worker derives its stream from the *parent* seed plus
-    its shard id, so a sharded run is bit-reproducible regardless of pool
-    size, task scheduling order, or multiprocessing start method: shard
-    ``i`` sees the same stream whether it runs in the calling process (the
-    serial executor), in any of N pool workers, or across repeated runs.
-    Streams for different shards are statistically independent
-    (:class:`numpy.random.SeedSequence` spawn keys).
-
-    Pass an *integer* parent seed for cross-process determinism — a
-    ``Generator`` parent is stateful, so the derived stream then depends on
-    how much of the parent stream was consumed first (and ``None`` draws
-    fresh entropy).
-    """
-    if not isinstance(shard_id, (int, np.integer)) or shard_id < 0:
-        raise ValueError(f"shard_id must be a non-negative int, got {shard_id!r}")
-    return derive_rng(seed, "shard", int(shard_id))

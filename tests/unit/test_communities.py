@@ -1,18 +1,10 @@
-"""Tests for label-propagation community detection and shard partitioning."""
+"""Tests for label-propagation community detection."""
 
 import networkx as nx
 import numpy as np
-import pytest
 
 from repro.graphs.adjacency import CompressedAdjacency
-from repro.graphs.communities import (
-    community_partition,
-    cross_shard_fraction,
-    degree_balanced_partition,
-    fast_label_propagation,
-    label_propagation_communities,
-)
-from repro.graphs.generators import community_cycle_adjacency
+from repro.graphs.communities import label_propagation_communities
 
 
 def two_cliques_with_bridge(size: int = 10) -> CompressedAdjacency:
@@ -60,105 +52,3 @@ class TestLabelPropagation:
         adj = CompressedAdjacency.from_networkx(graph)
         labels = label_propagation_communities(adj, seed=0)
         assert labels[2] not in (labels[0], labels[1])
-
-
-@pytest.fixture(scope="module")
-def planted_overlay():
-    return community_cycle_adjacency(
-        800, degree=8, n_communities=4, cross_fraction=0.05, seed=9
-    )
-
-
-class TestFastLabelPropagation:
-    def test_two_cliques_separate(self):
-        adj = two_cliques_with_bridge(12)
-        labels = fast_label_propagation(adj, seed=0)
-        assert len(set(labels[:12])) == 1
-        assert len(set(labels[12:])) == 1
-        assert labels[0] != labels[12]
-
-    def test_labels_compact_and_shaped(self, planted_overlay):
-        labels = fast_label_propagation(planted_overlay, seed=0)
-        assert labels.shape == (planted_overlay.n_nodes,)
-        assert set(labels) == set(range(labels.max() + 1))
-
-    def test_deterministic_given_seed(self, planted_overlay):
-        a = fast_label_propagation(planted_overlay, seed=4)
-        b = fast_label_propagation(planted_overlay, seed=4)
-        assert np.array_equal(a, b)
-
-    def test_recovers_planted_communities(self, planted_overlay):
-        # Nodes of each planted block (contiguous id ranges) should land in
-        # one community almost everywhere.
-        labels = fast_label_propagation(planted_overlay, seed=0)
-        agreement = 0
-        for c in range(4):
-            block = labels[c * 200 : (c + 1) * 200]
-            values, counts = np.unique(block, return_counts=True)
-            agreement += counts.max()
-        assert agreement / planted_overlay.n_nodes > 0.9
-
-
-class TestPartitioners:
-    @pytest.mark.parametrize("partitioner", ["community", "degree"])
-    def test_every_node_assigned_exactly_once(self, planted_overlay, partitioner):
-        if partitioner == "community":
-            assignment = community_partition(planted_overlay, 4, seed=0)
-        else:
-            assignment = degree_balanced_partition(planted_overlay, 4)
-        assert assignment.shape == (planted_overlay.n_nodes,)
-        assert assignment.min() >= 0 and assignment.max() < 4
-        # Every shard is non-empty on a graph this large.
-        assert np.bincount(assignment, minlength=4).min() > 0
-
-    def test_community_partition_deterministic(self, planted_overlay):
-        a = community_partition(planted_overlay, 4, seed=3)
-        b = community_partition(planted_overlay, 4, seed=3)
-        assert np.array_equal(a, b)
-
-    def test_degree_partition_balances_load(self, planted_overlay):
-        assignment = degree_balanced_partition(planted_overlay, 4)
-        weights = planted_overlay.degrees + 1
-        loads = np.bincount(assignment, weights=weights, minlength=4)
-        assert loads.max() - loads.min() <= weights.max()
-
-    def test_community_beats_degree_on_planted_graph(self, planted_overlay):
-        community = community_partition(planted_overlay, 4, seed=0)
-        degree = degree_balanced_partition(planted_overlay, 4)
-        assert cross_shard_fraction(
-            planted_overlay, community
-        ) < cross_shard_fraction(planted_overlay, degree)
-
-    def test_two_cliques_stay_together(self):
-        adj = two_cliques_with_bridge(12)
-        assignment = community_partition(adj, 2, seed=0)
-        # Each clique maps into a single shard; only the bridge crosses.
-        assert len(set(assignment[:12])) == 1
-        assert len(set(assignment[12:])) == 1
-        assert cross_shard_fraction(adj, assignment) <= 2 / adj.indices.size
-
-    def test_oversized_community_is_split(self, planted_overlay):
-        # One giant label must not serialize the pool: chunking still
-        # produces balanced shards.
-        labels = np.zeros(planted_overlay.n_nodes, dtype=np.int64)
-        assignment = community_partition(
-            planted_overlay, 4, labels=labels
-        )
-        counts = np.bincount(assignment, minlength=4)
-        assert counts.min() > 0
-        assert counts.max() / counts.min() < 1.5
-
-
-class TestCrossShardFraction:
-    def test_range_and_reporting(self, planted_overlay):
-        assignment = community_partition(planted_overlay, 4, seed=0)
-        fraction = cross_shard_fraction(planted_overlay, assignment)
-        assert 0.0 <= fraction <= 1.0
-
-    def test_single_shard_is_zero(self, planted_overlay):
-        assignment = np.zeros(planted_overlay.n_nodes, dtype=np.int64)
-        assert cross_shard_fraction(planted_overlay, assignment) == 0.0
-
-    def test_shape_mismatch_raises(self, planted_overlay):
-        with pytest.raises(ValueError):
-            cross_shard_fraction(planted_overlay, np.zeros(3, dtype=np.int64))

@@ -316,18 +316,6 @@ class TestPrunedMassGuard:
         assert result.diffused_mass_ratio is not None
         assert result.diffused_mass_ratio >= 0.5
 
-    def test_warning_suppressible(self, operator, small_world_adjacency):
-        import warnings
-
-        from repro.gsp.filters import PrunedMassWarning, SparsePersonalizedPageRank
-
-        signal = self._personalization(small_world_adjacency.n_nodes)
-        ppr = SparsePersonalizedPageRank(0.5, epsilon=0.01, warn_pruned_mass=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", PrunedMassWarning)
-            result = ppr.apply_detailed(operator, signal)
-        assert result.diffused_mass_ratio < 0.5
-
     def test_unpruned_filter_reports_no_ratio(self, operator, small_world_adjacency):
         from repro.gsp.filters import SparsePersonalizedPageRank
 
@@ -338,9 +326,10 @@ class TestPrunedMassGuard:
         assert result.diffused_mass_ratio is None
 
     def test_check_pruned_mass_bounds(self):
-        from repro.gsp.filters import check_pruned_mass
+        from repro.gsp.filters import PrunedMassWarning, check_pruned_mass
 
         # Zero diffusable mass (empty personalization) is vacuously healthy.
         assert check_pruned_mass(0.0, 0.0, 0.5, 0.01) == 1.0
         # Bare-teleport collapse clamps to 0.
-        assert check_pruned_mass(10.0, 5.0, 0.5, 0.01, warn=False) == 0.0
+        with pytest.warns(PrunedMassWarning):
+            assert check_pruned_mass(10.0, 5.0, 0.5, 0.01) == 0.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_rng, ensure_rng, shard_rng, spawn_rngs
+from repro.utils.rng import derive_rng, ensure_rng, spawn_rngs
 
 
 class TestEnsureRng:
@@ -82,39 +82,3 @@ class TestDeriveRng:
     def test_invalid_key_type_raises(self):
         with pytest.raises(TypeError):
             derive_rng(5, object())
-
-
-class TestShardRng:
-    def test_same_seed_and_shard_same_stream(self):
-        a = shard_rng(42, 3).integers(0, 2**32, size=8)
-        b = shard_rng(42, 3).integers(0, 2**32, size=8)
-        assert np.array_equal(a, b)
-
-    def test_different_shards_differ(self):
-        a = shard_rng(42, 0).integers(0, 2**32, size=8)
-        b = shard_rng(42, 1).integers(0, 2**32, size=8)
-        assert not np.array_equal(a, b)
-
-    def test_different_seeds_differ(self):
-        a = shard_rng(1, 0).integers(0, 2**32, size=8)
-        b = shard_rng(2, 0).integers(0, 2**32, size=8)
-        assert not np.array_equal(a, b)
-
-    def test_independent_of_other_derivations(self):
-        # Shard streams must not collide with other named consumers.
-        a = shard_rng(7, 0).integers(0, 2**32, size=8)
-        b = derive_rng(7, "placement", 0).integers(0, 2**32, size=8)
-        assert not np.array_equal(a, b)
-
-    def test_numpy_integer_shard_id(self):
-        a = shard_rng(5, np.int64(2)).integers(0, 2**32, size=4)
-        b = shard_rng(5, 2).integers(0, 2**32, size=4)
-        assert np.array_equal(a, b)
-
-    def test_negative_shard_id_raises(self):
-        with pytest.raises(ValueError):
-            shard_rng(5, -1)
-
-    def test_non_int_shard_id_raises(self):
-        with pytest.raises(ValueError):
-            shard_rng(5, "0")

@@ -27,6 +27,7 @@ from repro.gsp.normalization import transition_matrix
 from repro.gsp.push import forward_push, sparse_forward_push, sparse_push_refresh
 
 NORMALIZATIONS = ("column", "row", "symmetric")
+ALPHAS = (0.1, 0.4, 0.5, 0.9)
 
 
 @pytest.fixture(scope="module")
@@ -78,36 +79,38 @@ class TestCoercion:
 
 
 class TestSparseFilter:
+    @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("normalization", NORMALIZATIONS)
     def test_epsilon_zero_bit_identical_to_power(
-        self, small_world_adjacency, sparse_signal, normalization
+        self, small_world_adjacency, sparse_signal, normalization, alpha
     ):
         dense, sparse = sparse_signal
         operator = transition_matrix(small_world_adjacency, normalization)
-        reference = PersonalizedPageRank(0.4, tol=1e-9).apply_detailed(
+        reference = PersonalizedPageRank(alpha, tol=1e-9).apply_detailed(
             operator, dense
         )
         result = SparsePersonalizedPageRank(
-            0.4, epsilon=0.0, tol=1e-9
+            alpha, epsilon=0.0, tol=1e-9
         ).apply_detailed(operator, sparse)
         assert np.array_equal(result.signal.toarray(), reference.signal)
         assert result.iterations == reference.iterations
         assert result.converged
 
+    @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("normalization", NORMALIZATIONS)
     def test_pruned_filter_tracks_solve_within_epsilon(
-        self, small_world_adjacency, sparse_signal, normalization
+        self, small_world_adjacency, sparse_signal, normalization, alpha
     ):
         dense, sparse = sparse_signal
         operator = transition_matrix(small_world_adjacency, normalization)
-        exact = PersonalizedPageRank(0.4, method="solve").apply(operator, dense)
+        exact = PersonalizedPageRank(alpha, method="solve").apply(operator, dense)
         epsilon = 1e-4
         result = SparsePersonalizedPageRank(
-            0.4, epsilon=epsilon, tol=1e-9
+            alpha, epsilon=epsilon, tol=1e-9
         ).apply_detailed(operator, sparse)
         assert result.converged
         # worst-case amplification ~ eps * d_max / alpha; generous slack
-        bound = epsilon * operator_out_degrees(operator).max() / 0.4 * 10
+        bound = epsilon * operator_out_degrees(operator).max() / alpha * 10
         assert np.abs(result.signal.toarray() - exact).max() < bound
 
     def test_pruning_shrinks_support(self, small_world_adjacency, sparse_signal):
