@@ -175,7 +175,7 @@ def test_batch_engine_speedup():
                 "+ one multi-column diffusion per iteration "
                 "(cached sparse-LU solve, one factorization per alpha)",
                 f"kernel backend: {kernel_info()['backend']} "
-                "(repro.kernels dispatch; numba JIT when installed)",
+                "(repro.kernels.dispatch)",
             ]
         ),
         data={

@@ -36,6 +36,7 @@ from repro.gsp.filters import SPARSE_DEFAULT_EPSILON, SparsePersonalizedPageRank
 from repro.gsp.normalization import NormalizationKind, transition_matrix
 from repro.gsp.push import sparse_push_refresh
 from repro.runtime.network import LatencyModel
+from repro.utils import check_non_negative
 from repro.utils.rng import RngLike
 
 
@@ -52,23 +53,17 @@ class SparseDiffusionBackend(DiffusionBackend):
         epsilon: float = SPARSE_DEFAULT_EPSILON,
         *,
         dtype: np.dtype | type = np.float64,
-        n_jobs: int = 1,
     ) -> None:
         """``dtype=float32`` halves cache memory at a bounded accuracy cost
         (overlap@100 ≥ 0.98 vs float64 on the benchmark graphs — see the
-        ε-sweep section of ``benchmarks/test_bench_sparse_scale.py``);
-        ``n_jobs > 1`` pushes refresh column blocks on a thread pool.
+        ε-sweep section of ``benchmarks/test_bench_sparse_scale.py``).
         """
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        check_non_negative(epsilon, "epsilon")
         dtype = np.dtype(dtype)
         if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(f"dtype must be float32 or float64, got {dtype}")
-        if n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
         self.epsilon = float(epsilon)
         self.dtype = dtype
-        self.n_jobs = int(n_jobs)
 
     def diffuse(
         self,
@@ -126,7 +121,6 @@ class SparseDiffusionBackend(DiffusionBackend):
             epsilon=self.epsilon,
             max_sweeps=max_iterations,
             dtype=self.dtype,
-            n_jobs=self.n_jobs,
         )
         return DiffusionOutcome(
             embeddings=patched,

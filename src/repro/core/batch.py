@@ -48,7 +48,6 @@ from repro.core.forwarding import (
     ForwardingPolicy,
     PrecomputedScorePolicy,
     _segment_top_k,
-    lookup_sorted_keys,
 )
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.kernels import dispatch as kernels
@@ -157,7 +156,7 @@ class _SparseScoreStack:
     def gather(self, queries: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Score of ``nodes[i]`` under walk ``queries[i]``'s policy."""
         wanted = self.rows[queries] * np.int64(self.n_nodes) + nodes
-        return lookup_sorted_keys(self.keys, self.values, wanted)
+        return kernels.sparse_key_lookup(self.keys, self.values, wanted)
 
 
 def _precomputed_stack(

@@ -22,22 +22,6 @@ from repro.retrieval.scoring import top_k_indices
 from repro.utils import check_positive
 
 
-def lookup_sorted_keys(
-    keys: np.ndarray, values: np.ndarray, wanted: np.ndarray
-) -> np.ndarray:
-    """Gather ``values`` of sorted ``keys`` at ``wanted``; absent keys → 0.0.
-
-    The shared CSR-lookup kernel of the sparse scoring paths
-    (:meth:`PrecomputedScorePolicy.candidate_scores` and the batch engine's
-    stacked sparse score table): one ``searchsorted`` over the whole query
-    array, with misses scoring *exactly* ``0.0`` — the value a densified
-    copy would hold — so sparse- and dense-backed decisions stay
-    bit-identical.  The output dtype follows ``values`` (float32 tables
-    stay float32).  Dispatched through :mod:`repro.kernels`.
-    """
-    return kernels.sparse_key_lookup(keys, values, wanted)
-
-
 def _segment_top_k(
     keys: np.ndarray,
     offsets: np.ndarray,
@@ -303,7 +287,7 @@ class PrecomputedScorePolicy(ForwardingPolicy):
         """Per-candidate score: table lookup (dense) or CSR lookup (sparse)."""
         if self.node_scores is not None:
             return self.node_scores[candidates]
-        return lookup_sorted_keys(
+        return kernels.sparse_key_lookup(
             self._sparse_indices, self._sparse_values, candidates
         )
 

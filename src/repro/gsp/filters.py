@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.utils import check_positive, check_probability
+from repro.utils import check_non_negative, check_positive, check_probability
 
 
 @dataclass(frozen=True)
@@ -508,8 +508,7 @@ class SparsePersonalizedPageRank(GraphFilter):
         check_probability(alpha, "alpha")
         if alpha == 0.0:
             raise ValueError("alpha must be positive (alpha=0 never teleports)")
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        check_non_negative(epsilon, "epsilon")
         check_positive(tol, "tol")
         check_positive(max_iterations, "max_iterations")
         dtype = np.dtype(dtype)

@@ -19,11 +19,16 @@ diffusing the delta ``r0 = E0' − E0`` yields exactly the correction
 The batched sweep is a Gauss–Southwell relaxation: instead of one node at a
 time, every above-threshold node is relaxed per sweep (the vertex-centric
 decomposition used by systems like PowerWalk), which vectorizes cleanly.
+
+Two kernels implement it: dense :func:`forward_push` and CSR
+:func:`sparse_forward_push`.  They run the same sweeps and edge operations,
+but on the dense signals the ``push`` backend and the simulation's
+``SignalRefresher`` pass, the dense kernel is several times faster (README,
+"Raw speed", has the measured table), so both stay.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +41,7 @@ from repro.gsp.filters import (
     operator_out_degrees,
 )
 from repro.kernels import dispatch as kernels
-from repro.utils import check_positive, check_probability
+from repro.utils import check_non_negative, check_positive, check_probability
 
 #: Use the row-local scatter path when the pushed columns' nonzeros are
 #: below ``n / _SPARSE_SWEEP_DIVISOR`` — below it, updating only touched
@@ -88,7 +93,6 @@ def forward_push(
     alpha: float = 0.5,
     tol: float = 1e-8,
     max_sweeps: int = 10_000,
-    dtype: np.dtype | type = np.float64,
 ) -> PushResult:
     """Diffuse ``signal`` with the PPR filter by residual forward push.
 
@@ -108,29 +112,20 @@ def forward_push(
         ``‖H‖∞ · tol`` element-wise.
     max_sweeps:
         Cap on batched sweeps (each sweep relaxes all active rows at once).
-    dtype:
-        Residual/estimate dtype; ``float32`` runs the whole sweep (operator
-        values included) in single precision.
     """
     check_probability(alpha, "alpha")
     if alpha == 0.0:
         raise ValueError("alpha must be positive (alpha=0 never teleports)")
     check_positive(tol, "tol")
     check_positive(max_sweeps, "max_sweeps")
-    dtype = np.dtype(dtype)
-    # float32 residuals bottom out at rounding noise; floor the push
-    # threshold at the dtype's resolution (float64 passes through).
-    tol = effective_tolerance(tol, dtype)
 
     n = operator.shape[0]
-    residual, was_vector = coerce_signal(signal, n, dtype)
+    residual, was_vector = coerce_signal(signal, n)
     residual = residual.copy()
     estimate = np.zeros_like(residual)
 
     # Column view: pushing node u scatters along column u of the operator.
     columns = operator.tocsc()
-    if columns.data.dtype != dtype:
-        columns = columns.astype(dtype)
     col_degrees = np.diff(columns.indptr)
 
     damping = 1.0 - alpha
@@ -189,36 +184,6 @@ def forward_push(
     )
 
 
-def _row_peaks(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Max-abs entry per nonempty row: ``(row_ids, peaks)``."""
-    return kernels.csr_row_peaks(matrix.data, matrix.indptr)
-
-
-def _merge_block_results(
-    blocks: list[PushResult], n: int, dim: int, dtype: np.dtype
-) -> PushResult:
-    """Combine per-column-block push results into one ``(n, dim)`` outcome.
-
-    Columns diffuse independently (pushing a row relaxes all of *its block's*
-    columns at once, and blocks never interact), so the merged estimate is an
-    ``hstack`` and the work counters add.  ``sweeps``/``residual`` report the
-    slowest/worst block — the quantities convergence decisions key on.
-    """
-    estimate = sp.hstack([b.estimate for b in blocks], format="csr")
-    estimate.sort_indices()
-    if estimate.dtype != dtype:
-        estimate = estimate.astype(dtype)
-    return PushResult(
-        estimate=estimate,
-        residual=max(b.residual for b in blocks),
-        sweeps=max(b.sweeps for b in blocks),
-        pushes=sum(b.pushes for b in blocks),
-        edge_operations=sum(b.edge_operations for b in blocks),
-        converged=all(b.converged for b in blocks),
-        residual_l1=sum(b.residual_l1 for b in blocks),
-    )
-
-
 def sparse_forward_push(
     operator: sp.spmatrix,
     signal: np.ndarray | sp.spmatrix,
@@ -228,7 +193,6 @@ def sparse_forward_push(
     epsilon: float = 0.0,
     max_sweeps: int = 10_000,
     dtype: np.dtype | type = np.float64,
-    n_jobs: int = 1,
 ) -> PushResult:
     """Multi-column Forward Push keeping estimate and residual in CSR form.
 
@@ -247,22 +211,17 @@ def sparse_forward_push(
     dense :func:`forward_push`.
 
     ``dtype=float32`` runs residual, estimate, and operator values in single
-    precision.  ``n_jobs > 1`` splits the signal's columns into contiguous
-    blocks pushed concurrently on a thread pool (columns never interact —
-    only the *activation* of a row couples them, so each block converges to
-    the same per-entry ``max(tol, ε·d(u))`` criterion; ``n_jobs=1`` is
-    bit-identical to the historical single-block sweep).  Thread parallelism
-    pays off on multi-core hosts, especially with the ``nogil`` JIT kernels
-    of :mod:`repro.kernels` active.
+    precision.  Each sweep finds its active rows with
+    :func:`repro.kernels.dispatch.csr_row_peaks` and scatters them with one
+    scipy sparse product, so its cost is the edge traversals counted in
+    ``edge_operations``.
     """
     check_probability(alpha, "alpha")
     if alpha == 0.0:
         raise ValueError("alpha must be positive (alpha=0 never teleports)")
     check_positive(tol, "tol")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    check_non_negative(epsilon, "epsilon")
     check_positive(max_sweeps, "max_sweeps")
-    check_positive(n_jobs, "n_jobs")
     dtype = np.dtype(dtype)
     # float32 residuals bottom out at rounding noise; floor the push
     # threshold at the dtype's resolution (float64 passes through).
@@ -271,30 +230,6 @@ def sparse_forward_push(
     n = operator.shape[0]
     residual, _ = coerce_sparse_signal(signal, n, dtype)
     dim = residual.shape[1]
-    if n_jobs > 1 and dim > 1:
-        blocks = min(int(n_jobs), dim)
-        bounds = np.linspace(0, dim, blocks + 1).astype(np.int64)
-        columns = operator.tocsc()
-
-        def _push_block(lo: int, hi: int) -> PushResult:
-            return sparse_forward_push(
-                columns,
-                residual[:, lo:hi].tocsr(),
-                alpha=alpha,
-                tol=tol,
-                epsilon=epsilon,
-                max_sweeps=max_sweeps,
-                dtype=dtype,
-                n_jobs=1,
-            )
-
-        with ThreadPoolExecutor(max_workers=blocks) as pool:
-            results = list(
-                pool.map(
-                    _push_block, bounds[:-1].tolist(), bounds[1:].tolist()
-                )
-            )
-        return _merge_block_results(results, n, dim, dtype)
     # Per-sweep (rows, cols, values) contributions to the estimate; summed
     # into one CSR matrix after the loop (nothing reads the estimate
     # mid-loop, and rebuilding it per sweep would cost O(sweeps x nnz)).
@@ -313,7 +248,7 @@ def sparse_forward_push(
     pushes = 0
     edge_operations = 0
     for sweeps in range(1, max_sweeps + 1):
-        rows, peaks = _row_peaks(residual)
+        rows, peaks = kernels.csr_row_peaks(residual.data, residual.indptr)
         active = rows[peaks > thresholds[rows]]
         if active.size == 0:
             sweeps -= 1
@@ -340,7 +275,7 @@ def sparse_forward_push(
         pushes += int(active.size)
         edge_operations += int(col_degrees[active].sum())
 
-    rows, peaks = _row_peaks(residual)
+    rows, peaks = kernels.csr_row_peaks(residual.data, residual.indptr)
     final_residual = float(peaks.max()) if peaks.size else 0.0
     converged = bool(np.all(peaks <= thresholds[rows])) if rows.size else True
     if estimate_rows:
@@ -375,15 +310,14 @@ def sparse_push_refresh(
     epsilon: float = 0.0,
     max_sweeps: int = 10_000,
     dtype: np.dtype | type = np.float64,
-    n_jobs: int = 1,
 ) -> tuple[sp.csr_matrix, PushResult]:
     """Patch a CSR diffusion cache after a sparse personalization change.
 
     The sparse counterpart of :func:`push_refresh`: given CSR (or dense)
     ``embeddings ≈ H E0`` and a mostly-zero ``delta = E0' − E0``, returns
     ``(embeddings + H delta, push_result)`` with everything kept in CSR form
-    — the patched cache never densifies.  ``dtype`` and ``n_jobs`` are
-    forwarded to :func:`sparse_forward_push`.
+    — the patched cache never densifies.  ``dtype`` is forwarded to
+    :func:`sparse_forward_push`.
     """
     n = operator.shape[0]
     dtype = np.dtype(dtype)
@@ -402,7 +336,6 @@ def sparse_push_refresh(
         epsilon=epsilon,
         max_sweeps=max_sweeps,
         dtype=dtype,
-        n_jobs=n_jobs,
     )
     patched = (base + result.estimate).tocsr()
     patched.sort_indices()

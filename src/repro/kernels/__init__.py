@@ -1,40 +1,16 @@
-"""Acceleration layer: hot-loop kernels behind a capability dispatcher.
+"""Hot-loop kernels of the batch walk and the forward push.
 
 The two wall-clock sinks of the pipeline — the batch walk's per-hop
 selection (``repro.core.batch``) and the forward-push sweeps
 (``repro.gsp.push``) — call their inner loops through
-:mod:`repro.kernels.dispatch`, which picks between the pure-numpy
-reference implementations (:mod:`repro.kernels.reference`) and numba JIT
-twins (:mod:`repro.kernels._numba`) at runtime.  numba is a *strictly
-optional* dependency: absent, everything runs bit-for-bit the numpy path
-that has always shipped; present, the JIT twins take over (``nogil`` loops,
-cached compilation) without changing any result beyond documented float32
-tolerances.
-
-Control with ``REPRO_KERNELS=auto|numba|numpy`` (see
-:mod:`repro.kernels.dispatch`); inspect with
-:func:`repro.kernels.kernel_info`.
-
-Hot-path consumers import the dispatch *module* and call through its
-attributes (``from repro.kernels import dispatch as kernels``), which keeps
-one patch point for instrumentation (``benchmarks/profile_kernels.py``)
-and lets :func:`reset` switch backends without re-imports.
+:mod:`repro.kernels.dispatch`, which holds the one numpy implementation of
+each.  Callers import the *module* and call through its attributes
+(``from repro.kernels import dispatch as kernels``), which keeps one patch
+point per kernel for instrumentation.  For that reason this package
+re-exports only :func:`kernel_info`: a package-level alias of a kernel
+would be a second binding that a patch of the module never reaches.
 """
 
-from repro.kernels.dispatch import (
-    csr_row_peaks,
-    kernel_info,
-    masked_segment_argmax,
-    reset,
-    scatter_add_weighted_rows,
-    sparse_key_lookup,
-)
+from repro.kernels.dispatch import kernel_info
 
-__all__ = [
-    "csr_row_peaks",
-    "kernel_info",
-    "masked_segment_argmax",
-    "reset",
-    "scatter_add_weighted_rows",
-    "sparse_key_lookup",
-]
+__all__ = ["kernel_info"]

@@ -1,118 +1,122 @@
-"""Capability dispatch between the numpy reference kernels and numba twins.
+"""The four numpy hot-loop kernels of the walk and push paths.
 
-Selection happens once, lazily, on first kernel call:
+Each function is one inner loop of ``repro.core.batch``,
+``repro.core.forwarding`` or ``repro.gsp.push``.  Callers import this
+*module* and call through its attributes
+(``from repro.kernels import dispatch as kernels``), so a profiler can wrap
+a kernel by rebinding one module attribute (``perfbench/layers.py`` does,
+for its ``kernels.*`` metrics).
 
-* ``REPRO_KERNELS=auto`` (default) — use the numba twins when numba imports
-  cleanly, the numpy reference otherwise.
-* ``REPRO_KERNELS=numpy`` — force the reference path even with numba
-  installed (bit-for-bit today's behavior; also what equivalence tests pin
-  against).
-* ``REPRO_KERNELS=numba`` — require the JIT path; raises ``RuntimeError``
-  at first kernel call when numba is not importable, so a deployment that
-  budgeted for JIT speed fails loudly instead of silently running 10× slower.
-
-Consumers call through the module attributes (``kernels.masked_segment_argmax``
-etc.) so profiling/instrumentation can wrap them, and so ``reset()`` (tests,
-env changes) takes effect without re-importing the world.
+Do not "optimize" these in ways that change a single output bit: the batch
+walk engine's equivalence contract with the scalar engine, and the sparse
+scoring paths' equivalence with their densified counterparts, are proven
+through these exact operations.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
-from repro.kernels import reference
+import numpy as np
 
 __all__ = [
     "csr_row_peaks",
     "kernel_info",
     "masked_segment_argmax",
-    "reset",
     "scatter_add_weighted_rows",
     "sparse_key_lookup",
 ]
 
-_CHOICES = ("auto", "numba", "numpy")
-
-#: Resolved (backend_name, implementation_module); None until first use.
-_resolved: tuple[str, Any] | None = None
-
-
-def _requested() -> str:
-    value = os.environ.get("REPRO_KERNELS", "auto").strip().lower() or "auto"
-    if value not in _CHOICES:
-        raise ValueError(
-            f"REPRO_KERNELS must be one of {_CHOICES}, got {value!r}"
-        )
-    return value
-
-
-def _load_numba_module() -> Any | None:
-    """The numba twin module, or None when numba is not importable."""
-    try:
-        from repro.kernels import _numba
-    except Exception:  # pragma: no cover - defensive: module import is cheap
-        return None
-    return _numba if _numba.NUMBA_AVAILABLE else None
-
-
-def _resolve() -> tuple[str, Any]:
-    global _resolved
-    if _resolved is None:
-        requested = _requested()
-        impl = None
-        if requested in ("auto", "numba"):
-            impl = _load_numba_module()
-            if impl is None and requested == "numba":
-                raise RuntimeError(
-                    "REPRO_KERNELS=numba but numba is not importable; "
-                    "install numba or unset REPRO_KERNELS"
-                )
-        _resolved = ("numba", impl) if impl is not None else ("numpy", reference)
-    return _resolved
-
-
-def reset() -> None:
-    """Drop the resolved backend so the next call re-reads ``REPRO_KERNELS``."""
-    global _resolved
-    _resolved = None
-
 
 def kernel_info() -> dict[str, Any]:
     """Which kernel implementation is live (for reports and benchmarks)."""
-    backend, _ = _resolve()
-    numba_module = _load_numba_module()
-    return {
-        "backend": backend,
-        "requested": _requested(),
-        "numba_available": numba_module is not None,
-        "numba_version": (
-            getattr(numba_module, "NUMBA_VERSION", None) if numba_module else None
-        ),
-    }
+    return {"backend": "numpy"}
 
 
-def masked_segment_argmax(scores, unseen, seg_starts, segments, iota):
-    return _resolve()[1].masked_segment_argmax(
-        scores, unseen, seg_starts, segments, iota
-    )
+def masked_segment_argmax(
+    scores: np.ndarray,
+    unseen: np.ndarray,
+    seg_starts: np.ndarray,
+    segments: np.ndarray,
+    iota: np.ndarray,
+) -> np.ndarray:
+    """Per-segment argmax of ``scores`` restricted to unseen candidates.
+
+    The fused per-hop selection of the batch walk engine: ``scores`` holds
+    one concatenated candidate segment per walk (``seg_starts`` are the
+    segment starts, ``segments`` the flat→segment map, ``iota`` an int64
+    arange scratch at least as long as ``scores``).  A segment with at least
+    one unseen candidate selects only among its unseen ones; a segment whose
+    candidates were all visited falls back to the full pool (the paper's
+    footnote-9 reset).  Ties break toward the first position — exactly
+    ``top_k_indices(scores, 1)`` per segment.  Returns one flat index into
+    ``scores`` per segment.  Segments must be non-empty and scores finite
+    (``-inf`` is the masking sentinel).
+    """
+    if unseen.all():
+        pool = scores
+    else:
+        # add.reduceat counts per segment; > 0 is a segment "any".
+        has_unseen = np.add.reduceat(unseen, seg_starts) > 0
+        allowed = unseen | ~has_unseen[segments]
+        pool = np.where(allowed, scores, -np.inf)
+    best = np.maximum.reduceat(pool, seg_starts)
+    at_best = pool == best[segments]
+    size = pool.shape[0]
+    positions = np.where(at_best, iota[:size], size)
+    return np.minimum.reduceat(positions, seg_starts)
 
 
-def sparse_key_lookup(keys, values, wanted):
-    return _resolve()[1].sparse_key_lookup(keys, values, wanted)
+def sparse_key_lookup(
+    keys: np.ndarray, values: np.ndarray, wanted: np.ndarray
+) -> np.ndarray:
+    """Gather ``values`` of sorted ``keys`` at ``wanted``; absent keys → 0.0.
+
+    The CSR-lookup kernel of the sparse scoring paths
+    (:meth:`repro.core.forwarding.PrecomputedScorePolicy.candidate_scores`
+    and the batch engine's stacked sparse score table): one
+    ``searchsorted`` over the whole query array, with misses scoring
+    *exactly* ``0.0`` — the value a densified copy would hold.  The output
+    dtype follows ``values`` (float32 score tables stay float32).
+    """
+    if keys.shape[0] == 0:
+        return np.zeros(wanted.shape[0], dtype=values.dtype)
+    positions = np.searchsorted(keys, wanted)
+    clipped = np.minimum(positions, keys.shape[0] - 1)
+    found = keys[clipped] == wanted
+    return np.where(found, values[clipped], 0.0)
 
 
-def csr_row_peaks(data, indptr):
-    return _resolve()[1].csr_row_peaks(data, indptr)
+def csr_row_peaks(
+    data: np.ndarray, indptr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max-abs entry per non-empty CSR row: ``(row_ids, peaks)``.
+
+    The forward-push activation scan (``repro.gsp.push``): ``data``/``indptr``
+    are a CSR matrix's arrays; rows with no stored entries are skipped
+    entirely, so the cost tracks the residual's support.
+    """
+    lens = np.diff(indptr)
+    rows = np.flatnonzero(lens)
+    if rows.size == 0:
+        return rows, np.empty(0, dtype=data.dtype)
+    peaks = np.maximum.reduceat(np.abs(data), indptr[rows])
+    return rows, peaks
 
 
-def scatter_add_weighted_rows(residual, rows, cols, data, pushed, damping):
-    return _resolve()[1].scatter_add_weighted_rows(
-        residual, rows, cols, data, pushed, damping
-    )
+def scatter_add_weighted_rows(
+    residual: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    data: np.ndarray,
+    pushed: np.ndarray,
+    damping: float,
+) -> None:
+    """In-place ``residual[rows] += damping * data[:, None] * pushed[cols]``.
 
-
-masked_segment_argmax.__doc__ = reference.masked_segment_argmax.__doc__
-sparse_key_lookup.__doc__ = reference.sparse_key_lookup.__doc__
-csr_row_peaks.__doc__ = reference.csr_row_peaks.__doc__
-scatter_add_weighted_rows.__doc__ = reference.scatter_add_weighted_rows.__doc__
+    The localized scatter of the dense forward-push sweep: one COO entry
+    ``(rows[k], cols[k], data[k])`` of the sliced operator forwards
+    ``damping · data[k] · pushed[cols[k]]`` onto residual row ``rows[k]``.
+    ``np.add.at`` handles duplicate target rows (unbuffered accumulation).
+    """
+    np.add.at(residual, rows, (damping * data)[:, None] * pushed[cols])

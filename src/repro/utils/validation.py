@@ -25,8 +25,8 @@ def check_positive(value: float, name: str) -> float:
 
 
 def check_non_negative(value: float, name: str) -> float:
-    """Validate that ``value`` is >= 0."""
-    if value < 0:
+    """Validate that ``value`` is >= 0 (NaN is rejected)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 

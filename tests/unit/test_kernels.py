@@ -1,52 +1,38 @@
-"""Tests for the kernel acceleration layer (``repro.kernels``).
+"""Tests for the hot-loop kernels (``repro.kernels``) and what rides on them.
 
-Covers the four dispatch-layer contracts:
-
-* resolution — ``REPRO_KERNELS`` honored, numba-absent fallback to the
-  numpy reference, forced-numba failing loudly;
 * reference semantics — each kernel bit-identical to the inline numpy it
   was extracted from (a scalar re-derivation here);
-* numba equivalence — JIT twins bit-identical (float64) / tolerance-bounded
-  (float32) against the reference (skipped when numba is absent);
-* the float32 pipeline and thread-parallel push built on top of them.
+* patch points — every production caller reaches its kernel through the
+  ``repro.kernels.dispatch`` module attribute, the binding profilers wrap;
+* the float32 pipeline and coalesced dirty-row refresh built on top of them.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.batch import _SparseScoreStack
-from repro.core.forwarding import (
-    EmbeddingGuidedPolicy,
-    PrecomputedScorePolicy,
-    lookup_sorted_keys,
-)
+from repro.core.batch import _SparseScoreStack, run_queries
+from repro.core.engine import WalkConfig
+from repro.core.forwarding import EmbeddingGuidedPolicy, PrecomputedScorePolicy
 from repro.core.search import DiffusionSearchNetwork
 from repro.core.backends.sparse import SparseDiffusionBackend
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.generators import connected_watts_strogatz
 from repro.gsp.filters import SparsePersonalizedPageRank, coerce_sparse_signal
 from repro.gsp.normalization import transition_matrix
-from repro.gsp.push import forward_push, sparse_forward_push, sparse_push_refresh
-from repro.kernels import dispatch, reference
-from repro.kernels._numba import NUMBA_AVAILABLE
-
-needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-
-
-@pytest.fixture(autouse=True)
-def _reset_dispatch(monkeypatch):
-    """Each test sees a fresh resolution honoring its own env tweaks."""
-    dispatch.reset()
-    yield
-    dispatch.reset()
+from repro.gsp.push import forward_push, sparse_forward_push
+from repro.kernels import dispatch, kernel_info
 
 
 @pytest.fixture(scope="module")
-def operator():
-    adjacency = CompressedAdjacency.from_networkx(
+def adjacency():
+    return CompressedAdjacency.from_networkx(
         connected_watts_strogatz(60, 4, 0.2, seed=11)
     )
+
+
+@pytest.fixture(scope="module")
+def operator(adjacency):
     return transition_matrix(adjacency, "column")
 
 
@@ -81,59 +67,12 @@ def _argmax_scalar(scores, unseen, seg_starts, segments):
     return out
 
 
-class TestDispatchResolution:
-    def test_numpy_fallback_when_numba_absent(self, monkeypatch):
-        monkeypatch.setattr(dispatch, "_load_numba_module", lambda: None)
-        info = dispatch.kernel_info()
-        assert info["backend"] == "numpy"
-        assert info["numba_available"] is False
-        assert info["numba_version"] is None
-
-    def test_forced_numba_without_numba_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numba")
-        monkeypatch.setattr(dispatch, "_load_numba_module", lambda: None)
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            dispatch.csr_row_peaks(np.ones(1), np.array([0, 1]))
-
-    def test_forced_numpy_ignores_numba(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        assert dispatch.kernel_info()["backend"] == "numpy"
-
-    def test_invalid_choice_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "turbo")
-        with pytest.raises(ValueError, match="REPRO_KERNELS"):
-            dispatch.kernel_info()
-
-    def test_reset_rereads_environment(self, monkeypatch):
-        assert dispatch.kernel_info()["backend"] in ("numpy", "numba")
-        monkeypatch.setenv("REPRO_KERNELS", "turbo")
-        # Resolution is cached: the bad env is invisible until reset().
-        dispatch.csr_row_peaks(np.ones(1), np.array([0, 1]))
-        dispatch.reset()
-        with pytest.raises(ValueError):
-            dispatch.csr_row_peaks(np.ones(1), np.array([0, 1]))
-
-    def test_fallback_results_match_reference(self, monkeypatch):
-        monkeypatch.setattr(dispatch, "_load_numba_module", lambda: None)
-        rng = np.random.default_rng(0)
-        for scores, unseen, seg_starts, segments in _argmax_cases(rng, 5):
-            iota = np.arange(scores.shape[0], dtype=np.int64)
-            assert np.array_equal(
-                dispatch.masked_segment_argmax(
-                    scores, unseen, seg_starts, segments, iota
-                ),
-                reference.masked_segment_argmax(
-                    scores, unseen, seg_starts, segments, iota
-                ),
-            )
-
-
 class TestReferenceKernels:
     def test_masked_segment_argmax_matches_scalar(self):
         rng = np.random.default_rng(1)
         for scores, unseen, seg_starts, segments in _argmax_cases(rng):
             iota = np.arange(scores.shape[0], dtype=np.int64)
-            got = reference.masked_segment_argmax(
+            got = dispatch.masked_segment_argmax(
                 scores, unseen, seg_starts, segments, iota
             )
             want = _argmax_scalar(scores, unseen, seg_starts, segments)
@@ -146,11 +85,11 @@ class TestReferenceKernels:
         wanted = rng.integers(0, 200, size=120).astype(np.int64)
         dense = np.zeros(200)
         dense[keys] = values
-        got = reference.sparse_key_lookup(keys, values, wanted)
+        got = dispatch.sparse_key_lookup(keys, values, wanted)
         assert np.array_equal(got, dense[wanted])
 
     def test_sparse_key_lookup_empty_keys(self):
-        got = reference.sparse_key_lookup(
+        got = dispatch.sparse_key_lookup(
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.float32),
             np.array([3, 7], dtype=np.int64),
@@ -161,7 +100,7 @@ class TestReferenceKernels:
     def test_csr_row_peaks_matches_dense_scan(self):
         rng = np.random.default_rng(3)
         matrix = sp.random(30, 7, density=0.2, random_state=4, format="csr")
-        rows, peaks = reference.csr_row_peaks(matrix.data, matrix.indptr)
+        rows, peaks = dispatch.csr_row_peaks(matrix.data, matrix.indptr)
         dense = np.abs(matrix.toarray()).max(axis=1)
         lens = np.diff(matrix.indptr)
         assert np.array_equal(rows, np.flatnonzero(lens))
@@ -169,7 +108,7 @@ class TestReferenceKernels:
 
     def test_csr_row_peaks_empty(self):
         empty = sp.csr_matrix((5, 3))
-        rows, peaks = reference.csr_row_peaks(empty.data, empty.indptr)
+        rows, peaks = dispatch.csr_row_peaks(empty.data, empty.indptr)
         assert rows.size == 0 and peaks.size == 0
 
     def test_scatter_matches_explicit_loop(self):
@@ -182,81 +121,66 @@ class TestReferenceKernels:
         pushed = rng.standard_normal((12, 5))
         for r, c, w in zip(rows, cols, data):
             want[r] += 0.5 * w * pushed[c]
-        reference.scatter_add_weighted_rows(
+        dispatch.scatter_add_weighted_rows(
             residual, rows, cols, data, pushed, 0.5
         )
         assert np.allclose(residual, want, atol=1e-12)
 
 
-@needs_numba
-class TestNumbaEquivalence:
-    """JIT twins vs reference: bit-identical float64, bounded float32."""
+class TestPatchPoints:
+    """Profilers count kernel calls by rebinding ``dispatch.<name>``.
 
-    def test_masked_segment_argmax(self):
-        from repro.kernels import _numba
+    A caller that imported a kernel by name, or inlined it, would bypass the
+    rebinding and silently report zero calls.
+    """
 
-        rng = np.random.default_rng(5)
-        for scores, unseen, seg_starts, segments in _argmax_cases(rng):
-            iota = np.arange(scores.shape[0], dtype=np.int64)
-            assert np.array_equal(
-                _numba.masked_segment_argmax(
-                    scores, unseen, seg_starts, segments, iota
-                ),
-                reference.masked_segment_argmax(
-                    scores, unseen, seg_starts, segments, iota
-                ),
+    def test_production_callers_reach_patched_kernels(
+        self, adjacency, operator, monkeypatch
+    ):
+        assert kernel_info()["backend"] == "numpy"
+        rng = np.random.default_rng(19)
+        n = adjacency.n_nodes
+        sparse_scores = sp.csc_matrix(
+            np.where(rng.random((n, 1)) < 0.3, rng.random((n, 1)), 0.0)
+        )
+        one_row_delta = np.zeros((n, 2))
+        one_row_delta[0] = 1.0
+        callers = {
+            "masked_segment_argmax": lambda: run_queries(
+                adjacency,
+                {},
+                [PrecomputedScorePolicy(rng.random(n)) for _ in range(3)],
+                np.ones(2),
+                [0, 1, 2],
+                WalkConfig(ttl=5),
+            ),
+            "sparse_key_lookup": lambda: PrecomputedScorePolicy(
+                sparse_scores
+            ).select(np.ones(2), np.arange(5), 1, rng),
+            "csr_row_peaks": lambda: sparse_forward_push(
+                operator, sp.csr_matrix(one_row_delta)
+            ),
+            "scatter_add_weighted_rows": lambda: forward_push(
+                operator, one_row_delta
+            ),
+        }
+        calls = dict.fromkeys(callers, 0)
+
+        def counting(name, kernel):
+            def shim(*args):
+                calls[name] += 1
+                return kernel(*args)
+
+            return shim
+
+        for name in callers:
+            monkeypatch.setattr(
+                dispatch, name, counting(name, getattr(dispatch, name))
             )
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_sparse_key_lookup(self, dtype):
-        from repro.kernels import _numba
-
-        rng = np.random.default_rng(6)
-        keys = np.unique(rng.integers(0, 500, size=80)).astype(np.int64)
-        values = rng.standard_normal(keys.shape[0]).astype(dtype)
-        wanted = rng.integers(0, 500, size=300).astype(np.int64)
-        got = _numba.sparse_key_lookup(keys, values, wanted)
-        want = reference.sparse_key_lookup(keys, values, wanted)
-        assert got.dtype == want.dtype == dtype
-        assert np.array_equal(got, want)  # pure gather: exact in both dtypes
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_csr_row_peaks(self, dtype):
-        from repro.kernels import _numba
-
-        matrix = sp.random(50, 9, density=0.15, random_state=7, format="csr")
-        data = matrix.data.astype(dtype)
-        got_rows, got_peaks = _numba.csr_row_peaks(data, matrix.indptr)
-        want_rows, want_peaks = reference.csr_row_peaks(data, matrix.indptr)
-        assert np.array_equal(got_rows, want_rows)
-        assert np.array_equal(got_peaks, want_peaks)  # max is exact
-
-    def test_scatter_add_weighted_rows_float64(self):
-        from repro.kernels import _numba
-
-        rng = np.random.default_rng(8)
-        rows = rng.integers(0, 20, size=60).astype(np.int64)
-        cols = rng.integers(0, 20, size=60).astype(np.int64)
-        data = rng.standard_normal(60)
-        pushed = rng.standard_normal((20, 4))
-        got = rng.standard_normal((20, 4))
-        want = got.copy()
-        _numba.scatter_add_weighted_rows(got, rows, cols, data, pushed, 0.6)
-        reference.scatter_add_weighted_rows(want, rows, cols, data, pushed, 0.6)
-        assert np.array_equal(got, want)
-
-    def test_push_end_to_end_matches_numpy_backend(self, operator, monkeypatch):
-        """Whole-kernel check: forward_push under numba == under numpy."""
-        rng = np.random.default_rng(9)
-        signal = rng.standard_normal((60, 5))
-        monkeypatch.setenv("REPRO_KERNELS", "numba")
-        dispatch.reset()
-        jit = forward_push(operator, signal, alpha=0.4, tol=1e-10)
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        dispatch.reset()
-        ref = forward_push(operator, signal, alpha=0.4, tol=1e-10)
-        assert np.array_equal(jit.estimate, ref.estimate)
-        assert jit.sweeps == ref.sweeps
+        for name, call in callers.items():
+            before = calls[name]
+            call()
+            assert calls[name] > before, name
 
 
 class TestCompositeKeyOverflowGuard:
@@ -293,8 +217,6 @@ class TestFloat32Pipeline:
     def test_backend_dtype_validation(self):
         with pytest.raises(ValueError, match="float32 or float64"):
             SparseDiffusionBackend(dtype=np.int32)
-        with pytest.raises(ValueError, match="n_jobs"):
-            SparseDiffusionBackend(n_jobs=0)
 
     def test_facade_dtype_validation(self):
         graph = connected_watts_strogatz(10, 4, 0.2, seed=1)
@@ -316,15 +238,6 @@ class TestFloat32Pipeline:
         dense64 = np.asarray(out64.todense())
         assert np.allclose(dense32, dense64, atol=5e-5)
 
-    def test_forward_push_float32(self, operator):
-        rng = np.random.default_rng(11)
-        signal = rng.standard_normal((60, 3))
-        out32 = forward_push(operator, signal, alpha=0.4, tol=1e-5, dtype=np.float32)
-        out64 = forward_push(operator, signal, alpha=0.4, tol=1e-5)
-        assert out32.estimate.dtype == np.float32
-        assert out64.estimate.dtype == np.float64
-        assert np.allclose(out32.estimate, out64.estimate, atol=5e-4)
-
     def test_sparse_push_float32(self, operator):
         signal = sp.lil_matrix((60, 3))
         signal[0, 0] = 1.0
@@ -334,13 +247,6 @@ class TestFloat32Pipeline:
             operator, signal, alpha=0.4, tol=1e-5, dtype=np.float32
         )
         assert out.estimate.dtype == np.float32
-
-    def test_float64_default_bit_identical_to_pre_dtype_path(self, operator):
-        """Regression pin: default dtype must not perturb a single bit."""
-        rng = np.random.default_rng(12)
-        signal = rng.standard_normal((60, 3))
-        out = forward_push(operator, signal, alpha=0.4, tol=1e-8)
-        assert out.estimate.dtype == np.float64
 
     def test_policy_preserves_float32(self):
         rng = np.random.default_rng(13)
@@ -355,10 +261,12 @@ class TestFloat32Pipeline:
         sparse_scores = PrecomputedScorePolicy(csr[:, 0].tocsc())
         assert sparse_scores._sparse_values.dtype == np.float32
 
-    def test_lookup_sorted_keys_float32(self):
+    def test_sparse_key_lookup_float32(self):
         keys = np.array([2, 5], dtype=np.int64)
         values = np.array([1.5, -0.5], dtype=np.float32)
-        got = lookup_sorted_keys(keys, values, np.array([5, 3], dtype=np.int64))
+        got = dispatch.sparse_key_lookup(
+            keys, values, np.array([5, 3], dtype=np.int64)
+        )
         assert got.dtype == np.float32
         assert np.array_equal(got, np.array([-0.5, 0.0], dtype=np.float32))
 
@@ -388,77 +296,6 @@ class TestFloat32Pipeline:
         assert [item.doc_id for item in r32.tracker.items()] == [
             item.doc_id for item in r64.tracker.items()
         ]
-
-
-class TestThreadParallelPush:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_blocked_push_matches_single_job(self, operator, dtype):
-        rng = np.random.default_rng(15)
-        dense = np.where(
-            rng.random((60, 6)) < 0.15, rng.standard_normal((60, 6)), 0.0
-        )
-        signal = sp.csr_matrix(dense)
-        solo = sparse_forward_push(
-            operator, signal, alpha=0.4, tol=1e-9, dtype=dtype
-        )
-        blocked = sparse_forward_push(
-            operator, signal, alpha=0.4, tol=1e-9, dtype=dtype, n_jobs=3
-        )
-        assert blocked.converged == solo.converged
-        assert blocked.estimate.dtype == dtype
-        diff = np.abs(
-            np.asarray(blocked.estimate.todense(), dtype=np.float64)
-            - np.asarray(solo.estimate.todense(), dtype=np.float64)
-        )
-        # Each block converges to the same per-entry criterion; any gap is
-        # bounded by the tolerance amplified through the PPR filter.
-        assert diff.max() < (1e-6 if dtype == np.float64 else 1e-3)
-        assert blocked.pushes > 0
-
-    def test_more_jobs_than_columns(self, operator):
-        signal = sp.lil_matrix((60, 2))
-        signal[3, 0] = 1.0
-        signal[9, 1] = 1.0
-        out = sparse_forward_push(operator, signal.tocsr(), n_jobs=8)
-        assert out.estimate.shape == (60, 2)
-        assert out.converged
-
-    def test_single_column_skips_blocking(self, operator):
-        signal = sp.lil_matrix((60, 1))
-        signal[0, 0] = 1.0
-        out = sparse_forward_push(operator, signal.tocsr(), n_jobs=4)
-        assert out.converged
-
-    def test_refresh_passthrough(self, operator):
-        rng = np.random.default_rng(16)
-        base = sp.csr_matrix(
-            np.where(rng.random((60, 4)) < 0.1, rng.standard_normal((60, 4)), 0.0)
-        )
-        cold = sparse_forward_push(operator, base, alpha=0.5, tol=1e-10)
-        delta = sp.lil_matrix((60, 4))
-        delta[7, 1] = 2.0
-        patched, result = sparse_push_refresh(
-            operator,
-            cold.estimate,
-            delta.tocsr(),
-            alpha=0.5,
-            tol=1e-10,
-            n_jobs=2,
-        )
-        full = sparse_forward_push(
-            operator, (base + delta).tocsr(), alpha=0.5, tol=1e-10
-        )
-        assert result.converged
-        assert np.allclose(
-            np.asarray(patched.todense()),
-            np.asarray(full.estimate.todense()),
-            atol=1e-7,
-        )
-
-    def test_invalid_n_jobs_rejected(self, operator):
-        signal = sp.csr_matrix((60, 2))
-        with pytest.raises(ValueError, match="n_jobs"):
-            sparse_forward_push(operator, signal, n_jobs=0)
 
 
 class TestCoalescedDirtyDelta:

@@ -160,6 +160,8 @@ class TestSparseFilter:
         with pytest.raises(ValueError):
             SparsePersonalizedPageRank(0.5, epsilon=-1e-3)
         with pytest.raises(ValueError):
+            SparsePersonalizedPageRank(0.5, epsilon=float("nan"))
+        with pytest.raises(ValueError):
             SparsePersonalizedPageRank(1.5)
 
     def test_max_iterations_cap(self, small_world_adjacency, sparse_signal):
@@ -218,6 +220,12 @@ class TestSparsePush:
         )
         assert truncated.edge_operations < exact.edge_operations
 
+    def test_nan_epsilon_rejected(self, small_world_adjacency, sparse_signal):
+        _, sparse = sparse_signal
+        operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
+        with pytest.raises(ValueError, match="epsilon"):
+            sparse_forward_push(operator, sparse, epsilon=float("nan"))
+
     def test_shape_mismatch_rejected(self, small_world_adjacency):
         n = small_world_adjacency.n_nodes
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
@@ -238,6 +246,8 @@ class TestSparseBackend:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             SparseDiffusionBackend(epsilon=-1.0)
+        with pytest.raises(ValueError):
+            SparseDiffusionBackend(epsilon=float("nan"))
 
     def test_diffuse_embeddings_sparse_passthrough(
         self, small_world_adjacency, sparse_signal

@@ -54,6 +54,8 @@ class TestCheckNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_non_negative(-0.5, "n")
+        with pytest.raises(ValueError):
+            check_non_negative(float("nan"), "n")
 
 
 class TestArrayChecks:
