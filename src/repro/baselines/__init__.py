@@ -1,17 +1,17 @@
 """Unstructured-search baselines (paper §II-A).
 
-Blind methods the paper positions its scheme against: TTL-bounded flooding
-(Gnutella-style), uniform random walks, parallel random walks, and the
-hub-seeking degree-biased walk.  All return the same
+Methods the paper positions its scheme against: TTL-bounded flooding
+(Gnutella-style) and learned query routing.  Both return the same
 :class:`repro.core.engine.SearchResult` so harnesses compare them directly.
+The blind walks (uniform, parallel and the hub-seeking degree-biased walk)
+are forwarding policies rather than modules of their own: pass
+:class:`repro.core.forwarding.RandomWalkPolicy` or
+:class:`repro.core.forwarding.DegreeBiasedPolicy` to
+:func:`repro.core.engine.run_query`, with ``WalkConfig(fanout=n)`` for
+``n`` parallel walkers.
 """
 
 from repro.baselines.flooding import flood_query
-from repro.baselines.walks import (
-    degree_biased_walk,
-    parallel_random_walks,
-    random_walk_query,
-)
 from repro.baselines.query_routing import (
     LearnedRoutingPolicy,
     QueryRoutingTable,
@@ -21,9 +21,6 @@ from repro.baselines.query_routing import (
 
 __all__ = [
     "flood_query",
-    "random_walk_query",
-    "parallel_random_walks",
-    "degree_biased_walk",
     "LearnedRoutingPolicy",
     "QueryRoutingTable",
     "learned_routing_walk",

@@ -25,12 +25,7 @@ from repro.core.forwarding import ForwardingPolicy
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.retrieval.topk import ScoredDocument, TopKTracker
 from repro.retrieval.vector_store import DocumentStore
-from repro.utils import (
-    check_non_negative_int,
-    check_positive,
-    check_positive_int,
-    ensure_rng,
-)
+from repro.utils import check_non_negative_int, check_positive_int, ensure_rng
 from repro.utils.rng import RngLike
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -60,9 +55,9 @@ class WalkConfig:
     k: int = 1
 
     def __post_init__(self) -> None:
-        check_positive(self.ttl, "ttl")
-        check_positive(self.fanout, "fanout")
-        check_positive(self.k, "k")
+        check_positive_int(self.ttl, "ttl")
+        check_positive_int(self.fanout, "fanout")
+        check_positive_int(self.k, "k")
 
 
 @dataclass(frozen=True)

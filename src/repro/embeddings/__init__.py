@@ -1,15 +1,13 @@
 """Embedding substrate: the dense-retrieval vector spaces of the paper.
 
-The paper represents documents and queries with 300-d GloVe word vectors.  With
-no network access, this package provides two from-scratch substitutes:
-
-* :mod:`repro.embeddings.synthetic` — a clustered unit-vector model calibrated
-  to the geometric properties retrieval relies on (high-cosine gold neighbors,
-  near-orthogonal irrelevant words).
-* :mod:`repro.embeddings.cooccurrence` — a miniature GloVe-style trainer
-  (synthetic corpus → co-occurrence counts → SPPMI → truncated SVD).
-
-Both produce a :class:`repro.embeddings.model.WordEmbeddingModel`.
+The paper represents documents and queries with 300-d GloVe word vectors.
+With no network access, :mod:`repro.embeddings.synthetic` provides a
+from-scratch substitute: a clustered unit-vector model calibrated to the
+geometric properties retrieval relies on (high-cosine gold neighbors,
+near-orthogonal irrelevant words).  It returns a
+:class:`repro.embeddings.model.WordEmbeddingModel`;
+:meth:`~repro.embeddings.model.WordEmbeddingModel.from_text_format` loads
+the real GloVe vectors into the same class when they are on disk.
 """
 
 from repro.embeddings.model import WordEmbeddingModel
@@ -20,13 +18,6 @@ from repro.embeddings.similarity import (
     pairwise_cosine,
 )
 from repro.embeddings.synthetic import SyntheticCorpusConfig, synthetic_word_embeddings
-from repro.embeddings.cooccurrence import (
-    CooccurrenceCounts,
-    count_cooccurrences,
-    sppmi_matrix,
-    train_svd_embeddings,
-)
-from repro.embeddings.text import ZipfCorpusConfig, generate_topic_corpus, tokenize
 
 __all__ = [
     "WordEmbeddingModel",
@@ -36,11 +27,4 @@ __all__ = [
     "pairwise_cosine",
     "SyntheticCorpusConfig",
     "synthetic_word_embeddings",
-    "CooccurrenceCounts",
-    "count_cooccurrences",
-    "sppmi_matrix",
-    "train_svd_embeddings",
-    "ZipfCorpusConfig",
-    "generate_topic_corpus",
-    "tokenize",
 ]

@@ -11,7 +11,6 @@ from repro.gsp.normalization import (
     transition_matrix,
     NormalizationKind,
 )
-from repro.gsp.convolution import propagate, k_hop_aggregate
 from repro.gsp.push import (
     PushResult,
     forward_push,
@@ -41,8 +40,6 @@ __all__ = [
     "adjacency_matrix",
     "transition_matrix",
     "NormalizationKind",
-    "propagate",
-    "k_hop_aggregate",
     "PushResult",
     "forward_push",
     "push_refresh",

@@ -1,16 +1,12 @@
 """Dense retrieval substrate (paper §II-B, §III-A).
 
 Implements the bi-encoder vector space model: per-node document stores with
-exact top-k scoring, the running top-k tracker carried by queries, and two
-approximate nearest-neighbor back-ends (random-hyperplane LSH and HNSW) of
-the kind the paper cites for efficient centralized retrieval.
+exact top-k scoring and the running top-k tracker carried by queries.
 """
 
 from repro.retrieval.vector_store import DocumentStore, StoredDocument
 from repro.retrieval.scoring import rank_documents, top_k_indices
 from repro.retrieval.topk import TopKTracker, ScoredDocument
-from repro.retrieval.lsh import LSHIndex
-from repro.retrieval.hnsw import HNSWIndex
 
 __all__ = [
     "DocumentStore",
@@ -19,6 +15,4 @@ __all__ = [
     "top_k_indices",
     "TopKTracker",
     "ScoredDocument",
-    "LSHIndex",
-    "HNSWIndex",
 ]

@@ -322,7 +322,11 @@ class QueryService:
         Call from an event action (or before starting the clock): the
         arrival timestamp is taken from ``queue.now``.  An admitted query's
         response arrives later via :attr:`responses` / ``on_response``.
+        A start node outside the overlay raises ``ValueError`` here, before
+        the query is counted, so it cannot fail the batch it would join.
         """
+        if not 0 <= request.start_node < self.adjacency.n_nodes:
+            raise ValueError(f"start_node {request.start_node} out of range")
         now = self.queue.now
         request.arrival = now
         self.metrics.record_submitted()

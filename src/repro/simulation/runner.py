@@ -21,11 +21,7 @@ from repro.core.forwarding import ForwardingPolicy, PrecomputedScorePolicy
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.communities import label_propagation_communities
 from repro.graphs.metrics import bfs_distances
-from repro.gsp.filters import (
-    SPARSE_DEFAULT_EPSILON,
-    PersonalizedPageRank,
-    SparsePersonalizedPageRank,
-)
+from repro.gsp.filters import PersonalizedPageRank
 from repro.gsp.normalization import transition_matrix
 from repro.retrieval.vector_store import DocumentStore
 from repro.simulation.metrics import AccuracyGrid, HopStatistics, summarize_hops
@@ -91,7 +87,6 @@ class IterationSampler:
         self.operator = transition_matrix(adjacency, "column")
         self._filters: dict[float, PersonalizedPageRank] = {}
         self._multi_filters: dict[tuple, PersonalizedPageRank] = {}
-        self._sparse_filters: dict[tuple, SparsePersonalizedPageRank] = {}
         if placement == "correlated":
             if communities is None:
                 communities = label_propagation_communities(
@@ -182,32 +177,6 @@ class IterationSampler:
         if ppr is None:
             ppr = self._filters[alpha] = PersonalizedPageRank(alpha, tol=tol)
         return ppr.apply(self.operator, signal)
-
-    def diffuse_scores_sparse(
-        self,
-        signal: np.ndarray,
-        alpha: float,
-        *,
-        epsilon: float = SPARSE_DEFAULT_EPSILON,
-        tol: float = 1e-10,
-    ):
-        """Sparse PPR-diffusion of the scalar relevance signal: CSR out.
-
-        The sparse-first counterpart of :meth:`diffuse_scores` for
-        benchmark-scale graphs: the (mostly zero) relevance signal is
-        diffused with :class:`SparsePersonalizedPageRank`, so cost scales
-        with the diffused support instead of ``n_nodes``.  Returns an
-        ``(n, 1)`` CSR column directly consumable by
-        :class:`repro.core.forwarding.PrecomputedScorePolicy`.
-        """
-        key = (float(alpha), float(epsilon), float(tol))
-        ppr = self._sparse_filters.get(key)
-        if ppr is None:
-            ppr = self._sparse_filters[key] = SparsePersonalizedPageRank(
-                alpha, epsilon=epsilon, tol=tol
-            )
-        signal = np.asarray(signal, dtype=np.float64)
-        return ppr.apply(self.operator, signal.reshape(-1, 1))
 
     def diffuse_scores_multi(
         self,

@@ -4,12 +4,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.baselines.walks import (
-    degree_biased_walk,
-    parallel_random_walks,
-    random_walk_query,
-)
-from repro.core.engine import WalkConfig
+from repro.core.engine import WalkConfig, run_query
+from repro.core.forwarding import DegreeBiasedPolicy, RandomWalkPolicy
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.retrieval.vector_store import DocumentStore
 
@@ -23,25 +19,28 @@ def store_with(dim, **docs):
 
 class TestRandomWalk:
     def test_respects_ttl(self, small_world_adjacency):
-        result = random_walk_query(
-            small_world_adjacency, {}, np.ones(2), 0, WalkConfig(ttl=7), seed=0
+        result = run_query(
+            small_world_adjacency, {}, RandomWalkPolicy(), np.ones(2), 0,
+            WalkConfig(ttl=7), seed=0,
         )
         assert len(result.visits) <= 7
 
     def test_deterministic_given_seed(self, small_world_adjacency):
-        a = random_walk_query(
-            small_world_adjacency, {}, np.ones(2), 0, WalkConfig(ttl=10), seed=5
+        a = run_query(
+            small_world_adjacency, {}, RandomWalkPolicy(), np.ones(2), 0,
+            WalkConfig(ttl=10), seed=5,
         )
-        b = random_walk_query(
-            small_world_adjacency, {}, np.ones(2), 0, WalkConfig(ttl=10), seed=5
+        b = run_query(
+            small_world_adjacency, {}, RandomWalkPolicy(), np.ones(2), 0,
+            WalkConfig(ttl=10), seed=5,
         )
         assert a.path == b.path
 
     def test_different_seeds_diverge(self, small_world_adjacency):
         paths = {
             tuple(
-                random_walk_query(
-                    small_world_adjacency, {}, np.ones(2), 0,
+                run_query(
+                    small_world_adjacency, {}, RandomWalkPolicy(), np.ones(2), 0,
                     WalkConfig(ttl=10), seed=s,
                 ).path
             )
@@ -52,8 +51,9 @@ class TestRandomWalk:
     def test_finds_local_document(self):
         adjacency = CompressedAdjacency.from_networkx(nx.path_graph(3))
         stores = {0: store_with(2, here=[1.0, 0.0])}
-        result = random_walk_query(
-            adjacency, stores, np.array([1.0, 0.0]), 0, WalkConfig(ttl=1), seed=0
+        result = run_query(
+            adjacency, stores, RandomWalkPolicy(), np.array([1.0, 0.0]), 0,
+            WalkConfig(ttl=1), seed=0,
         )
         assert result.found("here")
 
@@ -61,18 +61,21 @@ class TestRandomWalk:
 class TestParallelWalks:
     def test_spawns_requested_walkers(self):
         adjacency = CompressedAdjacency.from_networkx(nx.star_graph(6))
-        result = parallel_random_walks(
-            adjacency, {}, np.ones(2), 0, n_walkers=4, ttl=2, seed=1
+        result = run_query(
+            adjacency, {}, RandomWalkPolicy(), np.ones(2), 0,
+            WalkConfig(ttl=2, fanout=4), seed=1,
         )
         hop1 = [node for hop, node in result.visits if hop == 1]
         assert len(hop1) == 4
 
     def test_more_walkers_more_coverage(self, small_world_adjacency):
-        single = parallel_random_walks(
-            small_world_adjacency, {}, np.ones(2), 0, n_walkers=1, ttl=8, seed=2
+        single = run_query(
+            small_world_adjacency, {}, RandomWalkPolicy(), np.ones(2), 0,
+            WalkConfig(ttl=8, fanout=1), seed=2,
         )
-        many = parallel_random_walks(
-            small_world_adjacency, {}, np.ones(2), 0, n_walkers=4, ttl=8, seed=2
+        many = run_query(
+            small_world_adjacency, {}, RandomWalkPolicy(), np.ones(2), 0,
+            WalkConfig(ttl=8, fanout=4), seed=2,
         )
         assert many.unique_nodes_visited >= single.unique_nodes_visited
 
@@ -83,14 +86,16 @@ class TestDegreeBiasedWalk:
         graph = nx.star_graph(5)
         graph.add_edge(1, 6)
         adjacency = CompressedAdjacency.from_networkx(graph)
-        result = degree_biased_walk(
-            adjacency, {}, np.ones(2), 6, WalkConfig(ttl=3), seed=0
+        result = run_query(
+            adjacency, {}, DegreeBiasedPolicy(adjacency), np.ones(2), 6,
+            WalkConfig(ttl=3), seed=0,
         )
         assert result.path[1] == 1
         assert result.path[2] == 0  # the biggest hub
 
     def test_ttl_respected(self, small_world_adjacency):
-        result = degree_biased_walk(
-            small_world_adjacency, {}, np.ones(2), 0, WalkConfig(ttl=5), seed=0
+        result = run_query(
+            small_world_adjacency, {}, DegreeBiasedPolicy(small_world_adjacency),
+            np.ones(2), 0, WalkConfig(ttl=5), seed=0,
         )
         assert len(result.visits) <= 5

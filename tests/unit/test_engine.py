@@ -1,5 +1,7 @@
 """Tests for the walk engine (Fig. 1 semantics)."""
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -252,6 +254,14 @@ class TestSearchResultProperties:
     def test_config_rejects_negative_values(self, field):
         with pytest.raises(ValueError, match=field):
             WalkConfig(**{field: -3})
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("ttl", math.inf), ("ttl", 2.5), ("fanout", 1.5), ("k", 2.0), ("ttl", True)],
+    )
+    def test_config_rejects_non_integer_values(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            WalkConfig(**{field: value})
 
     def test_config_defaults_are_papers(self):
         config = WalkConfig()

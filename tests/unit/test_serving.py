@@ -356,6 +356,19 @@ class TestServiceEquivalence:
         assert m.ok + m.degraded + m.rejected == n
         assert m.pending == 0
 
+    def test_out_of_range_start_rejected_at_submit(self):
+        net, vectors, _ = make_network(n=10)
+        service = make_service(net)
+        vec = vectors["doc0"]
+        service.submit(QueryRequest(query_id="a", embedding=vec, start_node=1))
+        with pytest.raises(ValueError, match="start_node 99 out of range"):
+            service.submit(QueryRequest(query_id="bad", embedding=vec, start_node=99))
+        service.submit(QueryRequest(query_id="b", embedding=vec, start_node=2))
+        service.drain()
+        assert sorted(r.query_id for r in service.responses) == ["a", "b"]
+        assert service.depth == 0
+        assert service.metrics.submitted == 2
+
 
 class TestDeadlines:
     def test_dead_on_arrival_rejected(self):
