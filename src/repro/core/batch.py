@@ -508,18 +508,19 @@ def run_queries(
                         for js in by_policy.values()
                     ]
                 kept_offsets = np.concatenate(([0], kept_starts + kept_lens))
-                cand_parts: list[np.ndarray | None] = [None] * entries
-                pos_parts: list[np.ndarray | None] = [None] * entries
+                # Each group's choice as flat indices into the kept arrays,
+                # tagged with the frontier entry that chose it.
+                picked_parts: list[np.ndarray] = []
+                entry_parts: list[np.ndarray] = []
                 for policy, js in groups:
                     if homogeneous:
-                        sub_cand, sub_pos = kept_cand, kept_pos
-                        sub_offsets = kept_offsets
+                        sub_index = None
+                        sub_cand, sub_offsets = kept_cand, kept_offsets
                     else:
                         member = np.zeros(entries, dtype=bool)
                         member[js] = True
-                        sub_mask = member[kept_segments]
-                        sub_cand = kept_cand[sub_mask]
-                        sub_pos = kept_pos[sub_mask]
+                        sub_index = np.flatnonzero(member[kept_segments])
+                        sub_cand = kept_cand[sub_index]
                         sub_offsets = np.concatenate(
                             ([0], np.cumsum(kept_lens[js]))
                         )
@@ -531,20 +532,21 @@ def run_queries(
                         np.full(js.shape[0], fanout_now, dtype=np.int64),
                         [rngs[q] for q in group_q.tolist()],
                     )
-                    for t, j in enumerate(js.tolist()):
-                        span = slice(
-                            int(chosen_offsets[t]), int(chosen_offsets[t + 1])
-                        )
-                        cand_parts[j] = sub_cand[chosen[span]]
-                        pos_parts[j] = sub_pos[chosen[span]]
-                child_counts = np.asarray(
-                    [part.shape[0] for part in cand_parts], dtype=np.int64
-                )
-                if not child_counts.any():
-                    continue
-                child_q = np.repeat(r_q, child_counts)
-                child_node = np.concatenate(cand_parts)
-                child_pos = np.concatenate(pos_parts)
+                    picked_parts.append(
+                        chosen if sub_index is None else sub_index[chosen]
+                    )
+                    entry_parts.append(np.repeat(js, np.diff(chosen_offsets)))
+                if len(groups) == 1:
+                    picked, child_entry = picked_parts[0], entry_parts[0]
+                else:
+                    # Entry order, then each entry's selection order.
+                    child_entry = np.concatenate(entry_parts)
+                    order = np.argsort(child_entry, kind="stable")
+                    picked = np.concatenate(picked_parts)[order]
+                    child_entry = child_entry[order]
+                child_q = r_q[child_entry]
+                child_pos = kept_pos[picked]
+                child_node = kept_cand[picked]
 
             if child_q.size == 0:
                 continue

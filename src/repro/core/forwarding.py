@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.embeddings.similarity import dot_scores
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.kernels import dispatch as kernels
 from repro.retrieval.scoring import top_k_indices
@@ -144,8 +143,9 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
         temperature: float = 0.0,
     ) -> None:
         if sp.issparse(embeddings):
-            # float32 CSR caches (the float32 diffusion pipeline) are scored
-            # in float32; every other dtype coerces to float64 as before.
+            # float32 CSR caches (the float32 diffusion pipeline) are stored
+            # in float32 and scored in float64; every other dtype coerces to
+            # float64 as before.
             matrix = embeddings.tocsr()
             matrix = matrix.astype(
                 np.float32 if matrix.dtype == np.float32 else np.float64
@@ -166,18 +166,73 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
         self.embeddings = matrix
         self.temperature = float(temperature)
 
+    def _score_segments(
+        self, queries: np.ndarray, candidates: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """``queries[s] · E[c]`` for every candidate ``c`` of every segment ``s``.
+
+        One flat gather serves all ``S`` segments.  A CSR cache gathers the
+        stored entries of every candidate row, multiplies each by its walk's
+        query entry and sums them per candidate with one ``bincount`` (the
+        PPRGo gather-then-segment-reduce).  ``bincount`` adds each row's
+        products in stored order from 0.0, the same loop as scipy's CSR
+        matvec, so scores are bit-identical to ``E[c] @ q`` per walk
+        (``np.add.reduceat`` and ``.sum(axis=1)`` sum pairwise and change
+        the last bits).  A dense cache gathers ``E[candidates]`` and takes a
+        row-wise dot.  Both compute in float64 whatever the storage dtype,
+        and a candidate's score never depends on the other segments, so a
+        one-segment call (the scalar engine) and an S-segment call (the
+        batch engine) agree bit for bit.
+        """
+        dim = self.embeddings.shape[1]
+        if queries.ndim != 2 or queries.shape[1] != dim:
+            raise ValueError(
+                f"dimension mismatch: queries have shape {queries.shape}, "
+                f"embeddings have {dim} dims"
+            )
+        walk_of = np.repeat(np.arange(queries.shape[0]), np.diff(offsets))
+        if not self._sparse:
+            rows = np.asarray(self.embeddings[candidates], dtype=np.float64)
+            return np.einsum("ij,ij->i", rows, queries[walk_of])
+        matrix = self.embeddings
+        starts = matrix.indptr[candidates]
+        lens = matrix.indptr[candidates + 1] - starts
+        ends = np.cumsum(lens)
+        owner = np.repeat(np.arange(candidates.shape[0]), lens)
+        entries = np.repeat(starts - ends + lens, lens) + np.arange(owner.shape[0])
+        # Flat index of each entry's query coordinate in the (S, dim) rows.
+        products = matrix.data[entries] * queries.ravel()[
+            (walk_of * dim)[owner] + matrix.indices[entries]
+        ]
+        scores = np.bincount(owner, weights=products, minlength=candidates.shape[0])
+        # bincount over no entries at all returns int64 zeros.
+        return scores.astype(np.float64, copy=False)
+
     def scores(self, query_embedding: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Dot-product relevance of each candidate's diffused embedding."""
-        if self._sparse:
-            query = np.asarray(query_embedding, dtype=np.float64)
-            if query.ndim != 1 or query.shape[0] != self.embeddings.shape[1]:
-                raise ValueError(
-                    f"dimension mismatch: query has shape {query.shape}, "
-                    f"embeddings have {self.embeddings.shape[1]} dims"
-                )
-            # CSR row gather @ dense query: O(nnz of the candidate rows).
-            return np.asarray(self.embeddings[candidates] @ query).ravel()
-        return dot_scores(query_embedding, self.embeddings[candidates])
+        query = np.asarray(query_embedding, dtype=np.float64)
+        if query.ndim != 1:
+            raise ValueError(
+                f"dimension mismatch: query has shape {query.shape}, "
+                f"embeddings have {self.embeddings.shape[1]} dims"
+            )
+        candidates = np.asarray(candidates, dtype=np.int64)
+        return self._score_segments(
+            query[None, :], candidates, np.array([0, candidates.shape[0]])
+        )
+
+    def _sample(
+        self, scores: np.ndarray, fanout: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Softmax draw of ``fanout`` positions without replacement, ascending."""
+        logits = scores / self.temperature
+        logits -= logits.max()
+        probs = np.exp(logits)
+        probs /= probs.sum()
+        count = min(fanout, scores.shape[0])
+        return np.sort(
+            rng.choice(scores.shape[0], size=count, replace=False, p=probs)
+        )
 
     def select(
         self,
@@ -193,13 +248,7 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
         scores = self.scores(query_embedding, candidates)
         if self.temperature == 0.0:
             return candidates[top_k_indices(scores, fanout)]
-        logits = scores / self.temperature
-        logits -= logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        count = min(fanout, candidates.size)
-        chosen = rng.choice(candidates.size, size=count, replace=False, p=probs)
-        return candidates[np.sort(chosen)]
+        return candidates[self._sample(scores, fanout, rng)]
 
     def select_batch(
         self,
@@ -209,21 +258,24 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
         fanouts: np.ndarray,
         rngs: Sequence[np.random.Generator],
     ) -> tuple[np.ndarray, np.ndarray]:
-        if self.temperature != 0.0:
-            # Stochastic exploration keeps the per-segment sampling of the
-            # scalar path (one draw per walk from its own generator).
-            return super().select_batch(
-                query_embeddings, candidates, offsets, fanouts, rngs
-            )
-        # Scores are computed with the same dot_scores call per segment as
-        # the scalar path (bit-identical floats); only membership filtering
-        # and the top-k selection are batched.
-        scores = np.empty(candidates.shape[0], dtype=np.float64)
-        for s in range(len(rngs)):
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            if hi > lo:
-                scores[lo:hi] = self.scores(query_embeddings[s], candidates[lo:hi])
-        return _segment_top_k(scores, offsets, fanouts)
+        scores = self._score_segments(
+            np.asarray(query_embeddings, dtype=np.float64), candidates, offsets
+        )
+        if self.temperature == 0.0:
+            return _segment_top_k(scores, offsets, fanouts)
+        # Stochastic exploration keeps the per-segment sampling of the
+        # scalar path (one draw per walk from its own generator).
+        lens = np.diff(offsets)
+        chosen = [
+            offsets[s] + self._sample(scores[offsets[s] : offsets[s + 1]], fanout, rng)
+            for s, (fanout, rng) in enumerate(zip(fanouts, rngs))
+            if lens[s]
+        ]
+        counts = np.minimum(fanouts, lens)
+        return (
+            np.concatenate([np.empty(0, dtype=np.int64), *chosen]),
+            np.concatenate(([0], np.cumsum(counts))),
+        )
 
     def describe(self) -> str:
         if self.temperature:

@@ -322,11 +322,22 @@ class QueryService:
         Call from an event action (or before starting the clock): the
         arrival timestamp is taken from ``queue.now``.  An admitted query's
         response arrives later via :attr:`responses` / ``on_response``.
-        A start node outside the overlay raises ``ValueError`` here, before
-        the query is counted, so it cannot fail the batch it would join.
+        A start node outside the overlay, or (when a network is attached) an
+        embedding that is not a finite vector of the network's dimension,
+        raises ``ValueError`` here, before the query is counted, so it
+        cannot fail the batch it would join.
         """
         if not 0 <= request.start_node < self.adjacency.n_nodes:
             raise ValueError(f"start_node {request.start_node} out of range")
+        if self.network is not None:
+            embedding = np.asarray(request.embedding, dtype=np.float64)
+            if embedding.shape != (self.network.dim,):
+                raise ValueError(
+                    f"query embedding has shape {embedding.shape}, "
+                    f"expected ({self.network.dim},)"
+                )
+            if not np.isfinite(embedding).all():
+                raise ValueError("query embedding has non-finite entries")
         now = self.queue.now
         request.arrival = now
         self.metrics.record_submitted()

@@ -9,6 +9,7 @@ for determinism-under-seed and structural validity instead.
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.batch import run_queries
 from repro.core.engine import WalkConfig, run_query
@@ -61,6 +62,24 @@ def setting(small_world_adjacency):
     }
 
 
+#: The embedding caches a policy can score: the dense matrix, and the CSR
+#: caches the sparse diffusion backend hands the serving path.
+CACHES = ["dense", "csr-float64", "csr-float32"]
+
+
+def embedding_cache(setting, cache):
+    """The setting's embeddings as ``cache``; CSR caches drop most entries
+    and every fifth row, like the sparse backend's pruned caches."""
+    dense = setting["embeddings"]
+    if cache == "dense":
+        return dense
+    keep = np.random.default_rng(11).random(dense.shape) < 0.4
+    pruned = np.where(keep, dense, 0.0)
+    pruned[::5] = 0.0
+    dtype = np.float32 if cache == "csr-float32" else np.float64
+    return sp.csr_matrix(pruned, dtype=dtype)
+
+
 def run_both(setting, policies, *, config, query=None):
     starts = setting["starts"]
     query = setting["query"] if query is None else query
@@ -104,9 +123,10 @@ class TestDeterministicEquivalence:
         batch, scalar = run_both(setting, policy, config=config)
         assert_results_identical(batch, scalar)
 
+    @pytest.mark.parametrize("cache", CACHES)
     @pytest.mark.parametrize("fanout", [1, 2])
-    def test_embedding_guided_policy(self, setting, fanout):
-        policy = EmbeddingGuidedPolicy(setting["embeddings"])
+    def test_embedding_guided_policy(self, setting, fanout, cache):
+        policy = EmbeddingGuidedPolicy(embedding_cache(setting, cache))
         config = WalkConfig(ttl=12, fanout=fanout, k=2)
         batch, scalar = run_both(setting, policy, config=config)
         assert_results_identical(batch, scalar)
@@ -127,10 +147,11 @@ class TestDeterministicEquivalence:
         batch, scalar = run_both(setting, policies, config=WalkConfig(ttl=20))
         assert_results_identical(batch, scalar)
 
-    def test_per_walk_query_embeddings(self, setting):
+    @pytest.mark.parametrize("cache", CACHES)
+    def test_per_walk_query_embeddings(self, setting, cache):
         rng = np.random.default_rng(4)
         queries = rng.standard_normal((len(setting["starts"]), setting["dim"]))
-        policy = EmbeddingGuidedPolicy(setting["embeddings"])
+        policy = EmbeddingGuidedPolicy(embedding_cache(setting, cache))
         config = WalkConfig(ttl=10, k=2)
         batch = run_queries(
             setting["adjacency"],

@@ -10,6 +10,7 @@ from repro.core.forwarding import (
     RandomWalkPolicy,
 )
 from repro.graphs.adjacency import CompressedAdjacency
+from repro.retrieval.scoring import top_k_indices
 
 
 @pytest.fixture
@@ -207,6 +208,68 @@ class TestSparseScoring:
         )
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+    @staticmethod
+    def pruned_csr(rng, dtype):
+        """A CSR cache with rows of mixed lengths and every fourth row empty."""
+        import scipy.sparse as sp
+
+        dense = rng.standard_normal((40, 16)) * (rng.random((40, 16)) < 0.5)
+        dense[::4] = 0.0
+        # Rows 5 and 9 are equal and long, so they tie for the top score
+        # under a query along row 5.
+        dense[5] = 3.0 * rng.standard_normal(16)
+        dense[9] = dense[5]
+        return sp.csr_matrix(dense, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scores_bit_identical_to_row_matvec(self, rng, dtype):
+        matrix = self.pruned_csr(rng, dtype)
+        policy = EmbeddingGuidedPolicy(matrix)
+        query = rng.standard_normal(16)
+        empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
+        for candidates in (
+            np.arange(40, dtype=np.int64),  # stored and empty rows mixed
+            np.array([5]),
+            empty[:4],
+        ):
+            got = policy.scores(query, candidates)
+            want = np.asarray(matrix[candidates] @ query).ravel()
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_select_batch_matches_per_segment_top_k(self, rng, dtype):
+        matrix = self.pruned_csr(rng, dtype)
+        policy = EmbeddingGuidedPolicy(matrix)
+        queries = rng.standard_normal((4, 16))
+        queries[0] = matrix[5].toarray().ravel()
+        segments = [
+            np.array([2, 5, 7, 9, 11]),  # rows 5 and 9 tie at the top
+            np.array([], dtype=np.int64),
+            np.arange(12, 30),
+            np.array([0, 4, 8, 12, 13]),  # four empty rows tie at 0.0
+        ]
+        fanouts = np.array([1, 2, 3, 2])
+        candidates = np.concatenate(segments)
+        offsets = np.concatenate(([0], np.cumsum([len(seg) for seg in segments])))
+        chosen, chosen_offsets = policy.select_batch(
+            queries,
+            candidates,
+            offsets,
+            fanouts,
+            [np.random.default_rng(s) for s in range(4)],
+        )
+        want = []
+        for s, segment in enumerate(segments):
+            reference = np.asarray(matrix[segment] @ queries[s]).ravel()
+            want.append(offsets[s] + top_k_indices(reference, fanouts[s]))
+        first = np.asarray(matrix[segments[0]] @ queries[0]).ravel()
+        assert first[1] == first[3] == first.max()
+        assert np.array_equal(chosen, np.concatenate(want))
+        assert np.array_equal(
+            chosen_offsets, np.concatenate(([0], np.cumsum([len(w) for w in want])))
+        )
 
     def test_sparse_dim_mismatch_rejected(self, sparse_embeddings):
         _, sparse = sparse_embeddings

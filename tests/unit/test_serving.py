@@ -360,9 +360,20 @@ class TestServiceEquivalence:
         net, vectors, _ = make_network(n=10)
         service = make_service(net)
         vec = vectors["doc0"]
+        nan_vec = vec.copy()
+        nan_vec[3] = np.nan
+        malformed = [
+            (vec, 99, "start_node 99 out of range"),
+            (vec[:5], 1, r"shape \(5,\), expected \(8,\)"),
+            (np.stack([vec, vec]), 1, r"shape \(2, 8\), expected \(8,\)"),
+            (nan_vec, 1, "non-finite"),
+        ]
         service.submit(QueryRequest(query_id="a", embedding=vec, start_node=1))
-        with pytest.raises(ValueError, match="start_node 99 out of range"):
-            service.submit(QueryRequest(query_id="bad", embedding=vec, start_node=99))
+        for embedding, start, message in malformed:
+            with pytest.raises(ValueError, match=message):
+                service.submit(
+                    QueryRequest(query_id="bad", embedding=embedding, start_node=start)
+                )
         service.submit(QueryRequest(query_id="b", embedding=vec, start_node=2))
         service.drain()
         assert sorted(r.query_id for r in service.responses) == ["a", "b"]
