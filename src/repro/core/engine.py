@@ -25,7 +25,12 @@ from repro.core.forwarding import ForwardingPolicy
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.retrieval.topk import ScoredDocument, TopKTracker
 from repro.retrieval.vector_store import DocumentStore
-from repro.utils import check_non_negative_int, check_positive_int, ensure_rng
+from repro.utils import (
+    check_non_negative_int,
+    check_peer_ids,
+    check_positive_int,
+    ensure_rng,
+)
 from repro.utils.rng import RngLike
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -248,9 +253,10 @@ def run_query(
     quarantine:
         Peers to route around *before* wasting any TTL on them (a circuit
         breaker's open set).  Quarantined peers are excluded from next-hop
-        candidates outright — with faults they pre-populate the per-hop
-        unreachable set, so no detection timeout is ever paid for a peer
-        already known to flap.  ``None``/empty changes nothing.
+        candidates outright — with faults as well, so no detection timeout
+        is ever paid for a peer already known to flap.  ``None``/empty
+        changes nothing; an id outside ``[0, n_nodes)`` raises
+        ``ValueError``.
     """
     config = config or WalkConfig()
     rng = ensure_rng(seed)
@@ -262,9 +268,19 @@ def run_query(
         check_positive_int(hop_budget, "hop_budget")
         effective_ttl = min(effective_ttl, hop_budget)
     capped = effective_ttl < config.ttl
-    avoid: set[int] | None = (
-        set(int(p) for p in quarantine) if quarantine else None
+    n_nodes = adjacency.n_nodes
+    quarantined = (
+        [] if quarantine is None
+        else check_peer_ids(quarantine, n_nodes, "quarantine")
     )
+    # Peers `next_hops` must not pick, as one boolean node mask: the
+    # quarantine, set once per call, plus (in the resilient walk) the peers
+    # one hop's sending loop found dead or already chose, set during that
+    # loop and cleared after it.  Filtering is then one gather per hop.
+    excluded: np.ndarray | None = None
+    if quarantined or faults is not None:
+        excluded = np.zeros(n_nodes, dtype=bool)
+        excluded[quarantined] = True
 
     dim = query_embedding.shape[0]
     tracker = TopKTracker(config.k)
@@ -291,21 +307,19 @@ def run_query(
             tracker.offer(doc_id, score, node)
             result.discovered_at.setdefault(doc_id, hop)
 
-    def next_hops(
-        node: int, fanout: int, exclude: set[int] | None = None
-    ) -> np.ndarray:
+    def next_hops(node: int, fanout: int) -> np.ndarray:
         neighbors = adjacency.neighbors(node)
         if neighbors.size == 0:
             return neighbors
         seen = memory.get(node)
         candidates = neighbors if seen is None else neighbors[~seen]
-        if exclude:
-            candidates = candidates[~np.isin(candidates, list(exclude))]
+        if excluded is not None:
+            candidates = candidates[~excluded[candidates]]
         if candidates.size == 0:
             # Footnote 9: don't waste the remaining TTL — consider everyone.
             candidates = neighbors
-            if exclude:
-                candidates = candidates[~np.isin(candidates, list(exclude))]
+            if excluded is not None:
+                candidates = candidates[~excluded[candidates]]
             if candidates.size == 0:
                 return candidates
         return policy.select(query_embedding, candidates, fanout, rng)
@@ -346,7 +360,7 @@ def run_query(
                     result.degraded = True
                     result.deadline_hit = True
                 continue
-            for target in next_hops(node, fanout, exclude=avoid):
+            for target in next_hops(node, fanout):
                 target = int(target)
                 remember(node, target)
                 remember(target, node)
@@ -375,19 +389,20 @@ def run_query(
                 result.deadline_hit = True
             continue
         # Forward `fanout` walkers one attempt at a time so a failure can
-        # reroute to the next-best-scoring *live* neighbor.  `unreachable`
-        # accumulates peers this node found dead (or already chose) at this
-        # hop — seeded with the quarantine set, so peers a circuit breaker
-        # already condemned cost zero attempts; failed attempts burn TTL
+        # reroute to the next-best-scoring *live* neighbor.  Quarantined
+        # peers are never tried, so a peer a circuit breaker already
+        # condemned costs zero attempts.  `unreachable` lists the peers this
+        # node found dead (or already chose) at this hop; they stay set in
+        # `excluded` until the loop ends.  Failed attempts burn TTL
         # (timeout + backoff) and count against the per-hop retry budget.
         sent = 0
         failures = 0
-        unreachable: set[int] = set(avoid) if avoid else set()
+        unreachable: list[int] = []
         died_of_faults = False
         while sent < fanout and ttl > 0:
-            targets = next_hops(node, 1, exclude=unreachable)
+            targets = next_hops(node, 1)
             if targets.size == 0:
-                died_of_faults = bool(unreachable)
+                died_of_faults = bool(quarantined or unreachable)
                 break
             target = int(targets[0])
             result.messages += 1
@@ -396,7 +411,8 @@ def run_query(
                 failures += 1
                 result.rerouted += 1
                 faults.note_crash_detection()
-                unreachable.add(target)
+                excluded[target] = True
+                unreachable.append(target)
                 result.failed_peers[target] = (
                     result.failed_peers.get(target, 0) + 1
                 )
@@ -411,13 +427,15 @@ def run_query(
                 remember(node, target)
                 remember(target, node)
                 frontier.append((target, hop + 1, ttl, 1))
-                unreachable.add(target)  # one walker per distinct peer
+                excluded[target] = True  # one walker per distinct peer
+                unreachable.append(target)
                 sent += 1
                 continue
             if failures > res.max_retries:
                 died_of_faults = True
                 break
             ttl -= res.retry_backoff
+        excluded[unreachable] = False
         if sent < fanout and (died_of_faults or (ttl <= 0 and failures > 0)):
             result.walkers_lost += fanout - sent
             result.degraded = True

@@ -41,7 +41,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.utils import check_non_negative, check_probability
+from repro.utils import (
+    check_non_negative,
+    check_non_negative_int,
+    check_probability,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.network import SimNetwork
@@ -64,8 +68,11 @@ class CrashWindow:
     end: float = math.inf
 
     def __post_init__(self) -> None:
+        check_non_negative_int(self.node, "crash window node")
         check_non_negative(self.start, "start")
-        if self.end <= self.start:
+        # Not `end <= start`: a NaN end compares False both ways and would
+        # pass as a window that covers no time at all.
+        if not self.end > self.start:
             raise ValueError(
                 f"crash window must end after it starts, got "
                 f"[{self.start}, {self.end})"
@@ -107,23 +114,31 @@ class FaultPlan:
         check_probability(self.drop_probability, "drop_probability")
         check_probability(self.duplicate_probability, "duplicate_probability")
         check_non_negative(self.extra_delay, "extra_delay")
+        windows_by_node: dict[int, list[CrashWindow]] = {}
         for window in self.crashes:
             if not 0 <= window.node < self.n_nodes:
                 raise ValueError(
                     f"crash window node {window.node} out of range "
                     f"[0, {self.n_nodes})"
                 )
+            windows_by_node.setdefault(window.node, []).append(window)
         for node in self.zombies:
-            if not 0 <= node < self.n_nodes:
+            check_non_negative_int(node, "zombie node")
+            if not node < self.n_nodes:
                 raise ValueError(
                     f"zombie node {node} out of range [0, {self.n_nodes})"
                 )
+        # Per-node index for `crashed_at`, the walk engine's per-attempt
+        # liveness check.  Set outside the dataclass fields, so plan
+        # equality, hashing and repr still see only the windows.
+        object.__setattr__(self, "_windows_by_node", windows_by_node)
 
     # ----------------------------------------------------------- inspection
 
     def crashed_at(self, node: int, time: float) -> bool:
         """Is ``node`` inside any of its crash windows at ``time``?"""
-        return any(w.node == node and w.covers(time) for w in self.crashes)
+        windows = self._windows_by_node.get(node)
+        return windows is not None and any(w.covers(time) for w in windows)
 
     def crashed_nodes(self, time: float) -> frozenset[int]:
         """All nodes down at ``time``."""

@@ -64,7 +64,12 @@ from repro.serving.admission import AdmissionConfig, AdmissionController
 from repro.serving.breaker import PeerCircuitBreaker
 from repro.serving.metrics import ServiceMetrics
 from repro.serving.scheduler import MicroBatchConfig, MicroBatcher
-from repro.utils import check_non_negative, check_positive, check_positive_int
+from repro.utils import (
+    check_non_negative,
+    check_peer_ids,
+    check_positive,
+    check_positive_int,
+)
 from repro.utils.rng import RngLike, derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -218,7 +223,8 @@ class QueryService:
         subsequent walks.
     static_quarantine:
         Peers to exclude from every walk regardless of the breaker (oracle
-        baselines, operator denylists).
+        baselines, operator denylists).  An id outside the overlay raises
+        ``ValueError`` here.
     network:
         The owning :class:`~repro.core.search.DiffusionSearchNetwork`, if
         any — enables the staleness-aware refresh path.  ``stores`` and
@@ -252,9 +258,13 @@ class QueryService:
         self.queue = EventQueue() if queue is None else queue
         self.faults = faults
         self.breaker = breaker
+        # Checked here, not per walk: a bad id would otherwise fail every
+        # batch inside `drain()`.
         self.static_quarantine = (
-            frozenset(int(p) for p in static_quarantine)
-            if static_quarantine
+            frozenset(check_peer_ids(
+                static_quarantine, adjacency.n_nodes, "static_quarantine"
+            ))
+            if static_quarantine is not None
             else frozenset()
         )
         self.network = network

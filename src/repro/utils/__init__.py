@@ -8,6 +8,7 @@ from repro.utils.validation import (
     check_int,
     check_positive_int,
     check_non_negative_int,
+    check_peer_ids,
     check_matrix_2d,
     check_vector_1d,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "check_int",
     "check_positive_int",
     "check_non_negative_int",
+    "check_peer_ids",
     "check_matrix_2d",
     "check_vector_1d",
 ]

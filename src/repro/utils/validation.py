@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 
@@ -56,6 +58,15 @@ def check_non_negative_int(value: int, name: str) -> int:
     check_int(value, name)
     check_non_negative(value, name)
     return int(value)
+
+
+def check_peer_ids(ids: Iterable[int], n_nodes: int, name: str) -> list[int]:
+    """Validate that every id in ``ids`` names a node of an ``n_nodes`` overlay."""
+    peers = [int(p) for p in ids]
+    for peer in peers:
+        if not 0 <= peer < n_nodes:
+            raise ValueError(f"{name} peer {peer} out of range [0, {n_nodes})")
+    return peers
 
 
 def check_matrix_2d(array: np.ndarray, name: str) -> np.ndarray:

@@ -10,6 +10,7 @@ from repro.core.engine import SearchResult, WalkConfig, run_query
 from repro.core.forwarding import PrecomputedScorePolicy, RandomWalkPolicy
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.retrieval.vector_store import DocumentStore
+from repro.runtime.faults import FaultInjector, FaultPlan
 
 
 def make_store(dim, **docs):
@@ -424,10 +425,25 @@ class TestHopBudget:
         assert result.found("near")
 
 
+def _trivial_injector(n_nodes):
+    return FaultInjector(FaultPlan(n_nodes))
+
+
+# The fault-free loop and the resilient loop (an injector that injects
+# nothing) must treat a quarantine alike.
+FAULT_MODES = pytest.mark.parametrize(
+    "make_faults",
+    [lambda n_nodes: None, _trivial_injector],
+    ids=["faults=None", "trivial-injector"],
+)
+
+
 class TestQuarantine:
-    def test_quarantined_peer_avoided(self, path_adjacency):
+    @FAULT_MODES
+    def test_quarantined_peer_avoided(self, path_adjacency, make_faults):
         # Greedy scores walk 0→1→2...; quarantining 1 strands the walk at 0
         # (path graph: node 0's only neighbor is 1).
+        faults = make_faults(path_adjacency.n_nodes)
         result = run_query(
             path_adjacency,
             {},
@@ -435,11 +451,18 @@ class TestQuarantine:
             np.ones(2),
             start_node=0,
             config=WalkConfig(ttl=4),
+            faults=faults,
             quarantine=[1],
         )
         assert result.path == [0]
+        if faults is not None:
+            # The resilient walk reports its stranded walker.
+            assert result.degraded
+            assert result.walkers_lost == 1
+            assert result.messages == 0
 
-    def test_quarantine_reroutes_around_peer(self):
+    @FAULT_MODES
+    def test_quarantine_reroutes_around_peer(self, make_faults):
         # Star + rim: from the hub, the best-scoring rim node is quarantined,
         # so the walk takes the next-best.
         graph = nx.star_graph(3)  # hub 0, leaves 1..3
@@ -451,9 +474,25 @@ class TestQuarantine:
             np.ones(2),
             start_node=0,
             config=WalkConfig(ttl=2),
+            faults=make_faults(adjacency.n_nodes),
             quarantine=[3],
         )
         assert result.path == [0, 2]
+
+    @FAULT_MODES
+    def test_out_of_range_peer_rejected(self, path_adjacency, make_faults):
+        for peer in (-1, path_adjacency.n_nodes):
+            with pytest.raises(ValueError, match=f"quarantine peer {peer}"):
+                run_query(
+                    path_adjacency,
+                    {},
+                    PrecomputedScorePolicy(np.arange(6, dtype=float)),
+                    np.ones(2),
+                    start_node=0,
+                    config=WalkConfig(ttl=4),
+                    faults=make_faults(path_adjacency.n_nodes),
+                    quarantine=[2, peer],
+                )
 
     def test_empty_quarantine_identical(self, path_adjacency):
         baseline = run_query(

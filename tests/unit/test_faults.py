@@ -60,6 +60,13 @@ class TestCrashWindow:
             CrashWindow(0, start=3.0, end=1.0)
         with pytest.raises(ValueError):
             CrashWindow(0, start=-1.0)
+        # A NaN end compares False both ways: the window would cover no time.
+        with pytest.raises(ValueError):
+            CrashWindow(1, 0.0, float("nan"))
+        with pytest.raises(TypeError):
+            CrashWindow(1.5)
+        with pytest.raises(TypeError):
+            CrashWindow(True)
 
 
 class TestFaultPlan:
@@ -74,18 +81,48 @@ class TestFaultPlan:
             FaultPlan(4, crashes=(CrashWindow(9),))
         with pytest.raises(ValueError):
             FaultPlan(4, zombies=frozenset({4}))
+        with pytest.raises(ValueError):
+            FaultPlan(4, zombies=frozenset({-1}))
+        with pytest.raises(TypeError):
+            FaultPlan(4, zombies=frozenset({1.5}))
+
+    @staticmethod
+    def _assert_index_matches_scan(plan):
+        edges = {0.0, 1e9}
+        for window in plan.crashes:
+            edges |= {window.start, window.end}
+        for time in sorted(edges):
+            for node in range(plan.n_nodes):
+                assert plan.crashed_at(node, time) == any(
+                    w.node == node and w.covers(time) for w in plan.crashes
+                ), (node, time)
 
     def test_crashed_at_and_live_nodes(self):
+        # Node 1 goes down, comes back up and goes down again.
         plan = FaultPlan(
-            5, crashes=(CrashWindow(1, 0.0, 10.0), CrashWindow(3, 5.0))
+            5,
+            crashes=(
+                CrashWindow(1, 0.0, 10.0),
+                CrashWindow(3, 5.0),
+                CrashWindow(1, 15.0, 25.0),
+            ),
         )
         assert plan.crashed_at(1, 0.0)
         assert not plan.crashed_at(1, 10.0)
+        assert plan.crashed_at(1, 15.0)
+        assert not plan.crashed_at(1, 25.0)
         assert not plan.crashed_at(3, 4.9)
         assert plan.crashed_at(3, 1e9)
         assert plan.crashed_nodes(6.0) == frozenset({1, 3})
         assert plan.live_nodes(6.0) == [0, 2, 4]
-        assert plan.live_nodes(20.0) == [0, 1, 2, 4]
+        assert plan.live_nodes(12.0) == [0, 1, 2, 4]
+        assert plan.live_nodes(20.0) == [0, 2, 4]
+        self._assert_index_matches_scan(plan)
+        self._assert_index_matches_scan(
+            FaultPlan.generate(
+                30, crash_fraction=0.3, crash_start=2.0, recover_after=5.0, seed=4
+            )
+        )
 
     def test_trivial_plan(self):
         assert FaultPlan(10).is_trivial

@@ -737,6 +737,19 @@ class TestFaultyService:
         assert len(service.responses) == n
         m = service.metrics
         assert m.ok + m.degraded + m.rejected == n
+        # Pins the resilient walk's outcome bit for bit: walks, retries,
+        # reroutes, lost walkers, breaker trips and the injector's drops.
+        results = [r.result for r in service.responses]
+        assert (
+            m.ok,
+            m.degraded,
+            sum(len(r.visits) for r in results),
+            sum(r.retries for r in results),
+            sum(r.rerouted for r in results),
+            sum(r.walkers_lost for r in results),
+            breaker.trips,
+            injector.dropped,
+        ) == (16, 8, 303, 21, 36, 8, 12, 21)
 
     def test_static_quarantine_routes_around_peers(self):
         net, vectors, rng = make_network()
@@ -755,6 +768,12 @@ class TestFaultyService:
         (response,) = service.responses
         visited = {node for _, node in response.result.visits}
         assert visited.isdisjoint({1, 2, 3})
+
+    def test_out_of_range_static_quarantine_rejected_at_construction(self):
+        net, _, _ = make_network(n=10)
+        for peer in (-1, 10):
+            with pytest.raises(ValueError, match=f"static_quarantine peer {peer}"):
+                make_service(net, static_quarantine=[1, peer])
 
 
 class TestServiceMetrics:
