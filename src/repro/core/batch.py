@@ -352,9 +352,11 @@ def run_queries(
     # Per-(query, directed edge) neighbor memory (paper §IV-C).
     seen = np.zeros((batch, indices.shape[0]), dtype=bool)
 
+    # Marked from the keys alone: sizing a lazily built store would build
+    # it, and an empty store offers nothing to the tracker anyway.
     has_store = np.zeros(n_nodes, dtype=bool)
-    for node, store in stores.items():
-        if isinstance(node, (int, np.integer)) and 0 <= node < n_nodes and len(store):
+    for node in stores:
+        if isinstance(node, (int, np.integer)) and 0 <= node < n_nodes:
             has_store[node] = True
 
     # Frontier (structure of arrays).  All walkers of a hop share the same

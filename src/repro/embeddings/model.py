@@ -88,9 +88,9 @@ class WordEmbeddingModel:
         return self._vectors[self._index[word]].copy()
 
     def vectors_for(self, words: Iterable[str]) -> np.ndarray:
-        """Stack the embeddings of ``words`` into an ``(n, dim)`` matrix."""
+        """Stack the embeddings of ``words`` into a fresh ``(n, dim)`` matrix."""
         rows = [self._index[w] for w in words]
-        return self._vectors[rows].copy()
+        return self._vectors[rows]
 
     # ------------------------------------------------------------- similarity
 

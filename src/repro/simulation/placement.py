@@ -7,7 +7,7 @@ community-correlated placement implements that conjecture for the ablation.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from collections.abc import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -75,34 +75,94 @@ def community_correlated_placement(
     return nodes
 
 
+class PlacedStores(Mapping[int, DocumentStore]):
+    """Read-only node → :class:`DocumentStore` view of one placement.
+
+    Keeps the placed documents once, as embedding-matrix rows in one stable
+    node order plus per-node offsets, and builds a node's store on its first
+    lookup, then returns that same object on every later one.  A walk that
+    visits a hundred of a thousand occupied nodes builds a hundred stores.
+    Iteration yields the occupied nodes in ascending order; ``in``, ``len``
+    and iteration never build a store.
+    """
+
+    def __init__(
+        self,
+        doc_ids: list[Hashable],
+        matrix: np.ndarray,
+        rows: np.ndarray,
+        nodes: np.ndarray,
+        dim: int,
+    ) -> None:
+        order = np.argsort(nodes, kind="stable")
+        occupied, starts = np.unique(nodes[order], return_index=True)
+        self._doc_ids = doc_ids
+        self._matrix = matrix
+        self._rows = rows[order]
+        self._offsets = [*starts.tolist(), order.shape[0]]
+        self._slot = {node: i for i, node in enumerate(occupied.tolist())}
+        self._built: list[DocumentStore | None] = [None] * len(self._slot)
+        self._dim = dim
+
+    def __getitem__(self, node: int) -> DocumentStore:
+        slot = self._slot[node]
+        store = self._built[slot]
+        if store is None:
+            rows = self._rows[self._offsets[slot] : self._offsets[slot + 1]]
+            store = self._built[slot] = DocumentStore.from_documents(
+                self._dim,
+                [self._doc_ids[r] for r in rows.tolist()],
+                self._matrix[rows],
+            )
+        return store
+
+    def __contains__(self, node: object) -> bool:
+        return node in self._slot
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._slot)
+
+    def __len__(self) -> int:
+        return len(self._slot)
+
+
 def build_stores(
     doc_ids: Sequence[Hashable],
     embeddings: np.ndarray,
     nodes: np.ndarray,
     dim: int,
-) -> dict[int, DocumentStore]:
+    *,
+    rows: np.ndarray | None = None,
+) -> Mapping[int, DocumentStore]:
     """Group placed documents into per-node :class:`DocumentStore` objects.
 
-    Builds each store with one bulk insertion (the naive per-document path is
-    quadratic in collection size, which matters at M = 10,000).
+    Document ``i`` sits on ``nodes[i]``; its id and embedding are
+    ``doc_ids[i]`` and ``embeddings[i]``, or with ``rows`` given,
+    ``doc_ids[rows[i]]`` and ``embeddings[rows[i]]`` (a vocabulary plus
+    the rows drawn from it).  Returns a read-only mapping that iterates
+    the occupied nodes in ascending order and builds a node's store
+    lazily, on its first lookup (see :class:`PlacedStores`), with the
+    node's documents in input order.  Alignment and ``dim`` are checked
+    here, not on first lookup.
+
+    The mapping is a snapshot: later changes to the caller's ids or
+    arrays never reach a store.  ``doc_ids`` is copied, and so is a
+    writeable ``embeddings``.  A read-only one is taken to be immutable
+    and shared, which spares the simulation a copy of its vocabulary per
+    iteration (:attr:`WordEmbeddingModel.vectors` is read-only).
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+    ids = list(doc_ids)
+    matrix = np.asarray(embeddings)
     nodes = np.asarray(nodes, dtype=np.int64)
-    if len(doc_ids) != embeddings.shape[0] or len(doc_ids) != nodes.shape[0]:
-        raise ValueError("doc_ids, embeddings and nodes must be aligned")
-    stores: dict[int, DocumentStore] = {}
-    order = np.argsort(nodes, kind="stable")
-    sorted_nodes = nodes[order]
-    sorted_embeddings = embeddings[order]
-    boundaries = np.flatnonzero(np.diff(sorted_nodes)) + 1
-    starts = [0, *boundaries.tolist()]
-    ends = [*boundaries.tolist(), order.shape[0]]
-    order_list = order.tolist()
-    node_list = sorted_nodes.tolist()
-    for lo, hi in zip(starts, ends):
-        stores[node_list[lo]] = DocumentStore.from_documents(
-            dim,
-            [doc_ids[i] for i in order_list[lo:hi]],
-            sorted_embeddings[lo:hi],
+    rows = np.arange(len(ids)) if rows is None else np.asarray(rows, dtype=np.int64)
+    if matrix.ndim != 2 or matrix.shape[1] != dim or dim < 1:
+        raise ValueError(
+            f"embeddings must be 2-D with {dim} columns, got shape {matrix.shape}"
         )
-    return stores
+    if len(ids) != matrix.shape[0] or nodes.ndim != 1 or rows.shape != nodes.shape:
+        raise ValueError("doc_ids, embeddings and nodes must be aligned")
+    if rows.size and not 0 <= rows.min() <= rows.max() < len(ids):
+        raise ValueError(f"rows must lie in [0, {len(ids)})")
+    if matrix.dtype != np.float64 or matrix.flags.writeable:
+        matrix = matrix.astype(np.float64)
+    return PlacedStores(ids, matrix, rows, nodes, dim)

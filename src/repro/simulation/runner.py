@@ -11,7 +11,7 @@ full-matrix pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.simulation.placement import (
 )
 from repro.simulation.scenario import AccuracyScenario, HopCountScenario
 from repro.simulation.workload import RetrievalWorkload
+from repro.utils import check_positive_int
 from repro.utils.rng import spawn_rngs
 
 PolicyFactory = Callable[[np.ndarray, CompressedAdjacency], ForwardingPolicy]
@@ -45,13 +46,19 @@ def _default_policy_factory(
 
 @dataclass
 class IterationData:
-    """One simulation iteration: a placed document set plus its query."""
+    """One simulation iteration: a placed document set plus its query.
+
+    ``stores`` is the read-only, lazily built snapshot mapping of
+    :func:`~repro.simulation.placement.build_stores`: a node's store is
+    sliced out of the vocabulary on its first lookup, so a walk builds only
+    the stores of the nodes it visits.
+    """
 
     query_word: str
     gold_word: str
     query_embedding: np.ndarray
     gold_node: int
-    stores: dict[int, DocumentStore]
+    stores: Mapping[int, DocumentStore]
     relevance_signal: np.ndarray  # x0[u] = e0_u · e_q before diffusion
 
 
@@ -81,6 +88,7 @@ class IterationSampler:
         self.workload = workload
         self.model = workload.model
         self.dim = self.model.dim
+        self._words = self.model.words
         self.weighting = weighting
         self.placement = placement
         self.correlation_mixing = float(correlation_mixing)
@@ -100,37 +108,38 @@ class IterationSampler:
                     "'cluster_of' metadata (synthetic models provide it)"
                 )
             self._cluster_of = np.asarray(cluster_of, dtype=np.int64)
-            self._word_index = {w: i for i, w in enumerate(self.model.words)}
         else:
             self.communities = None
 
     # ----------------------------------------------------------------- sample
 
     def sample(self, n_documents: int, rng: np.random.Generator) -> IterationData:
-        """Draw one iteration: 1 gold + (M−1) irrelevant docs, placed."""
+        """Draw one iteration: 1 gold + (M−1) irrelevant docs, placed.
+
+        Documents are drawn as vocabulary rows: the stores slice the model's
+        read-only matrix lazily, and the document matrix is gathered once,
+        for the relevance signal.
+        """
+        check_positive_int(n_documents, "n_documents")
         query_word, gold_word = self.workload.sample_case(rng)
-        irrelevant = self.workload.sample_irrelevant(rng, n_documents - 1)
-        doc_words = [gold_word] + irrelevant
-        doc_embeddings = self.model.vectors_for(doc_words)
+        rows = np.empty(n_documents, dtype=np.int64)
+        rows[0] = self.model.index_of(gold_word)
+        rows[1:] = self.workload.sample_irrelevant_rows(rng, n_documents - 1)
 
         if self.placement == "uniform":
-            nodes = uniform_placement(
-                len(doc_words), self.adjacency.n_nodes, seed=rng
-            )
+            nodes = uniform_placement(n_documents, self.adjacency.n_nodes, seed=rng)
         else:
-            clusters = np.asarray(
-                [self._cluster_of[self._word_index[w]] for w in doc_words]
-            )
             nodes = community_correlated_placement(
-                clusters,
+                self._cluster_of[rows],
                 self.communities,
                 mixing=self.correlation_mixing,
                 seed=rng,
             )
 
-        stores = build_stores(doc_words, doc_embeddings, nodes, self.dim)
+        vocabulary = self.model.vectors
+        stores = build_stores(self._words, vocabulary, nodes, self.dim, rows=rows)
         query_embedding = self.model.vector(query_word)
-        signal = self._relevance_signal(doc_embeddings, nodes, query_embedding)
+        signal = self._relevance_signal(vocabulary[rows], nodes, query_embedding)
         return IterationData(
             query_word=query_word,
             gold_word=gold_word,

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.utils import check_positive, check_probability
+from repro.utils import (
+    check_non_negative_int,
+    check_positive_int,
+    check_probability,
+)
 
 
 @dataclass(frozen=True)
@@ -30,13 +34,12 @@ class AccuracyScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_positive(self.n_documents, "n_documents")
-        check_positive(self.ttl, "ttl")
-        check_positive(self.k, "k")
-        check_positive(self.fanout, "fanout")
-        check_positive(self.iterations, "iterations")
-        if self.max_distance < 0:
-            raise ValueError("max_distance must be >= 0")
+        check_positive_int(self.n_documents, "n_documents")
+        check_positive_int(self.ttl, "ttl")
+        check_positive_int(self.k, "k")
+        check_positive_int(self.fanout, "fanout")
+        check_positive_int(self.iterations, "iterations")
+        check_non_negative_int(self.max_distance, "max_distance")
         if not self.alphas:
             raise ValueError("alphas must be non-empty")
         for alpha in self.alphas:
@@ -69,13 +72,13 @@ class HopCountScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_positive(self.n_documents, "n_documents")
+        check_positive_int(self.n_documents, "n_documents")
         check_probability(self.alpha, "alpha", inclusive=False)
-        check_positive(self.iterations, "iterations")
-        check_positive(self.queries_per_iteration, "queries_per_iteration")
-        check_positive(self.ttl, "ttl")
-        check_positive(self.k, "k")
-        check_positive(self.fanout, "fanout")
+        check_positive_int(self.iterations, "iterations")
+        check_positive_int(self.queries_per_iteration, "queries_per_iteration")
+        check_positive_int(self.ttl, "ttl")
+        check_positive_int(self.k, "k")
+        check_positive_int(self.fanout, "fanout")
         if self.placement not in ("uniform", "correlated"):
             raise ValueError(
                 f"placement must be 'uniform' or 'correlated', got {self.placement!r}"

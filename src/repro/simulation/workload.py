@@ -38,6 +38,12 @@ class RetrievalWorkload:
         pool_set = set(self.irrelevant_pool)
         if pool_set & query_set or pool_set & gold_set:
             raise ValueError("irrelevant pool overlaps queries or golds")
+        # Vocabulary row of every pool word, so the simulation can draw
+        # documents as rows without a word lookup per document.
+        self._pool_rows = np.asarray(
+            [self.model.index_of(word) for word in self.irrelevant_pool],
+            dtype=np.int64,
+        )
 
     # ---------------------------------------------------------------- access
 
@@ -66,13 +72,31 @@ class RetrievalWorkload:
         pool = self.irrelevant_pool
         if exclude:
             pool = [w for w in pool if w not in exclude]
-        if count > len(pool):
+        return [pool[i] for i in self._draw_pool_rows(rng, count, len(pool)).tolist()]
+
+    def sample_irrelevant_rows(
+        self, rng: np.random.Generator, count: int
+    ) -> np.ndarray:
+        """Vocabulary rows of ``sample_irrelevant(rng, count)``.
+
+        Makes the same draws, so the generator ends in the same state, but
+        returns the words' embedding-model rows instead of the words.
+        """
+        return self._pool_rows[
+            self._draw_pool_rows(rng, count, len(self.irrelevant_pool))
+        ]
+
+    @staticmethod
+    def _draw_pool_rows(
+        rng: np.random.Generator, count: int, pool_size: int
+    ) -> np.ndarray:
+        """``count`` distinct positions in a pool of ``pool_size`` words."""
+        if count > pool_size:
             raise ValueError(
                 f"requested {count} irrelevant documents but the pool has "
-                f"{len(pool)}; enlarge the vocabulary"
+                f"{pool_size}; enlarge the vocabulary"
             )
-        idx = rng.choice(len(pool), size=count, replace=False)
-        return [pool[int(i)] for i in idx]
+        return rng.choice(pool_size, size=count, replace=False)
 
 
 def build_workload(

@@ -22,6 +22,7 @@ from repro.core.forwarding import (
 )
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.retrieval.vector_store import DocumentStore
+from repro.simulation.placement import build_stores
 
 
 def make_stores(adjacency, rng, n_store_nodes, dim, docs_per_node=3):
@@ -592,3 +593,87 @@ class TestHopBudgets:
         )
         assert_results_identical(chunked, whole)
         assert [r.deadline_hit for r in chunked] == [r.deadline_hit for r in whole]
+
+
+class TestLazyStores:
+    """Walks over a ``build_stores`` mapping build only the stores they visit,
+    and the engine reads an empty store as no store."""
+
+    @pytest.fixture
+    def placed(self, setting, monkeypatch):
+        n, dim = setting["adjacency"].n_nodes, setting["dim"]
+        rng = np.random.default_rng(3)
+        count = 2 * n
+        doc_ids = [f"p{i}" for i in range(count)]
+        embeddings = rng.standard_normal((count, dim))
+        nodes = rng.integers(0, n, size=count)
+        node_of = dict(zip(doc_ids, nodes.tolist()))
+        built: list[int] = []
+        original = DocumentStore.from_documents
+
+        def counting(dim, ids, matrix):
+            ids = list(ids)
+            built.append(node_of[ids[0]])
+            return original(dim, ids, matrix)
+
+        monkeypatch.setattr(DocumentStore, "from_documents", staticmethod(counting))
+
+        def place():
+            return build_stores(doc_ids, embeddings, nodes, dim)
+
+        return place, built
+
+    @staticmethod
+    def visited(results):
+        return {node for result in results for _, node in result.visits}
+
+    def test_run_queries_builds_only_visited_stores(self, setting, placed):
+        place, built = placed
+        stores = place()
+        policy = PrecomputedScorePolicy(
+            np.random.default_rng(0).standard_normal(setting["adjacency"].n_nodes)
+        )
+        config = WalkConfig(ttl=5, k=2)
+        starts = [0, 20, 40]
+        results = run_queries(
+            setting["adjacency"], stores, policy, setting["query"], starts, config
+        )
+        assert sorted(built) == sorted(self.visited(results) & set(stores))
+        assert len(built) < len(stores)
+        eager = dict(place().items())
+        assert_results_identical(
+            results,
+            run_queries(setting["adjacency"], eager, policy, setting["query"], starts, config),
+        )
+
+    def test_run_query_builds_only_visited_stores(self, setting, placed):
+        place, built = placed
+        stores = place()
+        policy = EmbeddingGuidedPolicy(setting["embeddings"])
+        config = WalkConfig(ttl=6, k=2)
+        result = run_query(setting["adjacency"], stores, policy, setting["query"], 7, config)
+        assert sorted(built) == sorted(self.visited([result]) & set(stores))
+        assert len(built) < len(stores)
+
+    def test_extra_empty_store_changes_nothing(self, setting):
+        adjacency, stores = setting["adjacency"], setting["stores"]
+        empty_node = next(v for v in range(adjacency.n_nodes) if v not in stores)
+        padded = {**stores, empty_node: DocumentStore(setting["dim"])}
+        policy = PrecomputedScorePolicy(
+            np.random.default_rng(4).standard_normal(adjacency.n_nodes)
+        )
+        config = WalkConfig(ttl=20, fanout=2, k=3)
+        # Starting at the empty node guarantees the walk visits it.
+        starts = [empty_node, *setting["starts"]]
+        ids = [f"q{i}" for i in range(len(starts))]
+        plain = run_queries(
+            adjacency, stores, policy, setting["query"], starts, config, query_ids=ids
+        )
+        assert_results_identical(
+            run_queries(
+                adjacency, padded, policy, setting["query"], starts, config,
+                query_ids=ids,
+            ),
+            plain,
+        )
+        assert all(result.results for result in plain)

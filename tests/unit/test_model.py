@@ -62,6 +62,14 @@ class TestLookup:
         assert np.allclose(mat[0], model.vector("gamma"))
         assert np.allclose(mat[1], model.vector("alpha"))
 
+    def test_vectors_for_returns_fresh_array(self, model):
+        mat = model.vectors_for(["alpha", "alpha", "delta"])
+        assert mat.flags.writeable
+        assert not np.shares_memory(mat, model.vectors)
+        mat[:] = 7.0
+        assert model.vector("alpha").tolist() == [1.0, 0.0, 0.0]
+        assert model.vector("delta").tolist() == [0.0, 0.0, 1.0]
+
     def test_vectors_property_readonly(self, model):
         with pytest.raises(ValueError):
             model.vectors[0, 0] = 5.0

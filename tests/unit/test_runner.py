@@ -5,6 +5,7 @@ import pytest
 
 from repro.graphs.communities import label_propagation_communities
 from repro.graphs.metrics import bfs_distances
+from repro.simulation.placement import uniform_placement
 from repro.simulation.runner import (
     IterationSampler,
     run_accuracy_experiment,
@@ -63,6 +64,23 @@ class TestIterationSampler:
         rng = np.random.default_rng(2)
         data = sampler.sample(20, rng)
         assert data.gold_word in tiny_workload.gold_of[data.query_word]
+
+    @pytest.mark.parametrize("n_documents", [1, 60])
+    def test_draws_match_word_sampling(self, sampler, tiny_workload, n_documents):
+        """Sampling rows makes the draws of sampling words, in the same order."""
+        rng, clone = np.random.default_rng(12), np.random.default_rng(12)
+        data = sampler.sample(n_documents, rng)
+        query, gold = tiny_workload.sample_case(clone)
+        words = [gold] + tiny_workload.sample_irrelevant(clone, n_documents - 1)
+        nodes = uniform_placement(n_documents, sampler.adjacency.n_nodes, seed=clone)
+        assert rng.bit_generator.state == clone.bit_generator.state
+        assert (data.query_word, data.gold_word) == (query, gold)
+        assert data.gold_node == nodes[0]
+        placed: dict[int, list[str]] = {}
+        for word, node in sorted(zip(words, nodes.tolist()), key=lambda p: p[1]):
+            placed.setdefault(node, []).append(word)
+        assert {node: store.doc_ids for node, store in data.stores.items()} == placed
+        assert list(data.stores) == sorted(placed)
 
     def test_relevance_signal_matches_store_scores(self, sampler):
         """x0[u] must equal the summed doc scores at u (eq. 3)."""

@@ -36,6 +36,14 @@ class TestAccuracyScenario:
         with pytest.raises(ValueError):
             AccuracyScenario(n_documents=0)
 
+    @pytest.mark.parametrize(
+        "field", ["n_documents", "ttl", "k", "fanout", "iterations", "max_distance"]
+    )
+    def test_rejects_non_integer_count(self, field):
+        overrides = {"n_documents": 10, field: 2.5}
+        with pytest.raises(TypeError, match=field):
+            AccuracyScenario(**overrides)
+
     def test_frozen(self):
         scenario = AccuracyScenario(n_documents=10)
         with pytest.raises(AttributeError):
@@ -58,6 +66,15 @@ class TestHopCountScenario:
     def test_rejects_zero_queries(self):
         with pytest.raises(ValueError):
             HopCountScenario(n_documents=10, queries_per_iteration=0)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["n_documents", "iterations", "queries_per_iteration", "ttl", "k", "fanout"],
+    )
+    def test_rejects_non_integer_count(self, field):
+        overrides = {"n_documents": 10, field: 2.5}
+        with pytest.raises(TypeError, match=field):
+            HopCountScenario(**overrides)
 
     def test_total_samples(self):
         scenario = HopCountScenario(
