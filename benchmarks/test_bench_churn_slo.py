@@ -197,7 +197,7 @@ def _run_policy(policy: str, size: BenchSize, operator, placement, events):
             edge_ops += outcome.edge_operations
         elif scheduler is not None:
             scheduler.tick()
-            decision = scheduler.decide(state.bound(), state.dirty_mass)
+            decision = scheduler.decide(state.refreshable(), state.dirty_mass)
             if decision.action != "defer":
                 outcome = refresher.refresh(
                     decision.action, served, state.baseline, state.signal

@@ -12,7 +12,7 @@ example walks the middle path from ``repro.churn``:
    upper bound on the L1 error of the served scores — no diffusion runs
    to know how stale we are;
 3. a :class:`~repro.churn.RefreshScheduler` picks defer / incremental /
-   full per tick from that bound, a fitted
+   full per tick from the bound's refreshable part, a fitted
    :class:`~repro.churn.RefreshCostModel`, and a banked edge-op budget,
    degrading explicitly (counted SLO violations) when starved.
 
@@ -88,7 +88,7 @@ def main() -> None:
         for event in events[tick:tick + EVENTS_PER_TICK]:
             state.apply(event)
         scheduler.tick()
-        decision = scheduler.decide(state.bound(), state.dirty_mass)
+        decision = scheduler.decide(state.refreshable(), state.dirty_mass)
         ops = 0
         if decision.action != "defer":
             outcome = refresher.refresh(

@@ -10,8 +10,9 @@ cannot afford or hiding staleness it cannot repair:
   (document add/move/delete, node join/leave) over the shared event
   clock, composable with :class:`repro.runtime.faults.FaultInjector`;
 * :class:`StalenessTracker` — a cheap, sound upper bound on the served
-  scores' L1 error from dirty-mass + push-residual accounting, so
-  scheduling acts on an *estimate* instead of ground truth;
+  scores' L1 error: the last full run's error floor, plus the residual
+  its patches abandoned, plus pending dirty mass, so scheduling acts on an
+  *estimate* instead of ground truth;
 * :class:`RefreshScheduler` / :class:`RefreshSLO` — per-tick
   defer / incremental / full decisions against a staleness target and an
   edge-operation budget, priced by the fitted :class:`RefreshCostModel`
@@ -20,9 +21,10 @@ cannot afford or hiding staleness it cannot repair:
   benchmark and examples drive.
 
 Serving integration lives in :mod:`repro.serving.service`
-(``StalenessConfig(slo=...)``): batches consume the network's staleness
-bound, refreshes are scheduled rather than size-gated, and responses are
-stamped with the bound they were served under.
+(``StalenessConfig(slo=...)``): batches consume the refreshable part of
+the network's staleness bound, refreshes are scheduled rather than
+size-gated, and responses are stamped with the bound they were served
+under.
 """
 
 from repro.churn.scheduler import (

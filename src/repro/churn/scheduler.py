@@ -10,15 +10,26 @@ and the served scores silently rot.
 :class:`RefreshScheduler` makes the decision explicit, per tick and per
 signal::
 
-                         ┌─ bound ≤ target ────────────► DEFER (within SLO)
-    staleness bound ─────┤
-    (StalenessTracker)   └─ bound > target ─┬─ cheapest affordable action
-                                            │  (fitted RefreshCostModel)
-                                            ├──► INCREMENTAL  (cost ∝ dirty mass)
-                                            ├──► FULL         (cost ≈ O(edges))
-                                            └──► DEFER (budget exhausted —
-                                                 serve stale, stamped, SLO
-                                                 violation counted)
+                         ┌─ s ≤ target ──────────────► DEFER (within SLO)
+    refreshable part s ──┤
+    (StalenessTracker)   └─ s > target ─┬─ no baseline (s = ∞) ───► FULL
+                                        ├─ s − dirty > target ────► FULL
+                                        │  (the patch residual alone
+                                        │   breaches: re-baseline)
+                                        └─ otherwise the cheaper of
+                                           INCREMENTAL (cost ∝ dirty mass)
+                                           and FULL (cost ≈ O(edges)),
+                                           priced by the fitted
+                                           RefreshCostModel
+
+    A chosen refresh the banked budget cannot afford becomes DEFER
+    (budget exhausted: serve stale, stamped, SLO violation counted).
+
+The scheduler sees only the refreshable part of the staleness bound
+(:meth:`repro.churn.StalenessTracker.refreshable`): dirty mass plus the
+patch residual in excess of the last full run's floor.  The floor itself
+is served as part of the stamped bound but never triggers a refresh, since
+no refresh at the same ε removes it.
 
 Budget is an edge-operation allowance that accrues per tick and *banks*
 up to a cap, so a full recompute is amortized: a few deferred ticks save
@@ -194,10 +205,13 @@ class RefreshSLO:
     Parameters
     ----------
     staleness_target:
-        Maximum acceptable staleness bound (L1 score-error units, the
-        quantity :meth:`repro.churn.StalenessTracker.bound` maintains).  At
-        or below it the scheduler always defers — serving is "fresh
-        enough" by declaration.
+        Maximum acceptable *refreshable* staleness (L1 score-error units):
+        the part of the bound a refresh can remove, dirty mass plus the
+        patch residual in excess of the last full run's floor
+        (:meth:`repro.churn.StalenessTracker.refreshable`).  The floor is
+        not counted, so a target below it still leaves room to defer.  At
+        or below the target the scheduler always defers — serving is
+        "fresh enough" by declaration.
     refresh_budget_per_tick:
         Edge operations granted to the refresh plane per scheduler tick.
         ``inf`` (default) means refreshes are never budget-limited: the
@@ -236,7 +250,7 @@ class RefreshDecision:
     # "within_slo" | "cheapest" | "no_baseline" | "residual_only"
     # | "budget_exhausted"
     reason: str
-    bound: float
+    refreshable: float  # the staleness the decision compared to the target
     estimated_cost: float
     within_slo: bool
 
@@ -278,25 +292,27 @@ class RefreshScheduler:
 
     # -------------------------------------------------------------- decisions
 
-    def decide(self, bound: float, dirty_mass: float) -> RefreshDecision:
+    def decide(self, refreshable: float, dirty_mass: float) -> RefreshDecision:
         """Pick an action for one signal given its current staleness state.
 
-        ``bound`` is the tracker's error bound (∞ when no baseline
-        exists); ``dirty_mass`` its pending L1 delta, which prices the
-        incremental option.
+        ``refreshable`` is the tracker's refreshable staleness (∞ when no
+        baseline exists); ``dirty_mass`` its pending L1 delta, the part of
+        ``refreshable`` a patch removes, which also prices the incremental
+        option.
         """
-        if bound <= self.slo.staleness_target:
+        target = self.slo.staleness_target
+        if refreshable <= target:
             return self._record(
-                RefreshDecision("defer", "within_slo", bound, 0.0, True)
+                RefreshDecision("defer", "within_slo", refreshable, 0.0, True)
             )
         full_cost = self.cost_model.estimate("full")
-        if math.isinf(bound):
+        if math.isinf(refreshable):
             # No baseline to patch — incremental is undefined, full or bust.
             action, cost, reason = "full", full_cost, "no_baseline"
-        elif dirty_mass == 0.0:
-            # The breach is entirely abandoned push residual; an incremental
-            # patch of a zero delta cannot reduce it — only a re-baseline
-            # clears accumulated residual.
+        elif refreshable - dirty_mass > target:
+            # The carried patch residual alone breaches the target; a patch
+            # removes only the dirty part and adds residual of its own —
+            # only a re-baseline clears it.
             action, cost, reason = "full", full_cost, "residual_only"
         else:
             incremental_cost = self.cost_model.estimate(
@@ -312,9 +328,13 @@ class RefreshScheduler:
             # silently.  The breach is counted; the bank keeps accruing.
             self.slo_violations += 1
             return self._record(
-                RefreshDecision("defer", "budget_exhausted", bound, cost, False)
+                RefreshDecision(
+                    "defer", "budget_exhausted", refreshable, cost, False
+                )
             )
-        return self._record(RefreshDecision(action, reason, bound, cost, False))
+        return self._record(
+            RefreshDecision(action, reason, refreshable, cost, False)
+        )
 
     def commit(self, decision: RefreshDecision, edge_operations: int) -> None:
         """Charge an executed refresh to the budget at its observed cost."""

@@ -98,3 +98,6 @@ class SignalChurnState:
 
     def bound(self) -> float:
         return self.tracker.bound()
+
+    def refreshable(self) -> float:
+        return self.tracker.refreshable()

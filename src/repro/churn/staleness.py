@@ -4,27 +4,37 @@ Under sustained churn the refresh scheduler needs to know *how wrong* the
 served scores currently are without paying for the refresh (or an exact
 solve) just to find out.  :class:`StalenessTracker` maintains an upper
 bound on the L1 error of a served diffusion using only O(1)-per-event
-bookkeeping:
+bookkeeping, as the sum of three parts:
 
+* **floor** ``F`` — the error bound the last full run reported for its
+  own result (:attr:`repro.core.backends.DiffusionOutcome.residual_l1`):
+  the pruning error that no refresh at the same ε removes;
+* **patch residual** ``P`` — every tolerance-converged incremental patch
+  abandons up to its final residual L1 of un-diffused correction
+  (:attr:`repro.gsp.push.PushResult.residual_l1`); those leftovers add up
+  across patches and only a full refresh clears them;
 * **pending dirty mass** — per-node L1 magnitude of the personalization
   delta accumulated since the last committed refresh.  Entries are *set*,
   not summed: repeated churn on one node coalesces to its current
   distance from the diffused baseline, so the bound (like the refresh
   itself) scales with distinct dirty nodes rather than raw event count.
-* **accumulated push residual** — every tolerance-converged incremental
-  patch abandons up to its final residual L1 of un-diffused correction
-  (:attr:`repro.gsp.push.PushResult.residual_l1`); those leftovers add up
-  across patches and only a full refresh clears them.
 
 The bound is sound for column-normalized operators: the PPR filter
 ``H = α (I − (1−α) A)⁻¹`` satisfies ``‖H‖₁ ≤ 1`` when ``‖A‖₁ ≤ 1``
 (a Neumann series of column-substochastic terms), so
 
-    ‖served − exact‖₁ = ‖H·Δ_pending + H·r_accumulated‖₁
-                      ≤ Σᵤ ‖Δ_pending[u]‖₁ + Σ residual_l1  =  bound()
+    ‖served − exact‖₁ ≤ F + P + Σᵤ ‖Δ_pending[u]‖₁  =  bound()
 
 — validated bound-vs-true-error on every checkpoint by
 ``benchmarks/test_bench_churn_slo.py``.
+
+A scheduler should not act on all of it.  No refresh at the same ε
+removes the floor, and ``P`` overstates what the patches add to the
+error: it counts each abandoned residual ``r`` in full, while ``‖H r‖₁``
+is far smaller once mixed-sign entries average out.  :meth:`refreshable`
+therefore reports the dirty mass plus only the patch residual in excess
+of the floor, ``max(0, P − F)``: a re-baseline is due once the patches'
+bound alone exceeds a fresh full run's by more than the target.
 """
 
 from __future__ import annotations
@@ -34,12 +44,20 @@ import math
 __all__ = ["StalenessTracker"]
 
 
+def _check_l1(value: float, name: str) -> float:
+    """An L1 mass must be a finite number ``>= 0``; NaN and ∞ are rejected."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return float(value)
+
+
 class StalenessTracker:
     """Maintains an L1 staleness bound for one served diffusion signal."""
 
     def __init__(self) -> None:
         self._pending: dict[int, float] = {}
-        self._residual_l1 = 0.0
+        self._floor_l1 = 0.0
+        self._patch_residual_l1 = 0.0
         # No baseline yet (or the last full run failed to converge): the
         # pending-delta decomposition is undefined and the bound is ∞ until
         # a full refresh commits.
@@ -55,13 +73,12 @@ class StalenessTracker:
         one entry, not N.  A zero distance (the node churned back to its
         diffused state) removes the entry.
         """
-        if delta_l1 < 0:
-            raise ValueError(f"delta_l1 must be >= 0, got {delta_l1}")
+        delta_l1 = _check_l1(delta_l1, "delta_l1")
         node = int(node)
         if delta_l1 == 0.0:
             self._pending.pop(node, None)
         else:
-            self._pending[node] = float(delta_l1)
+            self._pending[node] = delta_l1
 
     def invalidate(self) -> None:
         """Declare the baseline unknown (bound becomes ∞ until a full run)."""
@@ -71,17 +88,17 @@ class StalenessTracker:
     def record_refresh(self, residual_l1: float, *, full: bool) -> None:
         """Commit a refresh: pending mass is diffused, residual is kept.
 
-        A ``full`` refresh re-baselines — prior accumulated residual is
-        replaced by the new run's own leftover; an incremental patch adds
-        its leftover on top of what previous patches abandoned.
+        A ``full`` refresh re-baselines: its residual becomes the floor and
+        the patch residual restarts from 0.  An incremental patch adds its
+        residual to the patch residual.
         """
-        if residual_l1 < 0:
-            raise ValueError(f"residual_l1 must be >= 0, got {residual_l1}")
+        residual_l1 = _check_l1(residual_l1, "residual_l1")
         if full:
-            self._residual_l1 = float(residual_l1)
+            self._floor_l1 = residual_l1
+            self._patch_residual_l1 = 0.0
             self._baseline_known = True
         else:
-            self._residual_l1 += float(residual_l1)
+            self._patch_residual_l1 += residual_l1
         self._pending.clear()
 
     # ------------------------------------------------------------- inspection
@@ -97,9 +114,14 @@ class StalenessTracker:
         return float(sum(self._pending.values()))
 
     @property
-    def accumulated_residual_l1(self) -> float:
-        """L1 residual abandoned by refreshes since the last full run."""
-        return self._residual_l1
+    def floor_l1(self) -> float:
+        """Error bound of the last full run's own result."""
+        return self._floor_l1
+
+    @property
+    def patch_residual_l1(self) -> float:
+        """L1 residual abandoned by incremental patches since the last full run."""
+        return self._patch_residual_l1
 
     @property
     def baseline_known(self) -> bool:
@@ -109,11 +131,22 @@ class StalenessTracker:
         """Upper bound on the served signal's L1 error (∞ without baseline)."""
         if not self._baseline_known:
             return math.inf
-        return self.dirty_mass + self._residual_l1
+        return self._floor_l1 + self._patch_residual_l1 + self.dirty_mass
+
+    def refreshable(self) -> float:
+        """The part of the bound a refresh is for (∞ without baseline).
+
+        Dirty mass plus the patch residual in excess of the floor; what
+        :meth:`repro.churn.RefreshScheduler.decide` compares to its target.
+        """
+        if not self._baseline_known:
+            return math.inf
+        carried = max(0.0, self._patch_residual_l1 - self._floor_l1)
+        return self.dirty_mass + carried
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"StalenessTracker(dirty={self.dirty_count}, "
-            f"mass={self.dirty_mass:.4g}, residual={self._residual_l1:.4g}, "
-            f"bound={self.bound():.4g})"
+            f"mass={self.dirty_mass:.4g}, floor={self._floor_l1:.4g}, "
+            f"patches={self._patch_residual_l1:.4g}, bound={self.bound():.4g})"
         )

@@ -40,9 +40,9 @@ class DiffusionOutcome:
     ``iterations`` counts power-iteration sweeps (or 1 for the exact solve,
     or events for the async protocol); ``messages``/``events`` are populated
     only by the async strategy; ``operations`` counts edge traversals for
-    the push backend (the unit that makes full and incremental runs
-    comparable); ``incremental`` marks an outcome produced by patching a
-    previous diffusion rather than recomputing it.
+    the ``push`` and ``sparse`` backends (the unit that makes full and
+    incremental runs comparable); ``incremental`` marks an outcome produced
+    by patching a previous diffusion rather than recomputing it.
 
     ``embeddings`` is a dense array for the standard backends; backends with
     ``accepts_sparse`` (built-in: ``sparse``) return a ``scipy.sparse`` CSR
@@ -53,8 +53,12 @@ class DiffusionOutcome:
     built on the push kernels (``push``, ``sparse`` refresh): since
     ``‖H‖₁ ≤ 1`` for a column-normalized operator, it upper-bounds the L1
     error the outcome leaves behind — the quantity staleness trackers
-    accumulate across incremental refreshes.  Backends without residual
-    bookkeeping leave it at 0.
+    accumulate across incremental refreshes.  A ``sparse`` full run reports
+    its edge operations and, as ``residual_l1``, a sound a-posteriori
+    bound on its pruning error in the same unit (see
+    :class:`repro.gsp.filters.SparsePersonalizedPageRank`); the staleness
+    tracker keeps it as the floor of its bound.  The ``power``, ``solve``
+    and ``async`` backends still report 0 for both.
     """
 
     embeddings: np.ndarray

@@ -79,8 +79,12 @@ class SparseDiffusionBackend(DiffusionBackend):
     ) -> DiffusionOutcome:
         """Pruned CSR power iteration.
 
-        ``latency`` and ``seed`` are accepted for interface uniformity; the
-        pruned power iteration is deterministic and ignores them.
+        The outcome reports the run's edge operations and a sound
+        ``residual_l1`` (see :class:`SparsePersonalizedPageRank`), in the
+        same units as an incremental :meth:`refresh`, so a cost model can
+        compare the two.  ``latency`` and ``seed`` are accepted for
+        interface uniformity; the pruned power iteration is deterministic
+        and ignores them.
         """
         operator = transition_matrix(topology, normalization)
         ppr = SparsePersonalizedPageRank(
@@ -98,6 +102,8 @@ class SparseDiffusionBackend(DiffusionBackend):
             iterations=detail.iterations,
             residual=detail.residual,
             converged=detail.converged,
+            operations=detail.edge_operations,
+            residual_l1=detail.residual_l1,
         )
 
     def refresh(

@@ -153,9 +153,9 @@ class DiffusionSearchNetwork:
         # sparse delta support set).
         self._diffused_personalization: np.ndarray | sp.spmatrix | None = None
         self._dirty_nodes: set[int] = set()
-        self._accumulated_residual = 0.0
-        # Coalesced per-node pending L1 mass + push residual: the cheap
-        # upper bound on the cached embeddings' error that SLO-driven
+        # The one residual ledger: the full run's error floor, the patches'
+        # summed residual and the coalesced per-node pending L1 mass — the
+        # cheap upper bound on the cached embeddings' error that SLO-driven
         # refresh scheduling acts on (see repro.churn).
         self.staleness = StalenessTracker()
 
@@ -425,33 +425,17 @@ class DiffusionSearchNetwork:
             )
         self._dirty_nodes.clear()
         self._stale = False
-        # Each patch leaves up to ~tol of residual behind; a full run resets
-        # the baseline.  See :attr:`accumulated_residual`.
+        # Each patch leaves its residual behind; a full run resets the
+        # baseline to its own error floor.  See :meth:`staleness_bound`.
         if outcome.incremental:
-            self._accumulated_residual += outcome.residual
             self.staleness.record_refresh(outcome.residual_l1, full=False)
+        elif outcome.converged:
+            self.staleness.record_refresh(outcome.residual_l1, full=True)
         else:
-            self._accumulated_residual = outcome.residual
-            if outcome.converged:
-                self.staleness.record_refresh(outcome.residual_l1, full=True)
-            else:
-                # No baseline ⇒ the next delta is unknowable; the bound is ∞
-                # until a converged full run re-establishes one.
-                self.staleness.invalidate()
+            # No baseline ⇒ the next delta is unknowable; the bound is ∞
+            # until a converged full run re-establishes one.
+            self.staleness.invalidate()
         return outcome
-
-    @property
-    def accumulated_residual(self) -> float:
-        """Residual bound accumulated over incremental refreshes.
-
-        Every incremental patch stops once its *delta* residual falls below
-        the tolerance, leaving that much error behind on top of whatever the
-        base diffusion carried; over a long churn workload the bounds add
-        up.  Monitor this and re-baseline with
-        ``diffuse(incremental=False)`` when it approaches the score margins
-        that matter for routing (it resets on any full diffusion).
-        """
-        return self._accumulated_residual
 
     @property
     def embeddings(self) -> np.ndarray:
@@ -530,11 +514,14 @@ class DiffusionSearchNetwork:
     def staleness_bound(self) -> float:
         """Upper bound on the cached embeddings' entrywise L1 error.
 
-        ``dirty_mass + accumulated push residual``: with column
-        normalization the PPR filter satisfies ``‖H‖₁ ≤ 1``, so un-diffused
-        personalization mass can only shrink on its way into the cached
-        embeddings (see :class:`repro.churn.StalenessTracker` for the
-        argument).  ``inf`` while no converged diffusion baseline exists.
+        The last full run's error floor, plus the residual every patch
+        since abandoned, plus ``dirty_mass``: with column normalization the
+        PPR filter satisfies ``‖H‖₁ ≤ 1``, so un-diffused personalization
+        mass can only shrink on its way into the cached embeddings (see
+        :class:`repro.churn.StalenessTracker` for the argument).  Sound
+        only when the backends report their ``residual_l1`` (the ``push``
+        and ``sparse`` backends do); ``inf`` while no converged diffusion
+        baseline exists.
         O(1); computing the true error costs a full re-diffusion — the whole
         point is that SLO scheduling can consult this every tick.
         """

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from math import exp, lgamma, log
+from math import exp, inf, lgamma, log
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +31,13 @@ class DiffusionResult:
     estimate — 1.0 means nothing measurable was truncated, 0.0 means
     pruning collapsed the diffusion to the bare teleport (see
     :func:`check_pruned_mass`).  ``None`` for filters without pruning.
+
+    ``edge_operations`` and ``residual_l1`` are populated by the sparse
+    filter only, in the units of :class:`repro.gsp.push.PushResult`: stored
+    operator entries read, and an upper bound on the L1 norm of the residual
+    ``R(E)/α`` a forward push would carry at the returned estimate, so the
+    estimate's L1 error is at most ``residual_l1`` under a column-normalized
+    operator.  Other filters leave both at 0.
     """
 
     signal: np.ndarray
@@ -38,6 +45,8 @@ class DiffusionResult:
     residual: float
     converged: bool
     diffused_mass_ratio: float | None = None
+    edge_operations: int = 0
+    residual_l1: float = 0.0
 
 
 class PrunedMassWarning(RuntimeWarning):
@@ -210,6 +219,28 @@ def operator_out_degrees(operator: sp.spmatrix) -> np.ndarray:
             ).astype(np.int64)
         try:
             operator._out_degree_cache = cached
+        except AttributeError:  # pragma: no cover - exotic matrix types
+            pass
+    return cached
+
+
+def operator_l1_norm(operator: sp.spmatrix) -> float:
+    """Induced L1 norm of an operator (its largest absolute column sum), memoized.
+
+    1 for the column-stochastic operator: the most one sweep can grow the
+    L1 norm of a signal, which bounds the residual of the sparse filter's
+    final iterate.  Cached on the operator object like
+    :func:`operator_out_degrees`.
+    """
+    cached = getattr(operator, "_l1_norm_cache", None)
+    if cached is None:
+        csr = operator.tocsr()
+        sums = np.bincount(
+            csr.indices, weights=np.abs(csr.data), minlength=operator.shape[1]
+        )
+        cached = float(sums.max()) if sums.size else 0.0
+        try:
+            operator._l1_norm_cache = cached
         except AttributeError:  # pragma: no cover - exotic matrix types
             pass
     return cached
@@ -494,6 +525,19 @@ class SparsePersonalizedPageRank(GraphFilter):
     the iteration becomes a linear contraction composed with a fixed
     support projection, and the usual ``residual < tol`` criterion
     terminates.
+
+    Work and error accounting
+    -------------------------
+    The result reports ``edge_operations`` in the push kernel's unit (each
+    sweep reads the stored operator entries of its active rows, so the
+    count is their out-degrees summed over sweeps) and a sound a-posteriori
+    ``residual_l1``.  The residual ``R(E) = αE0 + (1−α)AE − E`` of any
+    estimate satisfies ``(I − (1−α)A)(E* − E) = R(E)``, so under a
+    column-normalized operator ``‖E* − E‖₁ ≤ ‖R(E)‖₁/α``.  For the final
+    iterate ``R`` is the last sweep's pruned rows plus ``(1−α)A`` times the
+    last change, whose largest entry the convergence test already measured:
+    bounding it after the loop costs one product over the pruned rows (about
+    1% of a run), not another sweep over the whole iterate.
     """
 
     def __init__(
@@ -581,6 +625,7 @@ class SparsePersonalizedPageRank(GraphFilter):
         residual = np.inf
         converged = False
         iterations = 0
+        edge_operations = 0
         # float32 iterates cannot resolve tolerances below rounding noise;
         # floor the criterion at the dtype's resolution (float64: unchanged).
         tol = effective_tolerance(self.tol, self.dtype)
@@ -606,6 +651,7 @@ class SparsePersonalizedPageRank(GraphFilter):
                     shape=(touched.shape[0], cur_rows.shape[0]),
                 )
                 sliced_rows = cur_rows
+            edge_operations += sliced.nnz
             # Dense-kernel matmuls over the active edges only, in row
             # chunks: each chunk is pruned the moment it is computed
             # (degree-normalized truncation — the forward-push activation
@@ -658,17 +704,41 @@ class SparsePersonalizedPageRank(GraphFilter):
                     float(np.max(np.abs(change))) if change.size else 0.0
                 )
             converged = residual < tol
+            if converged or iterations == self.max_iterations:
+                # The error bound after the loop needs the last two iterates;
+                # earlier ones are dropped as the loop goes.
+                prev_rows, prev_block = cur_rows, cur_block
             cur_rows, cur_block = new_rows, block
             if converged:
                 break
 
+        e0_l1 = float(np.abs(matrix.data).sum())
+        estimate_l1 = float(np.abs(cur_block).sum())
         mass_ratio = None
         if thresholds is not None:
             mass_ratio = check_pruned_mass(
-                float(np.abs(matrix.data).sum()),
-                float(np.abs(cur_block).sum()),
-                alpha,
-                self.epsilon,
+                e0_l1, estimate_l1, alpha, self.epsilon
+            )
+        residual_l1 = inf  # no sweep ran (max_iterations < 1): no bound
+        if touched is not None:
+            # The last sweep's pruned rows: touched, but not in the iterate.
+            active_mask[:] = False
+            active_mask[cur_rows] = True
+            pruned = np.flatnonzero(~active_mask[touched])
+            pruned_values = sliced[pruned] @ prev_block
+            pruned_l1 = damping * float(
+                np.abs(pruned_values, out=pruned_values).sum()
+            )
+            # The last change has at most this many nonzero entries, each at
+            # most `residual` in magnitude.
+            change_entries = dim * (prev_rows.shape[0] + cur_rows.shape[0])
+            residual_l1 = self._residual_l1_bound(
+                operator,
+                pruned_l1=pruned_l1,
+                change_l1=residual * change_entries,
+                estimate_l1=estimate_l1,
+                e0_l1=e0_l1,
+                max_row_entries=int(np.diff(sliced.indptr).max(initial=0)),
             )
         return DiffusionResult(
             signal=self._to_csr(cur_rows, cur_block, n, dim),
@@ -676,7 +746,46 @@ class SparsePersonalizedPageRank(GraphFilter):
             residual=residual,
             converged=converged,
             diffused_mass_ratio=mass_ratio,
+            edge_operations=edge_operations,
+            residual_l1=residual_l1,
         )
+
+    def _residual_l1_bound(
+        self,
+        operator: sp.spmatrix,
+        *,
+        pruned_l1: float,
+        change_l1: float,
+        estimate_l1: float,
+        e0_l1: float,
+        max_row_entries: int,
+    ) -> float:
+        """Upper bound on ``‖R(E_k)‖₁/α`` for the final iterate ``E_k``.
+
+        The last sweep computed ``E_k = αE0 + (1−α)A·E_{k−1} − D`` with
+        ``D`` the rows it pruned, so
+        ``R(E_k) = D + (1−α)A(E_k − E_{k−1}) + ρ``, where ``ρ`` is that
+        sweep's rounding.  The terms are bounded by the pruned rows' L1
+        mass, by ``(1−α)‖A‖₁`` times the last change, and by the standard
+        error bound of an ``m``-term dot product, ``γ_m = m·u/(1 − m·u)``,
+        over the products the sweep summed (``‖E_{k−1}‖₁`` is at most
+        ``‖E_k‖₁`` plus the change); ``u`` is taken as the dtype's machine
+        epsilon (twice the unit roundoff), which also covers casting ``α``,
+        ``1−α``, the personalization and the computed change to float32.
+        """
+        alpha = self.alpha
+        damping = 1.0 - alpha
+        norm = operator_l1_norm(operator)
+        eps = float(np.finfo(self.dtype).eps)
+        terms = (max_row_entries + 3) * eps
+        if terms >= 1.0:
+            return inf
+        gamma = terms / (1.0 - terms)
+        change_l1 *= 1.0 + eps
+        rounding = gamma * (
+            damping * norm * (estimate_l1 + change_l1) + 2.0 * alpha * e0_l1
+        )
+        return (pruned_l1 + damping * norm * change_l1 + rounding) / alpha
 
     @staticmethod
     def _to_csr(

@@ -258,7 +258,10 @@ def sparse_forward_push(
         estimate_cols.append(pushed.indices.astype(np.int64, copy=False))
         estimate_values.append(alpha * pushed.data)
         # Clear the pushed rows, then scatter (1−a)·r_u along operator
-        # column u for every active u — all in CSR/CSC arithmetic.
+        # column u for every active u.  The scatter is a CSR product (the
+        # active columns converted to CSR rows, times the pushed rows), so
+        # the sum adds two CSR matrices without converting the
+        # (touched rows × dim) result to another format every sweep.
         lens = np.diff(residual.indptr)
         keep_row = np.ones(n, dtype=bool)
         keep_row[active] = False
@@ -270,8 +273,8 @@ def sparse_forward_push(
             (residual.data[keep_entry], residual.indices[keep_entry], kept_indptr),
             shape=(n, dim),
         )
-        scattered = columns[:, active] @ pushed.multiply(damping)
-        residual = (remaining + scattered).tocsr()
+        scattered = columns[:, active].tocsr() @ pushed.multiply(damping)
+        residual = remaining + scattered
         pushes += int(active.size)
         edge_operations += int(col_degrees[active].sum())
 

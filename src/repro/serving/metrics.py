@@ -44,7 +44,7 @@ class ServiceMetrics:
         self.deferred_refreshes = 0
         self.failed_refreshes = 0
         # SLO-scheduled serving only: batches served stale while the
-        # staleness bound exceeded the target (budget exhausted).
+        # refreshable staleness exceeded the target (budget exhausted).
         self.slo_violations = 0
         self.batches = 0
         self.batched_queries = 0

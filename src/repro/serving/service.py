@@ -28,9 +28,9 @@ a long-lived serving loop over the discrete-event clock:
    re-diffusion.  With ``StalenessConfig(slo=RefreshSLO(...))`` the size
    heuristic is replaced by the SLO-driven
    :class:`~repro.churn.RefreshScheduler`: each batch consults the
-   network's staleness *bound*, picks defer / incremental / full by fitted
-   cost within a banked edge-operation budget, and every response is
-   stamped with the bound it was served under
+   refreshable part of the network's staleness bound, picks defer /
+   incremental / full by fitted cost within a banked edge-operation budget,
+   and every response is stamped with the whole bound it was served under
    (``QueryResponse.staleness_bound``).
 
 Every submitted query resolves to exactly one :class:`QueryResponse` with
@@ -131,10 +131,13 @@ class StalenessConfig:
 
     Setting ``slo`` replaces that size heuristic with SLO-driven
     scheduling (:class:`repro.churn.RefreshScheduler`): per batch, the
-    network's staleness *bound* is compared to ``slo.staleness_target``
-    and the cheaper of incremental/full is run when affordable within the
-    banked edge-operation budget — otherwise the batch is served stale and
-    the breach counted (``ServiceMetrics.slo_violations``).  With churn
+    refreshable part of the network's staleness bound
+    (:meth:`repro.churn.StalenessTracker.refreshable`) is compared to
+    ``slo.staleness_target``; on a breach the cheaper of incremental/full
+    runs (a full re-baseline once the carried patch residual alone
+    breaches) when affordable within the banked edge-operation budget —
+    otherwise the batch is served stale and the breach counted
+    (``ServiceMetrics.slo_violations``).  With churn
     absent and an unlimited-budget SLO the scheduled path makes exactly
     the decisions the heuristic path makes (defer when clean, patch when
     dirty), so serving results are identical — pinned by tests.
@@ -590,26 +593,29 @@ class QueryService:
     def _slo_refresh(self, network: "DiffusionSearchNetwork") -> float:
         """SLO-scheduled refresh: one scheduler tick per served batch.
 
-        The scheduler sees the network's staleness *bound* (dirty mass +
-        accumulated push residual, an O(1) read) rather than a node count,
-        prices incremental vs full with its fitted cost model, and spends a
-        banked edge-operation budget.  Degradation is explicit: a deferral
-        over the target serves stale, stamps the bound onto the batch's
-        responses, and counts an SLO violation.
+        The scheduler sees the refreshable part of the network's staleness
+        bound (dirty mass + patch residual beyond the full run's floor, an
+        O(1) read) rather than a node count, prices incremental vs full
+        with its fitted cost model, and spends a banked edge-operation
+        budget.  Every batch is stamped with the whole bound (floor + patch
+        residual + pending).  Degradation is explicit: a deferral over the
+        target serves stale and counts an SLO violation.
         """
         scheduler = self.refresh_scheduler
         assert scheduler is not None
         staleness = self.config.staleness
         cost = self.config.cost
         scheduler.tick()
-        decision = scheduler.decide(network.staleness_bound(), network.dirty_mass)
+        decision = scheduler.decide(
+            network.staleness.refreshable(), network.dirty_mass
+        )
         if decision.action == "defer":
             stale = network.is_stale and not decision.within_slo
             if stale:
                 self.metrics.deferred_refreshes += 1
                 self.metrics.slo_violations += 1
             self._serving_stale = network.is_stale
-            self._staleness_bound = decision.bound
+            self._staleness_bound = network.staleness_bound()
             return 0.0
         dirty = len(network.dirty_nodes)
         dirty_mass = network.dirty_mass

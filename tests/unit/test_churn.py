@@ -269,13 +269,45 @@ class TestStalenessTracker:
             StalenessTracker().set_pending(0, -1.0)
 
     def test_incremental_residual_accumulates_full_resets(self):
+        """A full run sets the floor; patches add to the patch residual
+        until the next full run replaces the floor and clears them."""
         tracker = StalenessTracker()
         tracker.record_refresh(1e-3, full=True)
         tracker.record_refresh(1e-3, full=False)
         tracker.record_refresh(1e-3, full=False)
-        assert tracker.accumulated_residual_l1 == pytest.approx(3e-3)
+        assert tracker.floor_l1 == pytest.approx(1e-3)
+        assert tracker.patch_residual_l1 == pytest.approx(2e-3)
+        assert tracker.bound() == pytest.approx(3e-3)
         tracker.record_refresh(1e-6, full=True)
-        assert tracker.accumulated_residual_l1 == pytest.approx(1e-6)
+        assert tracker.floor_l1 == pytest.approx(1e-6)
+        assert tracker.patch_residual_l1 == 0.0
+        assert tracker.bound() == pytest.approx(1e-6)
+
+    def test_refreshable_counts_patch_residual_beyond_floor(self):
+        tracker = StalenessTracker()
+        tracker.record_refresh(10.0, full=True)
+        tracker.set_pending(3, 2.5)
+        assert tracker.refreshable() == pytest.approx(2.5)  # floor excluded
+        tracker.record_refresh(6.0, full=False)
+        tracker.set_pending(3, 2.5)
+        assert tracker.refreshable() == pytest.approx(2.5)  # P < F
+        tracker.record_refresh(7.0, full=False)
+        assert tracker.refreshable() == pytest.approx(3.0)  # P − F = 13 − 10
+        assert tracker.bound() == pytest.approx(23.0)
+        assert math.isinf(StalenessTracker().refreshable())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_masses_rejected_at_the_call(self, value):
+        tracker = StalenessTracker()
+        with pytest.raises(ValueError, match="finite"):
+            tracker.record_refresh(value, full=True)
+        assert not tracker.baseline_known  # the bad run was not committed
+        tracker.record_refresh(1.0, full=True)
+        with pytest.raises(ValueError, match="finite"):
+            tracker.record_refresh(value, full=False)
+        with pytest.raises(ValueError, match="finite"):
+            tracker.set_pending(0, value)
+        assert tracker.bound() == pytest.approx(1.0)
 
     def test_invalidate_restores_inf(self):
         tracker = StalenessTracker()
@@ -429,6 +461,28 @@ class TestRefreshScheduler:
         # Dirty mass zero but bound over target: only a re-baseline helps.
         decision = self.scheduler(target=0.1).decide(0.5, 0.0)
         assert (decision.action, decision.reason) == ("full", "residual_only")
+
+    def test_patch_residual_breach_rebaselines_despite_dirty_mass(self):
+        # Patches are far cheaper here, but the carried patch residual
+        # beyond the floor (P − F = 4) alone exceeds the target: a patch
+        # would only remove the dirty part, so the scheduler re-baselines.
+        tracker = StalenessTracker()
+        tracker.record_refresh(10.0, full=True)
+        tracker.record_refresh(14.0, full=False)
+        tracker.set_pending(7, 1.0)
+        sched = self.scheduler(
+            target=3.0, full=(0.0, 1000), incremental=(1.0, 100)
+        )
+        decision = sched.decide(tracker.refreshable(), tracker.dirty_mass)
+        assert (decision.action, decision.reason) == ("full", "residual_only")
+        assert decision.refreshable == pytest.approx(5.0)
+        # Below the target the same carried residual lets a patch repair
+        # the dirty part.
+        loose = self.scheduler(
+            target=4.5, full=(0.0, 1000), incremental=(1.0, 100)
+        )
+        decision = loose.decide(tracker.refreshable(), tracker.dirty_mass)
+        assert (decision.action, decision.reason) == ("incremental", "cheapest")
 
     def test_picks_cheaper_action(self):
         sched = self.scheduler(

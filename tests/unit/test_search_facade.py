@@ -221,17 +221,22 @@ class TestIncrementalRefresh:
         assert np.max(np.abs(patched.embeddings - exact.embeddings)) < 1e-6
 
     def test_accumulated_residual_tracks_patches(self, net):
-        """Drift bound grows across patches and resets on a full run."""
+        """The tracker's patch residual grows across patches and resets on
+        a full run, whose own residual becomes the floor."""
         rng = np.random.default_rng(2)
         net.place_document("a", rng.standard_normal(3), 0)
-        net.diffuse(method="push", tol=1e-6)
-        base = net.accumulated_residual
+        first = net.diffuse(method="push", tol=1e-6)
+        assert net.staleness.floor_l1 == first.residual_l1
+        total = 0.0
         for i in range(3):
             net.place_document(f"b{i}", rng.standard_normal(3), i + 1)
-            net.diffuse(method="push", tol=1e-6)
-        assert net.accumulated_residual >= base
+            total += net.diffuse(method="push", tol=1e-6).residual_l1
+        assert net.staleness.patch_residual_l1 == pytest.approx(total)
+        assert total > 0
+        assert net.staleness_bound() == pytest.approx(first.residual_l1 + total)
         net.diffuse(method="solve", incremental=False)
-        assert net.accumulated_residual == 0.0
+        assert net.staleness.patch_residual_l1 == 0.0
+        assert net.staleness_bound() == 0.0
 
     def test_search_after_incremental_refresh(self, net):
         net.place_document("decoy", np.array([0.0, 1.0, 0.0]), 1)

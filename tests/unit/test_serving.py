@@ -21,9 +21,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.core.backends import SparseDiffusionBackend
 from repro.core.batch import run_queries
 from repro.core.engine import ResilienceConfig, WalkConfig
 from repro.core.search import DiffusionSearchNetwork
+from repro.gsp.filters import PersonalizedPageRank
+from repro.gsp.normalization import transition_matrix
 from repro.runtime.events import EventQueue
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.serving import (
@@ -678,6 +681,45 @@ class TestSloServing:
         for response in service.responses:
             assert response.stale_served  # honest stamp even within SLO
             assert response.staleness_bound > 0
+
+    def test_sparse_churn_is_patched_and_stamped_soundly(self):
+        """A full sparse run is priced at its real edge operations, so
+        under repeated churn the scheduler patches instead of re-diffusing,
+        and every stamp dominates the exact error of the served scores."""
+        n, docs = 300, 30
+        graph = nx.connected_watts_strogatz_graph(n, 6, 0.2, seed=3)
+        net = DiffusionSearchNetwork(graph, dim=8, alpha=0.5)
+        rng = np.random.default_rng(3)
+        vectors = {f"doc{d}": rng.standard_normal(8) for d in range(docs)}
+        for doc_id, vector in vectors.items():
+            net.place_document(doc_id, vector, int(rng.integers(n)))
+        backend = SparseDiffusionBackend(epsilon=2e-3)
+        net.diffuse(method=backend, tol=1e-8)
+        assert net.staleness.floor_l1 > 1.0  # the full run's pruning error
+        config = ServingConfig(
+            batch=MicroBatchConfig(max_batch=4, max_wait=1.0),
+            staleness=StalenessConfig(
+                method=backend,
+                tol=1e-8,
+                slo=RefreshSLO(staleness_target=30.0),
+            ),
+        )
+        service = make_service(net, config=config, seed=1)
+        operator = transition_matrix(net.adjacency, "column")
+        exact_filter = PersonalizedPageRank(0.5, method="solve")
+        for _ in range(12):
+            for _ in range(2):
+                doc_id = f"doc{int(rng.integers(docs))}"
+                net.remove_document(doc_id)
+                net.place_document(doc_id, vectors[doc_id], int(rng.integers(n)))
+            self.submit_all(service, vectors, n=4)
+            exact = exact_filter.apply(operator, net.personalization())
+            error = float(np.abs(net.embeddings - exact).sum())
+            assert service.responses[-1].staleness_bound >= error
+        decisions = service.refresh_scheduler.decisions
+        assert decisions["incremental"] >= 3
+        assert decisions["full"] == 0
+        assert service.metrics.full_refreshes == 0
 
     def test_no_network_means_no_scheduler(self):
         net, vectors, _ = make_network()

@@ -21,6 +21,8 @@ from repro.gsp.filters import (
     PersonalizedPageRank,
     SparsePersonalizedPageRank,
     coerce_sparse_signal,
+    effective_tolerance,
+    operator_l1_norm,
     operator_out_degrees,
 )
 from repro.gsp.normalization import transition_matrix
@@ -174,6 +176,89 @@ class TestSparseFilter:
         assert not result.converged
 
 
+class TestSparseFilterAccounting:
+    """A full sparse run reports its edge operations and a sound error bound."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-4, 1e-3])
+    def test_residual_l1_bounds_exact_error(
+        self, small_world_adjacency, sparse_signal, epsilon, alpha, dtype
+    ):
+        dense, sparse = sparse_signal
+        operator = transition_matrix(small_world_adjacency, "column")
+        exact = PersonalizedPageRank(alpha, method="solve").apply(operator, dense)
+        result = SparsePersonalizedPageRank(
+            alpha, epsilon=epsilon, dtype=dtype
+        ).apply_detailed(operator, sparse)
+        error = float(np.abs(result.signal.toarray() - exact).sum())
+        # The LU solve is exact only to rounding (~1e-15 relative).
+        assert result.residual_l1 >= error - 1e-12 * np.abs(exact).sum()
+        assert np.isfinite(result.residual_l1)
+
+    def test_floor_reports_pruning_error(
+        self, small_world_adjacency, sparse_signal
+    ):
+        dense, sparse = sparse_signal
+        operator = transition_matrix(small_world_adjacency, "column")
+        exact = PersonalizedPageRank(0.5, method="solve").apply(operator, dense)
+        result = SparsePersonalizedPageRank(0.5, epsilon=1e-2).apply_detailed(
+            operator, sparse
+        )
+        error = float(np.abs(result.signal.toarray() - exact).sum())
+        # Heavy pruning leaves a real error, and the floor sees it: sound,
+        # and not orders of magnitude loose.
+        assert error > 1e-2
+        assert error <= result.residual_l1 <= 10 * error
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_operations_sum_active_out_degrees(
+        self, small_world_adjacency, sparse_signal, epsilon
+    ):
+        _, sparse = sparse_signal
+        operator = transition_matrix(small_world_adjacency, "column")
+        degrees = operator_out_degrees(operator)
+        result = SparsePersonalizedPageRank(0.5, epsilon=epsilon).apply_detailed(
+            operator, sparse
+        )
+        # Sweep k reads the out-edges of every row of the iterate it starts
+        # from: the personalization's rows, then the support a run capped
+        # at k − 1 sweeps returns.
+        expected = 0
+        support = np.flatnonzero(np.diff(sparse.indptr))
+        for k in range(1, result.iterations + 1):
+            expected += int(degrees[support].sum())
+            capped = SparsePersonalizedPageRank(
+                0.5, epsilon=epsilon, max_iterations=k
+            ).apply(operator, sparse)
+            support = np.flatnonzero(np.diff(capped.indptr))
+        assert result.edge_operations == expected
+
+    def test_operator_l1_norm_is_memoized_max_column_sum(
+        self, small_world_adjacency
+    ):
+        column = transition_matrix(small_world_adjacency, "column")
+        assert operator_l1_norm(column) == pytest.approx(1.0)
+        assert operator_l1_norm(column) is operator_l1_norm(column)
+        row = transition_matrix(small_world_adjacency, "row")
+        sums = np.abs(row.toarray()).sum(axis=0)
+        assert operator_l1_norm(row) == pytest.approx(sums.max())
+
+    def test_backend_full_run_reports_filter_accounting(
+        self, small_world_adjacency, sparse_signal
+    ):
+        _, sparse = sparse_signal
+        outcome = SparseDiffusionBackend(epsilon=1e-3).diffuse(
+            small_world_adjacency, sparse, alpha=0.5, tol=1e-8
+        )
+        detail = SparsePersonalizedPageRank(
+            0.5, epsilon=1e-3, tol=1e-8
+        ).apply_detailed(transition_matrix(small_world_adjacency), sparse)
+        assert outcome.operations == detail.edge_operations > 0
+        assert outcome.residual_l1 == detail.residual_l1 > 0
+        assert not outcome.incremental
+
+
 class TestSparsePush:
     def test_matches_dense_forward_push(
         self, small_world_adjacency, sparse_signal
@@ -189,6 +274,21 @@ class TestSparsePush:
         )
         assert result.pushes > 0
         assert result.edge_operations > 0
+
+    def test_float32_matches_dense_forward_push(
+        self, small_world_adjacency, sparse_signal
+    ):
+        dense, sparse = sparse_signal
+        operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
+        reference = forward_push(operator, dense, alpha=0.4, tol=1e-9)
+        result = sparse_forward_push(
+            operator, sparse, alpha=0.4, tol=1e-9, dtype=np.float32
+        )
+        assert result.converged
+        assert result.estimate.dtype == np.float32
+        # A float32 push stops at the dtype's floored tolerance (~3.8e-6).
+        atol = 10 * effective_tolerance(1e-9, np.float32)
+        assert np.allclose(result.estimate.toarray(), reference.estimate, atol=atol)
 
     def test_refresh_patches_cached_csr(self, small_world_adjacency, sparse_signal):
         dense, sparse = sparse_signal
