@@ -56,7 +56,6 @@ from repro.graphs.social import FacebookLikeConfig, facebook_like_graph
 from repro.gsp.filters import (
     HeatKernel,
     PersonalizedPageRank,
-    PolynomialFilter,
     SparsePersonalizedPageRank,
 )
 from repro.retrieval.topk import ScoredDocument, TopKTracker
@@ -118,7 +117,6 @@ __all__ = [
     "PersonalizedPageRank",
     "SparsePersonalizedPageRank",
     "HeatKernel",
-    "PolynomialFilter",
     "ScoredDocument",
     "TopKTracker",
     "DocumentStore",

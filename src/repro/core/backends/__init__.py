@@ -10,7 +10,7 @@ Importing this package registers the five built-in strategies:
 * ``sparse`` — pruned CSR power iteration (``accepts_sparse``): embeddings
   stay in ``scipy.sparse`` form from personalization through forwarding,
   with degree-normalized ε-truncation bounding support; also
-  ``supports_incremental`` via the multi-column sparse push kernel.
+  ``supports_incremental`` via the forward-push kernel on CSR deltas.
 
 New strategies plug in via :func:`register_backend`; see
 :mod:`repro.core.backends.base` for the interface contract.

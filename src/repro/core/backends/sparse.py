@@ -1,9 +1,9 @@
 """Sparse-first backend: pruned CSR diffusion with incremental refresh.
 
 Wraps :class:`repro.gsp.filters.SparsePersonalizedPageRank` (pruned CSR
-power iteration) and the multi-column sparse push kernel of
-:mod:`repro.gsp.push` behind the :class:`DiffusionBackend` interface.  The
-personalization never densifies: the backend takes a ``scipy.sparse``
+power iteration) and the forward-push kernel of :mod:`repro.gsp.push` behind
+the :class:`DiffusionBackend` interface.  The personalization never
+densifies: the backend takes a ``scipy.sparse``
 personalization matrix (``accepts_sparse``), keeps the iterate in CSR form
 through every sweep, and returns CSR embeddings in the outcome — memory and
 work scale with the diffused mass's support, not with ``n_nodes × dim``,
@@ -32,9 +32,13 @@ from repro.core.backends.base import (
     register_backend,
 )
 from repro.graphs.adjacency import CompressedAdjacency
-from repro.gsp.filters import SPARSE_DEFAULT_EPSILON, SparsePersonalizedPageRank
+from repro.gsp.filters import (
+    SPARSE_DEFAULT_EPSILON,
+    SparsePersonalizedPageRank,
+    coerce_sparse_signal,
+)
 from repro.gsp.normalization import NormalizationKind, transition_matrix
-from repro.gsp.push import sparse_push_refresh
+from repro.gsp.push import push_refresh
 from repro.runtime.network import LatencyModel
 from repro.utils import check_non_negative
 from repro.utils.rng import RngLike
@@ -118,7 +122,13 @@ class SparseDiffusionBackend(DiffusionBackend):
         max_iterations: int = 10_000,
     ) -> DiffusionOutcome:
         operator = transition_matrix(topology, normalization, fmt="csc")
-        patched, result = sparse_push_refresh(
+        if not sp.issparse(embeddings):
+            # A dense cache (from a `push` run, say) is patched as CSR, the
+            # format this backend returns.
+            embeddings, _ = coerce_sparse_signal(
+                embeddings, topology.n_nodes, self.dtype
+            )
+        patched, result = push_refresh(
             operator,
             embeddings,
             delta,

@@ -15,7 +15,8 @@ Built-in strategies (see :mod:`repro.core.backends`):
   (:class:`repro.gsp.filters.SparsePersonalizedPageRank`); personalization
   and embeddings stay in ``scipy.sparse`` form end to end, so precompute
   memory and work scale with the diffused support instead of
-  ``n_nodes × dim``.
+  ``n_nodes × dim``; its incremental refreshes run the same forward-push
+  kernel as ``push``, on CSR deltas.
 
 All strategies agree to within tolerance (verified by tests), so experiments
 may use the cheapest one without changing semantics.  Additional strategies

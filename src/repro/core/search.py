@@ -54,29 +54,13 @@ from repro.core.personalization import (
 )
 from repro.core.protocol import QueryMessage, QueryRoutingNode
 from repro.graphs.adjacency import CompressedAdjacency
+from repro.gsp.filters import rows_to_csr
 from repro.gsp.normalization import NormalizationKind
 from repro.retrieval.topk import TopKTracker
 from repro.retrieval.vector_store import DocumentStore
 from repro.runtime.faults import FaultInjector
 from repro.runtime.network import LatencyModel, SimNetwork
 from repro.utils.rng import RngLike
-
-
-def _rows_to_csr(
-    nodes: np.ndarray, block: np.ndarray, n_nodes: int
-) -> sp.csr_matrix:
-    """Lift a dense ``(k, dim)`` row block at global row ids into CSR.
-
-    ``O(k × dim)`` regardless of ``n_nodes``; explicit zeros are dropped.
-    """
-    dim = block.shape[1]
-    rows = np.repeat(nodes, dim)
-    cols = np.tile(np.arange(dim, dtype=np.int64), nodes.shape[0])
-    matrix = sp.csr_matrix(
-        (block.ravel(), (rows, cols)), shape=(n_nodes, dim)
-    )
-    matrix.eliminate_zeros()
-    return matrix
 
 
 def _drop_rows(matrix: sp.csr_matrix, nodes: np.ndarray) -> sp.csr_matrix:
@@ -271,7 +255,7 @@ class DiffusionSearchNetwork:
         block = np.stack(
             [self._personalization_row(node) for node in occupied]
         )
-        matrix = _rows_to_csr(
+        matrix = rows_to_csr(
             np.asarray(occupied, dtype=np.int64), block, self.n_nodes
         )
         return matrix
@@ -359,13 +343,13 @@ class DiffusionSearchNetwork:
                 if not sp.issparse(baseline):
                     baseline = sp.csr_matrix(baseline)
                 base_block = np.asarray(baseline[nodes].todense())
-                delta = _rows_to_csr(nodes, block - base_block, self.n_nodes)
+                delta = rows_to_csr(nodes, block - base_block, self.n_nodes)
                 # Commit-side baseline: exact row *replacement*, never
                 # baseline + delta — floating point ``b + (c − b) ≠ c``
                 # would poison every later delta.
                 refreshed_baseline = (
                     _drop_rows(baseline, nodes)
-                    + _rows_to_csr(nodes, block, self.n_nodes)
+                    + rows_to_csr(nodes, block, self.n_nodes)
                 ).tocsr()
                 refreshed_baseline.sort_indices()
             else:

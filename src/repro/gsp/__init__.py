@@ -15,8 +15,6 @@ from repro.gsp.push import (
     PushResult,
     forward_push,
     push_refresh,
-    sparse_forward_push,
-    sparse_push_refresh,
 )
 from repro.gsp.filters import (
     SPARSE_DEFAULT_EPSILON,
@@ -24,7 +22,6 @@ from repro.gsp.filters import (
     GraphFilter,
     HeatKernel,
     PersonalizedPageRank,
-    PolynomialFilter,
     SparsePersonalizedPageRank,
 )
 from repro.gsp.spectral import (
@@ -43,14 +40,11 @@ __all__ = [
     "PushResult",
     "forward_push",
     "push_refresh",
-    "sparse_forward_push",
-    "sparse_push_refresh",
     "SPARSE_DEFAULT_EPSILON",
     "DiffusionResult",
     "GraphFilter",
     "HeatKernel",
     "PersonalizedPageRank",
-    "PolynomialFilter",
     "SparsePersonalizedPageRank",
     "SpectralDecomposition",
     "empirical_frequency_response",

@@ -1,4 +1,4 @@
-"""Graph filters: Personalized PageRank, heat kernel, arbitrary polynomials.
+"""Graph filters: Personalized PageRank and the heat kernel.
 
 The PPR filter implements eq. (6) of the paper,
 ``E = a (I − (1−a) A)^{-1} E0``, either by power iteration of eq. (7) (the
@@ -175,6 +175,30 @@ def coerce_sparse_signal(
         return matrix, False
     dense, was_vector = coerce_signal(signal, n, dtype)
     return sp.csr_matrix(dense), was_vector
+
+
+def rows_to_csr(rows: np.ndarray, block: np.ndarray, n: int) -> sp.csr_matrix:
+    """Lift a dense ``(k, dim)`` row block at ascending node ids into CSR.
+
+    ``O(k × dim)`` whatever ``n``; explicit zeros are dropped.  Index arrays
+    are int32 whenever they fit, which keeps the CSR diffusion caches lean.
+    The result may share ``block``'s memory, so pass a block the caller no
+    longer needs.
+    """
+    dim = block.shape[1]
+    nnz = rows.shape[0] * dim
+    idx_dtype = (
+        np.int32 if max(nnz, n + 1, dim) < np.iinfo(np.int32).max else np.int64
+    )
+    counts = np.zeros(n, dtype=idx_dtype)
+    counts[rows] = dim
+    indptr = np.concatenate(
+        (np.zeros(1, dtype=idx_dtype), np.cumsum(counts, dtype=idx_dtype))
+    )
+    indices = np.tile(np.arange(dim, dtype=idx_dtype), rows.shape[0])
+    result = sp.csr_matrix((block.ravel(), indices, indptr), shape=(n, dim))
+    result.eliminate_zeros()
+    return result
 
 
 def effective_tolerance(tol: float, dtype: np.dtype | type) -> float:
@@ -741,7 +765,7 @@ class SparsePersonalizedPageRank(GraphFilter):
                 max_row_entries=int(np.diff(sliced.indptr).max(initial=0)),
             )
         return DiffusionResult(
-            signal=self._to_csr(cur_rows, cur_block, n, dim),
+            signal=rows_to_csr(cur_rows, cur_block, n),
             iterations=iterations,
             residual=residual,
             converged=converged,
@@ -786,29 +810,6 @@ class SparsePersonalizedPageRank(GraphFilter):
             damping * norm * (estimate_l1 + change_l1) + 2.0 * alpha * e0_l1
         )
         return (pruned_l1 + damping * norm * change_l1 + rounding) / alpha
-
-    @staticmethod
-    def _to_csr(
-        rows: np.ndarray, block: np.ndarray, n: int, dim: int
-    ) -> sp.csr_matrix:
-        """Assemble the row-sparse state into a canonical CSR matrix."""
-        nnz = rows.shape[0] * dim
-        idx_dtype = (
-            np.int32
-            if max(nnz, n + 1, dim) < np.iinfo(np.int32).max
-            else np.int64
-        )
-        counts = np.zeros(n, dtype=idx_dtype)
-        counts[rows] = dim
-        indptr = np.concatenate(
-            (np.zeros(1, dtype=idx_dtype), np.cumsum(counts, dtype=idx_dtype))
-        )
-        indices = np.tile(np.arange(dim, dtype=idx_dtype), rows.shape[0])
-        result = sp.csr_matrix(
-            (block.ravel(), indices, indptr), shape=(n, dim)
-        )
-        result.eliminate_zeros()
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -864,32 +865,3 @@ class HeatKernel(GraphFilter):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"HeatKernel(t={self.t})"
-
-
-class PolynomialFilter(GraphFilter):
-    """Arbitrary polynomial filter ``sum_k coeffs[k] A^k``."""
-
-    def __init__(self, coefficients: np.ndarray) -> None:
-        coefficients = np.asarray(coefficients, dtype=np.float64)
-        if coefficients.ndim != 1 or coefficients.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-D array")
-        self.coefficients_array = coefficients
-
-    def apply_detailed(
-        self, operator: sp.spmatrix, signal: np.ndarray
-    ) -> DiffusionResult:
-        n = operator.shape[0]
-        signal, was_vector = coerce_signal(signal, n)
-        weights = self.coefficients_array
-        current = signal
-        total = weights[0] * current
-        for weight in weights[1:]:
-            current = operator @ current
-            total = total + weight * current
-        out = total[:, 0] if was_vector else total
-        return DiffusionResult(
-            out, iterations=len(weights), residual=0.0, converged=True
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"PolynomialFilter(order={self.coefficients_array.size - 1})"

@@ -20,11 +20,14 @@ The batched sweep is a Gauss–Southwell relaxation: instead of one node at a
 time, every above-threshold node is relaxed per sweep (the vertex-centric
 decomposition used by systems like PowerWalk), which vectorizes cleanly.
 
-Two kernels implement it: dense :func:`forward_push` and CSR
-:func:`sparse_forward_push`.  They run the same sweeps and edge operations,
-but on the dense signals the ``push`` backend and the simulation's
-``SignalRefresher`` pass, the dense kernel is several times faster (README,
-"Raw speed", has the measured table), so both stay.
+One kernel serves dense and CSR signals.  Residual and estimate are a row
+block: a node → slot map plus dense ``slots × dim`` arrays.  A dense signal
+is the block that holds every row (slot = node), so a sweep that pushes
+every row or a wide share of the edges is one sparse × dense product over
+the whole block.  A CSR signal holds only its non-empty rows and appends
+rows as pushes reach them.  Every other sweep scatters with one CSR product
+over the rows it touches, in bounded row chunks, and updates only those
+rows' peaks.  The result keeps the input's format.
 """
 
 from __future__ import annotations
@@ -39,14 +42,19 @@ from repro.gsp.filters import (
     coerce_sparse_signal,
     effective_tolerance,
     operator_out_degrees,
+    rows_to_csr,
 )
-from repro.kernels import dispatch as kernels
 from repro.utils import check_non_negative, check_positive, check_probability
 
-#: Use the row-local scatter path when the pushed columns' nonzeros are
-#: below ``n / _SPARSE_SWEEP_DIVISOR`` — below it, updating only touched
-#: rows beats the dense matmul whose add/argmax cost is Θ(n · dim).
-_SPARSE_SWEEP_DIVISOR = 4
+#: A whole-block sweep of a dense signal is taken once the pushed columns
+#: hold at least ``n / _WIDE_SWEEP_DIVISOR`` operator entries: beyond that,
+#: one product over every row beats gathering and scattering the touched
+#: ones.
+_WIDE_SWEEP_DIVISOR = 4
+
+#: Rows per scatter product of a localized sweep: bounds the transient
+#: product to ``chunk × dim`` floats.
+_SCATTER_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -56,7 +64,8 @@ class PushResult:
     Attributes
     ----------
     estimate:
-        The diffused signal ``≈ H r0`` with shape ``(n_nodes, dim)``.
+        The diffused signal ``≈ H r0``, in the input's format: a dense
+        ``(n_nodes,)`` or ``(n_nodes, dim)`` array, or a CSR matrix.
     residual:
         Final max-abs entry of the residual matrix (the convergence metric).
     residual_l1:
@@ -74,10 +83,10 @@ class PushResult:
         Total edge traversals (sum of pushed nodes' degrees) — the
         graph-work unit comparable across full and incremental runs.
     converged:
-        True when every residual entry fell below the threshold.
+        True when every residual row fell to its push threshold.
     """
 
-    estimate: np.ndarray
+    estimate: np.ndarray | sp.csr_matrix
     residual: float
     sweeps: int
     pushes: int
@@ -86,13 +95,108 @@ class PushResult:
     residual_l1: float = 0.0
 
 
+def _row_peaks(rows: np.ndarray) -> np.ndarray:
+    return np.abs(rows).max(axis=1, initial=0.0)
+
+
+class _RowBlock:
+    """Residual and estimate rows at slots, with each row's peak and threshold.
+
+    ``slot_of`` maps a node to its slot (-1 while it holds no row) and
+    ``nodes`` a slot to its node; rows past ``size`` are spare capacity.  A
+    ``full`` block holds every node at slot = node.
+    """
+
+    def __init__(
+        self,
+        nodes: np.ndarray,
+        residual: np.ndarray,
+        thresholds: np.ndarray,
+        *,
+        full: bool,
+    ) -> None:
+        self.full = full
+        self.size = nodes.shape[0]
+        self.nodes = nodes
+        self.slot_of = np.full(thresholds.shape[0], -1, dtype=np.int64)
+        self.slot_of[nodes] = np.arange(self.size)
+        self.residual = residual
+        self.estimate = np.zeros_like(residual)
+        self.peak = _row_peaks(residual)
+        self.limit = thresholds[nodes]
+        self.thresholds = thresholds
+        # Scratch for finding a scatter's touched rows in O(entries).
+        self._marked = np.zeros(thresholds.shape[0], dtype=bool)
+        self._position = np.zeros(thresholds.shape[0], dtype=np.int64)
+
+    def slots(self, nodes: np.ndarray) -> np.ndarray:
+        """Slots of ``nodes``, appending a zero row for each node not held."""
+        slots = self.slot_of[nodes]
+        new = slots < 0
+        if new.any():
+            added = nodes[new]
+            end = self.size + added.shape[0]
+            capacity = self.nodes.shape[0]
+            if end > capacity:
+                n = self.thresholds.shape[0]
+                self._grow(min(n, max(end, 2 * capacity)))
+            slots[new] = np.arange(self.size, end)
+            self.slot_of[added] = slots[new]
+            self.nodes[self.size:end] = added
+            self.limit[self.size:end] = self.thresholds[added]
+            self.size = end
+        return slots
+
+    def _grow(self, capacity: int) -> None:
+        def grown(array: np.ndarray) -> np.ndarray:
+            out = np.zeros((capacity,) + array.shape[1:], dtype=array.dtype)
+            out[: self.size] = array[: self.size]
+            return out
+
+        self.nodes, self.residual, self.estimate, self.peak, self.limit = map(
+            grown, (self.nodes, self.residual, self.estimate, self.peak, self.limit)
+        )
+
+    def scatter(self, sub: sp.csc_matrix, pushed: np.ndarray) -> None:
+        """Add ``sub @ pushed`` (nodes × pushed rows) onto the rows it touches.
+
+        The product runs over the touched rows only, at most
+        ``_SCATTER_CHUNK_ROWS`` of them at a time.
+        """
+        self._marked[sub.indices] = True
+        touched = np.flatnonzero(self._marked)
+        self._marked[touched] = False
+        self._position[touched] = np.arange(touched.shape[0])
+        compact = sp.csc_matrix(
+            (sub.data, self._position[sub.indices], sub.indptr),
+            shape=(touched.shape[0], sub.shape[1]),
+        )
+        slots = self.slots(touched)
+        if touched.shape[0] <= _SCATTER_CHUNK_ROWS:
+            # One chunk: the CSC product needs no conversion to CSR.
+            parts = [(slots, compact @ pushed)]
+        else:
+            compact = compact.tocsr()
+            parts = (
+                (slots[lo:lo + _SCATTER_CHUNK_ROWS],
+                 compact[lo:lo + _SCATTER_CHUNK_ROWS] @ pushed)
+                for lo in range(0, touched.shape[0], _SCATTER_CHUNK_ROWS)
+            )
+        for chunk, part in parts:
+            rows = self.residual[chunk] + part
+            self.residual[chunk] = rows
+            self.peak[chunk] = _row_peaks(rows)
+
+
 def forward_push(
     operator: sp.spmatrix,
-    signal: np.ndarray,
+    signal: np.ndarray | sp.spmatrix,
     *,
     alpha: float = 0.5,
     tol: float = 1e-8,
+    epsilon: float = 0.0,
     max_sweeps: int = 10_000,
+    dtype: np.dtype | type = np.float64,
 ) -> PushResult:
     """Diffuse ``signal`` with the PPR filter by residual forward push.
 
@@ -103,118 +207,27 @@ def forward_push(
         :func:`repro.gsp.normalization.transition_matrix`); spectral radius
         must be ≤ 1 for the ``(1−alpha)``-contraction to hold.
     signal:
-        Initial residual ``r0`` of shape ``(n,)`` or ``(n, dim)``.  Pass the
-        personalization matrix for a cold start, or a (mostly zero) delta
-        matrix to compute the correction to an existing diffusion.
+        Initial residual ``r0``: a dense ``(n,)`` or ``(n, dim)`` array or a
+        ``scipy.sparse`` matrix.  Pass the personalization matrix for a cold
+        start, or a (mostly zero) delta matrix to compute the correction to
+        an existing diffusion.  The estimate comes back in the same format
+        (CSR for sparse input).
     tol:
         Push threshold on the max-abs residual entry of a row.  The returned
         estimate deviates from the exact filter output by at most
         ``‖H‖∞ · tol`` element-wise.
+    epsilon:
+        Degree-normalized truncation, as in
+        :class:`repro.gsp.filters.SparsePersonalizedPageRank`: a row is
+        pushed only while its peak exceeds ``max(tol, ε · d(u))`` (a node
+        below that would spread less than ``ε`` to each neighbor); the
+        sub-threshold residual is abandoned, trading bounded accuracy for
+        locality.
     max_sweeps:
         Cap on batched sweeps (each sweep relaxes all active rows at once).
-    """
-    check_probability(alpha, "alpha")
-    if alpha == 0.0:
-        raise ValueError("alpha must be positive (alpha=0 never teleports)")
-    check_positive(tol, "tol")
-    check_positive(max_sweeps, "max_sweeps")
-
-    n = operator.shape[0]
-    residual, was_vector = coerce_signal(signal, n)
-    residual = residual.copy()
-    estimate = np.zeros_like(residual)
-
-    # Column view: pushing node u scatters along column u of the operator.
-    columns = operator.tocsc()
-    col_degrees = np.diff(columns.indptr)
-
-    damping = 1.0 - alpha
-    sweeps = 0
-    pushes = 0
-    edge_operations = 0
-    row_peak = np.max(np.abs(residual), axis=1) if residual.size else np.zeros(n)
-
-    n_nodes = residual.shape[0]
-    for sweeps in range(1, max_sweeps + 1):
-        active = np.flatnonzero(row_peak > tol)
-        if active.size == 0:
-            sweeps -= 1
-            break
-        nnz_active = int(col_degrees[active].sum())
-        if active.size == n_nodes:
-            # Everyone is active (typical cold-start sweeps): push the whole
-            # residual through the operator without slicing a copy of it.
-            estimate += alpha * residual
-            residual = np.asarray(columns @ (damping * residual))
-            row_peak = np.max(np.abs(residual), axis=1)
-            pushes += int(active.size)
-            edge_operations += nnz_active
-            continue
-        pushed = residual[active]
-        estimate[active] += alpha * pushed
-        # Scatter (1−a)·r_u along operator column u for every active u, then
-        # clear the pushed rows — one sparse slice keeps the cost O(Σ deg u).
-        sub = columns[:, active]
-        residual[active] = 0.0
-        if nnz_active < n_nodes // _SPARSE_SWEEP_DIVISOR:
-            # Localized delta: touch only the scatter's support rows so a
-            # small change never pays Θ(n · dim) per sweep.
-            coo = sub.tocoo()
-            kernels.scatter_add_weighted_rows(
-                residual, coo.row, coo.col, coo.data, pushed, damping
-            )
-            touched = np.unique(np.concatenate((active, coo.row)))
-            row_peak[touched] = np.max(np.abs(residual[touched]), axis=1)
-        else:
-            residual += np.asarray(sub @ (damping * pushed))
-            row_peak = np.max(np.abs(residual), axis=1)
-        pushes += int(active.size)
-        edge_operations += nnz_active
-
-    final_residual = float(row_peak.max()) if row_peak.size else 0.0
-    out = estimate[:, 0] if was_vector else estimate
-    return PushResult(
-        estimate=out,
-        residual=final_residual,
-        sweeps=sweeps,
-        pushes=pushes,
-        edge_operations=edge_operations,
-        converged=final_residual <= tol,
-        residual_l1=float(np.abs(residual).sum()),
-    )
-
-
-def sparse_forward_push(
-    operator: sp.spmatrix,
-    signal: np.ndarray | sp.spmatrix,
-    *,
-    alpha: float = 0.5,
-    tol: float = 1e-8,
-    epsilon: float = 0.0,
-    max_sweeps: int = 10_000,
-    dtype: np.dtype | type = np.float64,
-) -> PushResult:
-    """Multi-column Forward Push keeping estimate and residual in CSR form.
-
-    The sparse counterpart of :func:`forward_push`: the same
-    ``p + H r = H r0`` residual bookkeeping and batched Gauss–Southwell
-    sweeps, but estimate and residual are ``scipy.sparse`` CSR matrices, so
-    memory and per-sweep work scale with the mass actually in flight rather
-    than with ``n_nodes × dim``.  The returned ``estimate`` is a CSR matrix.
-
-    ``epsilon`` adds the degree-normalized truncation of
-    :class:`repro.gsp.filters.SparsePersonalizedPageRank`: a row is pushed
-    only while its peak exceeds ``max(tol, ε · d(u))`` (a node below that
-    would spread less than ``ε`` to each neighbor); the sub-threshold
-    residual is abandoned, trading bounded accuracy for locality.  With
-    ``epsilon=0`` the kernel converges to the same ``tol`` criterion as the
-    dense :func:`forward_push`.
-
-    ``dtype=float32`` runs residual, estimate, and operator values in single
-    precision.  Each sweep finds its active rows with
-    :func:`repro.kernels.dispatch.csr_row_peaks` and scatters them with one
-    scipy sparse product, so its cost is the edge traversals counted in
-    ``edge_operations``.
+    dtype:
+        Precision of residual, estimate and operator values.  ``float32``
+        floors ``tol`` at the dtype's resolution (float64 passes through).
     """
     check_probability(alpha, "alpha")
     if alpha == 0.0:
@@ -223,87 +236,75 @@ def sparse_forward_push(
     check_non_negative(epsilon, "epsilon")
     check_positive(max_sweeps, "max_sweeps")
     dtype = np.dtype(dtype)
-    # float32 residuals bottom out at rounding noise; floor the push
-    # threshold at the dtype's resolution (float64 passes through).
     tol = effective_tolerance(tol, dtype)
 
     n = operator.shape[0]
-    residual, _ = coerce_sparse_signal(signal, n, dtype)
-    dim = residual.shape[1]
-    # Per-sweep (rows, cols, values) contributions to the estimate; summed
-    # into one CSR matrix after the loop (nothing reads the estimate
-    # mid-loop, and rebuilding it per sweep would cost O(sweeps x nnz)).
-    estimate_rows: list[np.ndarray] = []
-    estimate_cols: list[np.ndarray] = []
-    estimate_values: list[np.ndarray] = []
-
+    # Column view: pushing node u scatters along column u of the operator.
     columns = operator.tocsc()
     col_degrees = operator_out_degrees(columns)
     if columns.data.dtype != dtype:
         columns = columns.astype(dtype)
     thresholds = np.maximum(tol, epsilon * col_degrees.astype(np.float64))
 
+    sparse_input = sp.issparse(signal)
+    if sparse_input:
+        matrix, was_vector = coerce_sparse_signal(signal, n, dtype)
+        nodes = np.flatnonzero(np.diff(matrix.indptr))
+        block = _RowBlock(nodes, matrix[nodes].toarray(), thresholds, full=False)
+    else:
+        residual, was_vector = coerce_signal(signal, n, dtype)
+        block = _RowBlock(np.arange(n), residual.copy(), thresholds, full=True)
+
     damping = 1.0 - alpha
     sweeps = 0
     pushes = 0
     edge_operations = 0
     for sweeps in range(1, max_sweeps + 1):
-        rows, peaks = kernels.csr_row_peaks(residual.data, residual.indptr)
-        active = rows[peaks > thresholds[rows]]
+        active = np.flatnonzero(block.peak[: block.size] > block.limit[: block.size])
         if active.size == 0:
             sweeps -= 1
             break
-        pushed = residual[active]
-        estimate_rows.append(active.repeat(np.diff(pushed.indptr)))
-        estimate_cols.append(pushed.indices.astype(np.int64, copy=False))
-        estimate_values.append(alpha * pushed.data)
-        # Clear the pushed rows, then scatter (1−a)·r_u along operator
-        # column u for every active u.  The scatter is a CSR product (the
-        # active columns converted to CSR rows, times the pushed rows), so
-        # the sum adds two CSR matrices without converting the
-        # (touched rows × dim) result to another format every sweep.
-        lens = np.diff(residual.indptr)
-        keep_row = np.ones(n, dtype=bool)
-        keep_row[active] = False
-        keep_entry = np.repeat(keep_row, lens)
-        kept_indptr = np.concatenate(
-            ([0], np.cumsum(np.where(keep_row, lens, 0)))
-        )
-        remaining = sp.csr_matrix(
-            (residual.data[keep_entry], residual.indices[keep_entry], kept_indptr),
-            shape=(n, dim),
-        )
-        scattered = columns[:, active].tocsr() @ pushed.multiply(damping)
-        residual = remaining + scattered
+        active_nodes = block.nodes[active]
+        nnz_active = int(col_degrees[active_nodes].sum())
         pushes += int(active.size)
-        edge_operations += int(col_degrees[active].sum())
+        edge_operations += nnz_active
+        if block.full and active.size == n:
+            # Everyone is active (typical cold-start sweeps): push the whole
+            # residual through the operator without slicing a copy of it.
+            block.estimate += alpha * block.residual
+            block.residual = np.asarray(columns @ (damping * block.residual))
+            block.peak = _row_peaks(block.residual)
+            continue
+        pushed = block.residual[active]
+        block.estimate[active] += alpha * pushed
+        block.residual[active] = 0.0
+        block.peak[active] = 0.0
+        sub = columns[:, active_nodes]
+        if block.full and nnz_active >= n // _WIDE_SWEEP_DIVISOR:
+            block.residual += np.asarray(sub @ (damping * pushed))
+            block.peak = _row_peaks(block.residual)
+        else:
+            block.scatter(sub, damping * pushed)
 
-    rows, peaks = kernels.csr_row_peaks(residual.data, residual.indptr)
-    final_residual = float(peaks.max()) if peaks.size else 0.0
-    converged = bool(np.all(peaks <= thresholds[rows])) if rows.size else True
-    if estimate_rows:
-        estimate = sp.csr_matrix(
-            (
-                np.concatenate(estimate_values),
-                (np.concatenate(estimate_rows), np.concatenate(estimate_cols)),
-            ),
-            shape=(n, dim),
-        )  # the COO constructor sums duplicate (row, col) contributions
+    size = block.size
+    peaks = block.peak[:size]
+    if sparse_input:
+        order = np.argsort(block.nodes[:size])
+        estimate = rows_to_csr(block.nodes[order], block.estimate[order], n)
     else:
-        estimate = sp.csr_matrix((n, dim), dtype=dtype)
-    estimate.sort_indices()
+        estimate = block.estimate[:, 0] if was_vector else block.estimate
     return PushResult(
         estimate=estimate,
-        residual=final_residual,
+        residual=float(peaks.max()) if size else 0.0,
         sweeps=sweeps,
         pushes=pushes,
         edge_operations=edge_operations,
-        converged=converged,
-        residual_l1=float(np.abs(residual.data).sum()) if residual.nnz else 0.0,
+        converged=bool(np.all(peaks <= block.limit[:size])),
+        residual_l1=float(np.abs(block.residual[:size]).sum()),
     )
 
 
-def sparse_push_refresh(
+def push_refresh(
     operator: sp.spmatrix,
     embeddings: np.ndarray | sp.spmatrix,
     delta: np.ndarray | sp.spmatrix,
@@ -313,64 +314,47 @@ def sparse_push_refresh(
     epsilon: float = 0.0,
     max_sweeps: int = 10_000,
     dtype: np.dtype | type = np.float64,
-) -> tuple[sp.csr_matrix, PushResult]:
-    """Patch a CSR diffusion cache after a sparse personalization change.
+) -> tuple[np.ndarray | sp.csr_matrix, PushResult]:
+    """Patch an existing diffusion after a sparse personalization change.
 
-    The sparse counterpart of :func:`push_refresh`: given CSR (or dense)
-    ``embeddings ≈ H E0`` and a mostly-zero ``delta = E0' − E0``, returns
-    ``(embeddings + H delta, push_result)`` with everything kept in CSR form
-    — the patched cache never densifies.  ``dtype`` is forwarded to
-    :func:`sparse_forward_push`.
+    Given ``embeddings ≈ H E0`` and ``delta = E0' − E0`` (zero outside the
+    changed rows), returns ``(embeddings + H delta, push_result)`` — the
+    diffusion of the *new* personalization — at a cost proportional to the
+    magnitude of the change rather than the size of the network.  The
+    patched cache keeps the format of ``embeddings`` (a CSR cache never
+    densifies, a dense vector stays a vector) whatever format ``delta``
+    arrives in; the other parameters go to :func:`forward_push`.
     """
     n = operator.shape[0]
-    dtype = np.dtype(dtype)
-    base, _ = coerce_sparse_signal(embeddings, n, dtype)
-    delta_matrix, _ = coerce_sparse_signal(delta, n, dtype)
-    if base.shape != delta_matrix.shape:
+    if sp.issparse(embeddings):
+        base, base_was_vector = embeddings.astype(dtype, copy=False), False
+    else:
+        base, base_was_vector = coerce_signal(embeddings, n, dtype)
+    delta_shape = (
+        delta.shape if sp.issparse(delta) else coerce_signal(delta, n)[0].shape
+    )
+    if base.shape != delta_shape:
         raise ValueError(
             f"embeddings shape {base.shape} does not match "
-            f"delta shape {delta_matrix.shape}"
+            f"delta shape {delta_shape}"
         )
-    result = sparse_forward_push(
+    result = forward_push(
         operator,
-        delta_matrix,
+        delta,
         alpha=alpha,
         tol=tol,
         epsilon=epsilon,
         max_sweeps=max_sweeps,
         dtype=dtype,
     )
-    patched = (base + result.estimate).tocsr()
-    patched.sort_indices()
-    return patched, result
-
-
-def push_refresh(
-    operator: sp.spmatrix,
-    embeddings: np.ndarray,
-    delta: np.ndarray,
-    *,
-    alpha: float = 0.5,
-    tol: float = 1e-8,
-    max_sweeps: int = 10_000,
-) -> tuple[np.ndarray, PushResult]:
-    """Patch an existing diffusion after a sparse personalization change.
-
-    Given ``embeddings ≈ H E0`` and ``delta = E0' − E0`` (zero outside the
-    changed rows), returns ``(embeddings + H delta, push_result)`` — the
-    diffusion of the *new* personalization — at a cost proportional to the
-    magnitude of the change rather than the size of the network.
-    """
-    n = operator.shape[0]
-    base, base_was_vector = coerce_signal(embeddings, n)
-    delta_matrix, _ = coerce_signal(delta, n)
-    if base.shape != delta_matrix.shape:
-        raise ValueError(
-            f"embeddings shape {base.shape} does not match "
-            f"delta shape {delta_matrix.shape}"
-        )
-    result = forward_push(
-        operator, delta_matrix, alpha=alpha, tol=tol, max_sweeps=max_sweeps
-    )
-    patched = base + result.estimate  # delta was coerced 2-D, so this is too
+    estimate = result.estimate
+    if sp.issparse(base):
+        if not sp.issparse(estimate):
+            estimate = sp.csr_matrix(estimate.reshape(base.shape))
+        patched = (base + estimate).tocsr()
+        patched.sort_indices()
+        return patched, result
+    if sp.issparse(estimate):
+        estimate = estimate.toarray()
+    patched = base + estimate.reshape(base.shape)
     return (patched[:, 0] if base_was_vector else patched), result

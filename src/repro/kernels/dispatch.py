@@ -1,11 +1,18 @@
-"""The four numpy hot-loop kernels of the walk and push paths.
+"""The numpy hot-loop kernels of the walk path, and two uncalled ones.
 
-Each function is one inner loop of ``repro.core.batch``,
-``repro.core.forwarding`` or ``repro.gsp.push``.  Callers import this
+``masked_segment_argmax`` and ``sparse_key_lookup`` are inner loops of
+``repro.core.batch`` and ``repro.core.forwarding``.  Callers import this
 *module* and call through its attributes
 (``from repro.kernels import dispatch as kernels``), so a profiler can wrap
 a kernel by rebinding one module attribute (``perfbench/layers.py`` does,
 for its ``kernels.*`` metrics).
+
+``csr_row_peaks`` and ``scatter_add_weighted_rows`` were the push kernels'
+inner loops; the one row-block push in ``repro.gsp.push`` calls neither.
+They stay defined only because ``perfbench/layers.py`` patches all four
+names and its tracer reads each one with ``vars(dispatch)[name]``, so
+deleting one fails the traced benchmark; they go when the benchmark stops
+patching them.
 
 Do not "optimize" these in ways that change a single output bit: the batch
 walk engine's equivalence contract with the scalar engine, and the sparse
@@ -92,9 +99,9 @@ def csr_row_peaks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max-abs entry per non-empty CSR row: ``(row_ids, peaks)``.
 
-    The forward-push activation scan (``repro.gsp.push``): ``data``/``indptr``
-    are a CSR matrix's arrays; rows with no stored entries are skipped
-    entirely, so the cost tracks the residual's support.
+    ``data``/``indptr`` are a CSR matrix's arrays; rows with no stored
+    entries are skipped entirely.  No production caller (see the module
+    docstring).
     """
     lens = np.diff(indptr)
     rows = np.flatnonzero(lens)
@@ -114,9 +121,9 @@ def scatter_add_weighted_rows(
 ) -> None:
     """In-place ``residual[rows] += damping * data[:, None] * pushed[cols]``.
 
-    The localized scatter of the dense forward-push sweep: one COO entry
-    ``(rows[k], cols[k], data[k])`` of the sliced operator forwards
-    ``damping · data[k] · pushed[cols[k]]`` onto residual row ``rows[k]``.
+    One COO entry ``(rows[k], cols[k], data[k])`` forwards
+    ``damping · data[k] · pushed[cols[k]]`` onto residual row ``rows[k]``;
     ``np.add.at`` handles duplicate target rows (unbuffered accumulation).
+    No production caller (see the module docstring).
     """
     np.add.at(residual, rows, (damping * data)[:, None] * pushed[cols])

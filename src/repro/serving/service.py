@@ -48,7 +48,9 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping
 import numpy as np
 
 from repro.churn.scheduler import RefreshCostModel, RefreshScheduler, RefreshSLO
+from repro.core.backends import DiffusionBackend
 from repro.core.batch import run_queries
+from repro.core.diffusion import resolve_backend
 from repro.core.engine import (
     ResilienceConfig,
     SearchResult,
@@ -141,10 +143,14 @@ class StalenessConfig:
     absent and an unlimited-budget SLO the scheduled path makes exactly
     the decisions the heuristic path makes (defer when clean, patch when
     dirty), so serving results are identical — pinned by tests.
+
+    ``method`` must name (or be) a backend that ``supports_incremental``:
+    every refresh the service makes goes through it, and a backend that
+    cannot patch would fail each one and serve stale forever.
     """
 
     max_dirty_refresh: int = 64
-    method: str = "push"
+    method: str | DiffusionBackend = "push"
     tol: float = 1e-8
     max_iterations: int = 10_000
     slo: RefreshSLO | None = None
@@ -153,6 +159,12 @@ class StalenessConfig:
         check_positive_int(self.max_dirty_refresh, "max_dirty_refresh")
         check_positive(self.tol, "tol")
         check_positive_int(self.max_iterations, "max_iterations")
+        backend = resolve_backend(self.method)
+        if not backend.supports_incremental:
+            raise ValueError(
+                f"staleness method {backend.name!r} cannot patch a diffusion "
+                "(supports_incremental is False); use 'push' or 'sparse'"
+            )
 
 
 @dataclass(frozen=True)
@@ -569,9 +581,8 @@ class QueryService:
                 incremental=True,
             )
         except ValueError:
-            # No baseline to patch (or backend without incremental support):
-            # a full re-diffusion would block the batch, so defer and serve
-            # the stale cache instead.
+            # No baseline to patch: a full re-diffusion would block the
+            # batch, so defer and serve the stale cache instead.
             self.metrics.deferred_refreshes += 1
             self._serving_stale = True
             self._staleness_bound = network.staleness_bound()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.gsp.filters import HeatKernel, PersonalizedPageRank, PolynomialFilter
+from repro.gsp.filters import HeatKernel, PersonalizedPageRank
 from repro.gsp.normalization import transition_matrix
 
 
@@ -165,40 +165,6 @@ class TestHeatKernel:
     def test_invalid_t(self):
         with pytest.raises(ValueError):
             HeatKernel(t=0.0)
-
-
-class TestPolynomialFilter:
-    def test_identity(self, operator):
-        signal = np.arange(operator.shape[0], dtype=float)
-        out = PolynomialFilter(np.array([1.0])).apply(operator, signal)
-        assert np.allclose(out, signal)
-
-    def test_matches_manual_polynomial(self, operator):
-        rng = np.random.default_rng(4)
-        signal = rng.standard_normal(operator.shape[0])
-        coeffs = np.array([0.5, 0.25, 0.25])
-        out = PolynomialFilter(coeffs).apply(operator, signal)
-        expected = (
-            0.5 * signal
-            + 0.25 * (operator @ signal)
-            + 0.25 * (operator @ (operator @ signal))
-        )
-        assert np.allclose(out, expected)
-
-    def test_truncated_ppr_approximates_full(self, operator):
-        """PPR's geometric-series truncation converges to the filter."""
-        alpha = 0.5
-        order = 40
-        coeffs = alpha * (1 - alpha) ** np.arange(order)
-        signal = np.zeros(operator.shape[0])
-        signal[0] = 1.0
-        truncated = PolynomialFilter(coeffs).apply(operator, signal)
-        full = PersonalizedPageRank(alpha, tol=1e-13).apply(operator, signal)
-        assert np.allclose(truncated, full, atol=1e-6)
-
-    def test_empty_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            PolynomialFilter(np.array([]))
 
 
 class TestMultiAlphaPPR:

@@ -3,9 +3,13 @@
 * reference semantics — each kernel bit-identical to the inline numpy it
   was extracted from (a scalar re-derivation here);
 * patch points — every production caller reaches its kernel through the
-  ``repro.kernels.dispatch`` module attribute, the binding profilers wrap;
+  ``repro.kernels.dispatch`` module attribute, the binding profilers wrap,
+  and every kernel the benchmark wraps stays defined;
 * the float32 pipeline and coalesced dirty-row refresh built on top of them.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.generators import connected_watts_strogatz
 from repro.gsp.filters import SparsePersonalizedPageRank, coerce_sparse_signal
 from repro.gsp.normalization import transition_matrix
-from repro.gsp.push import forward_push, sparse_forward_push
+from repro.gsp.push import forward_push
 from repro.kernels import dispatch, kernel_info
 
 
@@ -127,6 +131,19 @@ class TestReferenceKernels:
         assert np.allclose(residual, want, atol=1e-12)
 
 
+PERFBENCH_LAYERS = Path(__file__).resolve().parents[2] / "perfbench" / "layers.py"
+
+
+def perfbench_kernels():
+    """The ``KERNELS`` names ``perfbench/layers.py`` patches on ``dispatch``."""
+    for node in ast.parse(PERFBENCH_LAYERS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "KERNELS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/layers.py defines no KERNELS")
+
+
 class TestPatchPoints:
     """Profilers count kernel calls by rebinding ``dispatch.<name>``.
 
@@ -134,8 +151,16 @@ class TestPatchPoints:
     rebinding and silently report zero calls.
     """
 
+    def test_benchmark_kernels_stay_defined(self):
+        """The benchmark patches these by name, so each must exist even
+        once no production caller reaches it."""
+        names = perfbench_kernels()
+        assert len(names) == 4
+        for name in names:
+            assert callable(vars(dispatch).get(name)), name
+
     def test_production_callers_reach_patched_kernels(
-        self, adjacency, operator, monkeypatch
+        self, adjacency, monkeypatch
     ):
         assert kernel_info()["backend"] == "numpy"
         rng = np.random.default_rng(19)
@@ -143,8 +168,6 @@ class TestPatchPoints:
         sparse_scores = sp.csc_matrix(
             np.where(rng.random((n, 1)) < 0.3, rng.random((n, 1)), 0.0)
         )
-        one_row_delta = np.zeros((n, 2))
-        one_row_delta[0] = 1.0
         callers = {
             "masked_segment_argmax": lambda: run_queries(
                 adjacency,
@@ -157,12 +180,6 @@ class TestPatchPoints:
             "sparse_key_lookup": lambda: PrecomputedScorePolicy(
                 sparse_scores
             ).select(np.ones(2), np.arange(5), 1, rng),
-            "csr_row_peaks": lambda: sparse_forward_push(
-                operator, sp.csr_matrix(one_row_delta)
-            ),
-            "scatter_add_weighted_rows": lambda: forward_push(
-                operator, one_row_delta
-            ),
         }
         calls = dict.fromkeys(callers, 0)
 
@@ -243,7 +260,7 @@ class TestFloat32Pipeline:
         signal[0, 0] = 1.0
         signal[5, 2] = -2.0
         signal = signal.tocsr()
-        out = sparse_forward_push(
+        out = forward_push(
             operator, signal, alpha=0.4, tol=1e-5, dtype=np.float32
         )
         assert out.estimate.dtype == np.float32

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.generators import connected_watts_strogatz
 from repro.gsp.filters import PersonalizedPageRank
 from repro.gsp.normalization import transition_matrix
-from repro.gsp.push import forward_push, push_refresh
+from repro.gsp import push
+from repro.gsp.push import _RowBlock, forward_push, push_refresh
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +144,76 @@ class TestRefresh:
             operator, cold.estimate, delta, alpha=0.7, tol=1e-6
         )
         assert result.edge_operations < cold.edge_operations
+
+
+class TestRowBlockLayouts:
+    """Edges of the row-block layout behind dense and CSR input."""
+
+    def assert_same_run(self, rows, full):
+        assert rows.sweeps == full.sweeps
+        assert rows.pushes == full.pushes
+        assert rows.edge_operations == full.edge_operations
+        got, want = (
+            r.estimate.toarray() if sp.issparse(r.estimate) else r.estimate
+            for r in (rows, full)
+        )
+        assert np.allclose(got.reshape(want.shape), want, rtol=0, atol=1e-12)
+        assert rows.residual_l1 == pytest.approx(full.residual_l1, rel=0, abs=1e-12)
+
+    def test_csr_delta_reaching_every_node(self, operator):
+        """The block appends all 40 rows, but its slots are not node ids, so
+        a sweep pushing all of them must still scatter by slot."""
+        delta = np.zeros((40, 3))
+        delta[17] = [1.0, -2.0, 0.5]
+        rows = forward_push(operator, sp.csr_matrix(delta), alpha=0.1, tol=1e-12)
+        full = forward_push(operator, delta, alpha=0.1, tol=1e-12)
+        assert rows.converged
+        assert rows.estimate.nnz == delta.size  # every node holds a row
+        assert rows.pushes >= 40 * 5
+        self.assert_same_run(rows, full)
+
+    def test_vector_signal_matches_csr_column(self, operator):
+        rng = np.random.default_rng(21)
+        signal = rng.standard_normal(40)
+        full = forward_push(operator, signal, alpha=0.5, tol=1e-10)
+        rows = forward_push(
+            operator, sp.csr_matrix(signal[:, None]), alpha=0.5, tol=1e-10
+        )
+        assert full.estimate.shape == (40,)
+        assert rows.estimate.shape == (40, 1)
+        self.assert_same_run(rows, full)
+
+    def test_empty_csr_signal_runs_no_sweep(self, operator):
+        result = forward_push(operator, sp.csr_matrix((40, 3)), alpha=0.5)
+        assert result.sweeps == result.pushes == result.edge_operations == 0
+        assert result.converged
+        assert result.residual == result.residual_l1 == 0.0
+        assert sp.issparse(result.estimate) and result.estimate.shape == (40, 3)
+        assert result.estimate.nnz == 0
+
+    def test_block_grows_past_first_capacity(self):
+        thresholds = np.full(10, 1e-8)
+        residual = np.array([[1.0, 2.0], [3.0, -4.0]])
+        block = _RowBlock(np.array([4, 7]), residual.copy(), thresholds, full=False)
+        block.estimate[:] = 9.0
+        slots = block.slots(np.array([7, 0, 9, 3, 4, 8]))
+        assert np.array_equal(slots, [1, 2, 3, 4, 0, 5])
+        assert block.size == 6 and block.nodes.shape[0] >= 6
+        assert np.array_equal(block.nodes[:6], [4, 7, 0, 9, 3, 8])
+        assert np.array_equal(block.residual[:2], residual)
+        assert np.array_equal(block.estimate[:2], np.full((2, 2), 9.0))
+        assert not block.residual[2:].any() and not block.estimate[2:].any()
+        assert np.array_equal(block.peak[:6], [2.0, 4.0, 0, 0, 0, 0])
+        assert np.array_equal(block.slot_of[[0, 3, 4, 7, 8, 9]], [2, 4, 0, 1, 5, 3])
+        assert (block.slot_of[[1, 2, 5, 6]] == -1).all()
+
+    def test_scatter_in_row_chunks(self, operator, monkeypatch):
+        rng = np.random.default_rng(23)
+        delta = np.zeros((40, 4))
+        delta[[2, 30]] = rng.standard_normal((2, 4))
+        whole = forward_push(operator, delta, alpha=0.3, tol=1e-10)
+        monkeypatch.setattr(push, "_SCATTER_CHUNK_ROWS", 3)
+        for signal in (delta, sp.csr_matrix(delta)):
+            self.assert_same_run(
+                forward_push(operator, signal, alpha=0.3, tol=1e-10), whole
+            )

@@ -492,6 +492,18 @@ class TestAdmissionInService:
 
 
 class TestStaleness:
+    @pytest.mark.parametrize("method", ["power", "solve", "async"])
+    def test_method_that_cannot_patch_rejected(self, method):
+        """Every refresh the service makes is a patch through ``method``:
+        one that cannot patch would defer forever and count no violation."""
+        with pytest.raises(ValueError, match=f"'{method}'"):
+            StalenessConfig(method=method, slo=RefreshSLO(staleness_target=1.0))
+
+    def test_incremental_methods_accepted(self):
+        assert StalenessConfig(method="sparse").method == "sparse"
+        backend = SparseDiffusionBackend(epsilon=0.0)
+        assert StalenessConfig(method=backend).method is backend
+
     def test_small_dirty_set_refreshed_inline(self):
         net, vectors, rng = make_network()
         vec = rng.standard_normal(net.dim)

@@ -26,7 +26,7 @@ from repro.gsp.filters import (
     operator_out_degrees,
 )
 from repro.gsp.normalization import transition_matrix
-from repro.gsp.push import forward_push, sparse_forward_push, sparse_push_refresh
+from repro.gsp.push import forward_push, push_refresh
 
 NORMALIZATIONS = ("column", "row", "symmetric")
 ALPHAS = (0.1, 0.4, 0.5, 0.9)
@@ -260,20 +260,25 @@ class TestSparseFilterAccounting:
 
 
 class TestSparsePush:
-    def test_matches_dense_forward_push(
-        self, small_world_adjacency, sparse_signal
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_dense_and_csr_input_agree(
+        self, small_world_adjacency, sparse_signal, epsilon, alpha
     ):
+        """One kernel, two layouts: the same signal dense (every row a slot)
+        and as CSR (only its rows, appended as pushes reach nodes)."""
         dense, sparse = sparse_signal
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
-        reference = forward_push(operator, dense, alpha=0.4, tol=1e-9)
-        result = sparse_forward_push(operator, sparse, alpha=0.4, tol=1e-9)
-        assert result.converged
-        assert sp.issparse(result.estimate)
-        assert np.allclose(
-            result.estimate.toarray(), reference.estimate, atol=1e-12
-        )
-        assert result.pushes > 0
-        assert result.edge_operations > 0
+        kwargs = dict(alpha=alpha, tol=1e-9, epsilon=epsilon)
+        full = forward_push(operator, dense, **kwargs)
+        rows = forward_push(operator, sparse, **kwargs)
+        assert sp.issparse(rows.estimate) and not sp.issparse(full.estimate)
+        assert rows.converged and full.converged
+        assert rows.sweeps == full.sweeps > 0
+        assert rows.pushes == full.pushes
+        assert rows.edge_operations == full.edge_operations
+        assert np.allclose(rows.estimate.toarray(), full.estimate, rtol=0, atol=1e-12)
+        assert rows.residual_l1 == pytest.approx(full.residual_l1, rel=0, abs=1e-12)
 
     def test_float32_matches_dense_forward_push(
         self, small_world_adjacency, sparse_signal
@@ -281,28 +286,35 @@ class TestSparsePush:
         dense, sparse = sparse_signal
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
         reference = forward_push(operator, dense, alpha=0.4, tol=1e-9)
-        result = sparse_forward_push(
+        result = forward_push(
             operator, sparse, alpha=0.4, tol=1e-9, dtype=np.float32
         )
+        dense32 = forward_push(
+            operator, dense, alpha=0.4, tol=1e-9, dtype=np.float32
+        )
         assert result.converged
-        assert result.estimate.dtype == np.float32
+        assert result.estimate.dtype == dense32.estimate.dtype == np.float32
+        assert result.sweeps == dense32.sweeps
+        assert result.pushes == dense32.pushes
+        assert result.edge_operations == dense32.edge_operations
         # A float32 push stops at the dtype's floored tolerance (~3.8e-6).
         atol = 10 * effective_tolerance(1e-9, np.float32)
         assert np.allclose(result.estimate.toarray(), reference.estimate, atol=atol)
+        assert np.allclose(result.estimate.toarray(), dense32.estimate, atol=atol)
 
     def test_refresh_patches_cached_csr(self, small_world_adjacency, sparse_signal):
         dense, sparse = sparse_signal
         n, dim = dense.shape
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
-        base = sparse_forward_push(operator, sparse, alpha=0.4, tol=1e-10)
+        base = forward_push(operator, sparse, alpha=0.4, tol=1e-10)
         delta = sp.csr_matrix(
             (np.ones(dim), (np.full(dim, 7), np.arange(dim))), shape=(n, dim)
         )
-        patched, result = sparse_push_refresh(
+        patched, result = push_refresh(
             operator, base.estimate, delta, alpha=0.4, tol=1e-10
         )
         assert result.converged
-        full = sparse_forward_push(
+        full = forward_push(
             operator, sparse + delta, alpha=0.4, tol=1e-10
         )
         assert np.allclose(
@@ -314,8 +326,8 @@ class TestSparsePush:
     ):
         _, sparse = sparse_signal
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
-        exact = sparse_forward_push(operator, sparse, alpha=0.4, tol=1e-9)
-        truncated = sparse_forward_push(
+        exact = forward_push(operator, sparse, alpha=0.4, tol=1e-9)
+        truncated = forward_push(
             operator, sparse, alpha=0.4, tol=1e-9, epsilon=1e-2
         )
         assert truncated.edge_operations < exact.edge_operations
@@ -324,13 +336,13 @@ class TestSparsePush:
         _, sparse = sparse_signal
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
         with pytest.raises(ValueError, match="epsilon"):
-            sparse_forward_push(operator, sparse, epsilon=float("nan"))
+            forward_push(operator, sparse, epsilon=float("nan"))
 
     def test_shape_mismatch_rejected(self, small_world_adjacency):
         n = small_world_adjacency.n_nodes
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
         with pytest.raises(ValueError, match="does not match"):
-            sparse_push_refresh(
+            push_refresh(
                 operator, sp.csr_matrix((n, 3)), sp.csr_matrix((n, 4))
             )
 
@@ -417,6 +429,39 @@ class TestSparseBackend:
             redone.embeddings.toarray(),
             atol=1e-6,
         )
+
+    @pytest.mark.parametrize("method", ["push", "sparse"])
+    @pytest.mark.parametrize("cache_csr", [False, True])
+    @pytest.mark.parametrize("delta_csr", [False, True])
+    def test_refresh_keeps_backend_format(
+        self, small_world_adjacency, sparse_signal, method, cache_csr, delta_csr
+    ):
+        """``sparse`` patches into CSR and ``push`` into a dense array, in
+        whichever format the cache and the delta arrive."""
+        dense, sparse = sparse_signal
+        n, dim = dense.shape
+        cache = diffuse_embeddings(
+            small_world_adjacency, dense, alpha=0.4, method="solve"
+        ).embeddings
+        delta = np.zeros((n, dim))
+        delta[11] = 0.7
+        backend = SparseDiffusionBackend(epsilon=0.0) if method == "sparse" else method
+        patched = refresh_embeddings(
+            small_world_adjacency,
+            sp.csr_matrix(cache) if cache_csr else cache,
+            sp.csr_matrix(delta) if delta_csr else delta,
+            alpha=0.4,
+            method=backend,
+            tol=1e-10,
+        )
+        assert patched.incremental and patched.converged
+        assert sp.issparse(patched.embeddings) == (method == "sparse")
+        exact = diffuse_embeddings(
+            small_world_adjacency, dense + delta, alpha=0.4, method="solve"
+        ).embeddings
+        got = patched.embeddings
+        got = got.toarray() if sp.issparse(got) else got
+        assert np.abs(got - exact).max() < 1e-8
 
 
 class TestSearchFacadeSparse:
@@ -527,6 +572,23 @@ class TestSearchFacadeSparse:
             net.personalization(),
         )
         assert np.abs(net.embeddings - exact).max() < 1e-2
+
+    def test_sparse_incremental_after_push_cache(self, small_world_adjacency):
+        """A sparse refresh patches a dense push cache into CSR."""
+        net, _, _ = self._network(small_world_adjacency, seed=6)
+        net.diffuse(method="push", tol=1e-10)
+        rng = np.random.default_rng(7)
+        net.place_document("extra", rng.standard_normal(16), node=1)
+        outcome = net.diffuse(
+            method=SparseDiffusionBackend(epsilon=0.0), tol=1e-10
+        )
+        assert outcome.incremental and outcome.converged
+        assert sp.issparse(outcome.embeddings)
+        exact = PersonalizedPageRank(0.5, method="solve").apply(
+            transition_matrix(small_world_adjacency, "column"),
+            net.personalization(),
+        )
+        assert np.abs(net.embeddings - exact).max() < 1e-8
 
 
 class TestRefreshShapes:
