@@ -235,7 +235,11 @@ def run_query(
         TTL, and after ``resilience.max_retries`` failures at one hop the
         walker dies.  When every walker dies early the query returns its
         best-so-far partial results with ``result.degraded`` set instead of
-        raising.  The hop index serves as the injector's logical clock.
+        raising.  The hop index serves as the injector's logical clock, and
+        the walk draws its drops from the injector's next walk stream
+        (:meth:`~repro.runtime.faults.FaultInjector.walk_streams`), so the
+        lockstep :func:`repro.core.batch.run_queries` reproduces a loop of
+        these calls bit for bit.
     resilience:
         Retry/backoff/redundancy knobs (defaults: 2 retries, backoff 1,
         redundancy 1).  ``redundancy=k`` launches ``max(fanout, k)`` source
@@ -269,6 +273,11 @@ def run_query(
         effective_ttl = min(effective_ttl, hop_budget)
     capped = effective_ttl < config.ttl
     n_nodes = adjacency.n_nodes
+    if faults is not None and faults.plan.n_nodes < n_nodes:
+        raise ValueError(
+            f"fault plan covers {faults.plan.n_nodes} nodes, "
+            f"the overlay has {n_nodes}"
+        )
     quarantined = (
         [] if quarantine is None
         else check_peer_ids(quarantine, n_nodes, "quarantine")
@@ -370,6 +379,8 @@ def run_query(
 
     # ------------------------------------------------- failure-resilient walk
     res = resilience or ResilienceConfig()
+    streams = faults.walk_streams(1)
+    stream = None if streams is None else streams[0]
     if not faults.alive(int(start_node), 0.0):
         # The querying node itself is down: nothing can even be evaluated.
         result.degraded = True
@@ -416,7 +427,7 @@ def run_query(
                 result.failed_peers[target] = (
                     result.failed_peers.get(target, 0) + 1
                 )
-            elif not faults.deliver(node, target):
+            elif faults.walk_drops(stream):
                 # Message lost in flight: retry (same peer stays eligible).
                 failures += 1
                 result.retries += 1

@@ -113,6 +113,24 @@ class ForwardingPolicy(ABC):
         )
         return chosen, np.concatenate(([0], np.cumsum(counts)))
 
+    def score_batch(
+        self,
+        query_embeddings: np.ndarray,
+        candidates: np.ndarray,
+        offsets: np.ndarray,
+    ) -> np.ndarray | None:
+        """Per-candidate scores whose segment top-1 is this policy's choice.
+
+        Same segment layout as :meth:`select_batch`.  A policy whose choice
+        is a deterministic top-k of per-candidate scores (ties to the lower
+        position) returns those scores, so the batch engine can rank a hop
+        once and pick every retry and reroute of that hop from one scoring.
+        ``None`` (the default, and every stochastic policy) means the
+        choice is not a score ranking: the engine calls
+        :meth:`select_batch` for each attempt instead.
+        """
+        return None
+
     def describe(self) -> str:
         """Short human-readable policy name for reports."""
         return type(self).__name__
@@ -250,6 +268,18 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
             return candidates[top_k_indices(scores, fanout)]
         return candidates[self._sample(scores, fanout, rng)]
 
+    def score_batch(
+        self,
+        query_embeddings: np.ndarray,
+        candidates: np.ndarray,
+        offsets: np.ndarray,
+    ) -> np.ndarray | None:
+        if self.temperature != 0.0:
+            return None
+        return self._score_segments(
+            np.asarray(query_embeddings, dtype=np.float64), candidates, offsets
+        )
+
     def select_batch(
         self,
         query_embeddings: np.ndarray,
@@ -356,6 +386,14 @@ class PrecomputedScorePolicy(ForwardingPolicy):
             return candidates
         return candidates[top_k_indices(self.candidate_scores(candidates), fanout)]
 
+    def score_batch(
+        self,
+        query_embeddings: np.ndarray,
+        candidates: np.ndarray,
+        offsets: np.ndarray,
+    ) -> np.ndarray:
+        return self.candidate_scores(candidates)
+
     def select_batch(
         self,
         query_embeddings: np.ndarray,
@@ -440,6 +478,14 @@ class DegreeBiasedPolicy(ForwardingPolicy):
         scores = self.degrees[candidates].astype(np.float64)
         return candidates[top_k_indices(scores, fanout)]
 
+    def score_batch(
+        self,
+        query_embeddings: np.ndarray,
+        candidates: np.ndarray,
+        offsets: np.ndarray,
+    ) -> np.ndarray:
+        return self.degrees[candidates].astype(np.float64)
+
     def select_batch(
         self,
         query_embeddings: np.ndarray,
@@ -448,8 +494,11 @@ class DegreeBiasedPolicy(ForwardingPolicy):
         fanouts: np.ndarray,
         rngs: Sequence[np.random.Generator],
     ) -> tuple[np.ndarray, np.ndarray]:
-        scores = self.degrees[candidates].astype(np.float64)
-        return _segment_top_k(scores, offsets, fanouts)
+        return _segment_top_k(
+            self.score_batch(query_embeddings, candidates, offsets),
+            offsets,
+            fanouts,
+        )
 
     def describe(self) -> str:
         return "degree-biased"

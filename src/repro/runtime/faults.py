@@ -20,16 +20,23 @@ faulty run is exactly reproducible from ``(plan, workload, seed)``:
 
 Two consumers, one plan:
 
-- the synchronous walk engine (:func:`repro.core.engine.run_query`) asks
-  point questions — :meth:`FaultInjector.alive` with the hop index as the
-  logical time, :meth:`FaultInjector.deliver` per forwarding attempt;
+- the synchronous walk engines (:func:`repro.core.batch.run_queries` and
+  its scalar reference :func:`repro.core.engine.run_query`) take the hop
+  index as the logical time.  The lockstep engine reads whole node masks
+  (:meth:`FaultInjector.down_mask`, :attr:`FaultInjector.zombie_mask`); the
+  scalar one asks point questions (:meth:`FaultInjector.alive`,
+  :meth:`FaultInjector.is_zombie`).  Each walk draws its message drops from
+  its own stream (:meth:`FaultInjector.walk_streams`), handed out in the
+  order walks start, so a walk's drops do not depend on how many other
+  walks run beside it or in which order an engine advances them;
 - the event-driven runtime gets the same plan scheduled through the
   :class:`~repro.runtime.events.EventQueue`:
   :meth:`FaultInjector.install` registers crash/recover events on a
   :class:`~repro.runtime.network.SimNetwork` and hooks its per-message
-  drop/delay/duplication decisions.
+  drop/delay/duplication decisions, drawn in event order from the
+  injector's shared generator.
 
-Both paths draw from the injector's own seeded generator, never from the
+Every draw comes from generators seeded by the plan, never from the
 protocol's, so injecting faults perturbs *only* the failures.
 """
 
@@ -111,6 +118,9 @@ class FaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # The injector seeds its generators from this; numpy would reject a
+        # negative one only there, naming no field, and take True as 1.
+        check_non_negative_int(self.seed, "seed")
         check_probability(self.drop_probability, "drop_probability")
         check_probability(self.duplicate_probability, "duplicate_probability")
         check_non_negative(self.extra_delay, "extra_delay")
@@ -234,11 +244,13 @@ class FaultPlan:
 class FaultInjector:
     """Executes a :class:`FaultPlan`: answers liveness/delivery questions.
 
-    Holds the one seeded generator all fault draws come from, plus counters
-    for reporting.  Draws happen in call order, which both consumers make
-    deterministic (the engine processes walkers in frontier order; the
-    network in event order), so a run is reproducible from the plan seed.
-    :meth:`reset` rewinds the stream for an exact replay.
+    Holds the plan-seeded generators every fault draw comes from, plus
+    counters for reporting.  The event path draws from one shared generator
+    in event order.  The walk engines give each walk its own drop stream,
+    seeded from ``(plan.seed, walk index)``, where walks are numbered in the
+    order they start (:meth:`walk_streams`).  Either way a run is
+    reproducible from the plan seed, and :meth:`reset` rewinds both the
+    shared stream and the walk numbering for an exact replay.
     """
 
     plan: FaultPlan
@@ -249,10 +261,22 @@ class FaultInjector:
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.plan.seed)
+        self._walks = 0  # walks that took their drop streams so far
+        self._down_masks: dict[float, np.ndarray] = {}
+        crashes = self.plan.crashes
+        self._window_nodes = np.array([w.node for w in crashes], dtype=np.int64)
+        self._window_starts = np.array([w.start for w in crashes], dtype=float)
+        self._window_ends = np.array([w.end for w in crashes], dtype=float)
+        zombies = np.zeros(self.plan.n_nodes, dtype=bool)
+        zombies[list(self.plan.zombies)] = True
+        zombies.setflags(write=False)
+        #: Boolean node mask of the zombie peers (read-only).
+        self.zombie_mask = zombies
 
     def reset(self) -> None:
-        """Rewind the fault stream and counters for an exact replay."""
+        """Rewind the fault streams and counters for an exact replay."""
         self._rng = np.random.default_rng(self.plan.seed)
+        self._walks = 0
         self.dropped = 0
         self.duplicated = 0
         self.crash_detections = 0
@@ -263,11 +287,50 @@ class FaultInjector:
         """Is ``node`` up at ``time``?  (The walk engine passes hop indices.)"""
         return not self.plan.crashed_at(node, time)
 
+    def down_mask(self, time: float) -> np.ndarray:
+        """Boolean node mask of the peers crashed at ``time`` (read-only).
+
+        The lockstep engine's liveness check: one mask per hop, built once
+        per distinct time and cached, so a walk reads it with one gather.
+        """
+        mask = self._down_masks.get(time)
+        if mask is None:
+            mask = np.zeros(self.plan.n_nodes, dtype=bool)
+            covering = (self._window_starts <= time) & (time < self._window_ends)
+            mask[self._window_nodes[covering]] = True
+            mask.setflags(write=False)
+            self._down_masks[time] = mask
+        return mask
+
     def is_zombie(self, node: int) -> bool:
         return self.plan.is_zombie(node)
 
+    def walk_streams(self, count: int) -> list[np.random.Generator] | None:
+        """Drop streams of the next ``count`` walks, in the order they start.
+
+        Walk ``i`` (counted from construction or the last :meth:`reset`)
+        draws from ``default_rng([plan.seed, i])``.  An engine takes its
+        walks' streams before running them, so a batch of ``count`` walks
+        draws exactly what ``count`` single walks started in the same order
+        would.  Returns ``None`` (and builds no generator) when the plan
+        drops nothing; the walks are still counted.
+        """
+        first = self._walks
+        self._walks += count
+        if not self.plan.drop_probability:
+            return None
+        seed = self.plan.seed
+        return [np.random.default_rng([seed, first + i]) for i in range(count)]
+
+    def walk_drops(self, stream: np.random.Generator | None) -> bool:
+        """Draw one walk's drop lottery for a message attempt; True if lost."""
+        if stream is not None and stream.random() < self.plan.drop_probability:
+            self.dropped += 1
+            return True
+        return False
+
     def deliver(self, src: int, dst: int) -> bool:
-        """Draw the drop lottery for one message attempt on link src→dst."""
+        """Draw the shared drop lottery for one event-path message src→dst."""
         if (
             self.plan.drop_probability
             and self._rng.random() < self.plan.drop_probability

@@ -15,6 +15,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.utils import check_positive
+
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.serving.service import QueryResponse
 
@@ -104,8 +106,7 @@ class ServiceMetrics:
 
     def throughput(self, horizon: float) -> float:
         """Completed queries per time unit over ``horizon``."""
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
+        check_positive(horizon, "horizon")  # NaN fails `<= 0` but not this
         return self.completed / float(horizon)
 
     def summary(self, *, horizon: float | None = None) -> dict[str, Any]:

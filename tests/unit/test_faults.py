@@ -12,8 +12,17 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
+from repro.core.batch import run_queries
 from repro.core.engine import ResilienceConfig, WalkConfig, run_query
-from repro.core.forwarding import EmbeddingGuidedPolicy, PrecomputedScorePolicy
+from repro.core.forwarding import (
+    DegreeBiasedPolicy,
+    EmbeddingGuidedPolicy,
+    ForwardingPolicy,
+    PrecomputedScorePolicy,
+    RandomWalkPolicy,
+)
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.retrieval.vector_store import DocumentStore
 from repro.runtime.faults import (
@@ -85,6 +94,13 @@ class TestFaultPlan:
             FaultPlan(4, zombies=frozenset({-1}))
         with pytest.raises(TypeError):
             FaultPlan(4, zombies=frozenset({1.5}))
+        # The seed seeds the injector's generators: checked at the plan.
+        with pytest.raises(ValueError, match="seed"):
+            FaultPlan(10, drop_probability=0.1, seed=-1)
+        with pytest.raises(TypeError, match="seed"):
+            FaultPlan(10, drop_probability=0.1, seed=1.5)
+        with pytest.raises(TypeError, match="seed"):
+            FaultPlan(10, drop_probability=0.1, seed=True)
 
     @staticmethod
     def _assert_index_matches_scan(plan):
@@ -202,6 +218,49 @@ class TestFaultInjector:
         injector.reset()
         assert injector.crash_detections == 0
         assert [injector.deliver(0, 1) for _ in range(50)] == first
+
+    def test_walk_streams_numbered_in_start_order(self):
+        plan = FaultPlan(4, drop_probability=0.3, seed=7)
+        injector = FaultInjector(plan)
+        first = injector.walk_streams(2)
+        (third,) = injector.walk_streams(1)
+        for index, stream in enumerate([*first, third]):
+            want = np.random.default_rng([7, index]).random(5)
+            assert np.array_equal(stream.random(5), want)
+        injector.reset()
+        (again,) = injector.walk_streams(1)
+        assert again.random() == np.random.default_rng([7, 0]).random()
+
+    def test_walk_drops_count_and_no_stream_without_drops(self):
+        injector = FaultInjector(FaultPlan(4, drop_probability=0.5, seed=0))
+        (stream,) = injector.walk_streams(1)
+        lost = sum(injector.walk_drops(stream) for _ in range(400))
+        assert 120 < lost < 280
+        assert injector.dropped == lost
+        quiet = FaultInjector(FaultPlan(4, seed=0))
+        assert quiet.walk_streams(3) is None  # no generator is built
+        assert not quiet.walk_drops(None)
+        assert quiet.dropped == 0
+
+    def test_down_mask_matches_point_checks(self):
+        plan = FaultPlan(
+            5,
+            crashes=(
+                CrashWindow(1, 0.0, 10.0),
+                CrashWindow(3, 5.0),
+                CrashWindow(1, 15.0, 25.0),
+            ),
+            zombies=frozenset({4}),
+        )
+        injector = FaultInjector(plan)
+        for time in (0.0, 4.0, 5.0, 10.0, 15.0, 25.0, 1e9):
+            mask = injector.down_mask(time)
+            assert mask.tolist() == [
+                not injector.alive(node, time) for node in range(5)
+            ]
+            assert injector.down_mask(time) is mask  # cached per time
+            assert not mask.flags.writeable
+        assert injector.zombie_mask.tolist() == [False] * 4 + [True]
 
     def test_pick_live_start_avoids_crashed(self):
         plan = FaultPlan(4, crashes=(CrashWindow(0), CrashWindow(2)))
@@ -410,6 +469,292 @@ class TestEngineEquivalence:
             resilience=ResilienceConfig(redundancy=2),
         )
         assert _walk_signature(via_redundancy) == _walk_signature(via_fanout)
+
+
+# ------------------------------------- lockstep engine: scalar equivalence
+
+
+def _all_fields(result):
+    return (
+        result.query_id,
+        result.start_node,
+        _walk_signature(result),
+        result.retries,
+        result.rerouted,
+        result.walkers_lost,
+        result.zombie_visits,
+        result.deadline_hit,
+        list(result.failed_peers.items()),
+    )
+
+
+@pytest.fixture
+def faulty_setting(small_world_adjacency):
+    n = small_world_adjacency.n_nodes
+    rng = np.random.default_rng(3)
+    stores = {}
+    for node in rng.choice(n, size=15, replace=False).tolist():
+        stores[node] = make_store(
+            6, **{f"d{node}_{d}": rng.standard_normal(6) for d in range(2)}
+        )
+    generated = FaultPlan.generate(
+        n,
+        crash_fraction=0.15,
+        crash_start=2.0,
+        recover_after=6.0,
+        drop_probability=0.3,
+        zombie_fraction=0.1,
+        seed=9,
+    )
+    # One more peer is down from the start and recovers at hop 3; it also
+    # starts a walk, which dies at its source.
+    dead = next(
+        node for node in range(n)
+        if not generated.crashed_at(node, 2.0) and node not in generated.zombies
+    )
+    plan = FaultPlan(
+        n,
+        crashes=generated.crashes + (CrashWindow(dead, 0.0, 3.0),),
+        drop_probability=generated.drop_probability,
+        zombies=generated.zombies,
+        seed=generated.seed,
+    )
+    starts = list(range(1, n, 3)) + [dead]
+    return {
+        "adjacency": small_world_adjacency,
+        "stores": stores,
+        "plan": plan,
+        "embeddings": rng.standard_normal((n, 6)),
+        "queries": rng.standard_normal((len(starts), 6)),
+        "starts": starts,
+    }
+
+
+def _lockstep_and_loop(setting, policy, config, **kwargs):
+    """(batch results, scalar results, batch injector, scalar injector)."""
+    plan = setting["plan"]
+    budgets = kwargs.pop("hop_budgets", None)
+    lockstep = FaultInjector(plan) if kwargs.pop("faults", True) else None
+    scalar = FaultInjector(plan) if lockstep is not None else None
+    batch = run_queries(
+        setting["adjacency"], setting["stores"], policy, setting["queries"],
+        setting["starts"], config, query_ids=list(range(len(setting["starts"]))),
+        faults=lockstep, hop_budgets=budgets, **kwargs,
+    )
+    loop = [
+        run_query(
+            setting["adjacency"], setting["stores"], policy,
+            setting["queries"][i], start, config, query_id=i, faults=scalar,
+            hop_budget=None if budgets is None else budgets[i], **kwargs,
+        )
+        for i, start in enumerate(setting["starts"])
+    ]
+    return batch, loop, lockstep, scalar
+
+
+def _assert_equal_walks(batch, loop, lockstep=None, scalar=None):
+    assert [_all_fields(r) for r in batch] == [_all_fields(r) for r in loop]
+    if lockstep is not None:
+        assert lockstep.dropped == scalar.dropped
+        assert lockstep.crash_detections == scalar.crash_detections
+
+
+class _LargestIdPolicy(ForwardingPolicy):
+    """Deterministic custom policy with no score ranking (no score_batch)."""
+
+    def select(self, query_embedding, candidates, fanout, rng):
+        return np.sort(np.asarray(candidates, dtype=np.int64))[::-1][:fanout]
+
+
+class TestLockstepMatchesScalar:
+    """run_queries under faults ≡ a loop of run_query, field for field."""
+
+    @pytest.mark.parametrize("cache", ["dense", "csr-float64", "csr-float32"])
+    @pytest.mark.parametrize(
+        "resilience",
+        [
+            ResilienceConfig(),
+            ResilienceConfig(max_retries=0, retry_backoff=0, redundancy=2),
+            ResilienceConfig(max_retries=3, retry_backoff=2, redundancy=3),
+        ],
+    )
+    def test_embedding_guided_caches(self, faulty_setting, cache, resilience):
+        embeddings = faulty_setting["embeddings"]
+        if cache != "dense":
+            keep = np.random.default_rng(1).random(embeddings.shape) < 0.5
+            dtype = np.float32 if cache == "csr-float32" else np.float64
+            embeddings = sp.csr_matrix(np.where(keep, embeddings, 0.0), dtype=dtype)
+        batch, loop, lockstep, scalar = _lockstep_and_loop(
+            faulty_setting,
+            EmbeddingGuidedPolicy(embeddings),
+            WalkConfig(ttl=14, fanout=2, k=3),
+            resilience=resilience,
+            quarantine=[5, 11],
+            hop_budgets=[4 + i % 12 for i in range(len(faulty_setting["starts"]))],
+        )
+        _assert_equal_walks(batch, loop, lockstep, scalar)
+        assert sum(r.retries for r in batch) > 0
+        assert sum(r.rerouted for r in batch) > 0
+        assert sum(r.zombie_visits for r in batch) > 0
+        assert any(r.deadline_hit for r in batch)
+        assert any(r.walkers_lost and not r.visits for r in batch)  # dead source
+
+    def test_walker_stuck_behind_dead_peers(self):
+        """Every leaf of a star is down: the walker tries each, then has no
+        candidate left and dies of faults with TTL and retries to spare."""
+        adjacency = CompressedAdjacency.from_networkx(nx.star_graph(3))
+        plan = FaultPlan(4, crashes=tuple(CrashWindow(leaf) for leaf in (1, 2, 3)))
+        policy = PrecomputedScorePolicy(np.arange(4, dtype=float))
+        config = WalkConfig(ttl=8)
+        resilience = ResilienceConfig(max_retries=5)
+        lockstep, scalar = FaultInjector(plan), FaultInjector(plan)
+        (batch,) = run_queries(
+            adjacency, {}, policy, np.ones(2), [0], config,
+            faults=lockstep, resilience=resilience,
+        )
+        want = run_query(
+            adjacency, {}, policy, np.ones(2), 0, config,
+            faults=scalar, resilience=resilience,
+        )
+        _assert_equal_walks([batch], [want], lockstep, scalar)
+        assert (batch.rerouted, batch.walkers_lost, batch.degraded) == (3, 1, True)
+
+    @pytest.mark.parametrize("scored", [True, False])
+    def test_mixed_policies_per_walk(self, faulty_setting, scored):
+        """Per-walk policies: scored in groups, or (with a policy that has
+        no score ranking) selected per attempt round in groups."""
+        embeddings = faulty_setting["embeddings"]
+        others = (
+            [DegreeBiasedPolicy(faulty_setting["adjacency"]),
+             PrecomputedScorePolicy(embeddings[:, 2])]
+            if scored
+            else [_LargestIdPolicy()]
+        )
+        cycle = [EmbeddingGuidedPolicy(embeddings), *others]
+        policies = [cycle[i % len(cycle)] for i in range(len(faulty_setting["starts"]))]
+        plan = faulty_setting["plan"]
+        lockstep, scalar = FaultInjector(plan), FaultInjector(plan)
+        config = WalkConfig(ttl=12, fanout=2)
+        resilience = ResilienceConfig(redundancy=2)
+        batch = run_queries(
+            faulty_setting["adjacency"], faulty_setting["stores"], policies,
+            faulty_setting["queries"], faulty_setting["starts"], config,
+            faults=lockstep, resilience=resilience, quarantine=[5],
+        )
+        loop = [
+            run_query(
+                faulty_setting["adjacency"], faulty_setting["stores"], policy,
+                faulty_setting["queries"][i], start, config, faults=scalar,
+                resilience=resilience, quarantine=[5],
+            )
+            for i, (policy, start) in enumerate(zip(policies, faulty_setting["starts"]))
+        ]
+        _assert_equal_walks(batch, loop, lockstep, scalar)
+
+    def test_plan_smaller_than_overlay_rejected(self, path_adjacency):
+        faults = FaultInjector(FaultPlan(4, drop_probability=0.1))
+        policy = PrecomputedScorePolicy(np.arange(6, dtype=float))
+        with pytest.raises(ValueError, match="fault plan covers 4 nodes"):
+            run_queries(path_adjacency, {}, policy, np.ones(2), [0, 5], faults=faults)
+        with pytest.raises(ValueError, match="fault plan covers 4 nodes"):
+            run_query(path_adjacency, {}, policy, np.ones(2), 5, faults=faults)
+
+    def test_degree_biased_policy(self, faulty_setting):
+        _assert_equal_walks(
+            *_lockstep_and_loop(
+                faulty_setting,
+                DegreeBiasedPolicy(faulty_setting["adjacency"]),
+                WalkConfig(ttl=12),
+                resilience=ResilienceConfig(redundancy=2),
+            )
+        )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_cache_entry(self, faulty_setting, bad):
+        """A non-finite score selects per attempt round instead."""
+        embeddings = faulty_setting["embeddings"].copy()
+        embeddings[::4, 0] = bad
+        scores = faulty_setting["embeddings"][:, 1].copy()
+        scores[::5] = bad
+        for policy in (EmbeddingGuidedPolicy(embeddings), PrecomputedScorePolicy(scores)):
+            _assert_equal_walks(
+                *_lockstep_and_loop(
+                    faulty_setting, policy, WalkConfig(ttl=12, fanout=2),
+                    resilience=ResilienceConfig(redundancy=2),
+                )
+            )
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    @pytest.mark.parametrize("fanout", [1, 2])
+    def test_quarantine_without_faults(self, faulty_setting, precomputed, fanout):
+        embeddings = faulty_setting["embeddings"]
+        policy = (
+            PrecomputedScorePolicy(embeddings[:, 0])
+            if precomputed
+            else EmbeddingGuidedPolicy(embeddings)
+        )
+        batch, loop, _, _ = _lockstep_and_loop(
+            faulty_setting,
+            policy,
+            WalkConfig(ttl=12, fanout=fanout),
+            faults=False,
+            quarantine=[1, 2, 3, 8, 13],
+        )
+        _assert_equal_walks(batch, loop)
+        assert all(r.walkers_lost == 0 for r in batch)
+
+    def test_resilience_without_faults_widens_source(self, faulty_setting):
+        batch, loop, _, _ = _lockstep_and_loop(
+            faulty_setting,
+            EmbeddingGuidedPolicy(faulty_setting["embeddings"]),
+            WalkConfig(ttl=10),
+            faults=False,
+            resilience=ResilienceConfig(redundancy=3),
+        )
+        _assert_equal_walks(batch, loop)
+        assert max(r.messages for r in batch) > 9  # three source walkers
+
+    def test_chunked_batch_takes_streams_in_order(self, faulty_setting, monkeypatch):
+        from repro.core import batch as batch_module
+
+        monkeypatch.setattr(batch_module, "VISITED_BUDGET_BYTES", 1)
+        _assert_equal_walks(
+            *_lockstep_and_loop(
+                faulty_setting,
+                EmbeddingGuidedPolicy(faulty_setting["embeddings"]),
+                WalkConfig(ttl=12),
+            )
+        )
+
+    def test_random_walk_under_faults(self, faulty_setting):
+        """Stochastic policies: deterministic under the seed, and every hop
+        crosses an edge from a previous-hop walker to a node up at that hop."""
+        adjacency, plan = faulty_setting["adjacency"], faulty_setting["plan"]
+        runs = [
+            run_queries(
+                adjacency, faulty_setting["stores"], RandomWalkPolicy(),
+                faulty_setting["queries"], faulty_setting["starts"],
+                WalkConfig(ttl=10, fanout=2), seed=4,
+                faults=FaultInjector(plan), resilience=ResilienceConfig(redundancy=2),
+            )
+            for _ in range(2)
+        ]
+        assert [_all_fields(r) for r in runs[0]] == [_all_fields(r) for r in runs[1]]
+        for result, start in zip(runs[0], faulty_setting["starts"]):
+            if plan.crashed_at(start, 0.0):
+                assert result.visits == [] and result.degraded
+                continue
+            assert result.visits[0] == (0, start)
+            assert len(result.visits) <= 10 * 2
+            walkers = {0: [start]}
+            for hop, node in result.visits[1:]:
+                assert not plan.crashed_at(node, float(hop))
+                assert any(
+                    adjacency.has_edge(parent, node)
+                    for parent in walkers.get(hop - 1, [])
+                )
+                walkers.setdefault(hop, []).append(node)
+            assert result.messages == len(result.visits) - 1 + result.retries + result.rerouted
 
 
 # -------------------------------------------------- engine: under faults

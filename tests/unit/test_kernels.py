@@ -159,6 +159,34 @@ class TestPatchPoints:
         for name in names:
             assert callable(vars(dispatch).get(name)), name
 
+    def test_every_benchmark_patch_point_exists_and_restores(self, monkeypatch):
+        """The traced benchmark patches attributes across ``src/`` by name
+        (``perfbench/layers.py`` ``install``).  A missing one fails only
+        the traced run, so install the shims here on a fresh tracer and
+        check that restoring puts every original back."""
+        import repro.core.batch
+        import repro.core.engine
+        import repro.serving.service
+
+        monkeypatch.syspath_prepend(str(PERFBENCH_LAYERS.parents[1]))
+        from perfbench.layers import install
+        from perfbench.tracer import Tracer
+
+        tracer = Tracer()
+        try:
+            install(tracer)
+            patches = list(tracer._patches)
+            assert patches
+            for owner, attr, original in patches:
+                assert vars(owner)[attr] is not original, (owner, attr)
+        finally:
+            tracer.restore()
+        for owner, attr, original in patches:
+            assert vars(owner)[attr] is original, (owner, attr)
+        # The service no longer calls run_query, but the shims patch it there.
+        assert repro.serving.service.run_query is repro.core.engine.run_query
+        assert repro.serving.service.run_queries is repro.core.batch.run_queries
+
     def test_production_callers_reach_patched_kernels(
         self, adjacency, monkeypatch
     ):

@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.backends import SparseDiffusionBackend
 from repro.core.batch import run_queries
-from repro.core.engine import ResilienceConfig, WalkConfig
+from repro.core.engine import ResilienceConfig, WalkConfig, run_query
 from repro.core.search import DiffusionSearchNetwork
 from repro.gsp.filters import PersonalizedPageRank
 from repro.gsp.normalization import transition_matrix
@@ -756,7 +756,125 @@ class TestSloServing:
         assert summary["slo_violations"] == 0
 
 
+class _PerQueryService(QueryService):
+    """The scalar oracle of the faulted batch path: each batch driven
+    through per-query ``run_query`` calls, the breaker fed in batch order."""
+
+    def _execute(self, batch, budgets, walk_start):
+        quarantine = self.static_quarantine
+        if self.breaker is not None:
+            quarantine = quarantine | self.breaker.quarantined(walk_start)
+        results = [
+            run_query(
+                self.adjacency,
+                self.stores,
+                self.policy,
+                request.embedding,
+                request.start_node,
+                self.config.walk,
+                query_id=request.query_id,
+                faults=self.faults,
+                resilience=self.config.resilience,
+                hop_budget=None if budgets is None else budgets[i],
+                quarantine=quarantine or None,
+            )
+            for i, request in enumerate(batch)
+        ]
+        if self.breaker is not None:
+            for result in results:
+                self.breaker.observe(result, walk_start)
+        return results
+
+
+def _response_signature(response):
+    walk = response.result
+    key = (
+        response.query_id,
+        response.outcome,
+        response.reason,
+        response.started,
+        response.completed,
+    )
+    if walk is None:
+        return key
+    return key + (
+        walk.visits,
+        walk.messages,
+        [(d.doc_id, d.score, d.node) for d in walk.results],
+        walk.discovered_at,
+        walk.degraded,
+        walk.retries,
+        walk.rerouted,
+        walk.walkers_lost,
+        walk.zombie_visits,
+        walk.deadline_hit,
+        walk.failed_peers,
+    )
+
+
 class TestFaultyService:
+    @pytest.mark.parametrize("deadlines", [False, True])
+    def test_lockstep_batches_equal_per_query_oracle(self, deadlines):
+        """One run_queries call per faulted batch equals the same batches
+        driven through per-query run_query calls: every response, the
+        breaker's trips and quarantine, and the injector's counts."""
+        net, vectors, rng = make_network(n=60)
+        plan = FaultPlan.generate(
+            net.n_nodes,
+            crash_fraction=0.2,
+            recover_after=6.0,
+            drop_probability=0.15,
+            zombie_fraction=0.1,
+            seed=5,
+        )
+        starts = rng.integers(net.n_nodes, size=40)
+        runs = []
+        for service_class in (QueryService, _PerQueryService):
+            injector = FaultInjector(plan)
+            breaker = PeerCircuitBreaker(
+                BreakerConfig(failure_threshold=2, window=100.0, cooldown=30.0)
+            )
+            service = service_class.from_network(
+                net,
+                config=ServingConfig(
+                    walk=WalkConfig(ttl=12, fanout=2, k=3),
+                    batch=MicroBatchConfig(max_batch=5, max_wait=1.0),
+                    resilience=ResilienceConfig(
+                        max_retries=1, retry_backoff=2, redundancy=3
+                    ),
+                ),
+                faults=injector,
+                breaker=breaker,
+                static_quarantine=[7],
+                seed=11,
+            )
+            for i, start in enumerate(starts.tolist()):
+                request = QueryRequest(
+                    query_id=i,
+                    embedding=vectors[f"doc{i % len(vectors)}"],
+                    start_node=start,
+                    deadline=4.0 + i if deadlines else math.inf,
+                )
+                service.queue.schedule_at(
+                    0.5 * i, lambda r=request, s=service: s.submit(r)
+                )
+            service.drain()
+            runs.append(
+                (
+                    [_response_signature(r) for r in service.responses],
+                    breaker.trips,
+                    sorted(breaker.quarantined(service.queue.now)),
+                    injector.dropped,
+                    injector.crash_detections,
+                )
+            )
+        assert runs[0] == runs[1]
+        responses = runs[0][0]
+        assert len(responses) == 40
+        walks = [r for r in responses if len(r) > 5]
+        assert sum(r[10] for r in walks) > 0  # retries happened
+        assert sum(r[11] for r in walks) > 0  # reroutes happened
+
     def test_all_queries_resolve_under_faults(self):
         net, vectors, rng = make_network(n=60)
         plan = FaultPlan.generate(
@@ -793,6 +911,8 @@ class TestFaultyService:
         assert m.ok + m.degraded + m.rejected == n
         # Pins the resilient walk's outcome bit for bit: walks, retries,
         # reroutes, lost walkers, breaker trips and the injector's drops.
+        # Captured from the per-query run_query oracle (_PerQueryService)
+        # with one drop stream per walk.
         results = [r.result for r in service.responses]
         assert (
             m.ok,
@@ -803,7 +923,7 @@ class TestFaultyService:
             sum(r.walkers_lost for r in results),
             breaker.trips,
             injector.dropped,
-        ) == (16, 8, 303, 21, 36, 8, 12, 21)
+        ) == (20, 4, 293, 28, 35, 4, 17, 28)
 
     def test_static_quarantine_routes_around_peers(self):
         net, vectors, rng = make_network()
@@ -831,6 +951,14 @@ class TestFaultyService:
 
 
 class TestServiceMetrics:
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_throughput_rejects_non_positive_horizon(self, horizon):
+        metrics = ServiceMetrics()
+        with pytest.raises(ValueError, match="horizon"):
+            metrics.throughput(horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            metrics.summary(horizon=horizon)
+
     def test_summary_shape(self):
         metrics = ServiceMetrics()
         summary = metrics.summary(horizon=10.0)
