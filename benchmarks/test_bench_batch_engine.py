@@ -1,10 +1,11 @@
 """Benchmark: batched vs scalar-loop execution of the Fig. 3 hot path.
 
 Runs the same accuracy experiment (3 alphas x distances 0-8, TTL 50) twice —
-once through the original one-walk-at-a-time driver (``engine="scalar"``)
-and once through the batched pipeline (``run_queries`` lockstep walks +
-multi-column diffusion) — and asserts both that the grids are identical and
-that the batched pipeline is decisively faster.
+once through the per-walk reference driver of ``tests/scalar_reference.py``
+(one scalar oracle walk per start, per-alpha diffusion) and once through the
+batched pipeline (``run_queries`` lockstep walks + multi-column diffusion) —
+and asserts both that the grids are identical and that the batched pipeline
+is decisively faster.
 
 Two sizes:
 
@@ -32,6 +33,7 @@ from repro.graphs.social import FacebookLikeConfig, facebook_like_graph
 from repro.simulation.runner import run_accuracy_experiment
 from repro.simulation.scenario import AccuracyScenario
 from repro.simulation.workload import build_workload
+from tests.scalar_reference import scalar_accuracy_experiment
 
 BENCH_FULL_ENV = "REPRO_BENCH_BATCH_FULL"
 
@@ -102,12 +104,12 @@ def _build_setting(size: BenchSize):
     return adjacency, workload, scenario
 
 
-def _time_engine(adjacency, workload, scenario, engine, repetitions) -> tuple[float, object]:
+def _time_driver(driver, adjacency, workload, scenario, repetitions) -> tuple[float, object]:
     best = float("inf")
     grid = None
     for _ in range(repetitions):
         started = time.perf_counter()
-        grid = run_accuracy_experiment(adjacency, workload, scenario, engine=engine)
+        grid = driver(adjacency, workload, scenario)
         best = min(best, time.perf_counter() - started)
     return best, grid
 
@@ -122,21 +124,19 @@ def test_batch_engine_speedup():
         n_documents=size.n_documents, alphas=scenario.alphas, iterations=1, seed=1
     )
     run_accuracy_experiment(adjacency, workload, warm)
-    run_accuracy_experiment(adjacency, workload, warm, engine="scalar")
+    scalar_accuracy_experiment(adjacency, workload, warm)
 
-    scalar_time, scalar_grid = _time_engine(
-        adjacency, workload, scenario, "scalar", size.repetitions
+    scalar_time, scalar_grid = _time_driver(
+        scalar_accuracy_experiment, adjacency, workload, scenario, size.repetitions
     )
-    batch_time, batch_grid = _time_engine(
-        adjacency, workload, scenario, "batch", size.repetitions
+    batch_time, batch_grid = _time_driver(
+        run_accuracy_experiment, adjacency, workload, scenario, size.repetitions
     )
     speedup = scalar_time / batch_time
     # Peak memory of one driver run per engine (untimed pass: tracemalloc
     # adds a few percent of overhead, so it never touches the speed numbers).
     _, scalar_peak = measure_peak_memory(
-        lambda: run_accuracy_experiment(
-            adjacency, workload, scenario, engine="scalar"
-        )
+        lambda: scalar_accuracy_experiment(adjacency, workload, scenario)
     )
     _, batch_peak = measure_peak_memory(
         lambda: run_accuracy_experiment(adjacency, workload, scenario)

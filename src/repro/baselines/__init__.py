@@ -6,8 +6,9 @@ Methods the paper positions its scheme against: TTL-bounded flooding
 The blind walks (uniform, parallel and the hub-seeking degree-biased walk)
 are forwarding policies rather than modules of their own: pass
 :class:`repro.core.forwarding.RandomWalkPolicy` or
-:class:`repro.core.forwarding.DegreeBiasedPolicy` to
-:func:`repro.core.engine.run_query`, with ``WalkConfig(fanout=n)`` for
+:class:`repro.core.forwarding.DegreeBiasedPolicy` to the walk engine,
+:func:`repro.core.batch.run_queries` (or its one-walk call
+:func:`repro.core.engine.run_query`), with ``WalkConfig(fanout=n)`` for
 ``n`` parallel walkers.
 """
 

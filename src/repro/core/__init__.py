@@ -4,7 +4,8 @@ Pipeline (paper §IV): nodes summarize their local documents into
 personalization vectors (:mod:`repro.core.personalization`), diffuse them over
 the P2P graph with a PPR graph filter (:mod:`repro.core.diffusion`), and use
 the diffused neighbor embeddings to forward queries as biased random walks
-(:mod:`repro.core.forwarding`, :mod:`repro.core.engine`).
+(:mod:`repro.core.forwarding`; the walk engine is :mod:`repro.core.batch`,
+and :mod:`repro.core.engine` holds its types and one-walk call).
 
 :class:`repro.core.search.DiffusionSearchNetwork` is the high-level entry
 point tying the stages together.

@@ -1,8 +1,8 @@
-"""Batched walk engine: B independent TTL-bounded walks in lockstep.
+"""The walk engine: B independent TTL-bounded walks in lockstep.
 
-:func:`run_queries` executes the exact Fig. 1 protocol of
-:func:`repro.core.engine.run_query` for a whole batch of queries at once,
-replacing the per-walk Python loop with structure-of-arrays state:
+:func:`run_queries` executes the Fig. 1 protocol (paper §IV-C) for a whole
+batch of queries at once, with structure-of-arrays state in place of a
+per-walk Python loop:
 
 * the frontier is a pair of flat arrays (query index, node) advanced one hop
   at a time — on a fault-free walk TTL and fanout are uniform across a hop,
@@ -25,23 +25,25 @@ replacing the per-walk Python loop with structure-of-arrays state:
   sparse-backed ones, so the sparse pipeline's walks never densify their
   scores per hop.
 
-With a fault injector the same hop loop runs ``run_query``'s resilient walk
+With a fault injector the same hop loop runs the resilient walk
 (:class:`_FaultedWalks`): liveness and zombie status are node masks, each
 walker carries its own TTL, and a hop's forwarding runs as attempt rounds
 vectorised across walkers — reroutes around dead peers and retries of
 dropped messages pick from one scoring of the hop's candidates
 (:meth:`ForwardingPolicy.score_batch`).  Quarantine without faults only
-filters candidates, as in ``run_query``'s fault-free walk.
+filters candidates.  :func:`repro.core.engine.run_query` is this engine's
+one-walk call.
 
-Equivalence contract, pinned by ``tests/unit/test_batch_engine.py`` and
-``tests/unit/test_faults.py``: for deterministic policies every
-:class:`SearchResult` field is bit-identical to the scalar engine's — with
-faults, quarantine, redundancy and hop budgets too, where a batch takes the
-injector's next ``B`` walk drop streams in batch order, so it equals a loop
-of ``run_query`` over the same walks, drops and crash detections included.
-Stochastic policies draw from per-walk generators spawned from ``seed``
-(one independent stream per walk), so each walk is distributionally
-equivalent to a scalar walk with its own seed.
+Equivalence contract, pinned by ``tests/unit/test_batch_engine.py``,
+``tests/unit/test_faults.py`` and a property test against the readable
+per-walk loop kept as the oracle in ``tests/scalar_reference.py``: for
+deterministic policies every :class:`SearchResult` field is bit-identical
+to that loop's — with faults, quarantine, redundancy and hop budgets too,
+where a batch takes the injector's next ``B`` walk drop streams in batch
+order, so it equals the loop over the same walks, drops and crash
+detections included.  Stochastic policies draw from per-walk generators
+spawned from ``seed`` (one independent stream per walk), so each walk is
+distributionally equivalent to a per-walk loop with its own seed.
 
 Memory note: the visited-edge matrix is ``B × 2·n_edges`` booleans.  When a
 batch would exceed :data:`VISITED_BUDGET_BYTES` (default 64 MB) it is split
@@ -66,7 +68,7 @@ from repro.kernels import dispatch as kernels
 from repro.retrieval.topk import TopKTracker
 from repro.retrieval.vector_store import DocumentStore
 from repro.utils import check_peer_ids
-from repro.utils.rng import RngLike, spawn_rngs
+from repro.utils.rng import RngLike, check_seed, spawn_rngs
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.runtime.faults import FaultInjector
@@ -81,7 +83,7 @@ VISITED_BUDGET_BYTES = 64 * 1024 * 1024
 def _within_query_ranks(queries: np.ndarray) -> np.ndarray:
     """Rank of each frontier entry among entries of the same query.
 
-    The scalar engine pops same-hop walkers of one query in FIFO order, so a
+    The protocol serves same-hop walkers of one query in FIFO order, so a
     later walker sees the memory marks of an earlier one.  Ranks split a hop
     into sub-rounds that replay exactly that order (rank r of every query
     runs before rank r + 1).  Only needed past the source hop with
@@ -351,19 +353,19 @@ def _hop_scores(
 
 
 class _FaultedWalks:
-    """A batch's resilient walk: ``run_query``'s protocol under faults.
+    """A batch's resilient walk: the Fig. 1 protocol under faults.
 
     Holds each walk's fault accounting and runs a sub-round's forwarding as
     attempt rounds, vectorised across walkers.  In each round every walker
-    that still owes sends tries one candidate, by ``run_query``'s
-    ``next_hops`` rule: its unseen, not-blocked candidates first, else
-    every not-blocked one (footnote 9), where blocked means quarantined, or
-    found dead or already chosen at this hop.  A send to a peer down at the
-    hop's time fails and blocks it (a reroute); a send to a live peer draws
-    the walk's drop lottery, and a drop retries the same peer.  Each failure
-    burns ``retry_backoff`` TTL, and failures past ``max_retries`` kill the
-    walker.  A sub-round holds at most one walker per query, so each walk's
-    drop draws keep the scalar FIFO order.
+    that still owes sends tries one candidate: its unseen, not-blocked
+    candidates first, else every not-blocked one (footnote 9), where
+    blocked means quarantined, or found dead or already chosen at this
+    hop.  A send to a peer down at the hop's time fails and blocks it (a
+    reroute); a send to a live peer draws the walk's drop lottery, and a
+    drop retries the same peer.  Each failure burns ``retry_backoff`` TTL,
+    and failures past ``max_retries`` kill the walker.  A sub-round holds at
+    most one walker per query, so each walk's drop draws keep the
+    protocol's FIFO order.
     """
 
     def __init__(
@@ -413,7 +415,7 @@ class _FaultedWalks:
         """Fig. 1 step 3 per walker: decrement, retire the spent walkers.
 
         A spent walker of a budget-capped walk flags its results as
-        best-so-far partials, as ``run_query`` does.
+        best-so-far partials.
         """
         ttl = ttl - 1
         spent = ttl <= 0
@@ -464,7 +466,7 @@ class _FaultedWalks:
         ttl = ttl.copy()
         sent = np.zeros(entries, dtype=np.int64)
         failures = np.zeros(entries, dtype=np.int64)
-        # Found a peer dead or sent a walker: run_query's `unreachable`.
+        # Found a peer dead or sent a walker at this hop.
         tried = np.zeros(entries, dtype=bool)
         died = np.zeros(entries, dtype=bool)
         live = np.ones(entries, dtype=bool)
@@ -602,20 +604,22 @@ def run_queries(
     seed:
         Spawned into ``B`` independent per-walk generators (stochastic
         policies only; deterministic policies never draw from them).
+        Anything but ``None``, an int, a ``SeedSequence`` or a
+        ``Generator`` raises ``TypeError``, on every path.
     hop_budgets:
         Per-query deadline budgets in hops (``B`` positive ints, or ``None``
         for none): walk ``q``'s horizon is capped at
         ``min(config.ttl, hop_budgets[q])`` visits.  A walk whose cap
         actually bites returns its best-so-far partial with
-        ``result.degraded`` and ``result.deadline_hit`` set — exactly the
-        scalar engine's ``hop_budget`` semantics, per query.  ``None``
-        leaves the batch bit-identical to the unbudgeted engine.
+        ``result.degraded`` and ``result.deadline_hit`` set — the
+        ``hop_budget`` of :func:`repro.core.engine.run_query`, per query.
+        ``None`` leaves the batch bit-identical to the unbudgeted engine.
     faults, resilience, quarantine:
-        The resilient walk of :func:`repro.core.engine.run_query`, with the
-        same meaning, for every walk of the batch.  With ``faults`` the
-        walks take the injector's next ``B`` walk drop streams in batch
-        order, so the call equals a loop of ``run_query`` over the same
-        walks through the same injector, its ``dropped`` and
+        The resilient walk, as documented for
+        :func:`repro.core.engine.run_query`, for every walk of the batch.
+        With ``faults`` the walks take the injector's next ``B`` walk drop
+        streams in batch order, so the call equals a loop of ``run_query``
+        over the same walks through the same injector, its ``dropped`` and
         ``crash_detections`` counts included.  All three ``None`` (the
         default) run the fault-free walk.
 
@@ -625,6 +629,8 @@ def run_queries(
         One result per start node, index-aligned with ``start_nodes``.
     """
     config = config or WalkConfig()
+    # Checked up front: the stacked score path never spawns from the seed.
+    check_seed(seed)
     start = np.asarray(start_nodes, dtype=np.int64)
     if start.ndim != 1:
         raise ValueError(f"start_nodes must be 1-D, got shape {start.shape}")
@@ -732,13 +738,6 @@ def run_queries(
     # Per-(query, directed edge) neighbor memory (paper §IV-C).
     seen = np.zeros((batch, indices.shape[0]), dtype=bool)
 
-    # Marked from the keys alone: sizing a lazily built store would build
-    # it, and an empty store offers nothing to the tracker anyway.
-    has_store = np.zeros(n_nodes, dtype=bool)
-    for node in stores:
-        if isinstance(node, (int, np.integer)) and 0 <= node < n_nodes:
-            has_store[node] = True
-
     # Redundant walkers are extra source fanout sharing the visited memory.
     source_fanout = config.fanout
     if resilience is not None:
@@ -824,8 +823,8 @@ def run_queries(
                 if act_q.size == 0:
                     break
 
-        # Sub-rounds replay the scalar FIFO order when one query can field
-        # several same-hop walkers (fanout > 1 past the source hop).
+        # Sub-rounds replay the protocol's FIFO order when one query can
+        # field several same-hop walkers (fanout > 1 past the source hop).
         if source_fanout > 1 and hop >= 1:
             ranks = _within_query_ranks(act_q)
             n_rounds = int(ranks.max()) + 1
@@ -982,11 +981,17 @@ def run_queries(
     # Local evaluation (Fig. 1 steps 1-2), deferred: forwarding never reads
     # the tracker, so document scoring can run once over the deduplicated
     # visit log instead of once per hop.  Each (query, node) pair is scored
-    # at its first visit — re-visits are no-ops in the scalar engine too
-    # (the tracker keeps one entry per doc id and ``discovered_at`` keeps
-    # the first hop) — and offers replay in exact per-query visit order.
-    # A zombie peer routes but serves nothing, on every visit.
-    evaluated = has_store if faults is None else has_store & ~faults.zombie_mask
+    # at its first visit — a re-visit would offer nothing new (the tracker
+    # keeps one entry per doc id and ``discovered_at`` keeps the first
+    # hop) — and offers replay in exact per-query visit order.
+    # Only visited nodes are looked up, by key, so a call costs nothing per
+    # unvisited store (sizing a lazily built store would build it, and an
+    # empty store offers nothing to the tracker anyway).  A zombie peer
+    # routes but serves nothing, on every visit.
+    evaluated = np.zeros(n_nodes, dtype=bool)
+    evaluated[[v for v in np.unique(all_node).tolist() if v in stores]] = True
+    if faults is not None:
+        evaluated &= ~faults.zombie_mask
     store_visits = np.flatnonzero(evaluated[sorted_node])
     if store_visits.size:
         key = sorted_q[store_visits] * n_nodes + sorted_node[store_visits]

@@ -1,12 +1,17 @@
-"""The walk engine: TTL-bounded query forwarding (paper §IV-C, Fig. 1).
+"""Walk types and the one-walk query call (paper §IV-C, Fig. 1).
 
-This is the synchronous fast path used by the experiment sweeps.  It executes
-*exactly* the per-node protocol of Fig. 1 — evaluate locally, decrement TTL,
-pick unvisited neighbors by embedding score, fall back to all neighbors when
-every neighbor was already involved (footnote 9) — while keeping all state in
-plain dictionaries instead of scheduling messages.  An integration test pins
-its walks to the event-driven :class:`repro.core.protocol.QueryRoutingNode`
-execution step for step, so the fast path is an accelerator, not a variant.
+:class:`WalkConfig`, :class:`ResilienceConfig` and :class:`SearchResult` are
+the types of the walk engine, :func:`repro.core.batch.run_queries`.  It runs
+the per-node protocol of Fig. 1 — evaluate locally, decrement TTL, pick
+unvisited neighbors by embedding score, fall back to all neighbors when every
+neighbor was already involved (footnote 9) — for a batch of walks in
+lockstep.  :func:`run_query` is its one-walk call.  A walk costs more alone
+than inside a batch, so drivers with many walks call ``run_queries``.
+
+An integration test pins the walks to the event-driven
+:class:`repro.core.protocol.QueryRoutingNode` execution step for step, and
+the equivalence tests pin them to a readable per-walk loop kept in
+``tests/scalar_reference.py`` as the oracle.
 
 Privacy note (paper §IV-C): visited state is the per-(query, node) memory of
 which neighbors a node received from / forwarded to — the query message never
@@ -15,7 +20,6 @@ carries the visited set.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
@@ -25,12 +29,7 @@ from repro.core.forwarding import ForwardingPolicy
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.retrieval.topk import ScoredDocument, TopKTracker
 from repro.retrieval.vector_store import DocumentStore
-from repro.utils import (
-    check_non_negative_int,
-    check_peer_ids,
-    check_positive_int,
-    ensure_rng,
-)
+from repro.utils import check_non_negative_int, check_positive_int
 from repro.utils.rng import RngLike
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -168,34 +167,6 @@ class SearchResult:
         return self.discovered_at.get(doc_id)
 
 
-class _FrozenEmptyStore(DocumentStore):
-    """Immutable empty store shared across queries of the same ``dim``.
-
-    Nodes without documents are scored against this sentinel; freezing the
-    mutators guarantees the shared instance can never accumulate documents
-    and leak them into unrelated queries or networks.
-    """
-
-    def add(self, doc_id: Hashable, embedding: np.ndarray) -> None:
-        raise TypeError("the shared empty-store sentinel is immutable")
-
-    def add_many(self, documents) -> None:
-        raise TypeError("the shared empty-store sentinel is immutable")
-
-    def remove(self, doc_id: Hashable) -> None:
-        raise TypeError("the shared empty-store sentinel is immutable")
-
-
-_EMPTY_STORE_SENTINELS: dict[int, _FrozenEmptyStore] = {}
-
-
-def _empty_store(dim: int) -> DocumentStore:
-    store = _EMPTY_STORE_SENTINELS.get(dim)
-    if store is None:
-        store = _EMPTY_STORE_SENTINELS[dim] = _FrozenEmptyStore(dim)
-    return store
-
-
 def run_query(
     adjacency: CompressedAdjacency,
     stores: Mapping[int, DocumentStore],
@@ -213,6 +184,10 @@ def run_query(
 ) -> SearchResult:
     """Execute one query from ``start_node`` per the Fig. 1 protocol.
 
+    A :func:`repro.core.batch.run_queries` call with one walk.  For a
+    deterministic policy the result equals that walk's entry in a batch,
+    every field included.
+
     Parameters
     ----------
     stores:
@@ -221,25 +196,28 @@ def run_query(
     policy:
         Next-hop selection (the paper's embedding-guided policy or a blind
         baseline).
+    query_id:
+        Returned unchanged as ``result.query_id`` (a tuple id included).
     seed:
         Drives stochastic policies only; the default embedding-guided policy
-        is deterministic.
+        is deterministic.  The walk draws from the one generator
+        ``run_queries`` spawns from ``seed``.  Anything but ``None``, an
+        int, a ``SeedSequence`` or a ``Generator`` raises ``TypeError``.
     faults:
         A :class:`repro.runtime.faults.FaultInjector` to walk through.  With
-        ``None`` (the default) the engine runs the exact fault-free protocol
-        — bit-identical to the pre-resilience implementation, pinned by
-        equivalence tests.  With an injector, forwarding gains failure
-        detection: a message to a crashed peer times out and the walker
-        reroutes to the next-best-scoring live neighbor; a dropped message
-        is retried; each failed attempt burns ``resilience.retry_backoff``
+        ``None`` (the default) the engine runs the exact fault-free
+        protocol.  With an injector, forwarding gains failure detection: a
+        message to a crashed peer times out and the walker reroutes to the
+        next-best-scoring live neighbor; a dropped message is retried; each
+        failed attempt burns ``resilience.retry_backoff``
         TTL, and after ``resilience.max_retries`` failures at one hop the
         walker dies.  When every walker dies early the query returns its
         best-so-far partial results with ``result.degraded`` set instead of
         raising.  The hop index serves as the injector's logical clock, and
         the walk draws its drops from the injector's next walk stream
-        (:meth:`~repro.runtime.faults.FaultInjector.walk_streams`), so the
-        lockstep :func:`repro.core.batch.run_queries` reproduces a loop of
-        these calls bit for bit.
+        (:meth:`~repro.runtime.faults.FaultInjector.walk_streams`), so a
+        loop of these calls equals one ``run_queries`` call over the same
+        walks.
     resilience:
         Retry/backoff/redundancy knobs (defaults: 2 retries, backoff 1,
         redundancy 1).  ``redundancy=k`` launches ``max(fanout, k)`` source
@@ -262,193 +240,23 @@ def run_query(
         changes nothing; an id outside ``[0, n_nodes)`` raises
         ``ValueError``.
     """
-    config = config or WalkConfig()
-    rng = ensure_rng(seed)
-    query_embedding = np.asarray(query_embedding, dtype=np.float64)
-    if not 0 <= start_node < adjacency.n_nodes:
-        raise ValueError(f"start_node {start_node} out of range")
-    effective_ttl = config.ttl
+    # Imported here: repro.core.batch imports this module's dataclasses.
+    from repro.core.batch import run_queries
+
     if hop_budget is not None:
         check_positive_int(hop_budget, "hop_budget")
-        effective_ttl = min(effective_ttl, hop_budget)
-    capped = effective_ttl < config.ttl
-    n_nodes = adjacency.n_nodes
-    if faults is not None and faults.plan.n_nodes < n_nodes:
-        raise ValueError(
-            f"fault plan covers {faults.plan.n_nodes} nodes, "
-            f"the overlay has {n_nodes}"
-        )
-    quarantined = (
-        [] if quarantine is None
-        else check_peer_ids(quarantine, n_nodes, "quarantine")
-    )
-    # Peers `next_hops` must not pick, as one boolean node mask: the
-    # quarantine, set once per call, plus (in the resilient walk) the peers
-    # one hop's sending loop found dead or already chose, set during that
-    # loop and cleared after it.  Filtering is then one gather per hop.
-    excluded: np.ndarray | None = None
-    if quarantined or faults is not None:
-        excluded = np.zeros(n_nodes, dtype=bool)
-        excluded[quarantined] = True
-
-    dim = query_embedding.shape[0]
-    tracker = TopKTracker(config.k)
-    result = SearchResult(
-        query_id=query_id,
-        start_node=int(start_node),
-        tracker=tracker,
-        visits=[],
-    )
-    # Per-(query, node) neighbor memory: who this node received from or
-    # forwarded to.  Kept engine-side but indexed per node — identical
-    # information to the distributed implementation.  Each entry is a boolean
-    # mask over the node's (sorted) CSR neighbor row, so the membership test
-    # is a single fancy-index instead of a per-hop set→list→``np.isin`` scan.
-    memory: dict[int, np.ndarray] = {}
-
-    def visit(node: int, hop: int, *, skip_store: bool = False) -> None:
-        result.visits.append((hop, node))
-        if skip_store:
-            # Zombie peer: it routes, but its local evaluation is stale.
-            return
-        store = stores.get(node) or _empty_store(dim)
-        for doc_id, score in store.top_k(query_embedding, config.k):
-            tracker.offer(doc_id, score, node)
-            result.discovered_at.setdefault(doc_id, hop)
-
-    def next_hops(node: int, fanout: int) -> np.ndarray:
-        neighbors = adjacency.neighbors(node)
-        if neighbors.size == 0:
-            return neighbors
-        seen = memory.get(node)
-        candidates = neighbors if seen is None else neighbors[~seen]
-        if excluded is not None:
-            candidates = candidates[~excluded[candidates]]
-        if candidates.size == 0:
-            # Footnote 9: don't waste the remaining TTL — consider everyone.
-            candidates = neighbors
-            if excluded is not None:
-                candidates = candidates[~excluded[candidates]]
-            if candidates.size == 0:
-                return candidates
-        return policy.select(query_embedding, candidates, fanout, rng)
-
-    def remember(node: int, other: int) -> None:
-        """Mark ``other`` in ``node``'s neighbor-row memory mask."""
-        neighbors = adjacency.neighbors(node)
-        position = int(np.searchsorted(neighbors, other))
-        if position >= neighbors.shape[0] or neighbors[position] != other:
-            return  # not adjacent: can never be filtered, nothing to record
-        seen = memory.get(node)
-        if seen is None:
-            seen = memory[node] = np.zeros(neighbors.shape[0], dtype=bool)
-        seen[position] = True
-
-    # Walker queue processed in hop order: (node, hop, remaining ttl before
-    # this node's decrement, fanout for this node's forwarding decision).
-    # Redundant walkers are extra source fanout sharing the visited memory.
-    source_fanout = config.fanout
-    if resilience is not None:
-        source_fanout = max(source_fanout, resilience.redundancy)
-    frontier: deque[tuple[int, int, int, int]] = deque()
-    frontier.append((int(start_node), 0, effective_ttl, source_fanout))
-
-    if faults is None:
-        # The fault-free fast path: exactly the pre-resilience protocol
-        # (equivalence tests pin this loop bit-identical to the seed when
-        # no hop budget or quarantine narrows it).
-        while frontier:
-            node, hop, ttl, fanout = frontier.popleft()
-            visit(node, hop)
-            ttl -= 1  # Fig. 1 step 3
-            if ttl <= 0:
-                # Fig. 1 step 4b: discard (response backtracks).  When the
-                # horizon was the deadline budget rather than the real TTL,
-                # the results are best-so-far partials, flagged as such.
-                if capped:
-                    result.degraded = True
-                    result.deadline_hit = True
-                continue
-            for target in next_hops(node, fanout):
-                target = int(target)
-                remember(node, target)
-                remember(target, node)
-                result.messages += 1
-                frontier.append((target, hop + 1, ttl, 1))
-        return result
-
-    # ------------------------------------------------- failure-resilient walk
-    res = resilience or ResilienceConfig()
-    streams = faults.walk_streams(1)
-    stream = None if streams is None else streams[0]
-    if not faults.alive(int(start_node), 0.0):
-        # The querying node itself is down: nothing can even be evaluated.
-        result.degraded = True
-        result.walkers_lost = source_fanout
-        return result
-
-    while frontier:
-        node, hop, ttl, fanout = frontier.popleft()
-        zombie = faults.is_zombie(node)
-        if zombie:
-            result.zombie_visits += 1
-        visit(node, hop, skip_store=zombie)
-        ttl -= 1  # Fig. 1 step 3
-        if ttl <= 0:
-            if capped:
-                result.degraded = True
-                result.deadline_hit = True
-            continue
-        # Forward `fanout` walkers one attempt at a time so a failure can
-        # reroute to the next-best-scoring *live* neighbor.  Quarantined
-        # peers are never tried, so a peer a circuit breaker already
-        # condemned costs zero attempts.  `unreachable` lists the peers this
-        # node found dead (or already chose) at this hop; they stay set in
-        # `excluded` until the loop ends.  Failed attempts burn TTL
-        # (timeout + backoff) and count against the per-hop retry budget.
-        sent = 0
-        failures = 0
-        unreachable: list[int] = []
-        died_of_faults = False
-        while sent < fanout and ttl > 0:
-            targets = next_hops(node, 1)
-            if targets.size == 0:
-                died_of_faults = bool(quarantined or unreachable)
-                break
-            target = int(targets[0])
-            result.messages += 1
-            if not faults.alive(target, float(hop + 1)):
-                # No ack before the timeout: mark dead, reroute.
-                failures += 1
-                result.rerouted += 1
-                faults.note_crash_detection()
-                excluded[target] = True
-                unreachable.append(target)
-                result.failed_peers[target] = (
-                    result.failed_peers.get(target, 0) + 1
-                )
-            elif faults.walk_drops(stream):
-                # Message lost in flight: retry (same peer stays eligible).
-                failures += 1
-                result.retries += 1
-                result.failed_peers[target] = (
-                    result.failed_peers.get(target, 0) + 1
-                )
-            else:
-                remember(node, target)
-                remember(target, node)
-                frontier.append((target, hop + 1, ttl, 1))
-                excluded[target] = True  # one walker per distinct peer
-                unreachable.append(target)
-                sent += 1
-                continue
-            if failures > res.max_retries:
-                died_of_faults = True
-                break
-            ttl -= res.retry_backoff
-        excluded[unreachable] = False
-        if sent < fanout and (died_of_faults or (ttl <= 0 and failures > 0)):
-            result.walkers_lost += fanout - sent
-            result.degraded = True
-
-    return result
+    # A one-element id list: a tuple id must not be read as per-walk ids.
+    return run_queries(
+        adjacency,
+        stores,
+        policy,
+        query_embedding,
+        [start_node],
+        config,
+        query_ids=[query_id],
+        seed=seed,
+        hop_budgets=None if hop_budget is None else [hop_budget],
+        faults=faults,
+        resilience=resilience,
+        quarantine=quarantine,
+    )[0]

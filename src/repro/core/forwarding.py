@@ -199,8 +199,8 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
         the last bits).  A dense cache gathers ``E[candidates]`` and takes a
         row-wise dot.  Both compute in float64 whatever the storage dtype,
         and a candidate's score never depends on the other segments, so a
-        one-segment call (the scalar engine) and an S-segment call (the
-        batch engine) agree bit for bit.
+        one-segment call (one walk, or :meth:`select`) and an S-segment call
+        agree bit for bit.
         """
         dim = self.embeddings.shape[1]
         if queries.ndim != 2 or queries.shape[1] != dim:

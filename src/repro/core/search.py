@@ -544,12 +544,15 @@ class DiffusionSearchNetwork:
         hop_budget: int | None = None,
         quarantine: Iterable[int] | None = None,
     ) -> SearchResult:
-        """Execute a query with the fast walk engine.
+        """Execute one query through the walk engine's one-walk call.
 
-        ``faults``/``resilience`` run the failure-resilient protocol (see
-        :func:`repro.core.engine.run_query`): detected-dead peers are
-        rerouted around, dropped messages retried, and a query whose
-        walkers all die returns best-so-far results with
+        A :func:`repro.core.engine.run_query` call.  A walk costs more
+        alone than in a batch, so many queries run faster as one
+        :func:`repro.core.batch.run_queries` call over ``self.adjacency``,
+        ``self.stores`` and ``self.default_policy()``.
+        ``faults``/``resilience`` run the failure-resilient protocol:
+        detected-dead peers are rerouted around, dropped messages retried,
+        and a query whose walkers all die returns best-so-far results with
         ``result.degraded`` set.  Without an injector the walk is
         bit-identical to the fault-free engine.  ``hop_budget`` caps the
         walk horizon (deadline serving; a truncated walk returns partials

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.baselines import flood_query
 from repro.core.aggregation import ChannelHasher, MaxChannelPolicy, channel_relevance_signals
+from repro.core.batch import run_queries
 from repro.core.engine import WalkConfig, run_query
 from repro.core.forwarding import (
     DegreeBiasedPolicy,
@@ -138,15 +139,9 @@ def topk_sweep(
             starts = rng.integers(
                 0, env.adjacency.n_nodes, size=scenario.queries_per_iteration
             )
-            for start in starts:
-                result = run_query(
-                    env.adjacency,
-                    data.stores,
-                    policy,
-                    data.query_embedding,
-                    int(start),
-                    config,
-                )
+            for result in run_queries(
+                env.adjacency, data.stores, policy, data.query_embedding, starts, config
+            ):
                 total += 1
                 top1 += result.found(data.gold_word, top=1)
                 topk += result.found(data.gold_word)

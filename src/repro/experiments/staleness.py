@@ -24,7 +24,8 @@ import argparse
 
 import numpy as np
 
-from repro.core.engine import WalkConfig, run_query
+from repro.core.batch import run_queries
+from repro.core.engine import WalkConfig
 from repro.core.forwarding import PrecomputedScorePolicy
 from repro.experiments.common import get_environment, resolve_full
 from repro.simulation.placement import build_stores
@@ -98,12 +99,12 @@ def staleness_sweep(
             moved_nodes = _move_fraction(nodes, fraction, n, rng)
             stores = build_stores(doc_ids, embeddings, moved_nodes, env.model.dim)
             # paired design: identical starts across fractions cut variance
-            for start in starts:
-                result = run_query(
-                    env.adjacency, stores, policy,
-                    data.query_embedding, int(start), config,
-                )
-                successes[fraction] += result.found(data.gold_word, top=1)
+            results = run_queries(
+                env.adjacency, stores, policy, data.query_embedding, starts, config
+            )
+            successes[fraction] += sum(
+                result.found(data.gold_word, top=1) for result in results
+            )
 
     return [
         {
@@ -174,14 +175,13 @@ def refresh_strategy_sweep(
                 sweeps[fraction, strategy] += outcome.sweeps
                 operations[fraction, strategy] += outcome.edge_operations
                 policy = PrecomputedScorePolicy(outcome.scores)
-                for start in starts:
-                    result = run_query(
-                        env.adjacency, stores, policy,
-                        data.query_embedding, int(start), config,
-                    )
-                    successes[fraction, strategy] += result.found(
-                        data.gold_word, top=1
-                    )
+                results = run_queries(
+                    env.adjacency, stores, policy,
+                    data.query_embedding, starts, config,
+                )
+                successes[fraction, strategy] += sum(
+                    result.found(data.gold_word, top=1) for result in results
+                )
 
     return [
         {

@@ -14,10 +14,11 @@ names and its tracer reads each one with ``vars(dispatch)[name]``, so
 deleting one fails the traced benchmark; they go when the benchmark stops
 patching them.
 
-Do not "optimize" these in ways that change a single output bit: the batch
-walk engine's equivalence contract with the scalar engine, and the sparse
-scoring paths' equivalence with their densified counterparts, are proven
-through these exact operations.
+Do not "optimize" these in ways that change a single output bit: the walk
+engine's equivalence contract with the scalar reference walk in
+``tests/scalar_reference.py``, and the sparse scoring paths' equivalence
+with their densified counterparts, are proven through these exact
+operations.
 """
 
 from __future__ import annotations

@@ -20,15 +20,14 @@ faulty run is exactly reproducible from ``(plan, workload, seed)``:
 
 Two consumers, one plan:
 
-- the synchronous walk engines (:func:`repro.core.batch.run_queries` and
-  its scalar reference :func:`repro.core.engine.run_query`) take the hop
-  index as the logical time.  The lockstep engine reads whole node masks
-  (:meth:`FaultInjector.down_mask`, :attr:`FaultInjector.zombie_mask`); the
-  scalar one asks point questions (:meth:`FaultInjector.alive`,
-  :meth:`FaultInjector.is_zombie`).  Each walk draws its message drops from
-  its own stream (:meth:`FaultInjector.walk_streams`), handed out in the
-  order walks start, so a walk's drops do not depend on how many other
-  walks run beside it or in which order an engine advances them;
+- the synchronous walk engine (:func:`repro.core.batch.run_queries`, and
+  :func:`repro.core.engine.run_query`, its one-walk call) takes the hop
+  index as the logical time and reads whole node masks
+  (:meth:`FaultInjector.down_mask`, :attr:`FaultInjector.zombie_mask`).
+  Each walk draws its message drops from its own stream
+  (:meth:`FaultInjector.walk_streams`), handed out in the order walks
+  start, so a walk's drops do not depend on how many other walks run
+  beside it or in which order the engine advances them;
 - the event-driven runtime gets the same plan scheduled through the
   :class:`~repro.runtime.events.EventQueue`:
   :meth:`FaultInjector.install` registers crash/recover events on a
@@ -138,8 +137,8 @@ class FaultPlan:
                 raise ValueError(
                     f"zombie node {node} out of range [0, {self.n_nodes})"
                 )
-        # Per-node index for `crashed_at`, the walk engine's per-attempt
-        # liveness check.  Set outside the dataclass fields, so plan
+        # Per-node index for `crashed_at`, the point liveness check behind
+        # `FaultInjector.alive`.  Set outside the dataclass fields, so plan
         # equality, hashing and repr still see only the windows.
         object.__setattr__(self, "_windows_by_node", windows_by_node)
 
@@ -153,9 +152,6 @@ class FaultPlan:
     def crashed_nodes(self, time: float) -> frozenset[int]:
         """All nodes down at ``time``."""
         return frozenset(w.node for w in self.crashes if w.covers(time))
-
-    def is_zombie(self, node: int) -> bool:
-        return node in self.zombies
 
     def live_nodes(self, time: float = 0.0) -> list[int]:
         """Node ids not crashed at ``time`` (zombies count as live)."""
@@ -284,7 +280,10 @@ class FaultInjector:
     # ----------------------------------------------- synchronous-engine API
 
     def alive(self, node: int, time: float) -> bool:
-        """Is ``node`` up at ``time``?  (The walk engine passes hop indices.)"""
+        """Is ``node`` up at ``time``?  (Walks use hop indices as time.)
+
+        A point check; the walk engine reads :meth:`down_mask` instead.
+        """
         return not self.plan.crashed_at(node, time)
 
     def down_mask(self, time: float) -> np.ndarray:
@@ -301,9 +300,6 @@ class FaultInjector:
             mask.setflags(write=False)
             self._down_masks[time] = mask
         return mask
-
-    def is_zombie(self, node: int) -> bool:
-        return self.plan.is_zombie(node)
 
     def walk_streams(self, count: int) -> list[np.random.Generator] | None:
         """Drop streams of the next ``count`` walks, in the order they start.
@@ -338,10 +334,6 @@ class FaultInjector:
             self.dropped += 1
             return False
         return True
-
-    def note_crash_detection(self) -> None:
-        """Count one detected-dead-peer event (engine bookkeeping)."""
-        self.crash_detections += 1
 
     # ------------------------------------------------- event-driven API
 

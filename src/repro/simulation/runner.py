@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.batch import run_queries
-from repro.core.engine import WalkConfig, run_query
+from repro.core.engine import WalkConfig
 from repro.core.forwarding import ForwardingPolicy, PrecomputedScorePolicy
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.communities import label_propagation_communities
@@ -243,11 +243,6 @@ def sample_start_nodes(
     return starts
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ("batch", "scalar"):
-        raise ValueError(f"engine must be 'batch' or 'scalar', got {engine!r}")
-
-
 def run_accuracy_experiment(
     adjacency: CompressedAdjacency,
     workload: RetrievalWorkload,
@@ -255,7 +250,6 @@ def run_accuracy_experiment(
     *,
     communities: np.ndarray | None = None,
     policy_factory: PolicyFactory = _default_policy_factory,
-    engine: str = "batch",
 ) -> AccuracyGrid:
     """Reproduce one Fig. 3 panel.
 
@@ -266,17 +260,12 @@ def run_accuracy_experiment(
     :func:`repro.core.batch.run_queries`.  A query succeeds when the gold
     document is its final top-1.
 
-    ``engine="scalar"`` retains the original one-walk-at-a-time loop (the
-    reference implementation benchmarked against the batch path).  The walk
-    engines themselves are bit-identical for deterministic policies; the
-    batch path additionally swaps the per-alpha power-iteration diffusion
-    for the exact multi-column solve, whose scores agree with the scalar
-    path's to within its power tolerance (~1e-10) — so grids can in
-    principle differ where two neighbors' diffused scores tie closer than
-    that truncation error (not observed in practice; the equivalence tests
-    sweep both engines).
+    The diffusion is the exact multi-column solve.  Its scores agree with a
+    per-alpha power iteration to within the power tolerance (~1e-10), so a
+    per-walk reference driver that diffuses per alpha could in principle
+    see a different grid where two neighbors' diffused scores tie closer
+    than that (not observed; the equivalence tests compare the two).
     """
-    _check_engine(engine)
     sampler = IterationSampler(
         adjacency,
         workload,
@@ -293,23 +282,6 @@ def run_accuracy_experiment(
         data = sampler.sample(scenario.n_documents, rng)
         distances = bfs_distances(adjacency, data.gold_node)
         starts = sample_start_nodes(distances, scenario.max_distance, rng)
-        if engine == "scalar":
-            for alpha in scenario.alphas:
-                scores = sampler.diffuse_scores(data.relevance_signal, alpha)
-                policy = policy_factory(scores, adjacency)
-                for radius, start in starts.items():
-                    result = run_query(
-                        adjacency,
-                        data.stores,
-                        policy,
-                        data.query_embedding,
-                        start,
-                        config,
-                        query_id=data.query_word,
-                        seed=rng,
-                    )
-                    grid.record(alpha, radius, result.found(data.gold_word, top=1))
-            continue
         score_rows = np.ascontiguousarray(
             sampler.diffuse_scores_multi(data.relevance_signal, scenario.alphas).T
         )
@@ -344,16 +316,14 @@ def run_hop_count_experiment(
     *,
     communities: np.ndarray | None = None,
     policy_factory: PolicyFactory = _default_policy_factory,
-    engine: str = "batch",
 ) -> HopStatistics:
     """Reproduce one Table I row.
 
     Per iteration: place 1 gold + (M−1) irrelevant documents, then launch
     all ``queries_per_iteration`` queries from uniformly sampled nodes as
     one batch; record the hop at which successful queries reached the gold
-    document.  ``engine="scalar"`` retains the original per-walk loop.
+    document.
     """
-    _check_engine(engine)
     sampler = IterationSampler(
         adjacency,
         workload,
@@ -374,31 +344,16 @@ def run_hop_count_experiment(
         starts = rng.integers(
             0, adjacency.n_nodes, size=scenario.queries_per_iteration
         )
-        if engine == "scalar":
-            results = [
-                run_query(
-                    adjacency,
-                    data.stores,
-                    policy,
-                    data.query_embedding,
-                    int(start),
-                    config,
-                    query_id=data.query_word,
-                    seed=rng,
-                )
-                for start in starts
-            ]
-        else:
-            results = run_queries(
-                adjacency,
-                data.stores,
-                policy,
-                data.query_embedding,
-                starts,
-                config,
-                query_ids=data.query_word,
-                seed=rng,
-            )
+        results = run_queries(
+            adjacency,
+            data.stores,
+            policy,
+            data.query_embedding,
+            starts,
+            config,
+            query_ids=data.query_word,
+            seed=rng,
+        )
         for result in results:
             total += 1
             if result.found(data.gold_word, top=1):

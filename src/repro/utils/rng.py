@@ -16,21 +16,30 @@ import numpy as np
 RngLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
 
 
+def check_seed(seed: RngLike) -> None:
+    """Raise ``TypeError`` unless ``seed`` is an :data:`RngLike`.
+
+    Only the type is read: a generator passed here draws nothing.
+    """
+    if seed is None or isinstance(
+        seed, (int, np.integer, np.random.SeedSequence, np.random.Generator)
+    ):
+        return
+    raise TypeError(
+        f"seed must be None, an int, a SeedSequence or a Generator, got {type(seed)!r}"
+    )
+
+
 def ensure_rng(seed: RngLike = None) -> np.random.Generator:
     """Coerce ``seed`` into a :class:`numpy.random.Generator`.
 
     Passing an existing generator returns it unchanged, so components can share
     a stream when the caller wants them to.
     """
+    check_seed(seed)
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    if seed is None or isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(seed)
-    raise TypeError(
-        f"seed must be None, an int, a SeedSequence or a Generator, got {type(seed)!r}"
-    )
+    return np.random.default_rng(seed)
 
 
 def spawn_rngs(seed: RngLike, count: int) -> list[np.random.Generator]:

@@ -17,6 +17,7 @@ from repro.core.forwarding import (
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.retrieval.vector_store import DocumentStore
 from repro.runtime.faults import CrashWindow, FaultInjector, FaultPlan
+from scalar_reference import scalar_run_query
 
 
 @st.composite
@@ -223,7 +224,7 @@ class TestLockstepResilientWalk:
     @given(instance=faulted_batch())
     @settings(max_examples=150, deadline=None)
     def test_batch_equals_scalar_loop(self, instance):
-        """run_queries under faults ≡ a run_query loop over the same walks."""
+        """run_queries under faults ≡ a scalar-reference loop over the same walks."""
         (adjacency, stores, policy, queries, starts, config, plan,
          resilience, budgets, quarantine) = instance
         lockstep, scalar = FaultInjector(plan), FaultInjector(plan)
@@ -233,7 +234,7 @@ class TestLockstepResilientWalk:
             faults=lockstep, resilience=resilience, quarantine=quarantine,
         )
         loop = [
-            run_query(
+            scalar_run_query(
                 adjacency, stores, policy, queries[i], start, config,
                 query_id=i, faults=scalar, resilience=resilience,
                 hop_budget=None if budgets is None else budgets[i],

@@ -1,0 +1,330 @@
+"""The scalar reference walk: the oracle the walk engine is tested against.
+
+:func:`scalar_run_query` is the per-walk loop that once was
+``repro.core.engine.run_query``: it runs the Fig. 1 protocol (paper §IV-C)
+one walker at a time from a FIFO queue, with per-node neighbor memory in
+plain dictionaries.  The lockstep engine, :func:`repro.core.batch.run_queries`,
+must equal it on every :class:`SearchResult` field for deterministic
+policies, with faults, quarantine, redundancy and hop budgets too; the
+equivalence tests and the batch-engine benchmark compare the two.
+
+:func:`scalar_accuracy_experiment` and :func:`scalar_hop_count_experiment`
+are the per-walk reference drivers of
+:func:`repro.simulation.runner.run_accuracy_experiment` and
+:func:`repro.simulation.runner.run_hop_count_experiment`: one oracle walk per
+start, and a per-alpha ``diffuse_scores`` power iteration where the batched
+driver solves all alphas in one multi-column pass.
+
+Stochastic policies draw from ``ensure_rng(seed)`` here, where the engine
+spawns one generator per walk, so only deterministic policies compare walk
+for walk.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Hashable, Iterable, Mapping
+
+import numpy as np
+
+from repro.core.engine import ResilienceConfig, SearchResult, WalkConfig
+from repro.core.forwarding import ForwardingPolicy, PrecomputedScorePolicy
+from repro.graphs.adjacency import CompressedAdjacency
+from repro.graphs.metrics import bfs_distances
+from repro.retrieval.topk import TopKTracker
+from repro.retrieval.vector_store import DocumentStore
+from repro.runtime.faults import FaultInjector
+from repro.simulation.metrics import AccuracyGrid, HopStatistics, summarize_hops
+from repro.simulation.runner import IterationSampler, sample_start_nodes
+from repro.simulation.scenario import AccuracyScenario, HopCountScenario
+from repro.simulation.workload import RetrievalWorkload
+from repro.utils import check_peer_ids, check_positive_int, ensure_rng
+from repro.utils.rng import RngLike, spawn_rngs
+
+
+def scalar_run_query(
+    adjacency: CompressedAdjacency,
+    stores: Mapping[int, DocumentStore],
+    policy: ForwardingPolicy,
+    query_embedding: np.ndarray,
+    start_node: int,
+    config: WalkConfig | None = None,
+    *,
+    query_id: Hashable = None,
+    seed: RngLike = None,
+    faults: FaultInjector | None = None,
+    resilience: ResilienceConfig | None = None,
+    hop_budget: int | None = None,
+    quarantine: Iterable[int] | None = None,
+) -> SearchResult:
+    """One walk, one walker at a time; parameters as for ``run_query``."""
+    config = config or WalkConfig()
+    rng = ensure_rng(seed)
+    query_embedding = np.asarray(query_embedding, dtype=np.float64)
+    if not 0 <= start_node < adjacency.n_nodes:
+        raise ValueError(f"start_node {start_node} out of range")
+    effective_ttl = config.ttl
+    if hop_budget is not None:
+        check_positive_int(hop_budget, "hop_budget")
+        effective_ttl = min(effective_ttl, hop_budget)
+    capped = effective_ttl < config.ttl
+    n_nodes = adjacency.n_nodes
+    if faults is not None and faults.plan.n_nodes < n_nodes:
+        raise ValueError(
+            f"fault plan covers {faults.plan.n_nodes} nodes, "
+            f"the overlay has {n_nodes}"
+        )
+    quarantined = (
+        [] if quarantine is None
+        else check_peer_ids(quarantine, n_nodes, "quarantine")
+    )
+    # Peers `next_hops` must not pick, as one boolean node mask: the
+    # quarantine, set once per call, plus (in the resilient walk) the peers
+    # one hop's sending loop found dead or already chose, set during that
+    # loop and cleared after it.  Filtering is then one gather per hop.
+    excluded: np.ndarray | None = None
+    if quarantined or faults is not None:
+        excluded = np.zeros(n_nodes, dtype=bool)
+        excluded[quarantined] = True
+
+    tracker = TopKTracker(config.k)
+    result = SearchResult(
+        query_id=query_id,
+        start_node=int(start_node),
+        tracker=tracker,
+        visits=[],
+    )
+    # Per-(query, node) neighbor memory: who this node received from or
+    # forwarded to.  Kept engine-side but indexed per node — identical
+    # information to the distributed implementation.  Each entry is a boolean
+    # mask over the node's (sorted) CSR neighbor row, so the membership test
+    # is a single fancy-index instead of a per-hop set→list→``np.isin`` scan.
+    memory: dict[int, np.ndarray] = {}
+
+    def visit(node: int, hop: int, *, skip_store: bool = False) -> None:
+        result.visits.append((hop, node))
+        if skip_store:
+            # Zombie peer: it routes, but its local evaluation is stale.
+            return
+        store = stores.get(node)
+        if not store:
+            return  # no documents here
+        for doc_id, score in store.top_k(query_embedding, config.k):
+            tracker.offer(doc_id, score, node)
+            result.discovered_at.setdefault(doc_id, hop)
+
+    def next_hops(node: int, fanout: int) -> np.ndarray:
+        neighbors = adjacency.neighbors(node)
+        if neighbors.size == 0:
+            return neighbors
+        seen = memory.get(node)
+        candidates = neighbors if seen is None else neighbors[~seen]
+        if excluded is not None:
+            candidates = candidates[~excluded[candidates]]
+        if candidates.size == 0:
+            # Footnote 9: don't waste the remaining TTL — consider everyone.
+            candidates = neighbors
+            if excluded is not None:
+                candidates = candidates[~excluded[candidates]]
+            if candidates.size == 0:
+                return candidates
+        return policy.select(query_embedding, candidates, fanout, rng)
+
+    def remember(node: int, other: int) -> None:
+        """Mark ``other`` in ``node``'s neighbor-row memory mask."""
+        neighbors = adjacency.neighbors(node)
+        position = int(np.searchsorted(neighbors, other))
+        if position >= neighbors.shape[0] or neighbors[position] != other:
+            return  # not adjacent: can never be filtered, nothing to record
+        seen = memory.get(node)
+        if seen is None:
+            seen = memory[node] = np.zeros(neighbors.shape[0], dtype=bool)
+        seen[position] = True
+
+    # Walker queue processed in hop order: (node, hop, remaining ttl before
+    # this node's decrement, fanout for this node's forwarding decision).
+    # Redundant walkers are extra source fanout sharing the visited memory.
+    source_fanout = config.fanout
+    if resilience is not None:
+        source_fanout = max(source_fanout, resilience.redundancy)
+    frontier: deque[tuple[int, int, int, int]] = deque()
+    frontier.append((int(start_node), 0, effective_ttl, source_fanout))
+
+    if faults is None:
+        # The fault-free fast path: exactly the pre-resilience protocol
+        # (equivalence tests pin this loop bit-identical to the seed when
+        # no hop budget or quarantine narrows it).
+        while frontier:
+            node, hop, ttl, fanout = frontier.popleft()
+            visit(node, hop)
+            ttl -= 1  # Fig. 1 step 3
+            if ttl <= 0:
+                # Fig. 1 step 4b: discard (response backtracks).  When the
+                # horizon was the deadline budget rather than the real TTL,
+                # the results are best-so-far partials, flagged as such.
+                if capped:
+                    result.degraded = True
+                    result.deadline_hit = True
+                continue
+            for target in next_hops(node, fanout):
+                target = int(target)
+                remember(node, target)
+                remember(target, node)
+                result.messages += 1
+                frontier.append((target, hop + 1, ttl, 1))
+        return result
+
+    # ------------------------------------------------- failure-resilient walk
+    res = resilience or ResilienceConfig()
+    streams = faults.walk_streams(1)
+    stream = None if streams is None else streams[0]
+    if not faults.alive(int(start_node), 0.0):
+        # The querying node itself is down: nothing can even be evaluated.
+        result.degraded = True
+        result.walkers_lost = source_fanout
+        return result
+
+    while frontier:
+        node, hop, ttl, fanout = frontier.popleft()
+        zombie = bool(faults.zombie_mask[node])
+        if zombie:
+            result.zombie_visits += 1
+        visit(node, hop, skip_store=zombie)
+        ttl -= 1  # Fig. 1 step 3
+        if ttl <= 0:
+            if capped:
+                result.degraded = True
+                result.deadline_hit = True
+            continue
+        # Forward `fanout` walkers one attempt at a time so a failure can
+        # reroute to the next-best-scoring *live* neighbor.  Quarantined
+        # peers are never tried, so a peer a circuit breaker already
+        # condemned costs zero attempts.  `unreachable` lists the peers this
+        # node found dead (or already chose) at this hop; they stay set in
+        # `excluded` until the loop ends.  Failed attempts burn TTL
+        # (timeout + backoff) and count against the per-hop retry budget.
+        sent = 0
+        failures = 0
+        unreachable: list[int] = []
+        died_of_faults = False
+        while sent < fanout and ttl > 0:
+            targets = next_hops(node, 1)
+            if targets.size == 0:
+                died_of_faults = bool(quarantined or unreachable)
+                break
+            target = int(targets[0])
+            result.messages += 1
+            if not faults.alive(target, float(hop + 1)):
+                # No ack before the timeout: mark dead, reroute.
+                failures += 1
+                result.rerouted += 1
+                faults.crash_detections += 1
+                excluded[target] = True
+                unreachable.append(target)
+                result.failed_peers[target] = (
+                    result.failed_peers.get(target, 0) + 1
+                )
+            elif faults.walk_drops(stream):
+                # Message lost in flight: retry (same peer stays eligible).
+                failures += 1
+                result.retries += 1
+                result.failed_peers[target] = (
+                    result.failed_peers.get(target, 0) + 1
+                )
+            else:
+                remember(node, target)
+                remember(target, node)
+                frontier.append((target, hop + 1, ttl, 1))
+                excluded[target] = True  # one walker per distinct peer
+                unreachable.append(target)
+                sent += 1
+                continue
+            if failures > res.max_retries:
+                died_of_faults = True
+                break
+            ttl -= res.retry_backoff
+        excluded[unreachable] = False
+        if sent < fanout and (died_of_faults or (ttl <= 0 and failures > 0)):
+            result.walkers_lost += fanout - sent
+            result.degraded = True
+
+    return result
+
+
+def scalar_accuracy_experiment(
+    adjacency: CompressedAdjacency,
+    workload: RetrievalWorkload,
+    scenario: AccuracyScenario,
+) -> AccuracyGrid:
+    """``run_accuracy_experiment`` with one oracle walk per (alpha, start)."""
+    sampler = IterationSampler(
+        adjacency,
+        workload,
+        weighting=scenario.weighting,
+        placement=scenario.placement,
+        correlation_mixing=scenario.correlation_mixing,
+    )
+    grid = AccuracyGrid(tuple(scenario.alphas), scenario.max_distance)
+    config = WalkConfig(ttl=scenario.ttl, fanout=scenario.fanout, k=scenario.k)
+    for rng in spawn_rngs(scenario.seed, scenario.iterations):
+        data = sampler.sample(scenario.n_documents, rng)
+        distances = bfs_distances(adjacency, data.gold_node)
+        starts = sample_start_nodes(distances, scenario.max_distance, rng)
+        for alpha in scenario.alphas:
+            scores = sampler.diffuse_scores(data.relevance_signal, alpha)
+            policy = PrecomputedScorePolicy(scores)
+            for radius, start in starts.items():
+                result = scalar_run_query(
+                    adjacency,
+                    data.stores,
+                    policy,
+                    data.query_embedding,
+                    start,
+                    config,
+                    query_id=data.query_word,
+                    seed=rng,
+                )
+                grid.record(alpha, radius, result.found(data.gold_word, top=1))
+    return grid
+
+
+def scalar_hop_count_experiment(
+    adjacency: CompressedAdjacency,
+    workload: RetrievalWorkload,
+    scenario: HopCountScenario,
+) -> HopStatistics:
+    """``run_hop_count_experiment`` with one oracle walk per start."""
+    sampler = IterationSampler(
+        adjacency,
+        workload,
+        weighting=scenario.weighting,
+        placement=scenario.placement,
+        correlation_mixing=scenario.correlation_mixing,
+    )
+    config = WalkConfig(ttl=scenario.ttl, fanout=scenario.fanout, k=scenario.k)
+    hops_of_successes: list[int] = []
+    total = 0
+    for rng in spawn_rngs(scenario.seed, scenario.iterations):
+        data = sampler.sample(scenario.n_documents, rng)
+        scores = sampler.diffuse_scores(data.relevance_signal, scenario.alpha)
+        policy = PrecomputedScorePolicy(scores)
+        starts = rng.integers(
+            0, adjacency.n_nodes, size=scenario.queries_per_iteration
+        )
+        for start in starts:
+            result = scalar_run_query(
+                adjacency,
+                data.stores,
+                policy,
+                data.query_embedding,
+                int(start),
+                config,
+                query_id=data.query_word,
+                seed=rng,
+            )
+            total += 1
+            if result.found(data.gold_word, top=1):
+                hops = result.hops_to(data.gold_word)
+                assert hops is not None
+                hops_of_successes.append(hops)
+    return summarize_hops(scenario.n_documents, hops_of_successes, total)

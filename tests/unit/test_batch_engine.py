@@ -1,9 +1,10 @@
-"""Batch/scalar walk-engine equivalence (the contract of repro.core.batch).
+"""Walk-engine equivalence with the scalar oracle (the contract of repro.core.batch).
 
 For deterministic policies every ``SearchResult`` field produced by
-``run_queries`` must be bit-identical to a ``run_query`` loop over the same
-walks; stochastic policies get per-walk spawned generators and are checked
-for determinism-under-seed and structural validity instead.
+``run_queries`` must be bit-identical to a loop of the scalar reference walk
+(``tests/scalar_reference.py``) over the same walks; stochastic policies get
+per-walk spawned generators and are checked for determinism-under-seed and
+structural validity instead.
 """
 
 import networkx as nx
@@ -23,6 +24,7 @@ from repro.core.forwarding import (
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.retrieval.vector_store import DocumentStore
 from repro.simulation.placement import build_stores
+from scalar_reference import scalar_run_query
 
 
 def make_stores(adjacency, rng, n_store_nodes, dim, docs_per_node=3):
@@ -98,7 +100,7 @@ def run_both(setting, policies, *, config, query=None):
         policies if isinstance(policies, list) else [policies] * len(starts)
     )
     scalar = [
-        run_query(
+        scalar_run_query(
             setting["adjacency"],
             setting["stores"],
             policy,
@@ -163,7 +165,7 @@ class TestDeterministicEquivalence:
             config,
         )
         scalar = [
-            run_query(
+            scalar_run_query(
                 setting["adjacency"],
                 setting["stores"],
                 policy,
@@ -270,6 +272,24 @@ class TestEdgeCases:
                 setting["query"],
                 setting["starts"],
             )
+
+    @pytest.mark.parametrize("call", ["run_query", "run_queries"])
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "unstacked"])
+    @pytest.mark.parametrize("seed", ["abc", 1.5, object()], ids=["str", "float", "object"])
+    def test_malformed_seed_rejected(self, setting, call, stacked, seed):
+        """The stacked score path draws from no generator, yet a malformed
+        seed is rejected there too, with ensure_rng's TypeError."""
+        policy = (
+            PrecomputedScorePolicy(setting["embeddings"] @ setting["query"])
+            if stacked
+            else EmbeddingGuidedPolicy(setting["embeddings"])
+        )
+        args = (setting["adjacency"], setting["stores"], policy, setting["query"])
+        with pytest.raises(TypeError, match="seed must be"):
+            if call == "run_query":
+                run_query(*args, setting["starts"][0], seed=seed)
+            else:
+                run_queries(*args, setting["starts"], seed=seed)
 
     def test_mismatched_query_ids_rejected(self, setting):
         with pytest.raises(ValueError, match="query ids"):
@@ -469,7 +489,7 @@ class TestHopBudgets:
             hop_budgets=budgets,
         )
         for i, (result, budget) in enumerate(zip(batch, budgets)):
-            scalar = run_query(
+            scalar = scalar_run_query(
                 setting["adjacency"],
                 setting["stores"],
                 policy,
@@ -654,6 +674,24 @@ class TestLazyStores:
         result = run_query(setting["adjacency"], stores, policy, setting["query"], 7, config)
         assert sorted(built) == sorted(self.visited([result]) & set(stores))
         assert len(built) < len(stores)
+
+    def test_store_map_is_never_iterated(self, setting):
+        """Stores are looked up for visited nodes only, so a call costs
+        nothing per unvisited store, however large the map."""
+
+        class NoIteration(dict):
+            def __iter__(self):
+                raise AssertionError("the engine iterated the store map")
+
+        policy = PrecomputedScorePolicy(
+            np.random.default_rng(2).standard_normal(setting["adjacency"].n_nodes)
+        )
+        config = WalkConfig(ttl=12, fanout=2, k=2)
+        args = (policy, setting["query"], setting["starts"], config)
+        assert_results_identical(
+            run_queries(setting["adjacency"], NoIteration(setting["stores"]), *args),
+            run_queries(setting["adjacency"], setting["stores"], *args),
+        )
 
     def test_extra_empty_store_changes_nothing(self, setting):
         adjacency, stores = setting["adjacency"], setting["stores"]

@@ -125,6 +125,21 @@ class TestWalkMechanics:
                 path_adjacency, {}, RandomWalkPolicy(), np.ones(2), start_node=99
             )
 
+    @pytest.mark.parametrize("query_id", [None, "q", ("q", 3)])
+    def test_query_id_returned_unchanged(self, path_adjacency, query_id):
+        """A tuple id is one walk's id, not one id per walk."""
+        result = run_query(
+            path_adjacency,
+            {},
+            PrecomputedScorePolicy(np.arange(6, dtype=float)),
+            np.ones(2),
+            start_node=0,
+            config=WalkConfig(ttl=3),
+            query_id=query_id,
+        )
+        assert result.query_id == query_id
+        assert type(result.query_id) is type(query_id)
+
 
 class TestDocumentCollection:
     def test_collects_local_documents(self, path_adjacency):
@@ -324,27 +339,8 @@ class TestFootnote9Fallback:
         assert result.path == [1, 2, 1]
 
 
-class TestEmptyStoreSentinel:
-    """The shared empty-store sentinel must stay empty and per-dim."""
-
-    def test_sentinel_is_immutable(self):
-        from repro.core.engine import _empty_store
-
-        store = _empty_store(7)
-        with pytest.raises(TypeError, match="immutable"):
-            store.add("doc", np.zeros(7))
-        with pytest.raises(TypeError, match="immutable"):
-            store.add_many([])
-        with pytest.raises(TypeError, match="immutable"):
-            store.remove("doc")
-        assert len(store) == 0
-
-    def test_sentinels_are_per_dim(self):
-        from repro.core.engine import _empty_store
-
-        assert _empty_store(3) is _empty_store(3)
-        assert _empty_store(3) is not _empty_store(4)
-        assert _empty_store(4).dim == 4
+class TestEmptyNodes:
+    """Nodes without documents serve nothing, in networks of any dim."""
 
     def test_networks_with_different_dims_do_not_interfere(self):
         """Regression: interleaved queries across dims stay independent."""

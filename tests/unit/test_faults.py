@@ -34,6 +34,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.network import LatencyModel, SimNetwork
 from repro.runtime.node import SimNode
+from scalar_reference import scalar_run_query
 
 
 def make_store(dim, **docs):
@@ -542,7 +543,7 @@ def _lockstep_and_loop(setting, policy, config, **kwargs):
         faults=lockstep, hop_budgets=budgets, **kwargs,
     )
     loop = [
-        run_query(
+        scalar_run_query(
             setting["adjacency"], setting["stores"], policy,
             setting["queries"][i], start, config, query_id=i, faults=scalar,
             hop_budget=None if budgets is None else budgets[i], **kwargs,
@@ -567,7 +568,8 @@ class _LargestIdPolicy(ForwardingPolicy):
 
 
 class TestLockstepMatchesScalar:
-    """run_queries under faults ≡ a loop of run_query, field for field."""
+    """run_queries under faults ≡ a loop of the scalar reference walk,
+    field for field."""
 
     @pytest.mark.parametrize("cache", ["dense", "csr-float64", "csr-float32"])
     @pytest.mark.parametrize(
@@ -612,7 +614,7 @@ class TestLockstepMatchesScalar:
             adjacency, {}, policy, np.ones(2), [0], config,
             faults=lockstep, resilience=resilience,
         )
-        want = run_query(
+        want = scalar_run_query(
             adjacency, {}, policy, np.ones(2), 0, config,
             faults=scalar, resilience=resilience,
         )
@@ -642,7 +644,7 @@ class TestLockstepMatchesScalar:
             faults=lockstep, resilience=resilience, quarantine=[5],
         )
         loop = [
-            run_query(
+            scalar_run_query(
                 faulty_setting["adjacency"], faulty_setting["stores"], policy,
                 faulty_setting["queries"][i], start, config, faults=scalar,
                 resilience=resilience, quarantine=[5],

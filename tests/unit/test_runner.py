@@ -13,6 +13,7 @@ from repro.simulation.runner import (
     sample_start_nodes,
 )
 from repro.simulation.scenario import AccuracyScenario, HopCountScenario
+from scalar_reference import scalar_accuracy_experiment, scalar_hop_count_experiment
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +265,7 @@ class TestMultiColumnDiffusion:
 
 
 class TestEngineEquivalence:
-    """The batched drivers must reproduce the scalar-loop drivers."""
+    """The batched drivers must reproduce the per-walk reference drivers."""
 
     def test_accuracy_grids_identical(self, social_adjacency, tiny_workload):
         scenario = AccuracyScenario(
@@ -276,9 +277,7 @@ class TestEngineEquivalence:
             seed=2,
         )
         batch = run_accuracy_experiment(social_adjacency, tiny_workload, scenario)
-        scalar = run_accuracy_experiment(
-            social_adjacency, tiny_workload, scenario, engine="scalar"
-        )
+        scalar = scalar_accuracy_experiment(social_adjacency, tiny_workload, scenario)
         assert batch.samples == scalar.samples
         assert batch.successes == scalar.successes
 
@@ -295,9 +294,7 @@ class TestEngineEquivalence:
             seed=3,
         )
         batch = run_accuracy_experiment(social_adjacency, tiny_workload, scenario)
-        scalar = run_accuracy_experiment(
-            social_adjacency, tiny_workload, scenario, engine="scalar"
-        )
+        scalar = scalar_accuracy_experiment(social_adjacency, tiny_workload, scenario)
         assert batch.samples == scalar.samples
         assert batch.successes == scalar.successes
 
@@ -306,14 +303,5 @@ class TestEngineEquivalence:
             n_documents=20, iterations=6, queries_per_iteration=5, seed=4
         )
         batch = run_hop_count_experiment(social_adjacency, tiny_workload, scenario)
-        scalar = run_hop_count_experiment(
-            social_adjacency, tiny_workload, scenario, engine="scalar"
-        )
+        scalar = scalar_hop_count_experiment(social_adjacency, tiny_workload, scenario)
         assert batch == scalar
-
-    def test_unknown_engine_rejected(self, social_adjacency, tiny_workload):
-        scenario = HopCountScenario(n_documents=5, iterations=1, seed=0)
-        with pytest.raises(ValueError, match="engine"):
-            run_hop_count_experiment(
-                social_adjacency, tiny_workload, scenario, engine="turbo"
-            )

@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.backends import SparseDiffusionBackend
 from repro.core.batch import run_queries
-from repro.core.engine import ResilienceConfig, WalkConfig, run_query
+from repro.core.engine import ResilienceConfig, WalkConfig
 from repro.core.search import DiffusionSearchNetwork
 from repro.gsp.filters import PersonalizedPageRank
 from repro.gsp.normalization import transition_matrix
@@ -44,6 +44,7 @@ from repro.serving import (
     ServingConfig,
 )
 from repro.serving.service import CostModel, StalenessConfig
+from scalar_reference import scalar_run_query
 
 
 # --------------------------------------------------------------------- fixture
@@ -758,14 +759,15 @@ class TestSloServing:
 
 class _PerQueryService(QueryService):
     """The scalar oracle of the faulted batch path: each batch driven
-    through per-query ``run_query`` calls, the breaker fed in batch order."""
+    through per-query scalar reference walks, the breaker fed in batch
+    order."""
 
     def _execute(self, batch, budgets, walk_start):
         quarantine = self.static_quarantine
         if self.breaker is not None:
             quarantine = quarantine | self.breaker.quarantined(walk_start)
         results = [
-            run_query(
+            scalar_run_query(
                 self.adjacency,
                 self.stores,
                 self.policy,
@@ -816,8 +818,8 @@ class TestFaultyService:
     @pytest.mark.parametrize("deadlines", [False, True])
     def test_lockstep_batches_equal_per_query_oracle(self, deadlines):
         """One run_queries call per faulted batch equals the same batches
-        driven through per-query run_query calls: every response, the
-        breaker's trips and quarantine, and the injector's counts."""
+        driven through per-query scalar reference walks: every response,
+        the breaker's trips and quarantine, and the injector's counts."""
         net, vectors, rng = make_network(n=60)
         plan = FaultPlan.generate(
             net.n_nodes,
@@ -911,7 +913,7 @@ class TestFaultyService:
         assert m.ok + m.degraded + m.rejected == n
         # Pins the resilient walk's outcome bit for bit: walks, retries,
         # reroutes, lost walkers, breaker trips and the injector's drops.
-        # Captured from the per-query run_query oracle (_PerQueryService)
+        # Captured from the per-query scalar oracle (_PerQueryService)
         # with one drop stream per walk.
         results = [r.result for r in service.responses]
         assert (
