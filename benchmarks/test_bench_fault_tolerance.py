@@ -32,7 +32,8 @@ import numpy as np
 from benchmarks.conftest import emit_report, measure_peak_memory
 from repro.core import diffuse_embeddings
 from repro.core.backends import SparseDiffusionBackend
-from repro.core.engine import ResilienceConfig, WalkConfig, run_query
+from repro.core.batch import run_queries
+from repro.core.engine import ResilienceConfig, WalkConfig
 from repro.core.forwarding import EmbeddingGuidedPolicy
 from repro.graphs.generators import community_cycle_adjacency
 from repro.retrieval.vector_store import DocumentStore
@@ -155,23 +156,27 @@ def _run_cell(
     plan: FaultPlan | None,
     redundancy: int,
 ):
-    """One sweep cell: every query through one (plan, redundancy) setting."""
+    """One sweep cell: every query through one (plan, redundancy) setting.
+
+    All queries walk in one lockstep call; the injector hands out walk drop
+    streams in query order, as a loop of one-walk calls would.
+    """
     faults = FaultInjector(plan) if plan is not None else None
     resilience = (
         ResilienceConfig(redundancy=redundancy) if faults is not None else None
     )
+    results = run_queries(
+        adjacency,
+        stores,
+        policy,
+        queries,
+        starts,
+        WalkConfig(ttl=ttl, k=RECALL_K),
+        faults=faults,
+        resilience=resilience,
+    )
     recalls, messages, retries, rerouted, degraded = [], 0, 0, 0, 0
-    for query, want, start in zip(queries, gold, starts):
-        result = run_query(
-            adjacency,
-            stores,
-            policy,
-            query,
-            int(start),
-            WalkConfig(ttl=ttl, k=RECALL_K),
-            faults=faults,
-            resilience=resilience,
-        )
+    for result, want in zip(results, gold):
         recalls.append(len(set(result.tracker.doc_ids()) & want) / RECALL_K)
         messages += result.messages
         retries += result.retries

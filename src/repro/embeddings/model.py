@@ -14,6 +14,14 @@ import numpy as np
 
 from repro.embeddings.similarity import cosine_similarity, l2_normalize
 
+#: How far a blocked cosine may sit from the threshold, and half how far
+#: from its sorted neighbour, before the row is left to
+#: :meth:`WordEmbeddingModel.neighbors_above`.  A block product sums in
+#: another order than the per-word matrix-vector product, so the two
+#: cosines differ in the last bits; for unit vectors of dimension ``d`` by
+#: at most about ``2 * d * 2**-53`` (7e-14 at 300-d), far inside this margin.
+BLOCK_COSINE_MARGIN = 1e-9
+
 
 class WordEmbeddingModel:
     """An immutable vocabulary of words with aligned embedding vectors.
@@ -152,6 +160,39 @@ class WordEmbeddingModel:
         ]
         hits.sort(key=lambda pair: -pair[1])
         return hits
+
+    def neighbor_words_above(
+        self, rows: Sequence[int] | np.ndarray, threshold: float
+    ) -> list[list[str]]:
+        """For each vocabulary row in ``rows``, the words
+        ``neighbors_above(word_at(row), threshold)`` returns, in its order.
+
+        One product of the block's unit rows with the unit matrix gives
+        every row's cosines.  A row is decided from them only when every
+        neighbor candidate (self excluded) lies more than
+        :data:`BLOCK_COSINE_MARGIN` above the threshold and consecutive
+        sorted candidates lie more than twice the margin apart; the block's
+        rounding can then change neither the set nor its order.  Any other
+        row goes through :meth:`neighbors_above`.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        unit = self._unit_matrix()
+        sims = unit[rows] @ unit.T
+        sims[np.arange(rows.size), rows] = -np.inf  # self is never a neighbor
+        results: list[list[str]] = []
+        for row, row_sims in zip(rows.tolist(), sims):
+            candidates = np.flatnonzero(row_sims > threshold - BLOCK_COSINE_MARGIN)
+            ranked = candidates[np.argsort(-row_sims[candidates])]
+            cosines = row_sims[ranked]
+            if cosines.size and (
+                cosines[-1] <= threshold + BLOCK_COSINE_MARGIN
+                or np.any(cosines[:-1] - cosines[1:] <= 2 * BLOCK_COSINE_MARGIN)
+            ):
+                hits = self.neighbors_above(self._words[row], threshold)
+                results.append([word for word, _ in hits])
+            else:
+                results.append([self._words[i] for i in ranked.tolist()])
+        return results
 
     def normalized(self) -> "WordEmbeddingModel":
         """A copy of the model with L2-normalized vectors."""

@@ -16,8 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.embeddings.model import WordEmbeddingModel
-from repro.utils import check_positive, check_probability, ensure_rng
+from repro.utils import (
+    check_positive,
+    check_positive_int,
+    check_probability,
+    ensure_rng,
+)
 from repro.utils.rng import RngLike
+
+#: Candidate words per cosine block in :func:`build_workload`: one block of
+#: the paper's 30 000-word vocabulary is 32 x 30 000 float64, 7.7 MB.
+SCAN_BLOCK = 32
 
 
 @dataclass
@@ -105,7 +114,6 @@ def build_workload(
     n_queries: int = 1000,
     threshold: float = 0.6,
     seed: RngLike = None,
-    max_candidates: int | None = None,
 ) -> RetrievalWorkload:
     """Construct the paper's workload from an embedding model.
 
@@ -114,38 +122,50 @@ def build_workload(
     become the query's gold documents.  Queries and golds are kept disjoint
     ("the two sets do not overlap"); every remaining word lands in the
     irrelevant pool.
+
+    Candidates are scanned in blocks of :data:`SCAN_BLOCK` words, each
+    block's neighbors coming from one
+    :meth:`WordEmbeddingModel.neighbor_words_above` call, while acceptance
+    stays word by word; the result equals one ``neighbors_above`` call per
+    candidate.
     """
-    check_positive(n_queries, "n_queries")
+    check_positive_int(n_queries, "n_queries")
     check_probability(threshold, "threshold", inclusive=False)
     rng = ensure_rng(seed)
 
-    n_words = len(model)
-    order = rng.permutation(n_words)
-    if max_candidates is not None:
-        order = order[:max_candidates]
+    order = rng.permutation(len(model))
 
     queries: list[str] = []
     gold_of: dict[str, list[str]] = {}
     query_set: set[str] = set()
     gold_set: set[str] = set()
 
-    for idx in order:
+    for start in range(0, order.size, SCAN_BLOCK):
         if len(queries) >= n_queries:
             break
-        word = model.word_at(int(idx))
-        if word in gold_set or word in query_set:
-            continue
-        neighbors = [
-            neighbor
-            for neighbor, _ in model.neighbors_above(word, threshold)
-            if neighbor not in query_set
+        # A word already taken as gold is never a query; leave it out.
+        block = [
+            idx
+            for idx in order[start : start + SCAN_BLOCK].tolist()
+            if model.word_at(idx) not in gold_set
         ]
-        if not neighbors:
-            continue
-        queries.append(word)
-        query_set.add(word)
-        gold_of[word] = neighbors
-        gold_set.update(neighbors)
+        for idx, block_neighbors in zip(
+            block, model.neighbor_words_above(block, threshold)
+        ):
+            if len(queries) >= n_queries:
+                break
+            word = model.word_at(idx)
+            if word in gold_set:
+                continue
+            neighbors = [
+                neighbor for neighbor in block_neighbors if neighbor not in query_set
+            ]
+            if not neighbors:
+                continue
+            queries.append(word)
+            query_set.add(word)
+            gold_of[word] = neighbors
+            gold_set.update(neighbors)
 
     if not queries:
         raise ValueError(

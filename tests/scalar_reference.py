@@ -18,6 +18,11 @@ driver solves all alphas in one multi-column pass.
 Stochastic policies draw from ``ensure_rng(seed)`` here, where the engine
 spawns one generator per walk, so only deterministic policies compare walk
 for walk.
+
+:func:`reference_build_workload` is the per-word loop that once was
+:func:`repro.simulation.workload.build_workload`: one full-vocabulary
+``neighbors_above`` pass per candidate word.  The blocked scan must return
+the same queries, gold lists (order included) and pool.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 
 from repro.core.engine import ResilienceConfig, SearchResult, WalkConfig
 from repro.core.forwarding import ForwardingPolicy, PrecomputedScorePolicy
+from repro.embeddings.model import WordEmbeddingModel
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.metrics import bfs_distances
 from repro.retrieval.topk import TopKTracker
@@ -38,7 +44,12 @@ from repro.simulation.metrics import AccuracyGrid, HopStatistics, summarize_hops
 from repro.simulation.runner import IterationSampler, sample_start_nodes
 from repro.simulation.scenario import AccuracyScenario, HopCountScenario
 from repro.simulation.workload import RetrievalWorkload
-from repro.utils import check_peer_ids, check_positive_int, ensure_rng
+from repro.utils import (
+    check_peer_ids,
+    check_positive_int,
+    check_probability,
+    ensure_rng,
+)
 from repro.utils.rng import RngLike, spawn_rngs
 
 
@@ -328,3 +339,49 @@ def scalar_hop_count_experiment(
                 assert hops is not None
                 hops_of_successes.append(hops)
     return summarize_hops(scenario.n_documents, hops_of_successes, total)
+
+
+def reference_build_workload(
+    model: WordEmbeddingModel,
+    *,
+    n_queries: int = 1000,
+    threshold: float = 0.6,
+    seed: RngLike = None,
+) -> RetrievalWorkload:
+    """``build_workload`` with one ``neighbors_above`` call per candidate."""
+    check_positive_int(n_queries, "n_queries")
+    check_probability(threshold, "threshold", inclusive=False)
+    order = ensure_rng(seed).permutation(len(model))
+    queries: list[str] = []
+    gold_of: dict[str, list[str]] = {}
+    query_set: set[str] = set()
+    gold_set: set[str] = set()
+    for idx in order:
+        if len(queries) >= n_queries:
+            break
+        word = model.word_at(int(idx))
+        if word in gold_set or word in query_set:
+            continue
+        neighbors = [
+            neighbor
+            for neighbor, _ in model.neighbors_above(word, threshold)
+            if neighbor not in query_set
+        ]
+        if not neighbors:
+            continue
+        queries.append(word)
+        query_set.add(word)
+        gold_of[word] = neighbors
+        gold_set.update(neighbors)
+    if not queries:
+        raise ValueError("no query words have neighbors above the threshold")
+    irrelevant_pool = [
+        word for word in model.words if word not in query_set and word not in gold_set
+    ]
+    return RetrievalWorkload(
+        model=model,
+        queries=queries,
+        gold_of=gold_of,
+        irrelevant_pool=irrelevant_pool,
+        threshold=threshold,
+    )

@@ -102,6 +102,14 @@ class TestSimilarity:
         sims = [s for _, s in hits]
         assert sims == sorted(sims, reverse=True)
 
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 0.6, 0.99])
+    def test_neighbor_words_above_matches_neighbors_above(self, model, threshold):
+        expected = [
+            [word for word, _ in model.neighbors_above(model.word_at(row), threshold)]
+            for row in (3, 0, 2, 1)
+        ]
+        assert model.neighbor_words_above([3, 0, 2, 1], threshold) == expected
+
     def test_normalized_copy(self, model):
         norm = model.normalized()
         assert np.allclose(np.linalg.norm(norm.vectors, axis=1), 1.0)

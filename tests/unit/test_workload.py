@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.embeddings.model import WordEmbeddingModel
+from repro.embeddings.model import BLOCK_COSINE_MARGIN, WordEmbeddingModel
+from repro.experiments.common import (
+    GOLD_THRESHOLD,
+    SCALED_QUERIES,
+    SETUP_SEED,
+    get_environment,
+)
 from repro.simulation.workload import (
     RetrievalWorkload,
     build_workload,
     poisson_arrival_times,
 )
+from scalar_reference import reference_build_workload
 
 
 class TestBuildWorkload:
@@ -52,6 +59,11 @@ class TestBuildWorkload:
         assert a.queries == b.queries
         assert a.gold_of == b.gold_of
 
+    @pytest.mark.parametrize("n_queries", [2.5, 3.0, True])
+    def test_n_queries_must_be_an_int(self, tiny_model, n_queries):
+        with pytest.raises(TypeError, match="n_queries"):
+            build_workload(tiny_model, n_queries=n_queries, seed=0)
+
     def test_impossible_threshold_raises(self):
         rng = np.random.default_rng(0)
         # orthonormal vectors: no neighbors above any positive threshold
@@ -60,6 +72,99 @@ class TestBuildWorkload:
         )
         with pytest.raises(ValueError, match="no query words"):
             build_workload(model, n_queries=5, threshold=0.6, seed=0)
+
+
+def assert_same_workload(got: RetrievalWorkload, want: RetrievalWorkload) -> None:
+    assert got.queries == want.queries
+    assert list(got.gold_of.items()) == list(want.gold_of.items())
+    assert got.irrelevant_pool == want.irrelevant_pool
+
+
+def unit_pair(cosine: float, a: int, b: int, dim: int) -> np.ndarray:
+    """Two vectors in the (a, b) plane at exactly ``cosine`` in real arithmetic."""
+    pair = np.zeros((2, dim))
+    pair[0, a] = 1.0
+    pair[1, a], pair[1, b] = cosine, np.sqrt(1.0 - cosine**2)
+    return pair
+
+
+def spy_on_neighbors_above(monkeypatch, model: WordEmbeddingModel) -> list[str]:
+    """Record every word the model sends through ``neighbors_above``."""
+    seen: list[str] = []
+    per_word = model.neighbors_above
+
+    def spy(word, threshold, **kwargs):
+        seen.append(word)
+        return per_word(word, threshold, **kwargs)
+
+    monkeypatch.setattr(model, "neighbors_above", spy)
+    return seen
+
+
+class TestBlockedScan:
+    """``build_workload`` scans blocks yet equals the per-word loop."""
+
+    @pytest.mark.parametrize("n_queries,seed", [(40, 22), (200, 5), (2000, 9)])
+    def test_equals_per_word_reference_on_tiny_model(
+        self, tiny_model, n_queries, seed
+    ):
+        assert_same_workload(
+            build_workload(tiny_model, n_queries=n_queries, seed=seed),
+            reference_build_workload(tiny_model, n_queries=n_queries, seed=seed),
+        )
+
+    def test_equals_per_word_reference_on_scaled_environment(self):
+        model = get_environment(False).model
+        kwargs = dict(
+            n_queries=SCALED_QUERIES, threshold=GOLD_THRESHOLD, seed=SETUP_SEED + 2
+        )
+        assert_same_workload(
+            build_workload(model, **kwargs), reference_build_workload(model, **kwargs)
+        )
+
+    def test_ties_and_near_threshold_rows_take_the_per_word_path(self, monkeypatch):
+        # tie: three equal vectors; near: a neighbor just above the threshold;
+        # below: one just under it; far: a pair well clear of both.
+        threshold, margin = 0.6, BLOCK_COSINE_MARGIN
+        vectors = np.vstack(
+            [
+                np.tile(np.eye(8)[0], (3, 1)),
+                unit_pair(threshold + margin / 2, 1, 2, 8),
+                unit_pair(threshold - margin / 2, 3, 4, 8),
+                unit_pair(0.9, 5, 6, 8),
+            ]
+        )
+        words = [
+            "tie0", "tie1", "tie2", "near0", "near1", "below0", "below1", "far0", "far1"
+        ]
+        model = WordEmbeddingModel(words, vectors)
+        guarded = {word for word in words if not word.startswith("far")}
+        per_word = [
+            [hit for hit, _ in model.neighbors_above(word, threshold)]
+            for word in words
+        ]
+        seen = spy_on_neighbors_above(monkeypatch, model)
+
+        assert model.neighbor_words_above(range(len(words)), threshold) == per_word
+        assert set(seen) == guarded
+        for seed in range(4):
+            kwargs = dict(n_queries=5, threshold=threshold, seed=seed)
+            seen.clear()
+            got = build_workload(model, **kwargs)
+            assert seen and set(seen) <= guarded
+            assert_same_workload(got, reference_build_workload(model, **kwargs))
+
+    def test_separated_cosines_stay_on_the_block_path(self, monkeypatch):
+        vectors = np.vstack(
+            [unit_pair(0.9, 0, 1, 6), unit_pair(0.75, 2, 3, 6), unit_pair(0.3, 4, 5, 6)]
+        )
+        model = WordEmbeddingModel([f"w{i}" for i in range(6)], vectors)
+        want = reference_build_workload(model, n_queries=4, threshold=0.6, seed=1)
+        seen = spy_on_neighbors_above(monkeypatch, model)
+
+        got = build_workload(model, n_queries=4, threshold=0.6, seed=1)
+        assert_same_workload(got, want)
+        assert seen == []
 
 
 class TestSampling:
