@@ -9,8 +9,9 @@ hot call that no layer metric covers still shows up::
 
     python3 benchmarks/trace_top_spans.py .perfbench/trace-serve_faulted-seed1.json
 
-It prints the ``TOP`` names; only spans of the measured phase (``serve``)
-are counted.
+It prints two tables of the ``TOP`` names: one for the measured phase
+(``serve``) and one for the set-up before it (``setup``), where the
+network is built and diffused once.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ if str(ROOT) not in sys.path:
 
 from perfbench.stats import self_times  # noqa: E402
 
-PHASE = "serve"
+PHASES = ("serve", "setup")
 TOP = 10
 
 
-def top_spans(dump: dict) -> tuple[list[tuple[str, int, int]], int]:
-    """``(name, calls, self_ns)`` of the ``TOP`` names by self time, and the total."""
+def top_spans(
+    dump: dict, phase: str = "serve"
+) -> tuple[list[tuple[str, int, int]], int]:
+    """``(name, calls, self_ns)`` of ``phase``'s ``TOP`` names by self time, and its total."""
     fields = dump["fields"]
     name_at, start_at, end_at, parent_at, phase_at = (
         fields.index(key) for key in ("name", "start_ns", "end_ns", "parent", "phase")
@@ -42,7 +45,7 @@ def top_spans(dump: dict) -> tuple[list[tuple[str, int, int]], int]:
     calls: defaultdict[str, int] = defaultdict(int)
     self_ns: defaultdict[str, int] = defaultdict(int)
     for span, ns in zip(spans, own):
-        if span[phase_at] == PHASE:
+        if span[phase_at] == phase:
             calls[span[name_at]] += 1
             self_ns[span[name_at]] += ns
     ranked = sorted(self_ns, key=self_ns.__getitem__, reverse=True)[:TOP]
@@ -53,14 +56,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dump", type=Path, help="a trace-*.json file")
     path = parser.parse_args(argv).dump
-    rows, total = top_spans(json.loads(path.read_text()))
-    print(f"{path.name}: top {len(rows)} spans by self time "
-          f"({PHASE} phase, {total / 1e6:.1f} ms in all)")
-    print(f"  {'span':<36} {'calls':>8} {'self ms':>10} {'share':>7} {'us/call':>9}")
-    for name, calls, ns in rows:
-        share = ns / total if total else 0.0
-        print(f"  {name:<36} {calls:>8} {ns / 1e6:>10.1f} {share:>7.1%} "
-              f"{ns / 1e3 / calls:>9.1f}")
+    dump = json.loads(path.read_text())
+    for phase in PHASES:
+        rows, total = top_spans(dump, phase)
+        print(f"{path.name}: top {len(rows)} spans by self time "
+              f"({phase} phase, {total / 1e6:.1f} ms in all)")
+        print(f"  {'span':<36} {'calls':>8} {'self ms':>10} {'share':>7} {'us/call':>9}")
+        for name, calls, ns in rows:
+            share = ns / total if total else 0.0
+            print(f"  {name:<36} {calls:>8} {ns / 1e6:>10.1f} {share:>7.1%} "
+                  f"{ns / 1e3 / calls:>9.1f}")
     return 0
 
 

@@ -20,6 +20,7 @@ from repro.gsp.filters import PersonalizedPageRank
 from repro.gsp.normalization import NormalizationKind, transition_matrix
 from repro.runtime.gossip import AsyncPPRDiffusion
 from repro.runtime.network import LatencyModel
+from repro.utils import check_positive_int
 from repro.utils.rng import RngLike
 
 #: Slack factor of the async convergence criterion (see
@@ -111,6 +112,7 @@ class AsyncProtocolBackend(DiffusionBackend):
                 "the decentralized protocol implements column normalization; "
                 f"got {normalization!r}"
             )
+        check_positive_int(max_iterations, "max_iterations")
         protocol = AsyncPPRDiffusion(
             topology,
             personalization,

@@ -44,7 +44,12 @@ from repro.gsp.filters import (
     operator_out_degrees,
     rows_to_csr,
 )
-from repro.utils import check_non_negative, check_positive, check_probability
+from repro.utils import (
+    check_non_negative,
+    check_positive,
+    check_positive_int,
+    check_probability,
+)
 
 #: A whole-block sweep of a dense signal is taken once the pushed columns
 #: hold at least ``n / _WIDE_SWEEP_DIVISOR`` operator entries: beyond that,
@@ -234,7 +239,7 @@ def forward_push(
         raise ValueError("alpha must be positive (alpha=0 never teleports)")
     check_positive(tol, "tol")
     check_non_negative(epsilon, "epsilon")
-    check_positive(max_sweeps, "max_sweeps")
+    check_positive_int(max_sweeps, "max_sweeps")
     dtype = np.dtype(dtype)
     tol = effective_tolerance(tol, dtype)
 

@@ -29,6 +29,7 @@ from repro.churn.scheduler import (
     check_strategy,
 )
 from repro.gsp.push import forward_push, push_refresh
+from repro.utils import check_positive_int
 
 __all__ = [
     "REFRESH_STRATEGIES",
@@ -80,7 +81,7 @@ class SignalRefresher:
         self.operator = operator.tocsc()
         self.alpha = float(alpha)
         self.tol = float(tol)
-        self.max_sweeps = int(max_sweeps)
+        self.max_sweeps = check_positive_int(max_sweeps, "max_sweeps")
         self.cost_model = RefreshCostModel(
             nnz=self.operator.nnz, alpha=self.alpha, tol=self.tol
         )

@@ -1,12 +1,22 @@
-"""Property-based tests for graph filters on random connected graphs."""
+"""Property-based tests for graph filters on random graphs."""
+
+import warnings
+from unittest.mock import patch
 
 import networkx as nx
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_reference import diffusion_differences, reference_sparse_ppr
 
+import repro.gsp.filters as filters
 from repro.graphs.adjacency import CompressedAdjacency
-from repro.gsp.filters import PersonalizedPageRank
+from repro.gsp.filters import (
+    PersonalizedPageRank,
+    PrunedMassWarning,
+    SparsePersonalizedPageRank,
+)
 from repro.gsp.normalization import transition_matrix
 
 
@@ -85,3 +95,46 @@ class TestPPRProperties:
             ppr.apply(operator, a) + 2 * ppr.apply(operator, b),
             atol=1e-8,
         )
+
+
+@st.composite
+def sparse_diffusion_case(draw):
+    """A random graph (possibly disconnected), operator and sparse signal."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    graph = nx.gnm_random_graph(n, draw(st.integers(0, 3 * n)), seed=seed)
+    adjacency = CompressedAdjacency.from_networkx(graph)
+    normalization = draw(st.sampled_from(["column", "row", "symmetric"]))
+    operator = transition_matrix(adjacency, normalization)
+    dim = draw(st.integers(min_value=1, max_value=4))
+    holders = rng.random(n) < draw(st.floats(min_value=0.0, max_value=0.5))
+    dense = np.zeros((n, dim))
+    dense[holders] = rng.standard_normal((int(holders.sum()), dim))
+    return operator, sp.csr_matrix(dense)
+
+
+class TestSparseFilterMatchesReference:
+    @given(
+        case=sparse_diffusion_case(),
+        alpha=st.floats(min_value=0.05, max_value=0.95),
+        epsilon=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 0.1]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        max_iterations=st.sampled_from([1, 2, 3, 10_000]),
+        chunk_rows=st.sampled_from([1, 2, 3, 2048]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_field_bit_identical(
+        self, case, alpha, epsilon, dtype, max_iterations, chunk_rows
+    ):
+        operator, signal = case
+        ppr = SparsePersonalizedPageRank(
+            alpha, epsilon=epsilon, tol=1e-9, max_iterations=max_iterations, dtype=dtype
+        )
+        with warnings.catch_warnings(), patch.object(
+            filters, "_SPARSE_CHUNK_ROWS", chunk_rows
+        ):
+            warnings.simplefilter("ignore", PrunedMassWarning)
+            got = ppr.apply_detailed(operator, signal)
+            want = reference_sparse_ppr(ppr, operator, signal)
+        assert diffusion_differences(got, want) == []

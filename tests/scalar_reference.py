@@ -23,6 +23,13 @@ for walk.
 :func:`repro.simulation.workload.build_workload`: one full-vocabulary
 ``neighbors_above`` pass per candidate word.  The blocked scan must return
 the same queries, gold lists (order included) and pool.
+
+:func:`reference_sparse_ppr` is the sweep loop that once was
+``SparsePersonalizedPageRank.apply_detailed``: it re-slices the operator
+with ``searchsorted`` whenever the active rows change, slices each row chunk
+again every sweep, and assembles every iterate and residual through
+``union1d``.  The filter must return the same :class:`DiffusionResult`, field
+for field and bit for bit.
 """
 
 from __future__ import annotations
@@ -30,13 +37,25 @@ from __future__ import annotations
 from collections import deque
 from typing import Hashable, Iterable, Mapping
 
+from math import inf
+
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.engine import ResilienceConfig, SearchResult, WalkConfig
 from repro.core.forwarding import ForwardingPolicy, PrecomputedScorePolicy
 from repro.embeddings.model import WordEmbeddingModel
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.metrics import bfs_distances
+from repro.gsp.filters import (
+    DiffusionResult,
+    SparsePersonalizedPageRank,
+    check_pruned_mass,
+    coerce_sparse_signal,
+    effective_tolerance,
+    operator_out_degrees,
+    rows_to_csr,
+)
 from repro.retrieval.topk import TopKTracker
 from repro.retrieval.vector_store import DocumentStore
 from repro.runtime.faults import FaultInjector
@@ -385,3 +404,170 @@ def reference_build_workload(
         irrelevant_pool=irrelevant_pool,
         threshold=threshold,
     )
+
+#: The row chunk ``reference_sparse_ppr`` slices and prunes by.
+REFERENCE_CHUNK_ROWS = 8192
+
+
+def reference_sparse_ppr(
+    ppr: SparsePersonalizedPageRank,
+    operator: sp.spmatrix,
+    signal: np.ndarray | sp.spmatrix,
+) -> DiffusionResult:
+    """``ppr.apply_detailed(operator, signal)`` with the union-based sweep."""
+    n = operator.shape[0]
+    matrix, _ = coerce_sparse_signal(signal, n, ppr.dtype)
+    dim = matrix.shape[1]
+    alpha = ppr.alpha
+    damping = 1.0 - alpha
+    csr_op = (
+        operator
+        if sp.issparse(operator) and operator.format == "csr"
+        else operator.tocsr()
+    )
+    op_data = csr_op.data.astype(ppr.dtype, copy=False)
+    row_dtype = np.int32 if n < np.iinfo(np.int32).max else np.int64
+    op_entry_rows = np.repeat(np.arange(n, dtype=row_dtype), np.diff(csr_op.indptr))
+
+    teleport_rows = np.flatnonzero(np.diff(matrix.indptr)).astype(np.int64)
+    teleport_block = matrix[teleport_rows].toarray() * alpha
+    cur_rows = teleport_rows
+    cur_block = teleport_block.copy()
+
+    if ppr.epsilon > 0.0:
+        thresholds = ppr.epsilon * operator_out_degrees(operator).astype(np.float64)
+        allowed = np.zeros(n, dtype=bool)
+        allowed[teleport_rows] = True
+    else:
+        thresholds = None
+        allowed = None
+
+    sliced_rows: np.ndarray | None = None
+    sliced: sp.csr_matrix | None = None
+    touched: np.ndarray | None = None
+    active_mask = np.zeros(n, dtype=bool)
+
+    residual = np.inf
+    converged = False
+    iterations = 0
+    edge_operations = 0
+    tol = effective_tolerance(ppr.tol, ppr.dtype)
+    for iterations in range(1, ppr.max_iterations + 1):
+        if sliced_rows is None or not np.array_equal(sliced_rows, cur_rows):
+            active_mask[:] = False
+            active_mask[cur_rows] = True
+            keep_entry = active_mask[csr_op.indices]
+            counts = np.bincount(op_entry_rows[keep_entry], minlength=n)
+            touched = np.flatnonzero(counts).astype(np.int64)
+            sliced = sp.csr_matrix(
+                (
+                    op_data[keep_entry],
+                    np.searchsorted(cur_rows, csr_op.indices[keep_entry]),
+                    np.concatenate(([0], np.cumsum(counts[touched]))),
+                ),
+                shape=(touched.shape[0], cur_rows.shape[0]),
+            )
+            sliced_rows = cur_rows
+        edge_operations += sliced.nnz
+        kept_rows_parts: list[np.ndarray] = []
+        kept_value_parts: list[np.ndarray] = []
+        for lo in range(0, touched.shape[0], REFERENCE_CHUNK_ROWS):
+            hi = min(lo + REFERENCE_CHUNK_ROWS, touched.shape[0])
+            chunk_rows = touched[lo:hi]
+            chunk = sliced[lo:hi] @ cur_block
+            chunk *= damping
+            if thresholds is not None and dim:
+                peaks = np.max(np.abs(chunk), axis=1)
+                above = peaks >= thresholds[chunk_rows]
+                allowed[chunk_rows[above]] = True
+                keep = above | allowed[chunk_rows]
+                if not keep.all():
+                    chunk_rows = chunk_rows[keep]
+                    chunk = chunk[keep]
+            kept_rows_parts.append(chunk_rows)
+            kept_value_parts.append(chunk)
+        kept_rows = (
+            np.concatenate(kept_rows_parts)
+            if kept_rows_parts
+            else np.empty(0, dtype=np.int64)
+        )
+        new_rows = np.union1d(kept_rows, teleport_rows)
+        block = np.zeros((new_rows.shape[0], dim), dtype=ppr.dtype)
+        if kept_rows.shape[0]:
+            block[np.searchsorted(new_rows, kept_rows)] = np.concatenate(
+                kept_value_parts
+            )
+        block[np.searchsorted(new_rows, teleport_rows)] += teleport_block
+        if np.array_equal(new_rows, cur_rows):
+            residual = float(np.max(np.abs(block - cur_block))) if block.size else 0.0
+        else:
+            union = np.union1d(new_rows, cur_rows)
+            change = np.zeros((union.shape[0], dim), dtype=ppr.dtype)
+            change[np.searchsorted(union, new_rows)] = block
+            change[np.searchsorted(union, cur_rows)] -= cur_block
+            residual = float(np.max(np.abs(change))) if change.size else 0.0
+        converged = residual < tol
+        if converged or iterations == ppr.max_iterations:
+            prev_rows, prev_block = cur_rows, cur_block
+        cur_rows, cur_block = new_rows, block
+        if converged:
+            break
+
+    e0_l1 = float(np.abs(matrix.data).sum())
+    estimate_l1 = float(np.abs(cur_block).sum())
+    mass_ratio = None
+    if thresholds is not None:
+        mass_ratio = check_pruned_mass(e0_l1, estimate_l1, alpha, ppr.epsilon)
+    residual_l1 = inf
+    if touched is not None:
+        active_mask[:] = False
+        active_mask[cur_rows] = True
+        pruned = np.flatnonzero(~active_mask[touched])
+        pruned_values = sliced[pruned] @ prev_block
+        pruned_l1 = damping * float(np.abs(pruned_values, out=pruned_values).sum())
+        change_entries = dim * (prev_rows.shape[0] + cur_rows.shape[0])
+        residual_l1 = ppr._residual_l1_bound(
+            operator,
+            pruned_l1=pruned_l1,
+            change_l1=residual * change_entries,
+            estimate_l1=estimate_l1,
+            e0_l1=e0_l1,
+            max_row_entries=int(np.diff(sliced.indptr).max(initial=0)),
+        )
+    return DiffusionResult(
+        signal=rows_to_csr(cur_rows, cur_block, n),
+        iterations=iterations,
+        residual=residual,
+        converged=converged,
+        diffused_mass_ratio=mass_ratio,
+        edge_operations=edge_operations,
+        residual_l1=residual_l1,
+    )
+
+
+def diffusion_differences(got: DiffusionResult, want: DiffusionResult) -> list[str]:
+    """The :class:`DiffusionResult` fields in which two results differ, bit for bit.
+
+    ``signal`` is compared as CSR arrays (shape, dtype, ``indptr``,
+    ``indices`` and ``data`` bytes); floats by their bytes, so ``-0.0``
+    differs from ``0.0`` and a NaN equals only itself.
+    """
+    differ = [
+        name
+        for name in ("iterations", "converged", "edge_operations")
+        if getattr(got, name) != getattr(want, name)
+    ]
+    for name in ("residual", "diffused_mass_ratio", "residual_l1"):
+        a, b = getattr(got, name), getattr(want, name)
+        if (a is None) != (b is None) or (
+            a is not None and np.float64(a).tobytes() != np.float64(b).tobytes()
+        ):
+            differ.append(name)
+    g, w = got.signal, want.signal
+    if g.shape != w.shape or any(
+        getattr(g, part).dtype != getattr(w, part).dtype
+        or getattr(g, part).tobytes() != getattr(w, part).tobytes()
+        for part in ("indptr", "indices", "data")
+    ):
+        differ.append("signal")
+    return differ

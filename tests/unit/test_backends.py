@@ -150,3 +150,11 @@ class TestAsyncConvergenceCriterion:
         assert outcome.converged == AsyncProtocolBackend.is_converged(
             outcome.residual, 1e-8, adjacency.n_nodes
         )
+
+    @pytest.mark.parametrize("cap", [0.5, 2.5, True, np.float64(3.0)])
+    def test_non_integer_iteration_cap_rejected(self, adjacency, personalization, cap):
+        # The cap scales the event budget (max_iterations × n_nodes events).
+        with pytest.raises(TypeError):
+            diffuse_embeddings(
+                adjacency, personalization, alpha=0.4, method="async", max_iterations=cap
+            )

@@ -106,6 +106,11 @@ class TestPersonalizedPageRank:
         assert not detail.converged
         assert detail.iterations == 3
 
+    @pytest.mark.parametrize("cap", [0.5, 2.5, True, np.float64(3.0)])
+    def test_non_integer_iteration_cap_rejected(self, cap):
+        with pytest.raises(TypeError):
+            PersonalizedPageRank(0.5, max_iterations=cap)
+
     def test_vector_and_matrix_agree(self, operator):
         rng = np.random.default_rng(3)
         signal = rng.standard_normal(operator.shape[0])

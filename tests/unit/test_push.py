@@ -40,6 +40,11 @@ class TestColdStart:
         assert result.converged
         assert np.max(np.abs(result.estimate - exact(signal, 0.4))) < 1e-8
 
+    @pytest.mark.parametrize("cap", [0.5, 2.5, True, np.float64(3.0)])
+    def test_non_integer_sweep_cap_rejected(self, operator, cap):
+        with pytest.raises(TypeError):
+            forward_push(operator, np.ones(40), max_sweeps=cap)
+
     def test_vector_signal_preserves_shape_and_mass(self, operator):
         signal = np.zeros(40)
         signal[0] = 1.0

@@ -45,6 +45,11 @@ class TestSignalRefresher:
         assert outcome.edge_operations > 0
         assert np.max(np.abs(outcome.scores - exact(operator, before))) < 1e-8
 
+    @pytest.mark.parametrize("cap", [0.5, 2.5, True, np.float64(3.0)])
+    def test_non_integer_sweep_cap_rejected(self, operator, cap):
+        with pytest.raises(TypeError):
+            SignalRefresher(operator, ALPHA, max_sweeps=cap)
+
     def test_stale_is_free_and_unchanged(self, operator, signals):
         before, after = signals
         refresher = SignalRefresher(operator, ALPHA, tol=1e-10)

@@ -166,6 +166,18 @@ class TestSparseFilter:
         with pytest.raises(ValueError):
             SparsePersonalizedPageRank(1.5)
 
+    @pytest.mark.parametrize("cap", [0.5, 2.5, True, np.float64(3.0)])
+    def test_non_integer_iteration_cap_rejected(
+        self, small_world_adjacency, sparse_signal, cap
+    ):
+        _, sparse = sparse_signal
+        with pytest.raises(TypeError):
+            SparsePersonalizedPageRank(0.5, max_iterations=cap)
+        with pytest.raises(TypeError):
+            SparseDiffusionBackend().diffuse(
+                small_world_adjacency, sparse, alpha=0.5, max_iterations=cap
+            )
+
     def test_max_iterations_cap(self, small_world_adjacency, sparse_signal):
         _, sparse = sparse_signal
         operator = transition_matrix(small_world_adjacency, "column")

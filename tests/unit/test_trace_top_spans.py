@@ -20,6 +20,7 @@ def make_dump():
         ["engine/run", 11_000, 19_000, 1, 0, "serve"],
         ["runtime/alive", 12_000, 18_000, 2, 0, "serve"],
         ["serving/submit", 30_000, 31_000, -1, 1, "serve"],
+        ["diffusion/diffuse", 1_000, 4_000, 0, None, "setup"],
     ]
     return {"fields": FIELDS, "counters": {}, "spans": spans}
 
@@ -36,11 +37,19 @@ class TestTopSpans:
         ]
         assert total == 11_000
 
+    def test_ranks_setup_spans_separately(self):
+        rows, total = top_spans(make_dump(), "setup")
+        # build: 5 000 − 3 000; diffuse: 3 000.  No serve span counts.
+        assert rows == [("diffusion/diffuse", 1, 3_000), ("setup/build", 1, 2_000)]
+        assert total == 5_000
+
     def test_cli_prints_table(self, tmp_path, capsys):
         path = tmp_path / "trace-w-seed1.json"
         path.write_text(json.dumps(make_dump()))
         assert main([str(path)]) == 0
-        out = capsys.readouterr().out
+        serve, setup = capsys.readouterr().out.split("(setup phase")
+        assert "(serve phase" in serve
         for name in ("runtime/alive", "serving/submit", "engine/run"):
-            assert name in out
-        assert "setup/build" not in out
+            assert name in serve and name not in setup
+        for name in ("setup/build", "diffusion/diffuse"):
+            assert name in setup and name not in serve
