@@ -7,8 +7,8 @@ continuously (10⁵–10⁶ events), without ever paying for freshness it
 cannot afford or hiding staleness it cannot repair:
 
 * :class:`ChurnStream` — deterministic seeded churn workloads
-  (document add/move/delete, node join/leave) over the shared event
-  clock, composable with :class:`repro.runtime.faults.FaultInjector`;
+  (document add/move/delete, node join/leave), timestamped for the
+  shared event clock;
 * :class:`StalenessTracker` — a cheap, sound upper bound on the served
   scores' L1 error: the last full run's error floor, plus the residual
   its patches abandoned, plus pending dirty mass, so scheduling acts on an

@@ -11,11 +11,11 @@ be replayed against any consumer:
   :class:`~repro.core.search.DiffusionSearchNetwork` (documents placed,
   moved, removed; departing nodes take their documents with them), which
   feeds the network's dirty-node/dirty-mass machinery;
-* :meth:`ChurnStream.install` schedules the events on an
-  :class:`~repro.runtime.events.EventQueue`, so churn interleaves with
-  query arrivals and with a :class:`~repro.runtime.faults.FaultInjector`
-  on one shared clock (churn draws from its own seeded generator, so
-  adding faults never perturbs the churn sequence and vice versa).
+* a caller schedules :meth:`ChurnStream.events` on an
+  :class:`~repro.runtime.events.EventQueue` (``queue.schedule_at(event.time,
+  ...)``), so churn interleaves with query arrivals on one shared clock.
+  Churn draws from its own seeded generator, so nothing else drawn on the
+  clock perturbs the churn sequence.
 
 Event kinds and their feasibility rules:
 
@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from repro.runtime.events import EventQueue, ScheduledEvent
 from repro.utils import check_non_negative, check_positive_int, ensure_rng
 from repro.utils.rng import RngLike
 
@@ -231,33 +230,6 @@ class ChurnStream:
             kinds.append(kind)
             rates.append(rate)
         return kinds, rates
-
-    # ------------------------------------------------------------ integration
-
-    def install(
-        self,
-        queue: EventQueue,
-        handler: Callable[[ChurnEvent], None],
-        *,
-        horizon: float | None = None,
-        n: int | None = None,
-    ) -> list[ScheduledEvent]:
-        """Schedule the stream's events on a shared clock.
-
-        Each generated event dispatches ``handler(event)`` at its time.
-        Composable with a :class:`~repro.runtime.faults.FaultInjector`
-        installed on the same queue (and with query arrivals): all draw
-        from independent seeded generators, so their interleaving is a
-        deterministic merge by timestamp.
-        """
-        scheduled: list[ScheduledEvent] = []
-        for event in self.events(horizon=horizon, n=n):
-            scheduled.append(
-                queue.schedule_at(
-                    event.time, lambda event=event: handler(event)
-                )
-            )
-        return scheduled
 
 
 def apply_churn_event(

@@ -49,7 +49,6 @@ from repro.core.aggregation import (
     channel_personalization,
     channel_relevance_signals,
 )
-from repro.core.protocol import QueryMessage, QueryResponse, QueryRoutingNode
 from repro.core.search import DiffusionSearchNetwork
 
 __all__ = [
@@ -79,8 +78,5 @@ __all__ = [
     "MaxChannelPolicy",
     "channel_personalization",
     "channel_relevance_signals",
-    "QueryMessage",
-    "QueryResponse",
-    "QueryRoutingNode",
     "DiffusionSearchNetwork",
 ]

@@ -8,10 +8,11 @@ neighbor was already involved (footnote 9) — for a batch of walks in
 lockstep.  :func:`run_query` is its one-walk call.  A walk costs more alone
 than inside a batch, so drivers with many walks call ``run_queries``.
 
-An integration test pins the walks to the event-driven
-:class:`repro.core.protocol.QueryRoutingNode` execution step for step, and
-the equivalence tests pin them to a readable per-walk loop kept in
-``tests/scalar_reference.py`` as the oracle.
+Two oracles in ``tests/`` pin the walks: the equivalence tests compare them
+with a readable per-walk loop (``tests/scalar_reference.py``), faults
+included, and the integration tests compare fault-free walks, one at a time
+and in a batch, with the message-level protocol of Fig. 1 run as actors on
+the event-driven network (``tests/protocol_reference.py``).
 
 Privacy note (paper §IV-C): visited state is the per-(query, node) memory of
 which neighbors a node received from / forwarded to — the query message never

@@ -52,14 +52,12 @@ from repro.core.personalization import (
     personalization_matrix,
     personalization_vector,
 )
-from repro.core.protocol import QueryMessage, QueryRoutingNode
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.gsp.filters import rows_to_csr
 from repro.gsp.normalization import NormalizationKind
-from repro.retrieval.topk import TopKTracker
 from repro.retrieval.vector_store import DocumentStore
 from repro.runtime.faults import FaultInjector
-from repro.runtime.network import LatencyModel, SimNetwork
+from repro.runtime.network import LatencyModel
 from repro.utils.rng import RngLike
 
 
@@ -558,6 +556,11 @@ class DiffusionSearchNetwork:
         walk horizon (deadline serving; a truncated walk returns partials
         with ``deadline_hit`` set) and ``quarantine`` routes around a
         circuit breaker's open peers.
+
+        This is the library's only query walk.  The message-level Fig. 1
+        protocol, with per-node memory and response backtracking on the
+        event-driven network, is kept in ``tests/protocol_reference.py`` as
+        the oracle it must match.
         """
         config = WalkConfig(ttl=ttl, fanout=fanout, k=k)
         return run_query(
@@ -574,97 +577,3 @@ class DiffusionSearchNetwork:
             hop_budget=hop_budget,
             quarantine=quarantine,
         )
-
-    def search_on_runtime(
-        self,
-        query_embedding: np.ndarray,
-        start_node: int,
-        *,
-        ttl: int = 50,
-        k: int = 1,
-        query_id: Hashable = "query",
-        latency: LatencyModel | None = None,
-        seed: RngLike = None,
-        max_events: int | None = None,
-        faults: FaultInjector | None = None,
-    ) -> SearchResult:
-        """Execute the same query through the event-driven message protocol.
-
-        Builds a :class:`SimNetwork` of :class:`QueryRoutingNode` actors
-        (each holding only its own store and its neighbors' diffused
-        embeddings), runs to quiescence including response backtracking, and
-        reconstructs a :class:`SearchResult`.  Single-walk (fanout 1), as in
-        the paper's evaluation.
-
-        With a ``faults`` injector installed, messages can be dropped,
-        duplicated, or delayed and peers can crash mid-walk per the
-        injector's plan.  A walk that dies in flight (the query or a
-        backtracking response lost) would leave the source waiting forever;
-        instead the result is reconstructed from the forwarding trace as
-        best-so-far partials with ``degraded=True`` — the same graceful
-        degradation contract as the fast engine.
-        """
-        embeddings = self.embeddings
-        network = SimNetwork(self.adjacency, latency=latency, seed=seed)
-        if faults is not None:
-            faults.install(network)
-        trace: list[tuple[Hashable, int]] = []
-        dim = self.dim
-        for node_id in range(self.n_nodes):
-            neighbor_embeddings = {
-                int(v): embeddings[int(v)] for v in self.adjacency.neighbors(node_id)
-            }
-            store = self.stores.get(node_id) or DocumentStore(dim)
-            network.attach(
-                QueryRoutingNode(
-                    node_id, store, neighbor_embeddings, trace=trace
-                )
-            )
-        network.start()
-        if faults is not None and network.is_down(start_node):
-            return SearchResult(
-                query_id=query_id,
-                start_node=int(start_node),
-                tracker=TopKTracker(k),
-                visits=[],
-                degraded=True,
-                walkers_lost=1,
-            )
-        source = network.actor(start_node)
-        assert isinstance(source, QueryRoutingNode)
-        source.initiate(
-            QueryMessage(query_id, np.asarray(query_embedding, float), ttl, k)
-        )
-        network.run(max_events=max_events)
-
-        completed = query_id in source.completed
-        items = source.completed.get(query_id, ())
-        if not completed and faults is not None:
-            # The walk (or its backtracking response) died in flight.
-            # Rebuild best-so-far from the nodes the query provably reached.
-            tracker = TopKTracker(k)
-            for _, node in trace:
-                store = self.stores.get(node)
-                if store is None:
-                    continue
-                for doc_id, score in store.top_k(query_embedding, k):
-                    tracker.offer(doc_id, score, node)
-            items = tuple(tracker.items())
-        tracker = TopKTracker.from_items(k, items)
-        result = SearchResult(
-            query_id=query_id,
-            start_node=int(start_node),
-            tracker=tracker,
-            visits=[(hop, node) for hop, (_, node) in enumerate(trace)],
-            messages=network.stats.messages,
-            degraded=not completed and faults is not None,
-            walkers_lost=int(not completed and faults is not None),
-        )
-        # Reconstruct first-discovery hops from the visit order.
-        for hop, (_, node) in enumerate(trace):
-            store = self.stores.get(node)
-            if store is None:
-                continue
-            for doc_id, _ in store.top_k(query_embedding, k):
-                result.discovered_at.setdefault(doc_id, hop)
-        return result

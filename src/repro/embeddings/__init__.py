@@ -15,7 +15,6 @@ from repro.embeddings.similarity import (
     l2_normalize,
     cosine_similarity,
     dot_scores,
-    pairwise_cosine,
 )
 from repro.embeddings.synthetic import SyntheticCorpusConfig, synthetic_word_embeddings
 
@@ -24,7 +23,6 @@ __all__ = [
     "l2_normalize",
     "cosine_similarity",
     "dot_scores",
-    "pairwise_cosine",
     "SyntheticCorpusConfig",
     "synthetic_word_embeddings",
 ]

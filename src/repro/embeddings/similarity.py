@@ -58,12 +58,3 @@ def cosine_similarity(query: np.ndarray, documents: np.ndarray) -> np.ndarray:
         documents = documents[None, :]
     return dot_scores(query, l2_normalize(documents))
 
-
-def pairwise_cosine(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Cosine similarity matrix between the rows of ``a`` and rows of ``b``.
-
-    With ``b=None`` computes the self-similarity matrix of ``a``.
-    """
-    a = l2_normalize(np.asarray(a, dtype=np.float64))
-    b_mat = a if b is None else l2_normalize(np.asarray(b, dtype=np.float64))
-    return a @ b_mat.T

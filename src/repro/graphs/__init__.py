@@ -9,23 +9,17 @@ SNAP edge-list format so the original dataset can be dropped in.
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.social import FacebookLikeConfig, facebook_like_graph
 from repro.graphs.generators import (
-    connected_barabasi_albert,
-    connected_erdos_renyi,
-    connected_powerlaw_cluster,
     connected_watts_strogatz,
     cycle_union_adjacency,
     grid_graph,
-    random_regular,
 )
 from repro.graphs.io import load_snap_edge_list, save_snap_edge_list
 from repro.graphs.metrics import (
     GraphSummary,
     bfs_distances,
     degree_statistics,
-    distance_histogram,
     estimate_diameter,
     average_clustering,
-    nodes_at_distance,
     summarize_graph,
 )
 from repro.graphs.communities import label_propagation_communities
@@ -34,22 +28,16 @@ __all__ = [
     "CompressedAdjacency",
     "FacebookLikeConfig",
     "facebook_like_graph",
-    "connected_barabasi_albert",
-    "connected_erdos_renyi",
-    "connected_powerlaw_cluster",
     "connected_watts_strogatz",
     "cycle_union_adjacency",
     "grid_graph",
-    "random_regular",
     "load_snap_edge_list",
     "save_snap_edge_list",
     "GraphSummary",
     "bfs_distances",
     "degree_statistics",
-    "distance_histogram",
     "estimate_diameter",
     "average_clustering",
-    "nodes_at_distance",
     "summarize_graph",
     "label_propagation_communities",
 ]

@@ -30,26 +30,6 @@ def _connect_components(graph: nx.Graph, rng: np.random.Generator) -> nx.Graph:
     return graph
 
 
-def connected_erdos_renyi(n: int, p: float, *, seed: RngLike = None) -> nx.Graph:
-    """G(n, p) random graph, repaired to a single component."""
-    check_positive(n, "n")
-    check_probability(p, "p")
-    rng = ensure_rng(seed)
-    graph = nx.fast_gnp_random_graph(n, p, seed=int(rng.integers(2**31)))
-    return _connect_components(graph, rng)
-
-
-def connected_barabasi_albert(n: int, m: int, *, seed: RngLike = None) -> nx.Graph:
-    """Barabási–Albert preferential attachment (already connected for m>=1)."""
-    check_positive(n, "n")
-    check_positive(m, "m")
-    if m >= n:
-        raise ValueError(f"m ({m}) must be smaller than n ({n})")
-    rng = ensure_rng(seed)
-    graph = nx.barabasi_albert_graph(n, m, seed=int(rng.integers(2**31)))
-    return _connect_components(graph, rng)
-
-
 def connected_watts_strogatz(
     n: int, k: int, p: float, *, seed: RngLike = None
 ) -> nx.Graph:
@@ -59,31 +39,6 @@ def connected_watts_strogatz(
     check_probability(p, "p")
     rng = ensure_rng(seed)
     graph = nx.watts_strogatz_graph(n, k, p, seed=int(rng.integers(2**31)))
-    return _connect_components(graph, rng)
-
-
-def connected_powerlaw_cluster(
-    n: int, m: int, p: float, *, seed: RngLike = None
-) -> nx.Graph:
-    """Holme–Kim power-law graph with tunable clustering, one component."""
-    check_positive(n, "n")
-    check_positive(m, "m")
-    check_probability(p, "p")
-    rng = ensure_rng(seed)
-    graph = nx.powerlaw_cluster_graph(n, m, p, seed=int(rng.integers(2**31)))
-    return _connect_components(graph, rng)
-
-
-def random_regular(n: int, d: int, *, seed: RngLike = None) -> nx.Graph:
-    """Random d-regular graph, repaired to one component if necessary."""
-    check_positive(n, "n")
-    check_positive(d, "d")
-    if (n * d) % 2 != 0:
-        raise ValueError("n * d must be even for a d-regular graph")
-    if d >= n:
-        raise ValueError(f"d ({d}) must be smaller than n ({n})")
-    rng = ensure_rng(seed)
-    graph = nx.random_regular_graph(d, n, seed=int(rng.integers(2**31)))
     return _connect_components(graph, rng)
 
 

@@ -51,46 +51,6 @@ def bfs_distances(adjacency: CompressedAdjacency, source: int) -> np.ndarray:
     return dist
 
 
-def nodes_at_distance(
-    adjacency: CompressedAdjacency,
-    source: int,
-    distance: int,
-    *,
-    distances: np.ndarray | None = None,
-) -> np.ndarray:
-    """Ids of all nodes exactly ``distance`` hops from ``source``.
-
-    Pass a precomputed ``distances`` array (from :func:`bfs_distances`) to
-    avoid re-running BFS for every radius.
-    """
-    if distances is None:
-        distances = bfs_distances(adjacency, source)
-    return np.flatnonzero(distances == distance)
-
-
-def distance_histogram(
-    adjacency: CompressedAdjacency,
-    *,
-    n_sources: int | None = None,
-    seed: RngLike = None,
-) -> dict[int, int]:
-    """Histogram of pairwise hop distances, sampled over ``n_sources`` BFS
-    roots (all nodes when ``None``)."""
-    rng = ensure_rng(seed)
-    n = adjacency.n_nodes
-    if n_sources is None or n_sources >= n:
-        sources = np.arange(n)
-    else:
-        sources = rng.choice(n, size=n_sources, replace=False)
-    histogram: dict[int, int] = {}
-    for source in sources:
-        dist = bfs_distances(adjacency, int(source))
-        values, counts = np.unique(dist[dist > 0], return_counts=True)
-        for value, count in zip(values, counts):
-            histogram[int(value)] = histogram.get(int(value), 0) + int(count)
-    return histogram
-
-
 def estimate_diameter(
     adjacency: CompressedAdjacency,
     *,
@@ -177,17 +137,6 @@ class GraphSummary:
     max_degree: int
     clustering: float
     diameter_lower_bound: int
-
-    def as_row(self) -> dict[str, float]:
-        """Flat dict representation for tabular reporting."""
-        return {
-            "nodes": self.n_nodes,
-            "edges": self.n_edges,
-            "mean_degree": round(self.mean_degree, 2),
-            "max_degree": self.max_degree,
-            "clustering": round(self.clustering, 3),
-            "diameter>=": self.diameter_lower_bound,
-        }
 
 
 def summarize_graph(

@@ -891,10 +891,9 @@ class HeatKernel(GraphFilter):
     def __init__(self, t: float = 3.0, *, tol: float = 1e-9, max_order: int = 200) -> None:
         check_positive(t, "t")
         check_positive(tol, "tol")
-        check_positive(max_order, "max_order")
+        self.max_order = check_positive_int(max_order, "max_order")
         self.t = float(t)
         self.tol = float(tol)
-        self.max_order = int(max_order)
 
     def coefficients(self) -> np.ndarray:
         """Poisson weights ``e^{−t} t^k / k!`` truncated at tail mass < tol."""

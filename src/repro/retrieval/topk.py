@@ -2,15 +2,16 @@
 
 "Queries keep track of the k most relevant documents they have encountered
 along with their relevance score."  The tracker is a bounded best-k set with
-deterministic ordering (score descending, then document id ascending) and a
-merge operation used when parallel walks rejoin at the query source.
+deterministic ordering (score descending, then document id ascending).  A
+query's walkers, parallel ones included, all offer into the one tracker of
+their query, so nothing has to be merged when they finish.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -48,17 +49,6 @@ class TopKTracker:
     def __contains__(self, doc_id: Hashable) -> bool:
         return doc_id in self._doc_ids
 
-    @property
-    def is_full(self) -> bool:
-        """True once ``k`` documents are being tracked."""
-        return len(self._heap) >= self.k
-
-    def worst_score(self) -> float:
-        """Lowest score currently kept; −inf when not full."""
-        if not self.is_full:
-            return float("-inf")
-        return self._heap[0][0]
-
     def offer(self, doc_id: Hashable, score: float, node: Hashable | None = None) -> bool:
         """Offer a document; returns True when it was (or already is) kept.
 
@@ -80,11 +70,6 @@ class TopKTracker:
         self._doc_ids.add(doc_id)
         return True
 
-    def merge(self, other: "TopKTracker") -> None:
-        """Fold another tracker's documents into this one."""
-        for item in other.items():
-            self.offer(item.doc_id, item.score, item.node)
-
     def items(self) -> list[ScoredDocument]:
         """Tracked documents, best first (deterministic order)."""
         return sorted((entry[2] for entry in self._heap), key=lambda d: d.sort_key)
@@ -101,14 +86,6 @@ class TopKTracker:
 
     def __iter__(self) -> Iterator[ScoredDocument]:
         return iter(self.items())
-
-    @classmethod
-    def from_items(cls, k: int, items: Iterable[ScoredDocument]) -> "TopKTracker":
-        """Build a tracker of size ``k`` pre-loaded with ``items``."""
-        tracker = cls(k)
-        for item in items:
-            tracker.offer(item.doc_id, item.score, item.node)
-        return tracker
 
 
 class _ReverseStr:

@@ -4,14 +4,18 @@ The paper's diffusion is "iterative and asynchronous": node pairs exchange
 embeddings at arbitrary (but not arbitrarily long) intervals and the estimates
 converge to the closed-form PPR diffusion.  This package provides the
 machinery to execute that protocol faithfully — an event queue, a simulated
-network with per-link latencies and message accounting, node actors, and the
-asynchronous diffusion overlay — plus churn operations (join/leave/update).
+network with per-link latencies, message loss and message accounting, node
+actors, and the asynchronous diffusion overlay — plus churn operations
+(join/leave/update).
+
+It also holds the query walk's fault plans (:mod:`repro.runtime.faults`):
+crashed peers, zombie peers and per-walk message drops, which feed the walk
+engine on its hop clock rather than this event clock.
 """
 
 from repro.runtime.events import EventQueue, ScheduledEvent
 from repro.runtime.faults import (
     CrashWindow,
-    FaultDecision,
     FaultInjector,
     FaultPlan,
     choose_live_starts,
@@ -24,13 +28,12 @@ from repro.runtime.gossip import (
     DegreeAnnounce,
     EmbeddingPush,
 )
-from repro.runtime.convergence import fixed_point_residual, diffusion_error
+from repro.runtime.convergence import fixed_point_residual
 
 __all__ = [
     "EventQueue",
     "ScheduledEvent",
     "CrashWindow",
-    "FaultDecision",
     "FaultInjector",
     "FaultPlan",
     "choose_live_starts",
@@ -43,5 +46,4 @@ __all__ = [
     "DegreeAnnounce",
     "EmbeddingPush",
     "fixed_point_residual",
-    "diffusion_error",
 ]

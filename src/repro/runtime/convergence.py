@@ -2,8 +2,7 @@
 
 The diffusion's fixed point satisfies ``E = (1−a) A E + a E0`` (paper eq. 7 at
 convergence); the residual of that equation is therefore a decentralized
-protocol's natural convergence certificate, and the distance to the
-closed-form solution bounds it by a constant factor.
+protocol's natural convergence certificate.
 """
 
 from __future__ import annotations
@@ -26,15 +25,3 @@ def fixed_point_residual(
         return 0.0
     return float(np.max(np.abs(embeddings - expected)))
 
-
-def diffusion_error(embeddings: np.ndarray, reference: np.ndarray) -> float:
-    """Max absolute elementwise difference between two diffusion outputs."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if embeddings.shape != reference.shape:
-        raise ValueError(
-            f"shape mismatch: {embeddings.shape} vs {reference.shape}"
-        )
-    if embeddings.size == 0:
-        return 0.0
-    return float(np.max(np.abs(embeddings - reference)))

@@ -1,49 +1,35 @@
-"""Deterministic fault injection for the simulated P2P overlay.
+"""Deterministic fault injection for the query walk.
 
 The paper's evaluation assumes every peer answers and every message
-arrives; a real overlay has neither.  This module defines the failure
-taxonomy the rest of the stack is hardened against, as *data* — a seeded
-:class:`FaultPlan` — plus the :class:`FaultInjector` that drives it, so a
-faulty run is exactly reproducible from ``(plan, workload, seed)``:
+arrives; a real overlay has neither.  This module defines the failures the
+walk engine is hardened against, as *data* — a seeded :class:`FaultPlan` —
+plus the :class:`FaultInjector` that drives it, so a faulty run is exactly
+reproducible from ``(plan, workload, seed)``:
 
 - **node crash / recover** — a crashed node neither receives, evaluates,
-  nor forwards anything; its incident links are effectively dark for the
-  duration of its :class:`CrashWindow`.
-- **message drop** — independent per-message Bernoulli loss on top of
-  whatever the network's own ``drop_probability`` models.
-- **message delay** — extra per-message latency, ``Uniform(0, extra_delay)``.
-- **message duplication** — per-message Bernoulli duplication (the
-  at-least-once failure mode of retransmitting transports).
+  nor forwards anything for the duration of its :class:`CrashWindow`.
+- **message drop** — independent per-message Bernoulli loss.
 - **zombie peers** — nodes that stay up and keep routing but serve *stale*
   embeddings: their local evaluation is worthless even though the walk
   passes straight through them.
 
-Two consumers, one plan:
-
-- the synchronous walk engine (:func:`repro.core.batch.run_queries`, and
-  :func:`repro.core.engine.run_query`, its one-walk call) takes the hop
-  index as the logical time and reads whole node masks
-  (:meth:`FaultInjector.down_mask`, :attr:`FaultInjector.zombie_mask`).
-  Each walk draws its message drops from its own stream
-  (:meth:`FaultInjector.walk_streams`), handed out in the order walks
-  start, so a walk's drops do not depend on how many other walks run
-  beside it or in which order the engine advances them;
-- the event-driven runtime gets the same plan scheduled through the
-  :class:`~repro.runtime.events.EventQueue`:
-  :meth:`FaultInjector.install` registers crash/recover events on a
-  :class:`~repro.runtime.network.SimNetwork` and hooks its per-message
-  drop/delay/duplication decisions, drawn in event order from the
-  injector's shared generator.
-
-Every draw comes from generators seeded by the plan, never from the
-protocol's, so injecting faults perturbs *only* the failures.
+The plan feeds the walk engine (:func:`repro.core.batch.run_queries`, and
+:func:`repro.core.engine.run_query`, its one-walk call).  It takes the hop
+index as the logical time and reads whole node masks
+(:meth:`FaultInjector.down_mask`, :attr:`FaultInjector.zombie_mask`).  Each
+walk draws its message drops from its own stream
+(:meth:`FaultInjector.walk_streams`), handed out in the order walks start,
+so a walk's drops do not depend on how many other walks run beside it or in
+which order the engine advances them.  Every draw comes from generators
+seeded by the plan, never from the walk's, so injecting faults perturbs
+*only* the failures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -53,12 +39,8 @@ from repro.utils import (
     check_probability,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.network import SimNetwork
-
 __all__ = [
     "CrashWindow",
-    "FaultDecision",
     "FaultPlan",
     "FaultInjector",
     "choose_live_starts",
@@ -89,30 +71,19 @@ class CrashWindow:
 
 
 @dataclass(frozen=True)
-class FaultDecision:
-    """Per-message verdict handed back to the network's send path."""
-
-    deliver: bool = True
-    copies: int = 1
-    extra_delay: float = 0.0
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A seeded, immutable schedule of faults for one overlay.
 
     The plan is pure data — it can be generated
     (:meth:`generate`), constructed explicitly for targeted tests, hashed
-    into experiment configs, and replayed exactly.  Probabilities apply
-    per message; crashes are time windows; ``zombies`` are node ids that
-    answer with stale embeddings for the whole run.
+    into experiment configs, and replayed exactly.  The drop probability
+    applies per message; crashes are time windows; ``zombies`` are node ids
+    that answer with stale embeddings for the whole run.
     """
 
     n_nodes: int
     crashes: tuple[CrashWindow, ...] = ()
     drop_probability: float = 0.0
-    duplicate_probability: float = 0.0
-    extra_delay: float = 0.0
     zombies: frozenset[int] = frozenset()
     seed: int = 0
 
@@ -121,8 +92,6 @@ class FaultPlan:
         # negative one only there, naming no field, and take True as 1.
         check_non_negative_int(self.seed, "seed")
         check_probability(self.drop_probability, "drop_probability")
-        check_probability(self.duplicate_probability, "duplicate_probability")
-        check_non_negative(self.extra_delay, "extra_delay")
         windows_by_node: dict[int, list[CrashWindow]] = {}
         for window in self.crashes:
             if not 0 <= window.node < self.n_nodes:
@@ -138,14 +107,20 @@ class FaultPlan:
                     f"zombie node {node} out of range [0, {self.n_nodes})"
                 )
         # Per-node index for `crashed_at`, the point liveness check behind
-        # `FaultInjector.alive`.  Set outside the dataclass fields, so plan
-        # equality, hashing and repr still see only the windows.
+        # `FaultInjector.alive` (which only the scalar oracle and perfbench's
+        # shims reach).  Set outside the dataclass fields, so plan equality,
+        # hashing and repr still see only the windows.
         object.__setattr__(self, "_windows_by_node", windows_by_node)
 
     # ----------------------------------------------------------- inspection
 
     def crashed_at(self, node: int, time: float) -> bool:
-        """Is ``node`` inside any of its crash windows at ``time``?"""
+        """Is ``node`` inside any of its crash windows at ``time``?
+
+        No library walk calls this: the engine reads
+        :meth:`FaultInjector.down_mask`.  It stays for
+        :meth:`FaultInjector.alive`, which ``perfbench/layers.py`` patches.
+        """
         windows = self._windows_by_node.get(node)
         return windows is not None and any(w.covers(time) for w in windows)
 
@@ -158,17 +133,6 @@ class FaultPlan:
         down = self.crashed_nodes(time)
         return [n for n in range(self.n_nodes) if n not in down]
 
-    @property
-    def is_trivial(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return (
-            not self.crashes
-            and not self.zombies
-            and self.drop_probability == 0.0
-            and self.duplicate_probability == 0.0
-            and self.extra_delay == 0.0
-        )
-
     # ----------------------------------------------------------- generation
 
     @classmethod
@@ -180,8 +144,6 @@ class FaultPlan:
         crash_start: float = 0.0,
         recover_after: float = math.inf,
         drop_probability: float = 0.0,
-        duplicate_probability: float = 0.0,
-        extra_delay: float = 0.0,
         zombie_fraction: float = 0.0,
         protect: Iterable[int] = (),
         seed: int = 0,
@@ -229,8 +191,6 @@ class FaultPlan:
                 for node in crashed
             ),
             drop_probability=float(drop_probability),
-            duplicate_probability=float(duplicate_probability),
-            extra_delay=float(extra_delay),
             zombies=frozenset(int(z) for z in zombies),
             seed=int(seed),
         )
@@ -238,21 +198,26 @@ class FaultPlan:
 
 @dataclass
 class FaultInjector:
-    """Executes a :class:`FaultPlan`: answers liveness/delivery questions.
+    """Executes a :class:`FaultPlan` for the walk engine.
 
-    Holds the plan-seeded generators every fault draw comes from, plus
-    counters for reporting.  The event path draws from one shared generator
-    in event order.  The walk engines give each walk its own drop stream,
-    seeded from ``(plan.seed, walk index)``, where walks are numbered in the
-    order they start (:meth:`walk_streams`).  Either way a run is
-    reproducible from the plan seed, and :meth:`reset` rewinds both the
-    shared stream and the walk numbering for an exact replay.
+    Answers which peers are down at a hop (:meth:`down_mask`) and hands out
+    per-walk drop streams, seeded from ``(plan.seed, walk index)``, where
+    walks are numbered in the order they start (:meth:`walk_streams`).  A
+    run is reproducible from the plan seed, and :meth:`reset` rewinds the
+    walk numbering and the counters for an exact replay.
+
+    :meth:`alive` and :meth:`deliver`, with the shared generator ``_rng``
+    that :meth:`deliver` draws from, are point checks no library walk calls
+    (the scalar oracle in ``tests/scalar_reference.py`` calls :meth:`alive`).
+    They stay because ``perfbench/layers.py`` patches both by name (its
+    ``runtime/alive`` and ``runtime/deliver`` counters), so deleting one
+    fails the traced benchmark; they go when the benchmark stops patching
+    them.
     """
 
     plan: FaultPlan
     _rng: np.random.Generator = field(init=False, repr=False)
     dropped: int = field(default=0, init=False)
-    duplicated: int = field(default=0, init=False)
     crash_detections: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
@@ -274,15 +239,14 @@ class FaultInjector:
         self._rng = np.random.default_rng(self.plan.seed)
         self._walks = 0
         self.dropped = 0
-        self.duplicated = 0
         self.crash_detections = 0
-
-    # ----------------------------------------------- synchronous-engine API
 
     def alive(self, node: int, time: float) -> bool:
         """Is ``node`` up at ``time``?  (Walks use hop indices as time.)
 
-        A point check; the walk engine reads :meth:`down_mask` instead.
+        A point check: the engine reads :meth:`down_mask` instead, and only
+        the scalar oracle in ``tests/`` calls this.  Kept for the
+        ``runtime/alive`` shim of ``perfbench/layers.py``.
         """
         return not self.plan.crashed_at(node, time)
 
@@ -326,7 +290,12 @@ class FaultInjector:
         return False
 
     def deliver(self, src: int, dst: int) -> bool:
-        """Draw the shared drop lottery for one event-path message src→dst."""
+        """Draw the shared drop lottery for one message src→dst.
+
+        No walk calls this; each walk draws from its own stream through
+        :meth:`walk_drops`.  Kept for the ``runtime/deliver`` shim of
+        ``perfbench/layers.py``.
+        """
         if (
             self.plan.drop_probability
             and self._rng.random() < self.plan.drop_probability
@@ -334,60 +303,6 @@ class FaultInjector:
             self.dropped += 1
             return False
         return True
-
-    # ------------------------------------------------- event-driven API
-
-    def decide(self, src: int, dst: int, time: float) -> FaultDecision:
-        """Full per-message verdict for the :class:`SimNetwork` send path."""
-        if not self.deliver(src, dst):
-            return FaultDecision(deliver=False)
-        copies = 1
-        if (
-            self.plan.duplicate_probability
-            and self._rng.random() < self.plan.duplicate_probability
-        ):
-            copies = 2
-            self.duplicated += 1
-        extra = 0.0
-        if self.plan.extra_delay:
-            extra = float(self._rng.uniform(0.0, self.plan.extra_delay))
-        return FaultDecision(deliver=True, copies=copies, extra_delay=extra)
-
-    def install(self, network: "SimNetwork") -> "FaultInjector":
-        """Wire this injector into an event-driven network.
-
-        Registers the per-message hook and schedules every crash/recover
-        transition through the network's :class:`EventQueue`, so fault
-        timing participates in the same deterministic (time, seq) order as
-        protocol traffic.  Windows already open at the current simulation
-        time take effect immediately.
-        """
-        network.set_fault_injector(self)
-        for window in self.plan.crashes:
-            if window.covers(network.now):
-                network.fail_node(window.node)
-            elif window.start > network.now:
-                network.queue.schedule_at(
-                    window.start,
-                    lambda node=window.node: network.fail_node(node),
-                )
-            if not math.isinf(window.end) and window.end > network.now:
-                network.queue.schedule_at(
-                    window.end,
-                    lambda node=window.node: network.restore_node(node),
-                )
-        return self
-
-    # ------------------------------------------------------------- helpers
-
-    def pick_live_start(
-        self, rng: np.random.Generator, time: float = 0.0
-    ) -> int:
-        """Sample a non-crashed start node (a dead user issues no queries)."""
-        live = self.plan.live_nodes(time)
-        if not live:
-            raise ValueError("every node is crashed; no live start node")
-        return int(live[int(rng.integers(0, len(live)))])
 
 
 def choose_live_starts(

@@ -7,9 +7,8 @@ it holds connections to.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable, Iterable
+from typing import Any, Hashable, Iterable
 
 import numpy as np
 
@@ -18,9 +17,6 @@ from repro.runtime.events import EventQueue
 from repro.runtime.node import SimNode
 from repro.utils import check_non_negative, check_probability, ensure_rng
 from repro.utils.rng import RngLike
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.faults import FaultInjector
 
 
 @dataclass(frozen=True)
@@ -47,13 +43,12 @@ class TrafficStats:
     ``by_type`` counts sends per message class; dropped messages are
     *additionally* counted under a ``dropped:``-prefixed key, so per-type
     loss is observable (a protocol that tolerates losing ``EmbeddingPush``
-    but not ``QueryResponse`` can tell the two apart).
+    but not ``DegreeAnnounce`` can tell the two apart).
     """
 
     messages: int = 0
     bytes: float = 0.0
     dropped: int = 0
-    duplicated: int = 0
     by_type: dict[str, int] = field(default_factory=dict)
 
     def record(self, message: Any) -> None:
@@ -83,16 +78,15 @@ class SimNetwork:
         flight (failure injection).  Protocols relying on periodic
         retransmission (e.g. periodic-mode gossip) tolerate loss; one-shot
         push protocols may stall, which tests exercise deliberately.
-        (``loss_probability`` is accepted as a legacy alias.)
     seed:
         Seeds latency jitter and loss draws (and nothing else — node logic
         draws from its own streams so traffic noise never perturbs protocol
         randomness).
 
-    Richer failure modes — node crash/recover schedules, per-message
-    duplication and extra delay — are injected by installing a
-    :class:`repro.runtime.faults.FaultInjector`
-    (``injector.install(network)``) rather than through constructor knobs.
+    Message loss is the network's only failure mode.  Crashed peers and
+    per-walk drops are the query walk's fault model
+    (:mod:`repro.runtime.faults`), which runs on the hop clock of the walk
+    engine, not on this event clock.
     """
 
     def __init__(
@@ -101,22 +95,8 @@ class SimNetwork:
         *,
         latency: LatencyModel | None = None,
         drop_probability: float = 0.0,
-        loss_probability: float | None = None,
         seed: RngLike = None,
     ) -> None:
-        if loss_probability is not None:
-            warnings.warn(
-                "loss_probability is deprecated; use drop_probability",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if drop_probability not in (0.0, loss_probability):
-                raise ValueError(
-                    f"conflicting drop_probability={drop_probability} and "
-                    f"legacy loss_probability={loss_probability}; pass only "
-                    "drop_probability"
-                )
-            drop_probability = loss_probability
         check_probability(drop_probability, "drop_probability")
         if drop_probability >= 1.0:
             raise ValueError("drop_probability must be < 1 (nothing would arrive)")
@@ -129,15 +109,8 @@ class SimNetwork:
             for u in range(topology.n_nodes)
         }
         self._nodes: dict[int, SimNode] = {}
-        self._down: set[int] = set()
-        self._fault_injector: "FaultInjector | None" = None
         self.stats = TrafficStats()
         self._started = False
-
-    @property
-    def loss_probability(self) -> float:
-        """Legacy alias of :attr:`drop_probability`."""
-        return self.drop_probability
 
     # ------------------------------------------------------------- topology
 
@@ -192,35 +165,6 @@ class SimNetwork:
             if actor is not None and self._started:
                 actor.on_neighbor_removed(other)
 
-    # ------------------------------------------------------------- failures
-
-    def set_fault_injector(self, injector: "FaultInjector | None") -> None:
-        """Register the per-message fault hook (see :mod:`repro.runtime.faults`)."""
-        self._fault_injector = injector
-
-    def fail_node(self, node_id: int) -> None:
-        """Crash ``node_id``: it stops sending, receiving, and firing timers.
-
-        Unlike :meth:`remove_node` (churn: a voluntary, announced leave),
-        a crash keeps the topology intact — neighbors still *believe* the
-        links exist, exactly the condition failure detection in the query
-        path has to handle.
-        """
-        if node_id not in self._adjacency:
-            raise ValueError(f"node {node_id} is not in the topology")
-        self._down.add(int(node_id))
-
-    def restore_node(self, node_id: int) -> None:
-        """Bring a crashed node back (protocol state is whatever it was)."""
-        self._down.discard(int(node_id))
-
-    def is_down(self, node_id: int) -> bool:
-        return node_id in self._down
-
-    @property
-    def down_nodes(self) -> frozenset[int]:
-        return frozenset(self._down)
-
     def to_adjacency(self) -> CompressedAdjacency:
         """Snapshot the live topology as a :class:`CompressedAdjacency`."""
         nodes = sorted(self._adjacency)
@@ -268,45 +212,25 @@ class SimNetwork:
         """Deliver ``message`` from ``src`` to adjacent ``dst`` after latency."""
         if dst not in self._adjacency.get(src, ()):
             raise ValueError(f"no edge {src} -> {dst}; nodes may only message neighbors")
-        if src in self._down:
-            # A crashed process produces no traffic; whatever event tried to
-            # send on its behalf is void.
-            return
         self.stats.record(message)
         if self.drop_probability and self._rng.random() < self.drop_probability:
             self.stats.record_dropped(message)
             return
-        copies, extra_delay = 1, 0.0
-        if self._fault_injector is not None:
-            decision = self._fault_injector.decide(src, dst, self.now)
-            if not decision.deliver:
-                self.stats.record_dropped(message)
-                return
-            copies = int(decision.copies)
-            extra_delay = float(decision.extra_delay)
-            if copies > 1:
-                self.stats.duplicated += copies - 1
 
         def deliver() -> None:
             actor = self._nodes.get(dst)
-            # The destination may have left the network while in flight —
-            # or crashed, in which case the message is lost on arrival.
-            if dst in self._down:
-                self.stats.record_dropped(message)
-                return
+            # The destination may have left the network while in flight.
             if actor is not None and self.has_edge(src, dst):
                 actor.on_message(src, message)
 
-        for _ in range(copies):
-            delay = self.latency.sample(self._rng) + extra_delay
-            self.queue.schedule(delay, deliver)
+        self.queue.schedule(self.latency.sample(self._rng), deliver)
 
     def schedule_timer(self, node_id: int, delay: float, tag: Hashable):
-        """Schedule a timer callback on ``node_id`` (skipped while crashed)."""
+        """Schedule a timer callback on ``node_id``."""
 
         def fire() -> None:
             actor = self._nodes.get(node_id)
-            if actor is not None and node_id not in self._down:
+            if actor is not None:
                 actor.on_timer(tag)
 
         return self.queue.schedule(delay, fire)

@@ -11,8 +11,8 @@ classic dual trigger:
   opened the window).
 
 Timing rides the shared :class:`~repro.runtime.events.EventQueue`, so the
-batcher composes with the rest of the simulation (fault injectors, load
-generators) on one clock.  The size trigger cancels the armed timer via
+batcher composes with the rest of the simulation (load generators, churn
+events) on one clock.  The size trigger cancels the armed timer via
 ``ScheduledEvent.cancel()`` — safe even when the timer already dispatched in
 the same tick, because cancel-after-dispatch is an idempotent no-op that
 returns ``False``.

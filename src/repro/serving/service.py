@@ -228,7 +228,7 @@ class QueryService:
         All serving knobs (:class:`ServingConfig`).
     queue:
         The shared :class:`~repro.runtime.events.EventQueue`; supply the
-        simulation's queue so load generators and fault timelines share the
+        simulation's queue so load generators and churn events share the
         clock.  A private queue is created when omitted.
     faults:
         Optional :class:`~repro.runtime.faults.FaultInjector`; with one,

@@ -7,7 +7,6 @@ helpers render them as aligned ASCII tables (no plotting dependencies).
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -94,7 +93,3 @@ def write_csv(
         for row in rows:
             writer.writerow(row)
 
-
-def write_json(path: str | Path, payload: object) -> None:
-    """Write a JSON report (floats rounded by json defaults)."""
-    Path(path).write_text(json.dumps(payload, indent=2, default=str))

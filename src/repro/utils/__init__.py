@@ -9,8 +9,6 @@ from repro.utils.validation import (
     check_positive_int,
     check_non_negative_int,
     check_peer_ids,
-    check_matrix_2d,
-    check_vector_1d,
 )
 
 __all__ = [
@@ -24,6 +22,4 @@ __all__ = [
     "check_positive_int",
     "check_non_negative_int",
     "check_peer_ids",
-    "check_matrix_2d",
-    "check_vector_1d",
 ]

@@ -68,18 +68,3 @@ def check_peer_ids(ids: Iterable[int], n_nodes: int, name: str) -> list[int]:
             raise ValueError(f"{name} peer {peer} out of range [0, {n_nodes})")
     return peers
 
-
-def check_matrix_2d(array: np.ndarray, name: str) -> np.ndarray:
-    """Validate that ``array`` is a 2-D numpy array and return it as float64."""
-    array = np.asarray(array, dtype=np.float64)
-    if array.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {array.shape}")
-    return array
-
-
-def check_vector_1d(array: np.ndarray, name: str) -> np.ndarray:
-    """Validate that ``array`` is a 1-D numpy array and return it as float64."""
-    array = np.asarray(array, dtype=np.float64)
-    if array.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {array.shape}")
-    return array

@@ -2,8 +2,9 @@
 
 These pin the load-bearing equivalences of the reproduction:
 
-* the event-driven message protocol executes the exact walk the fast engine
-  computes,
+* the message-level protocol oracle (``tests/protocol_reference.py``)
+  executes the exact walk the lockstep engine computes, one walk at a time
+  and many walks in one batch,
 * the scalar-diffusion fast path used by experiment sweeps selects the exact
   hops the full embedding pipeline selects,
 * the decentralized asynchronous diffusion supports search identically to
@@ -14,6 +15,7 @@ These pin the load-bearing equivalences of the reproduction:
 import numpy as np
 import pytest
 
+from repro.core.batch import run_queries
 from repro.core.engine import WalkConfig, run_query
 from repro.core.forwarding import (
     EmbeddingGuidedPolicy,
@@ -28,6 +30,7 @@ from repro.gsp.filters import PersonalizedPageRank
 from repro.gsp.normalization import transition_matrix
 from repro.simulation.placement import build_stores, uniform_placement
 from repro.utils.rng import spawn_rngs
+from protocol_reference import event_search
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +79,10 @@ class TestFullPipeline:
 
 
 class TestEngineRuntimeEquivalence:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_identical_walks(self, tiny_model, tiny_workload, seed):
-        """Fast engine and message protocol: same path, same results."""
+    """The lockstep engine against the message protocol, walk for walk."""
+
+    @staticmethod
+    def _network(tiny_model, tiny_workload, seed):
         rng = np.random.default_rng(seed)
         graph = facebook_like_graph(
             FacebookLikeConfig(n_nodes=120, target_edges=1200, n_egos=4),
@@ -90,13 +94,44 @@ class TestEngineRuntimeEquivalence:
         for word in words:
             net.place_document(word, tiny_model.vector(word), int(rng.integers(120)))
         net.diffuse(tol=1e-10)
-        start = int(rng.integers(120))
-        ttl = 25
-        fast = net.search(tiny_model.vector(query), start, ttl=ttl, k=3)
-        slow = net.search_on_runtime(tiny_model.vector(query), start, ttl=ttl, k=3)
+        return net, query, rng
+
+    @staticmethod
+    def _assert_same_walk(fast, slow):
         assert fast.path == slow.path
         assert [d.doc_id for d in fast.results] == [d.doc_id for d in slow.results]
         assert fast.discovered_at == slow.discovered_at
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_identical_walks(self, tiny_model, tiny_workload, seed):
+        """Fast engine and message protocol: same path, same results."""
+        net, query, rng = self._network(tiny_model, tiny_workload, seed)
+        start = int(rng.integers(120))
+        ttl = 25
+        fast = net.search(tiny_model.vector(query), start, ttl=ttl, k=3)
+        slow = event_search(net, tiny_model.vector(query), start, ttl=ttl, k=3)
+        self._assert_same_walk(fast, slow)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_batch_matches_protocol(self, tiny_model, tiny_workload, seed):
+        """Twenty walks in flight in one lockstep call, each with its own
+        query, walk what the protocol walks for that query alone."""
+        net, _, rng = self._network(tiny_model, tiny_workload, seed)
+        words = [tiny_workload.sample_case(rng)[0] for _ in range(20)]
+        queries = tiny_model.vectors_for(words)
+        starts = rng.integers(120, size=20)
+        batch = run_queries(
+            net.adjacency,
+            net.stores,
+            net.default_policy(),
+            queries,
+            starts,
+            WalkConfig(ttl=25, k=3),
+        )
+        assert len(batch) == 20
+        for query, start, fast in zip(queries, starts, batch):
+            slow = event_search(net, query, int(start), ttl=25, k=3)
+            self._assert_same_walk(fast, slow)
 
 
 class TestScalarFastPathEquivalence:

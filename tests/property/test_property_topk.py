@@ -73,45 +73,3 @@ class TestTrackerMatchesBruteForce:
             tracker.offer(doc_id, score)
         keys = [item.sort_key for item in tracker.items()]
         assert keys == sorted(keys)
-
-    @given(
-        items=offer_stream(),
-        split=st.integers(min_value=0, max_value=60),
-        k=st.integers(min_value=1, max_value=6),
-    )
-    @settings(max_examples=100)
-    def test_merge_equals_single_stream(self, items, split, k):
-        """Splitting a stream between two trackers and merging equals one
-        tracker over the whole stream (parallel walks rejoining)."""
-        split = split % (len(items) + 1)
-        left_stream, right_stream = items[:split], items[split:]
-        a = TopKTracker(k)
-        for doc_id, score in left_stream:
-            a.offer(doc_id, score)
-        b = TopKTracker(k)
-        for doc_id, score in right_stream:
-            b.offer(doc_id, score)
-        a.merge(b)
-        combined = TopKTracker(k)
-        for doc_id, score in items:
-            combined.offer(doc_id, score)
-        assert a.doc_ids() == combined.doc_ids()
-
-    @given(items=offer_stream())
-    @settings(max_examples=50)
-    def test_from_items_roundtrip(self, items):
-        tracker = TopKTracker(5)
-        for doc_id, score in items:
-            tracker.offer(doc_id, score)
-        rebuilt = TopKTracker.from_items(5, tracker.items())
-        assert rebuilt.doc_ids() == tracker.doc_ids()
-
-    @given(items=offer_stream(), k=st.integers(min_value=1, max_value=8))
-    @settings(max_examples=100)
-    def test_worst_score_is_minimum_kept(self, items, k):
-        tracker = TopKTracker(k)
-        for doc_id, score in items:
-            tracker.offer(doc_id, score)
-        if tracker.is_full:
-            kept = [item.score for item in tracker.items()]
-            assert tracker.worst_score() == min(kept)

@@ -202,7 +202,10 @@ class TestApplyChurnEvent:
             queue = EventQueue()
             log: list[tuple[float, str]] = []
             stream = ChurnStream(10, RATES, seed=4)
-            stream.install(queue, lambda e: log.append((e.time, e.kind)), n=30)
+            for event in stream.events(n=30):
+                queue.schedule_at(
+                    event.time, lambda e=event: log.append((e.time, e.kind))
+                )
             # The injector draws from its own seeded generator; consuming
             # fault randomness between churn dispatches must not perturb
             # the churn sequence (independent streams).

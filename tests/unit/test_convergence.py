@@ -2,11 +2,10 @@
 
 import networkx as nx
 import numpy as np
-import pytest
 
 from repro.gsp.filters import PersonalizedPageRank
 from repro.gsp.normalization import transition_matrix
-from repro.runtime.convergence import diffusion_error, fixed_point_residual
+from repro.runtime.convergence import fixed_point_residual
 
 
 class TestFixedPointResidual:
@@ -33,17 +32,3 @@ class TestFixedPointResidual:
         operator = transition_matrix(nx.empty_graph(0, create_using=nx.Graph), "column")
         assert fixed_point_residual(operator, np.zeros((0, 2)), np.zeros((0, 2)), 0.5) == 0.0
 
-
-class TestDiffusionError:
-    def test_identical_zero(self):
-        a = np.ones((3, 2))
-        assert diffusion_error(a, a.copy()) == 0.0
-
-    def test_max_abs_semantics(self):
-        a = np.zeros((2, 2))
-        b = np.array([[0.0, -3.0], [1.0, 0.0]])
-        assert diffusion_error(a, b) == 3.0
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            diffusion_error(np.zeros((2, 2)), np.zeros((3, 2)))

@@ -110,30 +110,6 @@ class TestDropAccounting:
         third, _ = self._run_once(seed=8)
         assert third.stats != first.stats
 
-    def test_drop_probability_is_loss_probability(self):
-        adjacency = CompressedAdjacency.from_networkx(nx.path_graph(2))
-        net = SimNetwork(adjacency, drop_probability=0.25)
-        assert net.loss_probability == 0.25
-        with pytest.warns(DeprecationWarning, match="loss_probability"):
-            legacy = SimNetwork(adjacency, loss_probability=0.25)
-        assert legacy.drop_probability == 0.25
-
-    def test_matching_alias_and_new_name_accepted(self):
-        adjacency = CompressedAdjacency.from_networkx(nx.path_graph(2))
-        with pytest.warns(DeprecationWarning):
-            net = SimNetwork(
-                adjacency, drop_probability=0.25, loss_probability=0.25
-            )
-        assert net.drop_probability == 0.25
-
-    def test_conflicting_alias_rejected(self):
-        adjacency = CompressedAdjacency.from_networkx(nx.path_graph(2))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="conflicting"):
-                SimNetwork(
-                    adjacency, drop_probability=0.1, loss_probability=0.25
-                )
-
 
 class TestChurnSendRules:
     """Sends are only legal along live edges — churn closes them."""

@@ -171,6 +171,11 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             HeatKernel(t=0.0)
 
+    @pytest.mark.parametrize("order", [0.5, 2.5, True, np.float64(3.0)])
+    def test_non_integer_max_order_rejected(self, order):
+        with pytest.raises(TypeError):
+            HeatKernel(3.0, max_order=order)
+
 
 class TestMultiAlphaPPR:
     """Per-column-alpha diffusion: one operator sweep shared by all alphas."""

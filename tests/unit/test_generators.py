@@ -3,42 +3,13 @@
 import networkx as nx
 import pytest
 
-from repro.graphs.generators import (
-    connected_barabasi_albert,
-    connected_erdos_renyi,
-    connected_powerlaw_cluster,
-    connected_watts_strogatz,
-    grid_graph,
-    random_regular,
-)
+from repro.graphs.generators import connected_watts_strogatz, grid_graph
 
 
 class TestConnectivity:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_erdos_renyi_connected_even_when_sparse(self, seed):
-        # p low enough that raw G(n, p) is usually disconnected
-        graph = connected_erdos_renyi(100, 0.01, seed=seed)
-        assert nx.is_connected(graph)
-
-    def test_barabasi_albert(self):
-        graph = connected_barabasi_albert(80, 3, seed=0)
-        assert nx.is_connected(graph)
-        assert graph.number_of_nodes() == 80
-
     def test_watts_strogatz(self):
         graph = connected_watts_strogatz(60, 6, 0.3, seed=0)
         assert nx.is_connected(graph)
-
-    def test_powerlaw_cluster(self):
-        graph = connected_powerlaw_cluster(80, 4, 0.5, seed=0)
-        assert nx.is_connected(graph)
-
-    def test_random_regular(self):
-        graph = random_regular(50, 4, seed=0)
-        assert nx.is_connected(graph)
-        # repair may add a few edges; degrees stay close to d
-        degrees = [d for _, d in graph.degree()]
-        assert min(degrees) >= 4
 
 
 class TestDeterminism:
@@ -62,21 +33,9 @@ class TestGrid:
 
 
 class TestValidation:
-    def test_ba_m_too_large(self):
-        with pytest.raises(ValueError):
-            connected_barabasi_albert(5, 5)
-
-    def test_regular_parity(self):
-        with pytest.raises(ValueError, match="even"):
-            random_regular(5, 3)
-
-    def test_regular_d_too_large(self):
-        with pytest.raises(ValueError):
-            random_regular(4, 4)
-
     def test_bad_probability(self):
         with pytest.raises(ValueError):
-            connected_erdos_renyi(10, 1.5)
+            connected_watts_strogatz(10, 2, 1.5)
 
 
 class TestCycleUnionAdjacency:

@@ -10,9 +10,7 @@ from repro.graphs.metrics import (
     average_clustering,
     bfs_distances,
     degree_statistics,
-    distance_histogram,
     estimate_diameter,
-    nodes_at_distance,
     summarize_graph,
 )
 
@@ -46,31 +44,6 @@ class TestBfsDistances:
     def test_out_of_range_source(self, path_graph):
         with pytest.raises(ValueError):
             bfs_distances(path_graph, 10)
-
-
-class TestNodesAtDistance:
-    def test_exact_ring(self, path_graph):
-        assert list(nodes_at_distance(path_graph, 0, 2)) == [2]
-
-    def test_reuses_precomputed(self, path_graph):
-        dist = bfs_distances(path_graph, 0)
-        out = nodes_at_distance(path_graph, 0, 3, distances=dist)
-        assert list(out) == [3]
-
-    def test_empty_when_beyond_eccentricity(self, path_graph):
-        assert nodes_at_distance(path_graph, 0, 99).size == 0
-
-
-class TestDistanceHistogram:
-    def test_path_graph_full(self, path_graph):
-        hist = distance_histogram(path_graph)
-        # path of 6 nodes: 10 ordered pairs at distance 1, ..., 2 at distance 5
-        assert hist[1] == 10
-        assert hist[5] == 2
-
-    def test_sampled_subset(self, small_world_adjacency):
-        hist = distance_histogram(small_world_adjacency, n_sources=5, seed=0)
-        assert sum(hist.values()) == 5 * (small_world_adjacency.n_nodes - 1)
 
 
 class TestEstimateDiameter:
@@ -127,5 +100,3 @@ class TestSummarizeGraph:
         assert summary.n_edges == small_world_adjacency.n_edges
         assert 0 <= summary.clustering <= 1
         assert summary.diameter_lower_bound >= 2
-        row = summary.as_row()
-        assert row["nodes"] == 60

@@ -1,13 +1,13 @@
-"""Tests for the event-driven query routing protocol (messages + backtracking)."""
+"""Tests for the message-level query protocol oracle (messages + backtracking)."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.protocol import QueryMessage, QueryResponse, QueryRoutingNode
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.retrieval.vector_store import DocumentStore
 from repro.runtime.network import LatencyModel, SimNetwork
+from protocol_reference import QueryMessage, QueryResponse, QueryRoutingNode
 
 
 def build_network(graph, stores=None, embeddings=None, dim=2):

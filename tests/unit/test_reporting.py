@@ -1,7 +1,6 @@
 """Tests for ASCII/CSV reporting."""
 
 import csv
-import json
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.simulation.reporting import (
     format_table,
     sparkline,
     write_csv,
-    write_json,
 )
 
 
@@ -86,8 +84,3 @@ class TestWriters:
         path = tmp_path / "empty.csv"
         write_csv(path, [])
         assert path.read_text() == ""
-
-    def test_write_json(self, tmp_path):
-        path = tmp_path / "out.json"
-        write_json(path, {"x": [1, 2, 3]})
-        assert json.loads(path.read_text()) == {"x": [1, 2, 3]}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.search import DiffusionSearchNetwork
+from protocol_reference import event_search
 
 
 @pytest.fixture
@@ -274,7 +275,7 @@ class TestSearch:
         net.diffuse()
         query = np.array([1.0, 0.1, 0.0])
         fast = net.search(query, start_node=0, ttl=6)
-        slow = net.search_on_runtime(query, start_node=0, ttl=6)
+        slow = event_search(net, query, start_node=0, ttl=6)
         assert fast.path == slow.path
         assert [d.doc_id for d in fast.results] == [d.doc_id for d in slow.results]
         assert fast.hops_to("gold") == slow.hops_to("gold")

@@ -7,7 +7,6 @@ from repro.embeddings.similarity import (
     cosine_similarity,
     dot_scores,
     l2_normalize,
-    pairwise_cosine,
 )
 
 
@@ -79,27 +78,3 @@ class TestCosineSimilarity:
             cosine_similarity(a, b)[0], cosine_similarity(10 * a, 5 * b)[0]
         )
 
-
-class TestPairwiseCosine:
-    def test_self_similarity_diagonal(self):
-        rng = np.random.default_rng(0)
-        mat = rng.standard_normal((5, 8))
-        sims = pairwise_cosine(mat)
-        assert np.allclose(np.diag(sims), 1.0)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        mat = rng.standard_normal((6, 4))
-        sims = pairwise_cosine(mat)
-        assert np.allclose(sims, sims.T)
-
-    def test_cross_matrix_shape(self):
-        a = np.random.default_rng(2).standard_normal((3, 4))
-        b = np.random.default_rng(3).standard_normal((5, 4))
-        assert pairwise_cosine(a, b).shape == (3, 5)
-
-    def test_bounded_by_one(self):
-        rng = np.random.default_rng(4)
-        sims = pairwise_cosine(rng.standard_normal((10, 6)))
-        assert np.all(sims <= 1.0 + 1e-12)
-        assert np.all(sims >= -1.0 - 1e-12)

@@ -83,56 +83,10 @@ class TestAccessors:
         assert best.doc_id == "b"
         assert best.node == 8
 
-    def test_worst_score_not_full(self):
-        tracker = TopKTracker(2)
-        tracker.offer("a", 5.0)
-        assert tracker.worst_score() == float("-inf")
-
-    def test_worst_score_full(self):
-        tracker = TopKTracker(2)
-        tracker.offer("a", 5.0)
-        tracker.offer("b", 3.0)
-        assert tracker.worst_score() == 3.0
-
-    def test_is_full(self):
-        tracker = TopKTracker(2)
-        assert not tracker.is_full
-        tracker.offer("a", 1.0)
-        tracker.offer("b", 2.0)
-        assert tracker.is_full
-
     def test_iteration(self):
         tracker = TopKTracker(2)
         tracker.offer("a", 1.0)
         assert [item.doc_id for item in tracker] == ["a"]
-
-
-class TestMerge:
-    def test_merge_keeps_global_best(self):
-        left = TopKTracker(2)
-        left.offer("a", 5.0)
-        left.offer("b", 1.0)
-        right = TopKTracker(2)
-        right.offer("c", 4.0)
-        right.offer("d", 3.0)
-        left.merge(right)
-        assert left.doc_ids() == ["a", "c"]
-
-    def test_merge_deduplicates(self):
-        left = TopKTracker(3)
-        left.offer("a", 5.0)
-        right = TopKTracker(3)
-        right.offer("a", 5.0)
-        right.offer("b", 1.0)
-        left.merge(right)
-        assert left.doc_ids() == ["a", "b"]
-
-    def test_from_items_roundtrip(self):
-        tracker = TopKTracker(2)
-        tracker.offer("a", 2.0, node=1)
-        tracker.offer("b", 3.0, node=2)
-        rebuilt = TopKTracker.from_items(2, tracker.items())
-        assert rebuilt.doc_ids() == tracker.doc_ids()
 
 
 class TestScoredDocument:

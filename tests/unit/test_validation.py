@@ -5,13 +5,11 @@ import pytest
 
 from repro.utils.validation import (
     check_int,
-    check_matrix_2d,
     check_non_negative,
     check_non_negative_int,
     check_positive,
     check_positive_int,
     check_probability,
-    check_vector_1d,
 )
 
 
@@ -56,25 +54,6 @@ class TestCheckNonNegative:
             check_non_negative(-0.5, "n")
         with pytest.raises(ValueError):
             check_non_negative(float("nan"), "n")
-
-
-class TestArrayChecks:
-    def test_matrix_2d_accepts(self):
-        out = check_matrix_2d([[1, 2], [3, 4]], "m")
-        assert out.shape == (2, 2)
-        assert out.dtype == np.float64
-
-    def test_matrix_2d_rejects_1d(self):
-        with pytest.raises(ValueError):
-            check_matrix_2d([1, 2, 3], "m")
-
-    def test_vector_1d_accepts(self):
-        out = check_vector_1d([1, 2, 3], "v")
-        assert out.shape == (3,)
-
-    def test_vector_1d_rejects_2d(self):
-        with pytest.raises(ValueError):
-            check_vector_1d([[1, 2]], "v")
 
 
 class TestIntChecks:

@@ -289,7 +289,10 @@ class TestChurnQueryInterleaving:
         stream = ChurnStream(
             12, ChurnRates(doc_add=1.0, doc_move=2.0, doc_delete=0.5), seed=21
         )
-        stream.install(queue, lambda e: log.append((e.time, e.kind)), horizon=20.0)
+        for event in stream.events(horizon=20.0):
+            queue.schedule_at(
+                event.time, lambda e=event: log.append((e.time, e.kind))
+            )
         for t in poisson_arrival_times(1.5, horizon=20.0, seed=22):
             queue.schedule_at(float(t), lambda t=t: log.append((float(t), "query")))
         while queue.step():
