@@ -12,6 +12,7 @@ These pin the load-bearing equivalences of the reproduction:
 * informed search beats blind search in aggregate.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from repro.core.forwarding import (
 )
 from repro.core.search import DiffusionSearchNetwork
 from repro.graphs.adjacency import CompressedAdjacency
+from repro.graphs.generators import grid_graph
 from repro.graphs.metrics import bfs_distances
 from repro.graphs.social import FacebookLikeConfig, facebook_like_graph
 from repro.gsp.filters import PersonalizedPageRank
@@ -132,6 +134,62 @@ class TestEngineRuntimeEquivalence:
         for query, start, fast in zip(queries, starts, batch):
             slow = event_search(net, query, int(start), ttl=25, k=3)
             self._assert_same_walk(fast, slow)
+
+    @staticmethod
+    def _topology(name):
+        if name == "path":
+            return nx.path_graph(8)
+        if name == "cycle":
+            return nx.cycle_graph(9)
+        if name == "star":
+            return nx.star_graph(6)
+        if name == "grid":
+            return grid_graph(4, 4)
+        # A path with two peers that hold no connection: walks started there
+        # evaluate locally and end at once.
+        graph = nx.path_graph(6)
+        graph.add_nodes_from([6, 7])
+        return graph
+
+    @pytest.mark.parametrize("ttl", [1, 2, 9, 40])
+    @pytest.mark.parametrize("topology", ["path", "cycle", "star", "grid", "isolated"])
+    def test_every_start_on_small_topologies(self, topology, ttl):
+        """Small overlays force dead ends, revisits and long backtracking
+        chains: a walk from every node, in one batch, still walks what the
+        protocol walks from that node."""
+        rng = np.random.default_rng(ttl)
+        net = DiffusionSearchNetwork(self._topology(topology), dim=6, alpha=0.5)
+        for i in range(10):
+            net.place_document(
+                f"d{i}", rng.standard_normal(6), int(rng.integers(net.n_nodes))
+            )
+        net.diffuse(tol=1e-10)
+        starts = np.arange(net.n_nodes)
+        queries = rng.standard_normal((net.n_nodes, 6))
+        batch = run_queries(
+            net.adjacency,
+            net.stores,
+            net.default_policy(),
+            queries,
+            starts,
+            WalkConfig(ttl=ttl, k=3),
+        )
+        for query, start, fast in zip(queries, starts, batch):
+            slow = event_search(net, query, int(start), ttl=ttl, k=3)
+            self._assert_same_walk(fast, slow)
+            # One node evaluated per TTL unit; an unconnected peer only itself.
+            degree = net.adjacency.degree(int(start))
+            assert len(fast.path) == (ttl if degree else 1)
+
+    @pytest.mark.parametrize("k", [1, 5, 60])
+    def test_result_sizes(self, tiny_model, tiny_workload, k):
+        """From one best document to more than the network holds (40)."""
+        net, query, rng = self._network(tiny_model, tiny_workload, 7)
+        start = int(rng.integers(120))
+        fast = net.search(tiny_model.vector(query), start, ttl=30, k=k)
+        slow = event_search(net, tiny_model.vector(query), start, ttl=30, k=k)
+        self._assert_same_walk(fast, slow)
+        assert len(fast.results) == min(k, len(fast.discovered_at))
 
 
 class TestScalarFastPathEquivalence:

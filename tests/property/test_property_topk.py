@@ -73,3 +73,47 @@ class TestTrackerMatchesBruteForce:
             tracker.offer(doc_id, score)
         keys = [item.sort_key for item in tracker.items()]
         assert keys == sorted(keys)
+
+    @given(items=offer_stream(), k=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=100)
+    def test_offer_reports_membership(self, items, k):
+        """``offer`` returns True exactly when the document is kept after it."""
+        tracker = TopKTracker(k)
+        for doc_id, score in items:
+            assert tracker.offer(doc_id, score) == (doc_id in tracker)
+            assert set(tracker.doc_ids()) == {d for d, _ in items if d in tracker}
+
+    @given(items=offer_stream(), k=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=100)
+    def test_best_is_first_item(self, items, k):
+        tracker = TopKTracker(k)
+        assert tracker.best() is None
+        for doc_id, score in items:
+            tracker.offer(doc_id, score)
+        assert tracker.best() == (tracker.items()[0] if items else None)
+
+    @given(items=offer_stream(), k=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=100)
+    def test_rejected_rank_below_every_kept(self, items, k):
+        """Every offered document left out sorts after every one kept."""
+        tracker = TopKTracker(k)
+        for doc_id, score in items:
+            tracker.offer(doc_id, score)
+        kept = [item.sort_key for item in tracker.items()]
+        for doc_id, score in dict(items).items():
+            if doc_id not in tracker:
+                assert all((-score, doc_id) > key for key in kept)
+
+    @given(items=offer_stream(), k=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=100)
+    def test_reoffering_items_rebuilds_tracker(self, items, k):
+        """Offering a tracker's items to an empty tracker of the same size
+        rebuilds it, nodes included (how a forwarded result list is
+        carried from peer to peer)."""
+        tracker = TopKTracker(k)
+        for node, (doc_id, score) in enumerate(items):
+            tracker.offer(doc_id, score, node)
+        rebuilt = TopKTracker(k)
+        for item in reversed(tracker.items()):
+            assert rebuilt.offer(item.doc_id, item.score, item.node)
+        assert rebuilt.items() == tracker.items()

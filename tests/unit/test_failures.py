@@ -166,6 +166,24 @@ class TestDiffusionUnderLoss:
         assert np.max(np.abs(outcome.embeddings - reference)) < 5e-2
         assert diffusion.network.stats.dropped > 0
 
+    def test_loss_probability_is_the_network_drop_probability(self):
+        """The gossip's loss argument is its network's one drop probability."""
+        adjacency = CompressedAdjacency.from_networkx(nx.cycle_graph(6))
+        lossy = AsyncPPRDiffusion(
+            adjacency, np.zeros((6, 2)), mode="periodic", loss_probability=0.2
+        )
+        assert lossy.network.drop_probability == 0.2
+        clean = AsyncPPRDiffusion(adjacency, np.zeros((6, 2)), mode="periodic")
+        assert clean.network.drop_probability == 0.0
+
+    @pytest.mark.parametrize("loss", [1.0, 1.5, -0.1])
+    def test_invalid_loss_probability_rejected(self, loss):
+        adjacency = CompressedAdjacency.from_networkx(nx.cycle_graph(6))
+        with pytest.raises(ValueError, match="drop_probability"):
+            AsyncPPRDiffusion(
+                adjacency, np.zeros((6, 2)), mode="periodic", loss_probability=loss
+            )
+
     def test_push_mode_with_loss_rejected(self):
         """Push mode has no retransmission; the constructor refuses loss."""
         adjacency = CompressedAdjacency.from_networkx(nx.cycle_graph(6))

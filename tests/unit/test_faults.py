@@ -519,6 +519,72 @@ class TestLockstepMatchesScalar:
         ]
         _assert_equal_walks(batch, loop, lockstep, scalar)
 
+    @pytest.mark.parametrize("kind", ["crashes", "recovering", "drops", "zombies"])
+    def test_one_fault_kind_at_a_time(self, faulty_setting, kind):
+        """Each fault kind of the setting's plan on its own: the counters of
+        the other kinds stay at zero, and the walks still match."""
+        full = faulty_setting["plan"]
+        n = full.n_nodes
+        plan = {
+            "crashes": FaultPlan(n, crashes=tuple(CrashWindow(w.node) for w in full.crashes)),
+            "recovering": FaultPlan(n, crashes=full.crashes),
+            "drops": FaultPlan(n, drop_probability=full.drop_probability, seed=full.seed),
+            "zombies": FaultPlan(n, zombies=full.zombies),
+        }[kind]
+        batch, loop, lockstep, scalar = _lockstep_and_loop(
+            dict(faulty_setting, plan=plan),
+            EmbeddingGuidedPolicy(faulty_setting["embeddings"]),
+            WalkConfig(ttl=14, fanout=2, k=3),
+            resilience=ResilienceConfig(redundancy=2),
+        )
+        _assert_equal_walks(batch, loop, lockstep, scalar)
+        crashes = kind in ("crashes", "recovering")
+        assert (lockstep.crash_detections > 0) == crashes
+        assert (sum(r.rerouted for r in batch) > 0) == crashes
+        assert (lockstep.dropped > 0) == (kind == "drops")
+        assert (sum(r.retries for r in batch) > 0) == (kind == "drops")
+        assert (sum(r.zombie_visits for r in batch) > 0) == (kind == "zombies")
+        if kind == "zombies":
+            assert not any(r.degraded for r in batch)
+
+    @pytest.mark.parametrize("quarantine", [None, [2]])
+    def test_walks_from_unconnected_peers(self, quarantine):
+        """A walk that starts on a peer with no connection evaluates it and
+        ends there; with a quarantine in force its walker counts as lost."""
+        graph = nx.path_graph(5)
+        graph.add_nodes_from([5, 6])
+        adjacency = CompressedAdjacency.from_networkx(graph)
+        plan = FaultPlan(
+            7, crashes=(CrashWindow(3, 2.0),), drop_probability=0.3, seed=1
+        )
+        stores = {
+            5: make_store(2, lonely=[1.0, 0.0]),
+            1: make_store(2, near=[0.5, 0.5]),
+        }
+        policy = PrecomputedScorePolicy(np.arange(7, dtype=float))
+        starts = [0, 5, 4, 6, 1]
+        queries = np.ones((len(starts), 2))
+        config = WalkConfig(ttl=6, k=2)
+        resilience = ResilienceConfig(max_retries=3)
+        lockstep, scalar = FaultInjector(plan), FaultInjector(plan)
+        batch = run_queries(
+            adjacency, stores, policy, queries, starts, config,
+            faults=lockstep, resilience=resilience, quarantine=quarantine,
+        )
+        loop = [
+            scalar_run_query(
+                adjacency, stores, policy, query, start, config,
+                faults=scalar, resilience=resilience, quarantine=quarantine,
+            )
+            for query, start in zip(queries, starts)
+        ]
+        _assert_equal_walks(batch, loop, lockstep, scalar)
+        for result in (batch[1], batch[3]):
+            assert result.path == [result.start_node]
+            assert result.degraded == (quarantine is not None)
+            assert result.walkers_lost == (0 if quarantine is None else 1)
+        assert batch[1].found("lonely")
+
     def test_plan_smaller_than_overlay_rejected(self, path_adjacency):
         faults = FaultInjector(FaultPlan(4, drop_probability=0.1))
         policy = PrecomputedScorePolicy(np.arange(6, dtype=float))
@@ -801,6 +867,30 @@ class TestResilientWalk:
             faults=FaultInjector(FaultPlan(8, crashes=(CrashWindow(0),))),
         )
         assert crashed.degraded
+
+    @pytest.mark.parametrize("recovers", [False, True])
+    def test_crash_on_path_overlay(self, recovers):
+        """Node 4 of a six-node path is down.  Down for good, it cuts the
+        overlay and the walk keeps what it found before the cut; back up
+        before the walk arrives (hop 4), it is just walked through."""
+        from repro.core.search import DiffusionSearchNetwork
+
+        net = DiffusionSearchNetwork(nx.path_graph(6), dim=3, alpha=0.5)
+        net.place_document("near", np.array([1.0, 0.0, 0.0]), node=2)
+        net.place_document("far", np.array([0.9, 0.1, 0.0]), node=5)
+        net.diffuse()
+        query = np.array([1.0, 0.0, 0.0])
+        plan = FaultPlan(6, crashes=(CrashWindow(4, 0.0, 4.0 if recovers else np.inf),))
+        result = net.search(query, 0, ttl=6, k=2, faults=FaultInjector(plan))
+        want = scalar_run_query(
+            net.adjacency, net.stores, net.default_policy(), query, 0,
+            WalkConfig(ttl=6, k=2), faults=FaultInjector(plan),
+        )
+        assert _all_fields(result) == _all_fields(want)
+        assert result.found("near")
+        assert result.found("far") == recovers
+        assert (4 in result.path) == recovers
+        assert result.rerouted == (0 if recovers else 1)
 
     def test_deterministic_replay(self, small_world_adjacency):
         """Same plan seed, same walk — faults are exactly reproducible."""

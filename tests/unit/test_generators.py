@@ -1,6 +1,7 @@
 """Tests for the classic topology generators (connectivity guarantee)."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.graphs.generators import connected_watts_strogatz, grid_graph
@@ -10,6 +11,21 @@ class TestConnectivity:
     def test_watts_strogatz(self):
         graph = connected_watts_strogatz(60, 6, 0.3, seed=0)
         assert nx.is_connected(graph)
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_watts_strogatz_repaired_when_fully_rewired(self, seed):
+        """A ring of degree 2 with every edge rewired falls apart; the repair
+        bridges the pieces with one edge each and adds nothing else."""
+        graph = connected_watts_strogatz(200, 2, 1.0, seed=seed)
+        # The unrepaired graph, from the generator's first draw.
+        inner = int(np.random.default_rng(seed).integers(2**31))
+        raw = nx.watts_strogatz_graph(200, 2, 1.0, seed=inner)
+        pieces = nx.number_connected_components(raw)
+        assert pieces > 1
+        assert nx.is_connected(graph)
+        assert set(raw.edges()) <= set(graph.edges())
+        assert graph.number_of_edges() == raw.number_of_edges() + pieces - 1
 
 
 class TestDeterminism:

@@ -164,6 +164,19 @@ class TestChurn:
         assert outcome.node_ids == remaining
 
 
+    def test_node_accessor(self, ring_setup):
+        """``node(i)`` is the actor holding node i's own state, joins included."""
+        adjacency, personalization = ring_setup
+        diffusion = AsyncPPRDiffusion(adjacency, personalization, seed=12)
+        node = diffusion.node(3)
+        assert node.node_id == 3
+        assert np.array_equal(node.personalization, personalization[3])
+        diffusion.join_node(12, neighbors=[0], personalization=np.ones(4))
+        assert np.array_equal(diffusion.node(12).personalization, np.ones(4))
+        with pytest.raises(KeyError):
+            diffusion.node(13)
+
+
 class TestValidation:
     def test_row_mismatch_rejected(self, ring_setup):
         adjacency, _ = ring_setup

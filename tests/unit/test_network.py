@@ -90,6 +90,24 @@ class TestMessaging:
             node.send(1, "x")
 
 
+class TestBaseNode:
+    def test_default_hooks_ignore_events(self):
+        """A bare SimNode accepts every event and does nothing with it."""
+        adjacency = CompressedAdjacency.from_networkx(nx.path_graph(3))
+        net = SimNetwork(adjacency, latency=LatencyModel(1.0, 0.0), seed=0)
+        nodes = [SimNode(i) for i in range(3)]
+        net.attach_all(nodes)
+        net.start()
+        nodes[0].send(1, "hello")
+        nodes[1].set_timer(2.0, "tick")
+        assert net.run() == 2  # one delivery, one timer
+        net.add_edge(0, 2)
+        net.remove_edge(0, 1)
+        assert net.stats.messages == 1
+        assert nodes[1].neighbors() == [2]
+        assert nodes[0].neighbors() == [2]
+
+
 class TestTimers:
     def test_timer_fires(self, network):
         net, nodes = network
@@ -186,6 +204,15 @@ class TestTopologyChanges:
         net, _ = network
         with pytest.raises(ValueError, match="already exists"):
             net.add_node(2)
+
+    def test_degree_follows_topology_changes(self, network):
+        net, _ = network
+        assert [net.degree_of(i) for i in range(4)] == [1, 2, 2, 1]
+        net.add_edge(0, 3)
+        assert net.degree_of(0) == net.degree_of(3) == 2
+        net.remove_node(1)
+        assert net.degree_of(0) == 1
+        assert net.degree_of(2) == 1
 
     def test_to_adjacency_snapshot(self, network):
         net, _ = network

@@ -7,6 +7,7 @@ from repro.utils.validation import (
     check_int,
     check_non_negative,
     check_non_negative_int,
+    check_peer_ids,
     check_positive,
     check_positive_int,
     check_probability,
@@ -86,3 +87,16 @@ class TestIntChecks:
             check_non_negative_int(-1, "n")
         with pytest.raises(TypeError):
             check_non_negative_int(0.0, "n")
+
+
+class TestCheckPeerIds:
+    def test_accepts_python_and_numpy_ids(self):
+        peers = check_peer_ids(np.array([4, 0, 4]), 5, "quarantine")
+        assert peers == [4, 0, 4]
+        assert all(type(peer) is int for peer in peers)
+        assert check_peer_ids(iter(()), 5, "quarantine") == []
+
+    @pytest.mark.parametrize("peer", [-1, 5])
+    def test_rejects_out_of_range(self, peer):
+        with pytest.raises(ValueError, match=rf"quarantine peer {peer} out of range \[0, 5\)"):
+            check_peer_ids([0, peer], 5, "quarantine")
