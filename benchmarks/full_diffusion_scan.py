@@ -25,7 +25,6 @@ for path in (ROOT, ROOT / "src"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-import numpy as np  # noqa: E402
 
 from perfbench.workloads import ALPHA, DIM, EPSILON, TOL, make_corpus  # noqa: E402
 from repro.core.search import DiffusionSearchNetwork  # noqa: E402
@@ -55,7 +54,7 @@ def main() -> int:
         ppr = SparsePersonalizedPageRank(ALPHA, epsilon=EPSILON, tol=TOL)
         print(
             f"seed {seed}: {adjacency.n_nodes:,} nodes, {len(corpus.doc_ids):,} "
-            f"documents on {np.diff(signal.indptr).astype(bool).sum():,} "
+            f"documents on {signal.nodes.shape[0]:,} "
             f"holders, {DIM}-d, alpha={ALPHA}, epsilon={EPSILON:g}, tol={TOL:g}"
         )
         times: dict[str, list[float]] = {"reference": [], "filter": []}
@@ -77,7 +76,7 @@ def main() -> int:
             + " ".join(f"{t:6.3f}" for t in times["filter"])
             + f" s  (best {best['reference'] / best['filter']:.2f}x)"
         )
-        support_rows = int(np.diff(got.signal.indptr).astype(bool).sum())
+        support_rows = got.signal.nodes.shape[0]
         print(
             f"  {got.iterations} sweeps, {support_rows:,} support rows, "
             f"{got.edge_operations:,} edge operations, "

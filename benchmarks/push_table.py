@@ -1,13 +1,14 @@
-"""Time the forward-push kernel on dense and CSR input (README "One push kernel").
+"""Time the forward-push kernel on dense and row-block input (README "One push kernel").
 
 The set-up: ``facebook_like_graph(FacebookLikeConfig(n, m, n_egos=8),
 seed=5)`` at 1 000 nodes / 22 000 edges and 4 039 / 88 234, with a column
 operator; 1 000 standard-normal documents placed uniformly (rng seed 11)
 and summed per node; α = 0.5 and tol = 1e-8.  Each row pushes one signal
-twice, once as a dense array and once as CSR, and prints the best of 5 wall
-times with the run's sweeps and edge operations.  ``--check`` also fails
-unless both inputs run the same sweeps, pushes and edge operations and
-their estimates agree within 1e-12.  Nothing is written::
+twice, once as a dense array and once as a ``RowBlock`` of its nonzero
+rows, and prints the best of 5 wall times with the run's sweeps and edge
+operations.  ``--check`` also fails unless both inputs run the same sweeps,
+pushes and edge operations and their estimates agree within 1e-12.
+Nothing is written::
 
     python benchmarks/push_table.py [--check]
 """
@@ -28,6 +29,7 @@ if str(SRC) not in sys.path:
 
 from repro.graphs.adjacency import CompressedAdjacency  # noqa: E402
 from repro.graphs.social import FacebookLikeConfig, facebook_like_graph  # noqa: E402
+from repro.gsp.filters import RowBlock, coerce_sparse_signal  # noqa: E402
 from repro.gsp.normalization import transition_matrix  # noqa: E402
 from repro.gsp.push import PushResult, forward_push  # noqa: E402
 
@@ -67,7 +69,7 @@ def rows() -> list[tuple[str, sp.csc_matrix, np.ndarray]]:
     return table
 
 
-def best_of(operator: sp.csc_matrix, signal: np.ndarray | sp.spmatrix) -> tuple[float, PushResult]:
+def best_of(operator: sp.csc_matrix, signal: np.ndarray | RowBlock) -> tuple[float, PushResult]:
     """Best wall time in ms over ``REPEATS`` runs, and the last run's result."""
     best = float("inf")
     for _ in range(REPEATS):
@@ -77,14 +79,14 @@ def best_of(operator: sp.csc_matrix, signal: np.ndarray | sp.spmatrix) -> tuple[
     return 1e3 * best, result
 
 
-def mismatches(dense: PushResult, csr: PushResult) -> list[str]:
+def mismatches(dense: PushResult, block: PushResult) -> list[str]:
     """How the two inputs' runs differ, if they do."""
     found = [
-        f"{field}: dense {getattr(dense, field)} != CSR {getattr(csr, field)}"
+        f"{field}: dense {getattr(dense, field)} != block {getattr(block, field)}"
         for field in ("sweeps", "pushes", "edge_operations")
-        if getattr(dense, field) != getattr(csr, field)
+        if getattr(dense, field) != getattr(block, field)
     ]
-    gap = np.abs(csr.estimate.toarray().reshape(dense.estimate.shape) - dense.estimate)
+    gap = np.abs(block.estimate.toarray().reshape(dense.estimate.shape) - dense.estimate)
     if gap.max(initial=0.0) > 1e-12:
         found.append(f"estimates differ by {gap.max():.3g}")
     return found
@@ -94,11 +96,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="fail unless dense and CSR input make the same run",
+        help="fail unless dense and block input make the same run",
     )
     args = parser.parse_args(argv)
     header = (
-        f"{'signal':<38} {'dense ms':>9} {'CSR ms':>9} {'CSR/dense':>9} "
+        f"{'signal':<38} {'dense ms':>9} {'block ms':>9} {'blk/dense':>9} "
         f"{'sweeps':>6} {'edge ops':>10}"
     )
     print(header)
@@ -106,12 +108,15 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     for label, operator, signal in rows():
         dense_ms, dense = best_of(operator, signal)
-        csr_ms, csr = best_of(operator, sp.csr_matrix(signal.reshape(signal.shape[0], -1)))
+        block, _ = coerce_sparse_signal(
+            signal.reshape(signal.shape[0], -1), signal.shape[0]
+        )
+        block_ms, rows_run = best_of(operator, block)
         print(
-            f"{label:<38} {dense_ms:>9.1f} {csr_ms:>9.1f} {csr_ms / dense_ms:>9.2f} "
+            f"{label:<38} {dense_ms:>9.1f} {block_ms:>9.1f} {block_ms / dense_ms:>9.2f} "
             f"{dense.sweeps:>6} {dense.edge_operations:>10,}"
         )
-        failures += [f"{label}: {problem}" for problem in mismatches(dense, csr)]
+        failures += [f"{label}: {problem}" for problem in mismatches(dense, rows_run)]
     if args.check and failures:
         print("\n".join(failures), file=sys.stderr)
         return 1

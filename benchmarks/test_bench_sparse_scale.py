@@ -37,7 +37,7 @@ from benchmarks.conftest import emit_report, measure_peak_memory
 from repro.core.backends import get_backend
 from repro.experiments.common import full_requested
 from repro.graphs.generators import cycle_union_adjacency
-from repro.gsp.filters import SPARSE_DEFAULT_EPSILON
+from repro.gsp.filters import SPARSE_DEFAULT_EPSILON, RowBlock
 from repro.core.backends.sparse import SparseDiffusionBackend
 from repro.kernels import kernel_info
 
@@ -99,10 +99,8 @@ FULL = BenchSize(
 )
 
 
-def _csr_bytes(matrix: sp.csr_matrix) -> int:
-    return int(
-        matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-    )
+def _cache_bytes(block: RowBlock) -> int:
+    return int(block.rows.nbytes + block.nodes.nbytes + block.slot_of.nbytes)
 
 
 def _personalization(n: int, seed: int) -> sp.csr_matrix:
@@ -130,7 +128,7 @@ def _overlap(dense_embeddings, sparse_embeddings, top_k: int, seed: int) -> floa
     rng = np.random.default_rng(seed)
     queries = rng.standard_normal((DIM, N_QUERIES))
     dense_scores = dense_embeddings @ queries
-    sparse_scores = np.asarray(sparse_embeddings @ queries)
+    sparse_scores = np.asarray(sparse_embeddings.tocsr() @ queries)
     overlaps = []
     for j in range(N_QUERIES):
         top_dense = set(np.argsort(-dense_scores[:, j])[:top_k].tolist())
@@ -180,7 +178,7 @@ def test_sparse_scale():
                 "epsilon": epsilon,
                 "time_s": eps_time,
                 "speedup_vs_dense": dense_time / eps_time,
-                "density": eps_outcome.embeddings.nnz
+                "density": eps_outcome.embeddings.rows.size
                 / float(size.dense_nodes * DIM),
                 "overlap_top_k": _overlap(
                     dense_outcome.embeddings, eps_outcome.embeddings, top_k, seed=13
@@ -196,13 +194,13 @@ def test_sparse_scale():
         f32_backend, adjacency, e0_sparse, size.repetitions
     )
     f32_overlap = _overlap(
-        np.asarray(sparse_outcome.embeddings.todense()),
+        sparse_outcome.embeddings.toarray(),
         f32_outcome.embeddings,
         top_k,
         seed=13,
     )
-    f64_cache_bytes = _csr_bytes(sparse_outcome.embeddings)
-    f32_cache_bytes = _csr_bytes(f32_outcome.embeddings)
+    f64_cache_bytes = _cache_bytes(sparse_outcome.embeddings)
+    f32_cache_bytes = _cache_bytes(f32_outcome.embeddings)
 
     # --- 10x size: the graph only the sparse path touches ----------------
     big_adjacency = cycle_union_adjacency(size.sparse_nodes, DEGREE, seed=21)
@@ -220,7 +218,7 @@ def test_sparse_scale():
     scale_factor = size.sparse_nodes / size.dense_nodes
     extrapolated_dense_peak = dense_peak * scale_factor
     memory_ratio = extrapolated_dense_peak / sparse_peak
-    big_density = big_outcome.embeddings.nnz / float(size.sparse_nodes * DIM)
+    big_density = big_outcome.embeddings.rows.size / float(size.sparse_nodes * DIM)
 
     lines = [
         "Sparse-first diffusion pipeline vs dense power iteration",
@@ -251,10 +249,10 @@ def test_sparse_scale():
         f"(float64 sparse: {sparse_time * 1e3:.1f} ms)",
         f"  top-{top_k} overlap vs float64 sparse: {f32_overlap:.4f} "
         f"(floor {size.min_f32_overlap})",
-        f"  CSR cache   : {f32_cache_bytes / 1e6:7.2f} MB vs "
+        f"  block cache : {f32_cache_bytes / 1e6:7.2f} MB vs "
         f"{f64_cache_bytes / 1e6:.2f} MB float64 "
-        f"({f64_cache_bytes / f32_cache_bytes:.2f}x smaller values+index "
-        "arrays)",
+        f"({f64_cache_bytes / f32_cache_bytes:.2f}x smaller rows + node "
+        "maps)",
         f"sparse backend at {size.sparse_nodes} nodes "
         "(dense path not attempted):",
         f"  wall-clock  : {big_time:8.2f} s (best of {size.repetitions}; "
@@ -265,7 +263,7 @@ def test_sparse_scale():
         f"  memory ratio: {memory_ratio:8.2f}x lower than dense "
         f"(floor {size.min_memory_ratio}x)",
         f"  cached embedding density: {big_density:.4f} "
-        "(CSR rows consumed directly by the walk policies)",
+        "(block rows scored directly by the walk policy)",
     ]
     emit_report(
         "sparse_scale" if size is FULL else "sparse_scale_reduced",

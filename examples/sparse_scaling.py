@@ -2,10 +2,11 @@
 
 The dense pipeline materializes an ``(n_nodes, dim)`` embedding matrix even
 though most nodes hold no documents.  The ``sparse`` backend keeps the
-personalization, the diffusion iterate, and the cached embeddings in CSR
-form with degree-normalized ε-pruning, so precompute time and memory track
-the diffused support instead of the network size — and the walk policies
-score CSR rows directly, never densifying.
+personalization, the diffusion iterate, and the cached embeddings as row
+blocks (the rows of the nodes the diffusion reached, plus a node → row map)
+with degree-normalized ε-pruning, so precompute time and memory track the
+diffused support instead of the network size — and the walk policy scores
+the block's rows directly, never densifying.
 
 Run with ``PYTHONPATH=src python examples/sparse_scaling.py``.
 """
@@ -43,19 +44,24 @@ def main() -> None:
     started = time.perf_counter()
     outcome = net.diffuse(method="sparse")
     elapsed = time.perf_counter() - started
-    cache = net.csr_embeddings
-    density = cache.nnz / float(N_NODES * DIM)
+    cache = outcome.embeddings
+    density = cache.rows.size / float(N_NODES * DIM)
     print(
         f"sparse diffusion: {elapsed:.2f}s, {outcome.iterations} sweeps, "
         f"converged={outcome.converged}"
     )
+    block_bytes = cache.rows.nbytes + cache.nodes.nbytes + cache.slot_of.nbytes
+    csr = cache.tocsr()
+    csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
     print(
-        f"CSR embedding cache: {cache.nnz} stored values "
-        f"({density:.1%} of the dense {N_NODES}x{DIM} matrix)"
+        f"row-block embedding cache: {cache.nodes.shape[0]} rows, "
+        f"{cache.rows.size} stored values ({density:.1%} of the dense "
+        f"{N_NODES}x{DIM} matrix), {block_bytes / 1e6:.1f} MB "
+        f"({csr_bytes / 1e6:.1f} MB as CSR)"
     )
 
-    # Queries walk the network scoring CSR rows directly — the dense matrix
-    # is never materialized.
+    # Queries walk the network scoring the block's rows directly — the
+    # dense matrix is never materialized.
     hits = 0
     trials = 20
     started = time.perf_counter()
@@ -70,7 +76,7 @@ def main() -> None:
         f"{hits}/{trials} top-1 hits, {elapsed / trials * 1e3:.1f} ms/query"
     )
 
-    # Content changes patch the CSR cache incrementally (work ~ the change).
+    # Content changes patch the cache incrementally (work ~ the change).
     net.place_document("late-arrival", rng.standard_normal(DIM), node=7)
     refreshed = net.diffuse(method="sparse")
     print(
@@ -82,10 +88,10 @@ def main() -> None:
     tight = DiffusionSearchNetwork(adjacency, dim=DIM, alpha=0.5)
     for i in range(N_DOCUMENTS):
         tight.place_document(f"doc-{i}", documents[i], int(nodes[i]))
-    tight.diffuse(method=SparseDiffusionBackend(epsilon=1e-4))
+    tight_cache = tight.diffuse(method=SparseDiffusionBackend(epsilon=1e-4)).embeddings
     print(
         f"epsilon=1e-4 cache density: "
-        f"{tight.csr_embeddings.nnz / float(N_NODES * DIM):.1%} "
+        f"{tight_cache.rows.size / float(N_NODES * DIM):.1%} "
         "(keeps more of the score tail)"
     )
 

@@ -7,10 +7,11 @@ Importing this package registers the five built-in strategies:
 * ``async`` — the decentralized event-driven protocol.
 * ``push``  — residual Forward Push / Gauss–Southwell with
   ``supports_incremental = True`` (sparse-delta refresh).
-* ``sparse`` — pruned CSR power iteration (``accepts_sparse``): embeddings
-  stay in ``scipy.sparse`` form from personalization through forwarding,
-  with degree-normalized ε-truncation bounding support; also
-  ``supports_incremental`` via the forward-push kernel on CSR deltas.
+* ``sparse`` — pruned power iteration on row-sparse signals
+  (``accepts_sparse``): embeddings stay a
+  :class:`~repro.gsp.filters.RowBlock` from personalization through
+  forwarding, with degree-normalized ε-truncation bounding support; also
+  ``supports_incremental`` via the forward-push kernel on block deltas.
 
 New strategies plug in via :func:`register_backend`; see
 :mod:`repro.core.backends.base` for the interface contract.

@@ -28,6 +28,7 @@ from typing import ClassVar, Type
 import numpy as np
 
 from repro.graphs.adjacency import CompressedAdjacency
+from repro.gsp.filters import RowBlock
 from repro.gsp.normalization import NormalizationKind
 from repro.runtime.network import LatencyModel
 from repro.utils.rng import RngLike
@@ -45,9 +46,10 @@ class DiffusionOutcome:
     by patching a previous diffusion rather than recomputing it.
 
     ``embeddings`` is a dense array for the standard backends; backends with
-    ``accepts_sparse`` (built-in: ``sparse``) return a ``scipy.sparse`` CSR
-    matrix instead — consumers that need a dense view call ``.toarray()``
-    (the search facade does this lazily).
+    ``accepts_sparse`` (built-in: ``sparse``) return a
+    :class:`~repro.gsp.filters.RowBlock` instead — consumers that need a
+    dense view call ``.toarray()`` (the search facade does this lazily), and
+    ``.tocsr()`` gives CSR.
 
     ``residual_l1`` is the L1 norm of the leftover residual for backends
     built on the push kernels (``push``, ``sparse`` refresh): since
@@ -61,7 +63,7 @@ class DiffusionOutcome:
     and ``async`` backends still report 0 for both.
     """
 
-    embeddings: np.ndarray
+    embeddings: np.ndarray | RowBlock
     method: str
     alpha: float
     iterations: int
@@ -90,10 +92,12 @@ class DiffusionBackend(ABC):
     #: Whether :meth:`refresh` is implemented.
     supports_incremental: ClassVar[bool] = False
 
-    #: Whether :meth:`diffuse`/:meth:`refresh` accept ``scipy.sparse``
-    #: personalization/embedding matrices without densification (and may
-    #: return a sparse ``DiffusionOutcome.embeddings``).  Dispatchers densify
-    #: sparse inputs before handing them to backends that leave this False.
+    #: Whether :meth:`diffuse`/:meth:`refresh` accept
+    #: :class:`~repro.gsp.filters.RowBlock` personalization, delta and
+    #: embeddings without densification (and may return a block as
+    #: ``DiffusionOutcome.embeddings``).  Dispatchers densify blocks and
+    #: ``scipy.sparse`` inputs before handing them to backends that leave
+    #: this False.
     accepts_sparse: ClassVar[bool] = False
 
     @abstractmethod

@@ -1,19 +1,20 @@
-"""Sparse-first backend: pruned CSR diffusion with incremental refresh.
+"""Sparse-first backend: pruned row-block diffusion with incremental refresh.
 
-Wraps :class:`repro.gsp.filters.SparsePersonalizedPageRank` (pruned CSR
-power iteration) and the forward-push kernel of :mod:`repro.gsp.push` behind
-the :class:`DiffusionBackend` interface.  The personalization never
-densifies: the backend takes a ``scipy.sparse``
-personalization matrix (``accepts_sparse``), keeps the iterate in CSR form
-through every sweep, and returns CSR embeddings in the outcome — memory and
-work scale with the diffused mass's support, not with ``n_nodes × dim``,
-which is what lets the precompute phase run at 100k+ nodes (see
-``benchmarks/test_bench_sparse_scale.py``).
+Wraps :class:`repro.gsp.filters.SparsePersonalizedPageRank` (pruned power
+iteration on a row-sparse iterate) and the forward-push kernel of
+:mod:`repro.gsp.push` behind the :class:`DiffusionBackend` interface.  The
+personalization never densifies: the backend takes a
+:class:`~repro.gsp.filters.RowBlock` personalization (``accepts_sparse``;
+dense and ``scipy.sparse`` input is converted on entry), keeps the iterate
+as support rows through every sweep, and returns the embeddings as a
+``RowBlock`` — memory and work scale with the diffused mass's support, not
+with ``n_nodes × dim``, which is what lets the precompute phase run at
+100k+ nodes (see ``benchmarks/test_bench_sparse_scale.py``).
 
 Like ``push``, the backend ``supports_incremental``: after a sparse
-personalization change it patches the cached CSR embeddings by pushing only
-the delta, with the same degree-normalized ε-truncation as the cold start so
-refresh work stays local too.
+personalization change it pushes only the delta, with the same
+degree-normalized ε-truncation as the cold start so refresh work stays
+local too, and adds the estimate into a new block.
 
 The pruning threshold ε is a constructor knob; ``method="sparse"`` uses
 :data:`~repro.gsp.filters.SPARSE_DEFAULT_EPSILON`, and dispatchers accept a
@@ -24,7 +25,6 @@ other settings.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.backends.base import (
     DiffusionBackend,
@@ -34,6 +34,7 @@ from repro.core.backends.base import (
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.gsp.filters import (
     SPARSE_DEFAULT_EPSILON,
+    RowBlock,
     SparsePersonalizedPageRank,
     coerce_sparse_signal,
 )
@@ -46,7 +47,7 @@ from repro.utils.rng import RngLike
 
 @register_backend
 class SparseDiffusionBackend(DiffusionBackend):
-    """Pruned CSR power iteration; embeddings stay sparse end to end."""
+    """Pruned row-block power iteration; embeddings stay row-sparse end to end."""
 
     name = "sparse"
     supports_incremental = True
@@ -72,7 +73,7 @@ class SparseDiffusionBackend(DiffusionBackend):
     def diffuse(
         self,
         topology: CompressedAdjacency,
-        personalization: np.ndarray | sp.spmatrix,
+        personalization: np.ndarray | RowBlock,
         *,
         alpha: float,
         normalization: NormalizationKind = "column",
@@ -81,7 +82,7 @@ class SparseDiffusionBackend(DiffusionBackend):
         latency: LatencyModel | None = None,
         seed: RngLike = None,
     ) -> DiffusionOutcome:
-        """Pruned CSR power iteration.
+        """Pruned power iteration; the outcome's embeddings are a ``RowBlock``.
 
         The outcome reports the run's edge operations and a sound
         ``residual_l1`` (see :class:`SparsePersonalizedPageRank`), in the
@@ -113,8 +114,8 @@ class SparseDiffusionBackend(DiffusionBackend):
     def refresh(
         self,
         topology: CompressedAdjacency,
-        embeddings: np.ndarray | sp.spmatrix,
-        delta: np.ndarray | sp.spmatrix,
+        embeddings: np.ndarray | RowBlock,
+        delta: np.ndarray | RowBlock,
         *,
         alpha: float,
         normalization: NormalizationKind = "column",
@@ -122,9 +123,9 @@ class SparseDiffusionBackend(DiffusionBackend):
         max_iterations: int = 10_000,
     ) -> DiffusionOutcome:
         operator = transition_matrix(topology, normalization, fmt="csc")
-        if not sp.issparse(embeddings):
-            # A dense cache (from a `push` run, say) is patched as CSR, the
-            # format this backend returns.
+        if not isinstance(embeddings, RowBlock):
+            # A dense cache (from a `push` run, say) is patched as a block,
+            # the format this backend returns.
             embeddings, _ = coerce_sparse_signal(
                 embeddings, topology.n_nodes, self.dtype
             )

@@ -20,10 +20,8 @@ per-walk Python loop:
   which falls back to scalar ``select`` calls for custom policies).  When
   every walk runs a :class:`PrecomputedScorePolicy` — the experiment hot
   path — selection short-circuits to one fused segment-argmax over a
-  stacked score table, no per-walk Python at all; the table is a dense
-  matrix for dense-backed policies or a composite-key CSR lookup for
-  sparse-backed ones, so the sparse pipeline's walks never densify their
-  scores per hop.
+  stacked score table (one dense row per distinct policy), no per-walk
+  Python at all.
 
 With a fault injector the same hop loop runs the resilient walk
 (:class:`_FaultedWalks`): liveness and zombie status are node masks, each
@@ -130,7 +128,7 @@ def _coerce_query_ids(
     return [query_ids] * batch
 
 
-class _DenseScoreStack:
+class _ScoreStack:
     """Per-walk dense score rows; ``gather`` is one fancy index."""
 
     def __init__(self, stack: np.ndarray, rows: np.ndarray) -> None:
@@ -142,96 +140,35 @@ class _DenseScoreStack:
         return self.stack[self.rows[queries], nodes]
 
 
-class _SparseScoreStack:
-    """Per-walk CSR score rows, gathered without densifying.
-
-    The stacked rows' (row, node) coordinates collapse into one sorted
-    composite-key array (rows are appended in order, node indices are sorted
-    within each row), so a whole hop's ``(walk, candidate)`` lookups are a
-    single ``searchsorted`` — absent entries score exactly ``0.0``, matching
-    what a densified copy would hold.
-    """
-
-    def __init__(
-        self, keys: np.ndarray, values: np.ndarray, rows: np.ndarray, n_nodes: int
-    ) -> None:
-        # The composite key of stack row r, node v is r·n_nodes + v; it must
-        # fit int64 for every (row, node) pair or gathers would silently
-        # wrap around and return the wrong walk's scores.
-        max_row = int(rows.max(initial=-1)) + 1
-        if n_nodes > 0 and max_row > np.iinfo(np.int64).max // n_nodes:
-            raise OverflowError(
-                f"sparse score stack of {max_row} distinct policies over "
-                f"{n_nodes} nodes overflows the int64 composite-key space "
-                f"({max_row} * {n_nodes} > {np.iinfo(np.int64).max}); "
-                "split the batch into smaller policy groups"
-            )
-        self.keys = keys
-        self.values = values
-        self.rows = rows
-        self.n_nodes = n_nodes
-
-    def gather(self, queries: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Score of ``nodes[i]`` under walk ``queries[i]``'s policy."""
-        wanted = self.rows[queries] * np.int64(self.n_nodes) + nodes
-        return kernels.sparse_key_lookup(self.keys, self.values, wanted)
-
-
 def _precomputed_stack(
     policy_list: list[ForwardingPolicy], n_nodes: int
-) -> _DenseScoreStack | _SparseScoreStack | None:
+) -> _ScoreStack | None:
     """Stack per-walk score vectors when every policy is score-table based.
 
     Returns a score stack whose ``gather(queries, nodes)`` yields walk
     ``queries[i]``'s score for node ``nodes[i]`` — or None when the batch
-    mixes in other policy types (or mixes dense- and sparse-backed score
-    tables).  Distinct policy instances share a row when they are the same
-    object, so the accuracy driver's one-policy-per-alpha batch stacks to
-    one row per alpha.
+    mixes in other policy types.  Distinct policy instances share a row
+    when they are the same object, so the accuracy driver's
+    one-policy-per-alpha batch stacks to one row per alpha.
     """
     row_of: dict[int, int] = {}
-    vectors: list = []
+    vectors: list[np.ndarray] = []
     rows = np.empty(len(policy_list), dtype=np.int64)
-    sparse_mode: bool | None = None
     for q, policy in enumerate(policy_list):
         if type(policy) is not PrecomputedScorePolicy:
             return None
         if policy.n_nodes != n_nodes:
             return None
-        policy_sparse = policy.node_scores is None
-        if sparse_mode is None:
-            sparse_mode = policy_sparse
-        elif sparse_mode != policy_sparse:
-            return None
         row = row_of.get(id(policy))
         if row is None:
-            table = (
-                (policy._sparse_indices, policy._sparse_values)
-                if policy_sparse
-                else policy.node_scores
-            )
-            values = table[1] if policy_sparse else table
-            if not np.isfinite(values).all():
+            if not np.isfinite(policy.node_scores).all():
                 # The fused selection uses -inf as its masking sentinel;
                 # non-finite scores take the general select_batch path.
                 return None
             row = row_of[id(policy)] = len(vectors)
-            vectors.append(table)
+            vectors.append(policy.node_scores)
         rows[q] = row
-    if not sparse_mode:
-        return _DenseScoreStack(np.stack(vectors), rows)
-    keys = np.concatenate(
-        [
-            np.int64(r) * np.int64(n_nodes) + indices
-            for r, (indices, _) in enumerate(vectors)
-        ]
-    ) if vectors else np.empty(0, dtype=np.int64)
-    values = (
-        np.concatenate([vals for _, vals in vectors])
-        if vectors
-        else np.empty(0, dtype=np.float64)
-    )
-    return _SparseScoreStack(keys, values, rows, n_nodes)
+    return _ScoreStack(np.stack(vectors), rows)
 
 
 def _policy_groups(
@@ -315,7 +252,7 @@ def _select(
 
 
 def _hop_scores(
-    stacked: _DenseScoreStack | _SparseScoreStack | None,
+    stacked: _ScoreStack | None,
     policy_list: list[ForwardingPolicy],
     homogeneous: bool,
     r_q: np.ndarray,

@@ -11,12 +11,12 @@ Built-in strategies (see :mod:`repro.core.backends`):
 * ``push`` — residual Forward Push / Gauss–Southwell
   (:mod:`repro.gsp.push`); supports incremental refresh from sparse
   personalization deltas via :func:`refresh_embeddings`.
-* ``sparse`` — pruned CSR power iteration
+* ``sparse`` — pruned power iteration on row-sparse signals
   (:class:`repro.gsp.filters.SparsePersonalizedPageRank`); personalization
-  and embeddings stay in ``scipy.sparse`` form end to end, so precompute
-  memory and work scale with the diffused support instead of
+  and embeddings stay :class:`~repro.gsp.filters.RowBlock` rows end to end,
+  so precompute memory and work scale with the diffused support instead of
   ``n_nodes × dim``; its incremental refreshes run the same forward-push
-  kernel as ``push``, on CSR deltas.
+  kernel as ``push``, on block deltas.
 
 All strategies agree to within tolerance (verified by tests), so experiments
 may use the cheapest one without changing semantics.  Additional strategies
@@ -25,9 +25,12 @@ addressable by ``method=`` name here without any call-site change; ``method``
 also accepts a pre-built :class:`DiffusionBackend` instance for backends with
 constructor knobs (e.g. ``SparseDiffusionBackend(epsilon=1e-5)``).
 
-Sparse inputs: a ``scipy.sparse`` personalization (or delta) passes through
-untouched to backends that declare ``accepts_sparse`` and is densified for
-the others, so callers can always hand over the cheapest representation they
+Sparse inputs: a ``RowBlock`` personalization, delta or cache passes
+through untouched to backends that declare ``accepts_sparse`` and is
+densified for the others.  A ``scipy.sparse`` matrix is accepted here too:
+it becomes a block for ``accepts_sparse`` backends
+(:func:`~repro.gsp.filters.coerce_sparse_signal`) and a dense array for the
+others.  Callers can always hand over the cheapest representation they
 hold.
 """
 
@@ -39,7 +42,7 @@ import scipy.sparse as sp
 from repro.core.backends import get_backend
 from repro.core.backends.base import DiffusionBackend, DiffusionOutcome
 from repro.graphs.adjacency import CompressedAdjacency
-from repro.gsp.filters import coerce_signal
+from repro.gsp.filters import RowBlock, coerce_signal, coerce_sparse_signal
 from repro.gsp.normalization import NormalizationKind
 from repro.runtime.network import LatencyModel
 from repro.utils.rng import RngLike
@@ -55,31 +58,34 @@ def resolve_backend(method: str | DiffusionBackend) -> DiffusionBackend:
 
 
 def _coerce_for_backend(
-    signal: np.ndarray | sp.spmatrix,
+    signal: np.ndarray | sp.spmatrix | RowBlock,
     n_nodes: int,
     backend: DiffusionBackend,
-) -> np.ndarray | sp.spmatrix:
+) -> np.ndarray | RowBlock:
     """Match the signal representation to what the backend accepts.
 
-    Sparse matrices pass through to ``accepts_sparse`` backends and densify
-    for the others; dense inputs are validated/coerced as before (sparse
-    backends accept dense input too and convert internally).
+    Blocks pass through to ``accepts_sparse`` backends and ``scipy.sparse``
+    matrices become blocks for them; both densify for the others.  Dense
+    inputs are validated/coerced as before (sparse backends accept dense
+    input too and convert internally).
     """
     if sp.issparse(signal):
+        signal, _ = coerce_sparse_signal(signal, n_nodes)
+    if isinstance(signal, RowBlock):
         if signal.shape[0] != n_nodes:
             raise ValueError(
                 f"signal must have {n_nodes} rows, got shape {signal.shape}"
             )
         if backend.accepts_sparse:
             return signal
-        return np.asarray(signal.todense(), dtype=np.float64)
+        return np.asarray(signal.toarray(), dtype=np.float64)
     coerced, _ = coerce_signal(signal, n_nodes)
     return coerced
 
 
 def diffuse_embeddings(
     topology: CompressedAdjacency,
-    personalization: np.ndarray | sp.spmatrix,
+    personalization: np.ndarray | sp.spmatrix | RowBlock,
     *,
     alpha: float = 0.5,
     method: str | DiffusionBackend = "power",
@@ -94,9 +100,9 @@ def diffuse_embeddings(
     Parameters mirror the paper's: ``alpha`` is the teleport probability
     (0.1 = heavy, 0.5 = moderate, 0.9 = light diffusion in §V-C).
     ``method`` names a registered :class:`~repro.core.backends.DiffusionBackend`
-    (or is one).  ``personalization`` may be a ``scipy.sparse`` matrix; it
-    reaches ``accepts_sparse`` backends (``method="sparse"``) without ever
-    densifying.
+    (or is one).  ``personalization`` may be a ``RowBlock`` or a
+    ``scipy.sparse`` matrix; it reaches ``accepts_sparse`` backends
+    (``method="sparse"``) as a block, without ever densifying.
     """
     backend = resolve_backend(method)
     personalization = _coerce_for_backend(
@@ -116,8 +122,8 @@ def diffuse_embeddings(
 
 def refresh_embeddings(
     topology: CompressedAdjacency,
-    embeddings: np.ndarray | sp.spmatrix,
-    delta: np.ndarray | sp.spmatrix,
+    embeddings: np.ndarray | sp.spmatrix | RowBlock,
+    delta: np.ndarray | sp.spmatrix | RowBlock,
     *,
     alpha: float = 0.5,
     method: str | DiffusionBackend = "push",
@@ -141,11 +147,10 @@ def refresh_embeddings(
             "or a custom incremental backend"
         )
     delta = _coerce_for_backend(delta, topology.n_nodes, backend)
-    # The embeddings pass through uncoerced for dense backends so a 1-D
-    # cache comes back 1-D (the backend's own shape handling restores it);
-    # only a sparse cache headed for a dense backend needs densification.
-    if sp.issparse(embeddings) and not backend.accepts_sparse:
-        embeddings = np.asarray(embeddings.todense(), dtype=np.float64)
+    # A dense cache passes through uncoerced so a 1-D cache comes back 1-D
+    # (the backend's own shape handling restores it).
+    if sp.issparse(embeddings) or isinstance(embeddings, RowBlock):
+        embeddings = _coerce_for_backend(embeddings, topology.n_nodes, backend)
     return backend.refresh(
         topology,
         embeddings,

@@ -13,10 +13,9 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graphs.adjacency import CompressedAdjacency
-from repro.kernels import dispatch as kernels
+from repro.gsp.filters import RowBlock
 from repro.retrieval.scoring import top_k_indices
 from repro.utils import check_positive
 
@@ -142,12 +141,13 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
     Parameters
     ----------
     embeddings:
-        The diffused node embedding matrix ``E`` (eq. 6) — dense, or a
-        ``scipy.sparse`` matrix as cached by the ``sparse`` diffusion
-        backend; CSR rows are scored directly, without densifying the
-        matrix.  In deployment each node stores only its neighbors' rows
-        (collected during diffusion); the policy reads exactly those rows,
-        so the information access pattern is identical.
+        The diffused node embedding matrix ``E`` (eq. 6) — dense, or the
+        :class:`~repro.gsp.filters.RowBlock` the ``sparse`` diffusion
+        backend caches, whose rows are scored directly (a node the block
+        holds no row for scores exactly 0.0).  In deployment each node
+        stores only its neighbors' rows (collected during diffusion); the
+        policy reads exactly those rows, so the information access pattern
+        is identical.
     temperature:
         0 (default) reproduces the paper's deterministic argmax (ties broken
         by ascending node id).  A positive temperature samples next hops from
@@ -156,28 +156,20 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
 
     def __init__(
         self,
-        embeddings: np.ndarray | sp.spmatrix,
+        embeddings: np.ndarray | RowBlock,
         *,
         temperature: float = 0.0,
     ) -> None:
-        if sp.issparse(embeddings):
-            # float32 CSR caches (the float32 diffusion pipeline) are stored
-            # in float32 and scored in float64; every other dtype coerces to
-            # float64 as before.
-            matrix = embeddings.tocsr()
-            matrix = matrix.astype(
-                np.float32 if matrix.dtype == np.float32 else np.float64
-            )
-            if matrix is embeddings:
-                matrix = matrix.copy()
-            matrix.sort_indices()
-            self._sparse = True
-        else:
+        # Blocks are never written, so the policy keeps the caller's; a
+        # float32 cache (the float32 diffusion pipeline) is stored in
+        # float32 and scored in float64.
+        self._block = isinstance(embeddings, RowBlock)
+        matrix = embeddings
+        if not self._block:
             matrix = np.asarray(embeddings)
             if matrix.dtype != np.float32:
                 matrix = np.asarray(matrix, dtype=np.float64)
-            self._sparse = False
-        if matrix.ndim != 2:
+        if len(matrix.shape) != 2:
             raise ValueError(f"embeddings must be 2-D, got shape {matrix.shape}")
         if temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {temperature}")
@@ -189,15 +181,14 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
     ) -> np.ndarray:
         """``queries[s] · E[c]`` for every candidate ``c`` of every segment ``s``.
 
-        One flat gather serves all ``S`` segments.  A CSR cache gathers the
-        stored entries of every candidate row, multiplies each by its walk's
-        query entry and sums them per candidate with one ``bincount`` (the
-        PPRGo gather-then-segment-reduce).  ``bincount`` adds each row's
-        products in stored order from 0.0, the same loop as scipy's CSR
-        matvec, so scores are bit-identical to ``E[c] @ q`` per walk
-        (``np.add.reduceat`` and ``.sum(axis=1)`` sum pairwise and change
-        the last bits).  A dense cache gathers ``E[candidates]`` and takes a
-        row-wise dot.  Both compute in float64 whatever the storage dtype,
+        One flat gather of the candidates' rows serves all ``S`` segments
+        (for a block, through its node → row map, with zero rows for the
+        nodes it holds none of).  A block's scores sum each row's products
+        left to right, ``np.cumsum(...)[:, -1]``: the order scipy's CSR
+        matvec uses, so they are bit-identical to ``E[c] @ q`` on the
+        block's CSR copy (``.sum(axis=1)`` and ``einsum`` sum in other
+        orders and change the last bits).  A dense cache takes a row-wise
+        ``einsum``.  Both compute in float64 whatever the storage dtype,
         and a candidate's score never depends on the other segments, so a
         one-segment call (one walk, or :meth:`select`) and an S-segment call
         agree bit for bit.
@@ -209,22 +200,10 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
                 f"embeddings have {dim} dims"
             )
         walk_of = np.repeat(np.arange(queries.shape[0]), np.diff(offsets))
-        if not self._sparse:
-            rows = np.asarray(self.embeddings[candidates], dtype=np.float64)
-            return np.einsum("ij,ij->i", rows, queries[walk_of])
-        matrix = self.embeddings
-        starts = matrix.indptr[candidates]
-        lens = matrix.indptr[candidates + 1] - starts
-        ends = np.cumsum(lens)
-        owner = np.repeat(np.arange(candidates.shape[0]), lens)
-        entries = np.repeat(starts - ends + lens, lens) + np.arange(owner.shape[0])
-        # Flat index of each entry's query coordinate in the (S, dim) rows.
-        products = matrix.data[entries] * queries.ravel()[
-            (walk_of * dim)[owner] + matrix.indices[entries]
-        ]
-        scores = np.bincount(owner, weights=products, minlength=candidates.shape[0])
-        # bincount over no entries at all returns int64 zeros.
-        return scores.astype(np.float64, copy=False)
+        rows = np.asarray(self.embeddings[candidates], dtype=np.float64)
+        if self._block:
+            return np.cumsum(rows * queries[walk_of], axis=1)[:, -1]
+        return np.einsum("ij,ij->i", rows, queries[walk_of])
 
     def scores(self, query_embedding: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Dot-product relevance of each candidate's diffused embedding."""
@@ -322,39 +301,9 @@ class PrecomputedScorePolicy(ForwardingPolicy):
     embedding-guided policy computes, at 1/dim of the cost.  The experiment
     harness relies on this; an integration test pins its walks to
     :class:`EmbeddingGuidedPolicy` over the full embedding matrix.
-
-    ``scores`` may also be a ``scipy.sparse`` vector (shape ``(n, 1)`` or
-    ``(1, n)``, as produced by the sparse diffusion pipeline); stored entries
-    keep their value, absent nodes score exactly ``0.0`` — the same numbers
-    a densified copy would hold, so sparse- and dense-backed policies make
-    bit-identical decisions.  Lookups run in ``O(log nnz)`` per candidate
-    without ever materializing the dense vector.
     """
 
-    def __init__(self, scores: np.ndarray | sp.spmatrix) -> None:
-        if sp.issparse(scores):
-            if 1 not in scores.shape:
-                raise ValueError(
-                    "sparse scores must be a vector of shape (n, 1) or "
-                    f"(1, n), got shape {scores.shape}"
-                )
-            column = (
-                scores.tocsc() if scores.shape[1] == 1 else scores.tocsr().T.tocsc()
-            )
-            # Unconditional copy: the conversions above can return the
-            # caller's object or share its buffers (e.g. csr.T views), and
-            # the canonicalization below mutates in place.
-            column = column.copy()
-            column.sum_duplicates()
-            column.sort_indices()
-            self.node_scores = None
-            self.n_nodes = int(max(scores.shape))
-            self._sparse_indices = np.asarray(column.indices, dtype=np.int64)
-            values = np.asarray(column.data)
-            if values.dtype != np.float32:
-                values = np.asarray(values, dtype=np.float64)
-            self._sparse_values = values
-            return
+    def __init__(self, scores: np.ndarray) -> None:
         scores = np.asarray(scores)
         if scores.dtype != np.float32:
             scores = np.asarray(scores, dtype=np.float64)
@@ -362,16 +311,10 @@ class PrecomputedScorePolicy(ForwardingPolicy):
             raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
         self.node_scores = scores
         self.n_nodes = scores.shape[0]
-        self._sparse_indices = None
-        self._sparse_values = None
 
     def candidate_scores(self, candidates: np.ndarray) -> np.ndarray:
-        """Per-candidate score: table lookup (dense) or CSR lookup (sparse)."""
-        if self.node_scores is not None:
-            return self.node_scores[candidates]
-        return kernels.sparse_key_lookup(
-            self._sparse_indices, self._sparse_values, candidates
-        )
+        """Per-candidate score: one table lookup."""
+        return self.node_scores[candidates]
 
     def select(
         self,

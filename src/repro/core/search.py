@@ -20,13 +20,14 @@ change, exact to within the push tolerance::
     assert outcome.incremental
 
 Large networks: ``net.diffuse(method="sparse")`` runs the sparse-first
-pipeline — personalization assembled from occupied rows only, pruned CSR
-power iteration, CSR embedding cache consumed directly by the walk policies
+pipeline — personalization assembled from occupied rows only, pruned power
+iteration, and an embedding cache of support rows
+(:class:`~repro.gsp.filters.RowBlock`) that the walk policy scores directly
 — so precompute memory and time scale with the diffused support rather than
 ``n_nodes × dim``.  ``net.embeddings`` still returns the dense view (built
 lazily on first access); ``net.diffuse(method="sparse")`` after further
-placements patches the CSR cache incrementally, like ``push`` does for the
-dense one.
+placements patches the cached block into a new one, like ``push`` does for
+the dense cache.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
 import numpy as np
-import scipy.sparse as sp
 
 from repro.churn.staleness import StalenessTracker
 from repro.core.backends import DiffusionBackend
@@ -53,26 +53,12 @@ from repro.core.personalization import (
     personalization_vector,
 )
 from repro.graphs.adjacency import CompressedAdjacency
-from repro.gsp.filters import rows_to_csr
+from repro.gsp.filters import RowBlock, coerce_sparse_signal
 from repro.gsp.normalization import NormalizationKind
 from repro.retrieval.vector_store import DocumentStore
 from repro.runtime.faults import FaultInjector
 from repro.runtime.network import LatencyModel
 from repro.utils.rng import RngLike
-
-
-def _drop_rows(matrix: sp.csr_matrix, nodes: np.ndarray) -> sp.csr_matrix:
-    """Zero out the listed rows of a CSR matrix without densifying."""
-    n, dim = matrix.shape
-    lens = np.diff(matrix.indptr)
-    keep_row = np.ones(n, dtype=bool)
-    keep_row[nodes] = False
-    keep_entry = np.repeat(keep_row, lens)
-    indptr = np.concatenate(([0], np.cumsum(np.where(keep_row, lens, 0))))
-    return sp.csr_matrix(
-        (matrix.data[keep_entry], matrix.indices[keep_entry], indptr),
-        shape=(n, dim),
-    )
 
 
 class DiffusionSearchNetwork:
@@ -123,17 +109,17 @@ class DiffusionSearchNetwork:
         self.stores: dict[int, DocumentStore] = {}
         self._doc_locations: dict[Hashable, int] = {}
         # The raw cache from the last diffusion: a dense array for the
-        # standard backends, a scipy CSR matrix for the sparse backend.
+        # standard backends, a RowBlock for the sparse backend.
         # `.embeddings` densifies lazily (memoized in _embeddings_dense).
-        self._embeddings: np.ndarray | sp.spmatrix | None = None
+        self._embeddings: np.ndarray | RowBlock | None = None
         self._embeddings_dense: np.ndarray | None = None
         self._last_outcome: DiffusionOutcome | None = None
         self._stale = True
         # Incremental-refresh state: the personalization matrix the cached
-        # embeddings were diffused from (dense or CSR, matching the backend
-        # that produced it), and the nodes whose rows changed since (the
-        # sparse delta support set).
-        self._diffused_personalization: np.ndarray | sp.spmatrix | None = None
+        # embeddings were diffused from (dense or a RowBlock, matching the
+        # backend that produced it), and the nodes whose rows changed since
+        # (the sparse delta support set).
+        self._diffused_personalization: np.ndarray | RowBlock | None = None
         self._dirty_nodes: set[int] = set()
         # The one residual ledger: the full run's error floor, the patches'
         # summed residual and the coalesced per-node pending L1 mass — the
@@ -209,10 +195,7 @@ class DiffusionSearchNetwork:
         baseline = self._diffused_personalization
         if baseline is None:
             return 0.0
-        if sp.issparse(baseline):
-            base_row = np.asarray(baseline.getrow(node).todense()).ravel()
-        else:
-            base_row = baseline[node]
+        base_row = baseline[node]
         store = self.stores.get(node)
         if store is None or len(store) == 0:
             return float(np.abs(base_row).sum())
@@ -237,34 +220,27 @@ class DiffusionSearchNetwork:
         )
         return matrix.astype(self.dtype, copy=False)
 
-    def personalization_sparse(self) -> sp.csr_matrix:
-        """The current ``E0`` as a CSR matrix, built from occupied rows only.
+    def personalization_sparse(self) -> RowBlock:
+        """The current ``E0`` as a :class:`RowBlock` of occupied rows only.
 
         Most nodes hold no documents, so their personalization rows are
-        zero; this builds ``E0`` with one stored row per document-holding
-        node — ``O(holders × dim)`` memory regardless of network size.  The
-        entry point of the sparse diffusion pipeline (``method="sparse"``).
+        zero; this builds ``E0`` with one row per document-holding node —
+        ``O(holders × dim)`` memory regardless of network size.  The entry
+        point of the sparse diffusion pipeline (``method="sparse"``).
         """
         occupied = sorted(
             node for node, store in self.stores.items() if len(store)
         )
-        if not occupied:
-            return sp.csr_matrix((self.n_nodes, self.dim), dtype=self.dtype)
-        block = np.stack(
-            [self._personalization_row(node) for node in occupied]
-        )
-        matrix = rows_to_csr(
-            np.asarray(occupied, dtype=np.int64), block, self.n_nodes
-        )
-        return matrix
+        return RowBlock(occupied, self._personalization_rows(occupied), self.n_nodes)
 
-    def _personalization_row(self, node: int) -> np.ndarray:
-        """``node``'s current personalization row, in the facade dtype."""
-        store = self.stores.get(node)
-        if store is None or len(store) == 0:
-            return np.zeros(self.dim, dtype=self.dtype)
-        row = personalization_vector(store.matrix(), self.weighting)
-        return row.astype(self.dtype, copy=False)
+    def _personalization_rows(self, nodes: list[int] | np.ndarray) -> np.ndarray:
+        """The current personalization rows of ``nodes``, in the facade dtype."""
+        rows = np.zeros((len(nodes), self.dim), dtype=self.dtype)
+        for i, node in enumerate(nodes):
+            store = self.stores.get(node)
+            if store is not None and len(store):
+                rows[i] = personalization_vector(store.matrix(), self.weighting)
+        return rows
 
     def diffuse(
         self,
@@ -291,10 +267,12 @@ class DiffusionSearchNetwork:
         retry with a larger budget re-diffuses the full delta.
 
         With a sparse-capable backend (``method="sparse"``) the whole path
-        stays in CSR form: the personalization is assembled from occupied
-        rows only, the cached embeddings are a CSR matrix (``.embeddings``
-        densifies lazily; ``csr_embeddings`` exposes the raw cache), and
-        incremental refreshes patch that CSR cache without densifying.
+        stays row-sparse: the personalization is assembled from occupied
+        rows only, the cached embeddings are a
+        :class:`~repro.gsp.filters.RowBlock` (``.embeddings`` densifies
+        lazily; the outcome's ``embeddings`` is the block itself), and an
+        incremental refresh adds the push estimate into a new block without
+        densifying, so a policy built before the patch keeps its block.
         """
         backend = resolve_backend(method)
         sparse_mode = backend.accepts_sparse
@@ -330,36 +308,26 @@ class DiffusionSearchNetwork:
             # complete.
             baseline = self._diffused_personalization
             cached = self._embeddings
-            dirty = sorted(self._dirty_nodes)
-            nodes = np.asarray(dirty, dtype=np.int64)
-            block = (
-                np.stack([self._personalization_row(v) for v in dirty])
-                if dirty
-                else np.zeros((0, self.dim), dtype=self.dtype)
-            )
+            # After a switch of backend family the baseline changes format;
+            # a sparse backend converts a dense cache itself.
+            if sparse_mode and not isinstance(baseline, RowBlock):
+                baseline, _ = coerce_sparse_signal(baseline, self.n_nodes, self.dtype)
+            if not sparse_mode and isinstance(baseline, RowBlock):
+                baseline = baseline.toarray()
+            if not sparse_mode and isinstance(cached, RowBlock):
+                cached = cached.toarray()
+            dirty = np.asarray(sorted(self._dirty_nodes), dtype=np.int64)
+            current = self._personalization_rows(dirty)
+            delta = RowBlock(dirty, current - baseline[dirty], self.n_nodes)
+            # Commit-side baseline: exact row *replacement*, never baseline +
+            # delta — floating point ``b + (c − b) ≠ c`` would poison every
+            # later delta.
             if sparse_mode:
-                if not sp.issparse(baseline):
-                    baseline = sp.csr_matrix(baseline)
-                base_block = np.asarray(baseline[nodes].todense())
-                delta = rows_to_csr(nodes, block - base_block, self.n_nodes)
-                # Commit-side baseline: exact row *replacement*, never
-                # baseline + delta — floating point ``b + (c − b) ≠ c``
-                # would poison every later delta.
-                refreshed_baseline = (
-                    _drop_rows(baseline, nodes)
-                    + rows_to_csr(nodes, block, self.n_nodes)
-                ).tocsr()
-                refreshed_baseline.sort_indices()
+                refreshed_baseline = baseline.merged(dirty, current, add=False)
             else:
-                if sp.issparse(baseline):
-                    baseline = np.asarray(baseline.todense())
-                if sp.issparse(cached):
-                    cached = np.asarray(cached.todense())
-                delta = np.zeros_like(baseline)
+                delta = delta.toarray()
                 refreshed_baseline = baseline.copy()
-                if dirty:
-                    delta[nodes] = block - baseline[nodes]
-                    refreshed_baseline[nodes] = block
+                refreshed_baseline[dirty] = current
             outcome = backend.refresh(
                 self.adjacency,
                 cached,
@@ -427,30 +395,26 @@ class DiffusionSearchNetwork:
         (A live network is transiently stale too, until re-diffusion
         propagates the update.)
 
-        After a sparse diffusion the cache is a CSR matrix; this property
-        densifies it lazily (memoized until the next diffusion) so dense
-        consumers keep working unchanged.  Hot paths that can consume CSR
-        rows directly — :meth:`default_policy`, the walk engines — read
-        :attr:`csr_embeddings` instead and never trigger the densification.
+        After a sparse diffusion the cache is a
+        :class:`~repro.gsp.filters.RowBlock`; this property densifies it
+        lazily (memoized until the next diffusion) so dense consumers keep
+        working unchanged.  :meth:`default_policy` scores the block's rows
+        directly and never triggers the densification; the block itself is
+        ``last_diffusion.embeddings``.
         """
+        cache = self._cached_embeddings()
+        if isinstance(cache, RowBlock):
+            if self._embeddings_dense is None:
+                self._embeddings_dense = cache.toarray()
+            return self._embeddings_dense
+        return cache
+
+    def _cached_embeddings(self) -> np.ndarray | RowBlock:
         if self._embeddings is None:
             raise RuntimeError(
                 "no diffusion has been run; call .diffuse() after placing documents"
             )
-        if sp.issparse(self._embeddings):
-            if self._embeddings_dense is None:
-                self._embeddings_dense = np.asarray(self._embeddings.todense())
-            return self._embeddings_dense
         return self._embeddings
-
-    @property
-    def csr_embeddings(self) -> sp.csr_matrix | None:
-        """The CSR embedding cache from the last sparse diffusion.
-
-        ``None`` when the last diffusion used a dense backend; treat the
-        returned matrix as read-only.
-        """
-        return self._embeddings if sp.issparse(self._embeddings) else None
 
     @property
     def is_stale(self) -> bool:
@@ -477,8 +441,9 @@ class DiffusionSearchNetwork:
         base = self._diffused_personalization
         if base is None:
             return 0.0
-        if sp.issparse(base):
-            return float(np.abs(base.data).sum()) if base.nnz else 0.0
+        if isinstance(base, RowBlock):
+            # The nonzero entries in row order, as a CSR copy stores them.
+            base = base.rows[base.rows != 0]
         return float(np.abs(base).sum())
 
     @property
@@ -518,13 +483,13 @@ class DiffusionSearchNetwork:
     def default_policy(self) -> EmbeddingGuidedPolicy:
         """The paper's forwarding policy over the cached embeddings.
 
-        A CSR cache (sparse diffusion) is handed to the policy as-is —
-        walks score candidate rows straight from the sparse matrix, so the
-        dense ``(n_nodes, dim)`` view is never materialized; the dense
-        branch reuses :attr:`embeddings` (including its no-diffusion guard).
+        A block cache (sparse diffusion) is handed to the policy as is:
+        walks score candidate rows straight from the block, so the dense
+        ``(n_nodes, dim)`` view is never materialized.  Blocks are never
+        written, so the policy keeps scoring the cache it was built over
+        after a later patch.
         """
-        csr = self.csr_embeddings
-        return EmbeddingGuidedPolicy(csr if csr is not None else self.embeddings)
+        return EmbeddingGuidedPolicy(self._cached_embeddings())
 
     def search(
         self,

@@ -3,7 +3,9 @@
 Node values (scalars or embedding vectors) are graph signals; graph filters
 aggregate multi-hop propagations of those signals.  The paper's diffusion is
 the Personalized PageRank filter ``H = a (I − (1−a) A)^{-1}`` applied to the
-matrix of personalization vectors.
+matrix of personalization vectors.  The sparse pipeline keeps its
+personalization, deltas and embedding cache as :class:`RowBlock` signals:
+the rows of some nodes, zero elsewhere.
 """
 
 from repro.gsp.normalization import (
@@ -22,6 +24,7 @@ from repro.gsp.filters import (
     GraphFilter,
     HeatKernel,
     PersonalizedPageRank,
+    RowBlock,
     SparsePersonalizedPageRank,
 )
 from repro.gsp.spectral import (
@@ -45,6 +48,7 @@ __all__ = [
     "GraphFilter",
     "HeatKernel",
     "PersonalizedPageRank",
+    "RowBlock",
     "SparsePersonalizedPageRank",
     "SpectralDecomposition",
     "empirical_frequency_response",

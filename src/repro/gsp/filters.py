@@ -3,7 +3,9 @@
 The PPR filter implements eq. (6) of the paper,
 ``E = a (I − (1−a) A)^{-1} E0``, either by power iteration of eq. (7) (the
 synchronous counterpart of the decentralized diffusion) or by a sparse direct
-solve (ground truth for tests and small graphs).
+solve (ground truth for tests and small graphs).  The ε-pruned sparse filter
+returns a :class:`RowBlock`, the layout the sparse pipeline keeps from the
+personalization to the walk scorer.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from repro.utils import (
 class DiffusionResult:
     """Outcome of a filter application with convergence diagnostics.
 
+    ``signal`` is a dense array, or a :class:`RowBlock` from the ε-pruned
+    sparse filter.
+
     ``diffused_mass_ratio`` is populated by the ε-pruned sparse filter: the
     fraction of the *diffusable* personalization mass (the ``1−α`` share
     that should spread beyond the teleport term) still present in the final
@@ -45,7 +50,7 @@ class DiffusionResult:
     operator.  Other filters leave both at 0.
     """
 
-    signal: np.ndarray
+    signal: np.ndarray | RowBlock
     iterations: int
     residual: float
     converged: bool
@@ -59,8 +64,10 @@ class PrunedMassWarning(RuntimeWarning):
 
 
 #: Warn when less than this fraction of the diffusable (non-teleport) mass
-#: survives ε-pruning.  The degenerate all-pruned fixed point retains
-#: exactly ``α·‖E0‖₁`` (teleport only), i.e. a surviving fraction of 0.
+#: survives ε-pruning and the pruning term of the filter's error bound
+#: exceeds this fraction of the mass that did.  The degenerate all-pruned
+#: fixed point retains exactly ``α·‖E0‖₁`` (teleport only), i.e. a
+#: surviving fraction of 0.
 PRUNED_MASS_WARN_FRACTION = 0.5
 
 
@@ -68,7 +75,7 @@ def check_pruned_mass(
     e0_l1: float,
     estimate_l1: float,
     alpha: float,
-    epsilon: float,
+    pruned_l1: float,
 ) -> float:
     """Surviving-diffusable-mass ratio of an ε-pruned diffusion, with guard.
 
@@ -79,32 +86,134 @@ def check_pruned_mass(
     in the limit the iterate collapses to the bare teleport after one sweep
     and faraway nodes score zero (the failure mode behind the reduced-sweep
     observation that ``ε=0.01`` drops overlap@20 to 0.46).  The returned
-    ratio is ``(‖E‖₁ − α‖E0‖₁) / ((1−α)·‖E0‖₁)``, clamped to ``[0, 1]``;
-    when it falls below :data:`PRUNED_MASS_WARN_FRACTION` a
-    :class:`PrunedMassWarning` is emitted.  Sign cancellation in mixed-sign
-    embeddings also lowers the ratio a little (≈0.7–0.75 for unpruned
-    unit-scale Gaussian rows on the benchmark overlays), so the guard is
-    deliberately conservative: it fires on collapse, not on the healthy
-    regime (≳0.5 at the default ε).
+    ratio is ``(‖E‖₁ − α‖E0‖₁) / ((1−α)·‖E0‖₁)``, clamped to ``[0, 1]``.
+    When the ratio falls below :data:`PRUNED_MASS_WARN_FRACTION` a
+    :class:`PrunedMassWarning` is emitted — but only if the filter's own
+    sound error bound confirms it.  Sign cancellation in mixed-sign
+    embeddings lowers the ratio with no pruning at all (the exact solve of
+    ``examples/online_serving.py``'s corpus reads 0.49).  ``pruned_l1`` is
+    the L1 mass of the rows the last sweep pruned, and ``pruned_l1/α`` is
+    what pruning adds to ``residual_l1``; the guard fires only when that
+    term also exceeds the same fraction of the mass the estimate spread,
+    ``‖E‖₁ − α‖E0‖₁`` — the error pruning may have left is then comparable
+    with the diffusion that survived it.  The bound's other terms (a run
+    stopped by its sweep cap, rounding) are not pruning and do not warn.
     """
     diffusable = (1.0 - alpha) * e0_l1
     if diffusable <= 0.0:
         return 1.0
-    ratio = (estimate_l1 - alpha * e0_l1) / diffusable
-    ratio = float(min(1.0, max(0.0, ratio)))
-    if ratio < PRUNED_MASS_WARN_FRACTION:
+    spread = estimate_l1 - alpha * e0_l1
+    ratio = float(min(1.0, max(0.0, spread / diffusable)))
+    bound = pruned_l1 / alpha
+    if ratio < PRUNED_MASS_WARN_FRACTION and bound > PRUNED_MASS_WARN_FRACTION * spread:
         warnings.warn(
-            f"epsilon-pruning (epsilon={epsilon:g}) removed "
-            f"{1.0 - ratio:.0%} of the diffusable personalization mass — "
-            "the diffusion has degenerated toward the bare teleport term "
-            "and distant nodes will score ~0.  Lower epsilon (safe range "
-            "for unit-scale embeddings: <= ~3e-3, see "
-            "SPARSE_DEFAULT_EPSILON) or rescale it with the "
-            "personalization magnitude.",
+            f"epsilon-pruning removed {1.0 - ratio:.0%} of the diffusable "
+            f"personalization mass and left an L1 error bound of {bound:.3g}, "
+            f"more than half of the {spread:.3g} it spread beyond the "
+            "teleport term — the diffusion has degenerated toward the bare "
+            "teleport term and distant nodes will score ~0.  Lower epsilon "
+            "(safe range for unit-scale embeddings: <= ~3e-3, see "
+            "SPARSE_DEFAULT_EPSILON) or rescale it with the personalization "
+            "magnitude.",
             PrunedMassWarning,
             stacklevel=3,
         )
     return ratio
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+class RowBlock:
+    """A row-sparse ``(n, dim)`` signal: dense rows at some nodes, zero elsewhere.
+
+    The sparse pipeline's one layout, from the personalization through the
+    filter and the push patches to the embedding cache the walk scorer
+    reads (PPRGo keeps its PPR vectors the same way).  Diffusion mixes
+    whole personalization rows, so a node the mass reaches holds a full row
+    and a CSR column index would carry nothing.
+
+    ``nodes`` are ascending node ids, ``rows`` their ``(k, dim)`` values and
+    ``slot_of`` the node → row map (-1 where the block holds no row).  A
+    block is immutable: its arrays are read-only views, and a patch builds
+    a new block (:meth:`merged`), so a policy built over a block never sees
+    a later patch.
+    """
+
+    def __init__(self, nodes: np.ndarray, rows: np.ndarray, n: int) -> None:
+        nodes = np.asarray(nodes, dtype=np.int64)
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or nodes.shape != (rows.shape[0],):
+            raise ValueError(
+                f"need one (k, dim) row per node, got {nodes.shape[0]} nodes "
+                f"and rows of shape {rows.shape}"
+            )
+        if nodes.size and (
+            nodes[0] < 0 or nodes[-1] >= n or np.any(np.diff(nodes) <= 0)
+        ):
+            raise ValueError(f"nodes must be ascending distinct ids in [0, {n})")
+        slot_of = np.full(n, -1, dtype=np.int64)
+        slot_of[nodes] = np.arange(nodes.shape[0])
+        self.nodes = _read_only(nodes)
+        self.rows = _read_only(rows)
+        self.slot_of = _read_only(slot_of)
+        self.shape = (int(n), rows.shape[1])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.rows.dtype
+
+    def __getitem__(self, nodes: int | np.ndarray) -> np.ndarray:
+        """The rows of ``nodes`` (one id or an id array), zero where none is held."""
+        slots = self.slot_of[nodes]
+        out = np.zeros(np.shape(slots) + (self.shape[1],), dtype=self.dtype)
+        held = slots >= 0
+        out[held] = self.rows[slots[held]]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The dense ``(n, dim)`` array."""
+        out = np.zeros(self.shape, dtype=self.dtype)
+        out[self.nodes] = self.rows
+        return out
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The block as CSR, explicit zeros dropped.
+
+        ``O(k × dim)`` whatever ``n``.  Index arrays are int32 whenever they
+        fit.
+        """
+        n, dim = self.shape
+        k = self.nodes.shape[0]
+        idx_dtype = (
+            np.int32 if max(k * dim, n + 1, dim) < np.iinfo(np.int32).max else np.int64
+        )
+        counts = np.zeros(n, dtype=idx_dtype)
+        counts[self.nodes] = dim
+        indptr = np.concatenate(
+            (np.zeros(1, dtype=idx_dtype), np.cumsum(counts, dtype=idx_dtype))
+        )
+        indices = np.tile(np.arange(dim, dtype=idx_dtype), k)
+        # A copy of the values: eliminate_zeros compacts them in place.
+        result = sp.csr_matrix((self.rows.flatten(), indices, indptr), shape=(n, dim))
+        result.eliminate_zeros()
+        return result
+
+    def merged(self, nodes: np.ndarray, rows: np.ndarray, *, add: bool) -> RowBlock:
+        """A new block: ``rows`` added onto (``add``) or written over the rows
+        of the distinct ``nodes``, which join the block where it held none."""
+        union = np.union1d(self.nodes, nodes)
+        out = np.zeros((union.shape[0], self.shape[1]), dtype=self.dtype)
+        out[np.searchsorted(union, self.nodes)] = self.rows
+        at = np.searchsorted(union, nodes)
+        if add:
+            out[at] += rows
+        else:
+            out[at] = rows
+        return RowBlock(union, out, self.shape[0])
 
 
 class GraphFilter(ABC):
@@ -158,52 +267,40 @@ def coerce_signal(
 
 
 def coerce_sparse_signal(
-    signal: np.ndarray | sp.spmatrix, n: int, dtype: np.dtype | type = np.float64
-) -> tuple[sp.csr_matrix, bool]:
-    """Coerce a graph signal to a float CSR ``(n, dim)`` matrix (float64 default).
+    signal: np.ndarray | sp.spmatrix | RowBlock,
+    n: int,
+    dtype: np.dtype | type = np.float64,
+) -> tuple[RowBlock, bool]:
+    """Coerce a graph signal to a :class:`RowBlock` in ``dtype`` (float64 default).
 
-    The sparse counterpart of :func:`coerce_signal`: dense inputs (vectors or
-    matrices) are converted to CSR, sparse inputs are reformatted/canonicalized
-    without densifying.  Returns the matrix plus whether the input was a bare
-    vector (dense 1-D); sparse inputs are never vectors.
+    The one conversion into the sparse pipeline's layout: a dense vector or
+    matrix, a ``scipy.sparse`` matrix or a block comes back as a block of
+    exactly its rows with a nonzero entry, in ascending node order — the
+    rows a CSR copy stores, so the filter and the push seed the same rows
+    whatever format the signal arrives in.  A block that already holds
+    only such rows, in ``dtype``, is returned as is.  Returns the block
+    plus whether the input was a bare vector (dense 1-D); other inputs are
+    never vectors.
     """
-    if sp.issparse(signal):
+    was_vector = False
+    if isinstance(signal, RowBlock):
+        shape, nodes, rows = signal.shape, signal.nodes, signal.rows
+    elif sp.issparse(signal):
         matrix = signal.tocsr().astype(dtype)
-        if matrix is signal:  # tocsr/astype may return the input itself
-            matrix = matrix.copy()
-        if matrix.ndim != 2 or matrix.shape[0] != n:
-            raise ValueError(
-                f"signal must have {n} rows, got shape {matrix.shape}"
-            )
-        matrix.sum_duplicates()
-        matrix.sort_indices()
-        return matrix, False
-    dense, was_vector = coerce_signal(signal, n, dtype)
-    return sp.csr_matrix(dense), was_vector
-
-
-def rows_to_csr(rows: np.ndarray, block: np.ndarray, n: int) -> sp.csr_matrix:
-    """Lift a dense ``(k, dim)`` row block at ascending node ids into CSR.
-
-    ``O(k × dim)`` whatever ``n``; explicit zeros are dropped.  Index arrays
-    are int32 whenever they fit, which keeps the CSR diffusion caches lean.
-    The result may share ``block``'s memory, so pass a block the caller no
-    longer needs.
-    """
-    dim = block.shape[1]
-    nnz = rows.shape[0] * dim
-    idx_dtype = (
-        np.int32 if max(nnz, n + 1, dim) < np.iinfo(np.int32).max else np.int64
-    )
-    counts = np.zeros(n, dtype=idx_dtype)
-    counts[rows] = dim
-    indptr = np.concatenate(
-        (np.zeros(1, dtype=idx_dtype), np.cumsum(counts, dtype=idx_dtype))
-    )
-    indices = np.tile(np.arange(dim, dtype=idx_dtype), rows.shape[0])
-    result = sp.csr_matrix((block.ravel(), indices, indptr), shape=(n, dim))
-    result.eliminate_zeros()
-    return result
+        shape = matrix.shape
+        nodes = np.flatnonzero(np.diff(matrix.indptr))
+        rows = matrix[nodes].toarray()
+    else:
+        rows, was_vector = coerce_signal(signal, n, dtype)
+        shape = rows.shape
+        nodes = np.arange(n)
+    if len(shape) != 2 or shape[0] != n:
+        raise ValueError(f"signal must have {n} rows, got shape {shape}")
+    rows = rows.astype(dtype, copy=False)
+    keep = np.any(rows != 0, axis=1)
+    if isinstance(signal, RowBlock) and rows is signal.rows and keep.all():
+        return signal, False
+    return RowBlock(nodes[keep], rows[keep], n), was_vector
 
 
 def effective_tolerance(tol: float, dtype: np.dtype | type) -> float:
@@ -655,7 +752,8 @@ class SparsePersonalizedPageRank(GraphFilter):
       committed sweep holds top-k overlap ≥ 0.99 at 1e-3 and ≥ 0.96 at
       3e-3); the filter guards the footgun at run time — see
       :func:`check_pruned_mass`, which emits a :class:`PrunedMassWarning`
-      when more than half of the diffusable mass was truncated.
+      when more than half of the diffusable mass was truncated and the
+      run's error bound confirms it.
 
     Pruning is applied with *hysteresis*: a row that has ever exceeded its
     threshold (or carried initial personalization mass) joins a monotone
@@ -715,17 +813,19 @@ class SparsePersonalizedPageRank(GraphFilter):
         self.dtype = dtype
 
     def apply_detailed(
-        self, operator: sp.spmatrix, signal: np.ndarray | sp.spmatrix
+        self, operator: sp.spmatrix, signal: np.ndarray | sp.spmatrix | RowBlock
     ) -> DiffusionResult:
-        """Diffuse ``signal``; the result's ``.signal`` is a CSR matrix.
+        """Diffuse ``signal``; the result's ``.signal`` is a :class:`RowBlock`.
 
-        Accepts dense or sparse input; the output is always CSR of shape
-        ``(n, dim)`` (a dense vector input yields an ``(n, 1)`` column).
-        Use ``.toarray()`` for a dense view.
+        Accepts a dense array, a ``scipy.sparse`` matrix or a block (see
+        :func:`coerce_sparse_signal`); the output block has shape
+        ``(n, dim)`` (a dense vector input yields an ``(n, 1)`` column) and
+        holds the support rows, ascending.  Use ``.toarray()`` for a dense
+        view, ``.tocsr()`` for CSR.
         """
         n = operator.shape[0]
-        matrix, _ = coerce_sparse_signal(signal, n, self.dtype)
-        dim = matrix.shape[1]
+        signal, _ = coerce_sparse_signal(signal, n, self.dtype)
+        dim = signal.shape[1]
         alpha = self.alpha
         damping = 1.0 - alpha
         csr_op = (
@@ -748,8 +848,8 @@ class SparsePersonalizedPageRank(GraphFilter):
         # block's head), its dense (k, dim) block, and the node -> row map
         # `position` (-1 off the support).  Rows never leave: see
         # `_OperatorSlice`.
-        rows = np.flatnonzero(np.diff(matrix.indptr))
-        teleport = matrix[rows].toarray() * alpha
+        rows = signal.nodes
+        teleport = signal.rows * alpha
         block = teleport.copy()
         position = np.full(n, -1, dtype=index_dtype)
         position[rows] = np.arange(rows.shape[0])
@@ -805,7 +905,8 @@ class SparsePersonalizedPageRank(GraphFilter):
         # The last sweep's pruned rows below are the run's largest array.
         del op_entry_rows
 
-        e0_l1 = float(np.abs(matrix.data).sum())
+        # Summed over the nonzero entries in row order, as over a CSR copy.
+        e0_l1 = float(np.abs(signal.rows[signal.rows != 0]).sum())
         pruned_l1 = damping * sliced.pruned_l1(position, prev_block)
         order = np.argsort(rows)
         rows = rows[order]
@@ -813,9 +914,7 @@ class SparsePersonalizedPageRank(GraphFilter):
         estimate_l1 = float(np.abs(block).sum())
         mass_ratio = None
         if self.epsilon > 0.0:
-            mass_ratio = check_pruned_mass(
-                e0_l1, estimate_l1, alpha, self.epsilon
-            )
+            mass_ratio = check_pruned_mass(e0_l1, estimate_l1, alpha, pruned_l1)
         # The last change has at most this many nonzero entries, each at
         # most `residual` in magnitude.
         change_entries = dim * (prev_block.shape[0] + block.shape[0])
@@ -828,7 +927,7 @@ class SparsePersonalizedPageRank(GraphFilter):
             max_row_entries=sliced.max_row_entries,
         )
         return DiffusionResult(
-            signal=rows_to_csr(rows, block, n),
+            signal=RowBlock(rows, block, n),
             iterations=iterations,
             residual=residual,
             converged=converged,

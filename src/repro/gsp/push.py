@@ -20,14 +20,15 @@ The batched sweep is a Gauss–Southwell relaxation: instead of one node at a
 time, every above-threshold node is relaxed per sweep (the vertex-centric
 decomposition used by systems like PowerWalk), which vectorizes cleanly.
 
-One kernel serves dense and CSR signals.  Residual and estimate are a row
-block: a node → slot map plus dense ``slots × dim`` arrays.  A dense signal
-is the block that holds every row (slot = node), so a sweep that pushes
-every row or a wide share of the edges is one sparse × dense product over
-the whole block.  A CSR signal holds only its non-empty rows and appends
-rows as pushes reach them.  Every other sweep scatters with one CSR product
-over the rows it touches, in bounded row chunks, and updates only those
-rows' peaks.  The result keeps the input's format.
+One kernel serves dense signals and :class:`~repro.gsp.filters.RowBlock`
+signals.  Residual and estimate are a growable row block: a node → slot map
+plus dense ``slots × dim`` arrays.  A dense signal is the block that holds
+every row (slot = node), so a sweep that pushes every row or a wide share
+of the edges is one sparse × dense product over the whole block.  A
+``RowBlock`` signal starts from its rows with a nonzero entry, ascending,
+and appends rows as pushes reach them.  Every other sweep scatters with one
+CSR product over the rows it touches, in bounded row chunks, and updates
+only those rows' peaks.  The result keeps the input's format.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.gsp.filters import (
+    RowBlock,
     coerce_signal,
     coerce_sparse_signal,
     effective_tolerance,
     operator_out_degrees,
-    rows_to_csr,
 )
 from repro.utils import (
     check_non_negative,
@@ -70,7 +71,8 @@ class PushResult:
     ----------
     estimate:
         The diffused signal ``≈ H r0``, in the input's format: a dense
-        ``(n_nodes,)`` or ``(n_nodes, dim)`` array, or a CSR matrix.
+        ``(n_nodes,)`` or ``(n_nodes, dim)`` array, or a
+        :class:`~repro.gsp.filters.RowBlock` of every row the push held.
     residual:
         Final max-abs entry of the residual matrix (the convergence metric).
     residual_l1:
@@ -91,7 +93,7 @@ class PushResult:
         True when every residual row fell to its push threshold.
     """
 
-    estimate: np.ndarray | sp.csr_matrix
+    estimate: np.ndarray | RowBlock
     residual: float
     sweeps: int
     pushes: int
@@ -195,7 +197,7 @@ class _RowBlock:
 
 def forward_push(
     operator: sp.spmatrix,
-    signal: np.ndarray | sp.spmatrix,
+    signal: np.ndarray | RowBlock,
     *,
     alpha: float = 0.5,
     tol: float = 1e-8,
@@ -213,10 +215,10 @@ def forward_push(
         must be ≤ 1 for the ``(1−alpha)``-contraction to hold.
     signal:
         Initial residual ``r0``: a dense ``(n,)`` or ``(n, dim)`` array or a
-        ``scipy.sparse`` matrix.  Pass the personalization matrix for a cold
-        start, or a (mostly zero) delta matrix to compute the correction to
-        an existing diffusion.  The estimate comes back in the same format
-        (CSR for sparse input).
+        :class:`~repro.gsp.filters.RowBlock`.  Pass the personalization
+        matrix for a cold start, or a (mostly zero) delta to compute the
+        correction to an existing diffusion.  The estimate comes back in the
+        same format.
     tol:
         Push threshold on the max-abs residual entry of a row.  The returned
         estimate deviates from the exact filter output by at most
@@ -251,11 +253,12 @@ def forward_push(
         columns = columns.astype(dtype)
     thresholds = np.maximum(tol, epsilon * col_degrees.astype(np.float64))
 
-    sparse_input = sp.issparse(signal)
-    if sparse_input:
-        matrix, was_vector = coerce_sparse_signal(signal, n, dtype)
-        nodes = np.flatnonzero(np.diff(matrix.indptr))
-        block = _RowBlock(nodes, matrix[nodes].toarray(), thresholds, full=False)
+    rows_input = isinstance(signal, RowBlock)
+    if rows_input:
+        signal, was_vector = coerce_sparse_signal(signal, n, dtype)
+        block = _RowBlock(
+            signal.nodes.copy(), signal.rows.copy(), thresholds, full=False
+        )
     else:
         residual, was_vector = coerce_signal(signal, n, dtype)
         block = _RowBlock(np.arange(n), residual.copy(), thresholds, full=True)
@@ -293,9 +296,9 @@ def forward_push(
 
     size = block.size
     peaks = block.peak[:size]
-    if sparse_input:
+    if rows_input:
         order = np.argsort(block.nodes[:size])
-        estimate = rows_to_csr(block.nodes[order], block.estimate[order], n)
+        estimate = RowBlock(block.nodes[order], block.estimate[order], n)
     else:
         estimate = block.estimate[:, 0] if was_vector else block.estimate
     return PushResult(
@@ -311,32 +314,34 @@ def forward_push(
 
 def push_refresh(
     operator: sp.spmatrix,
-    embeddings: np.ndarray | sp.spmatrix,
-    delta: np.ndarray | sp.spmatrix,
+    embeddings: np.ndarray | RowBlock,
+    delta: np.ndarray | RowBlock,
     *,
     alpha: float = 0.5,
     tol: float = 1e-8,
     epsilon: float = 0.0,
     max_sweeps: int = 10_000,
     dtype: np.dtype | type = np.float64,
-) -> tuple[np.ndarray | sp.csr_matrix, PushResult]:
+) -> tuple[np.ndarray | RowBlock, PushResult]:
     """Patch an existing diffusion after a sparse personalization change.
 
     Given ``embeddings ≈ H E0`` and ``delta = E0' − E0`` (zero outside the
     changed rows), returns ``(embeddings + H delta, push_result)`` — the
     diffusion of the *new* personalization — at a cost proportional to the
     magnitude of the change rather than the size of the network.  The
-    patched cache keeps the format of ``embeddings`` (a CSR cache never
-    densifies, a dense vector stays a vector) whatever format ``delta``
-    arrives in; the other parameters go to :func:`forward_push`.
+    patched cache keeps the format of ``embeddings`` (a block cache comes
+    back as a new block, a dense vector stays a vector) whatever format
+    ``delta`` arrives in; the other parameters go to :func:`forward_push`.
     """
     n = operator.shape[0]
-    if sp.issparse(embeddings):
-        base, base_was_vector = embeddings.astype(dtype, copy=False), False
+    if isinstance(embeddings, RowBlock):
+        base, base_was_vector = embeddings, False
+        if base.dtype != dtype:
+            base = RowBlock(base.nodes, base.rows.astype(dtype), n)
     else:
         base, base_was_vector = coerce_signal(embeddings, n, dtype)
     delta_shape = (
-        delta.shape if sp.issparse(delta) else coerce_signal(delta, n)[0].shape
+        delta.shape if isinstance(delta, RowBlock) else coerce_signal(delta, n)[0].shape
     )
     if base.shape != delta_shape:
         raise ValueError(
@@ -353,13 +358,10 @@ def push_refresh(
         dtype=dtype,
     )
     estimate = result.estimate
-    if sp.issparse(base):
-        if not sp.issparse(estimate):
-            estimate = sp.csr_matrix(estimate.reshape(base.shape))
-        patched = (base + estimate).tocsr()
-        patched.sort_indices()
-        return patched, result
-    if sp.issparse(estimate):
+    if isinstance(base, RowBlock):
+        estimate, _ = coerce_sparse_signal(estimate, n, dtype)
+        return base.merged(estimate.nodes, estimate.rows, add=True), result
+    if isinstance(estimate, RowBlock):
         estimate = estimate.toarray()
     patched = base + estimate.reshape(base.shape)
     return (patched[:, 0] if base_was_vector else patched), result

@@ -1,10 +1,9 @@
-"""Hot-loop kernels of the batch walk and the forward push.
+"""Hot-loop kernels of the batch walk.
 
-The two wall-clock sinks of the pipeline — the batch walk's per-hop
-selection (``repro.core.batch``) and the forward-push sweeps
-(``repro.gsp.push``) — call their inner loops through
-:mod:`repro.kernels.dispatch`, which holds the one numpy implementation of
-each.  Callers import the *module* and call through its attributes
+The batch walk's per-hop selection (``repro.core.batch``) calls its inner
+loop through :mod:`repro.kernels.dispatch`, which holds the one numpy
+implementation (and three kernels that no longer have a caller; see that
+module).  Callers import the *module* and call through its attributes
 (``from repro.kernels import dispatch as kernels``), which keeps one patch
 point per kernel for instrumentation.  For that reason this package
 re-exports only :func:`kernel_info`: a package-level alias of a kernel

@@ -1,24 +1,24 @@
-"""The numpy hot-loop kernels of the walk path, and two uncalled ones.
+"""The numpy hot-loop kernel of the walk path, and three uncalled ones.
 
-``masked_segment_argmax`` and ``sparse_key_lookup`` are inner loops of
-``repro.core.batch`` and ``repro.core.forwarding``.  Callers import this
-*module* and call through its attributes
+``masked_segment_argmax`` is the inner loop of ``repro.core.batch``.
+Callers import this *module* and call through its attributes
 (``from repro.kernels import dispatch as kernels``), so a profiler can wrap
 a kernel by rebinding one module attribute (``perfbench/layers.py`` does,
 for its ``kernels.*`` metrics).
 
-``csr_row_peaks`` and ``scatter_add_weighted_rows`` were the push kernels'
-inner loops; the one row-block push in ``repro.gsp.push`` calls neither.
-They stay defined only because ``perfbench/layers.py`` patches all four
-names and its tracer reads each one with ``vars(dispatch)[name]``, so
-deleting one fails the traced benchmark; they go when the benchmark stops
-patching them.
+``sparse_key_lookup`` was the lookup of the CSR score tables, which went
+with every scipy.sparse score path: ``PrecomputedScorePolicy`` holds a
+dense table only.  ``csr_row_peaks`` and ``scatter_add_weighted_rows``
+were the push kernels' inner loops; the one row-block push in
+``repro.gsp.push`` calls neither.  The three stay defined only because
+``perfbench/layers.py`` patches all four names and its tracer reads each
+one with ``vars(dispatch)[name]``, so deleting one fails the traced
+benchmark; they go when the benchmark stops patching them.
 
-Do not "optimize" these in ways that change a single output bit: the walk
-engine's equivalence contract with the scalar reference walk in
-``tests/scalar_reference.py``, and the sparse scoring paths' equivalence
-with their densified counterparts, are proven through these exact
-operations.
+Do not "optimize" ``masked_segment_argmax`` in ways that change a single
+output bit: the walk engine's equivalence contract with the scalar
+reference walk in ``tests/scalar_reference.py`` is proven through these
+exact operations.
 """
 
 from __future__ import annotations
@@ -80,12 +80,10 @@ def sparse_key_lookup(
 ) -> np.ndarray:
     """Gather ``values`` of sorted ``keys`` at ``wanted``; absent keys → 0.0.
 
-    The CSR-lookup kernel of the sparse scoring paths
-    (:meth:`repro.core.forwarding.PrecomputedScorePolicy.candidate_scores`
-    and the batch engine's stacked sparse score table): one
-    ``searchsorted`` over the whole query array, with misses scoring
+    One ``searchsorted`` over the whole query array, with misses scoring
     *exactly* ``0.0`` — the value a densified copy would hold.  The output
-    dtype follows ``values`` (float32 score tables stay float32).
+    dtype follows ``values``.  No production caller (see the module
+    docstring).
     """
     if keys.shape[0] == 0:
         return np.zeros(wanted.shape[0], dtype=values.dtype)

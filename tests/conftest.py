@@ -13,6 +13,12 @@ from repro.graphs.social import FacebookLikeConfig, facebook_like_graph
 from repro.simulation.workload import RetrievalWorkload, build_workload
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a test that takes seconds rather than milliseconds"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -2,7 +2,6 @@
 
 import networkx as nx
 import numpy as np
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +14,7 @@ from repro.core.forwarding import (
     RandomWalkPolicy,
 )
 from repro.graphs.adjacency import CompressedAdjacency
+from repro.gsp.filters import coerce_sparse_signal
 from repro.retrieval.vector_store import DocumentStore
 from repro.runtime.faults import CrashWindow, FaultInjector, FaultPlan
 from scalar_reference import scalar_run_query
@@ -208,7 +208,9 @@ def faulted_batch(draw):
             [
                 EmbeddingGuidedPolicy(embeddings),
                 EmbeddingGuidedPolicy(
-                    sp.csr_matrix(np.where(rng.random((n, 3)) < 0.4, embeddings, 0.0))
+                    coerce_sparse_signal(
+                        np.where(rng.random((n, 3)) < 0.4, embeddings, 0.0), n
+                    )[0]
                 ),
                 PrecomputedScorePolicy(scores),
                 PrecomputedScorePolicy(np.round(scores)),  # ties

@@ -49,12 +49,12 @@ from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.metrics import bfs_distances
 from repro.gsp.filters import (
     DiffusionResult,
+    RowBlock,
     SparsePersonalizedPageRank,
     check_pruned_mass,
     coerce_sparse_signal,
     effective_tolerance,
     operator_out_degrees,
-    rows_to_csr,
 )
 from repro.retrieval.topk import TopKTracker
 from repro.retrieval.vector_store import DocumentStore
@@ -416,8 +416,8 @@ def reference_sparse_ppr(
 ) -> DiffusionResult:
     """``ppr.apply_detailed(operator, signal)`` with the union-based sweep."""
     n = operator.shape[0]
-    matrix, _ = coerce_sparse_signal(signal, n, ppr.dtype)
-    dim = matrix.shape[1]
+    signal, _ = coerce_sparse_signal(signal, n, ppr.dtype)
+    dim = signal.shape[1]
     alpha = ppr.alpha
     damping = 1.0 - alpha
     csr_op = (
@@ -429,8 +429,8 @@ def reference_sparse_ppr(
     row_dtype = np.int32 if n < np.iinfo(np.int32).max else np.int64
     op_entry_rows = np.repeat(np.arange(n, dtype=row_dtype), np.diff(csr_op.indptr))
 
-    teleport_rows = np.flatnonzero(np.diff(matrix.indptr)).astype(np.int64)
-    teleport_block = matrix[teleport_rows].toarray() * alpha
+    teleport_rows = signal.nodes
+    teleport_block = signal.rows * alpha
     cur_rows = teleport_rows
     cur_block = teleport_block.copy()
 
@@ -513,12 +513,10 @@ def reference_sparse_ppr(
         if converged:
             break
 
-    e0_l1 = float(np.abs(matrix.data).sum())
+    e0_l1 = float(np.abs(signal.rows[signal.rows != 0]).sum())
     estimate_l1 = float(np.abs(cur_block).sum())
-    mass_ratio = None
-    if thresholds is not None:
-        mass_ratio = check_pruned_mass(e0_l1, estimate_l1, alpha, ppr.epsilon)
     residual_l1 = inf
+    pruned_l1 = 0.0
     if touched is not None:
         active_mask[:] = False
         active_mask[cur_rows] = True
@@ -534,8 +532,11 @@ def reference_sparse_ppr(
             e0_l1=e0_l1,
             max_row_entries=int(np.diff(sliced.indptr).max(initial=0)),
         )
+    mass_ratio = None
+    if thresholds is not None:
+        mass_ratio = check_pruned_mass(e0_l1, estimate_l1, alpha, pruned_l1)
     return DiffusionResult(
-        signal=rows_to_csr(cur_rows, cur_block, n),
+        signal=RowBlock(cur_rows, cur_block, n),
         iterations=iterations,
         residual=residual,
         converged=converged,
@@ -548,9 +549,9 @@ def reference_sparse_ppr(
 def diffusion_differences(got: DiffusionResult, want: DiffusionResult) -> list[str]:
     """The :class:`DiffusionResult` fields in which two results differ, bit for bit.
 
-    ``signal`` is compared as CSR arrays (shape, dtype, ``indptr``,
-    ``indices`` and ``data`` bytes); floats by their bytes, so ``-0.0``
-    differs from ``0.0`` and a NaN equals only itself.
+    ``signal`` is compared through its CSR copy (``.tocsr()``: shape,
+    dtype, ``indptr``, ``indices`` and ``data`` bytes); floats by their
+    bytes, so ``-0.0`` differs from ``0.0`` and a NaN equals only itself.
     """
     differ = [
         name
@@ -563,7 +564,7 @@ def diffusion_differences(got: DiffusionResult, want: DiffusionResult) -> list[s
             a is not None and np.float64(a).tobytes() != np.float64(b).tobytes()
         ):
             differ.append(name)
-    g, w = got.signal, want.signal
+    g, w = got.signal.tocsr(), want.signal.tocsr()
     if g.shape != w.shape or any(
         getattr(g, part).dtype != getattr(w, part).dtype
         or getattr(g, part).tobytes() != getattr(w, part).tobytes()

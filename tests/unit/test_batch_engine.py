@@ -10,7 +10,6 @@ structural validity instead.
 import networkx as nx
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.core.batch import run_queries
 from repro.core.engine import WalkConfig, run_query
@@ -22,6 +21,7 @@ from repro.core.forwarding import (
     RandomWalkPolicy,
 )
 from repro.graphs.adjacency import CompressedAdjacency
+from repro.gsp.filters import coerce_sparse_signal
 from repro.retrieval.vector_store import DocumentStore
 from repro.simulation.placement import build_stores
 from scalar_reference import scalar_run_query
@@ -65,22 +65,22 @@ def setting(small_world_adjacency):
     }
 
 
-#: The embedding caches a policy can score: the dense matrix, and the CSR
-#: caches the sparse diffusion backend hands the serving path.
-CACHES = ["dense", "csr-float64", "csr-float32"]
+#: The embedding caches a policy can score: the dense matrix, and the row
+#: blocks the sparse diffusion backend hands the serving path.
+CACHES = ["dense", "block-float64", "block-float32"]
 
 
 def embedding_cache(setting, cache):
-    """The setting's embeddings as ``cache``; CSR caches drop most entries
-    and every fifth row, like the sparse backend's pruned caches."""
+    """The setting's embeddings as ``cache``; blocks hold no row for every
+    fifth node and zero most entries of the rows they hold."""
     dense = setting["embeddings"]
     if cache == "dense":
         return dense
     keep = np.random.default_rng(11).random(dense.shape) < 0.4
     pruned = np.where(keep, dense, 0.0)
     pruned[::5] = 0.0
-    dtype = np.float32 if cache == "csr-float32" else np.float64
-    return sp.csr_matrix(pruned, dtype=dtype)
+    dtype = np.float32 if cache == "block-float32" else np.float64
+    return coerce_sparse_signal(pruned, pruned.shape[0], dtype)[0]
 
 
 def run_both(setting, policies, *, config, query=None):
@@ -401,71 +401,6 @@ class TestCustomPolicies:
                 setting["adjacency"], {}, _RoguePolicy(),
                 setting["query"], setting["starts"], WalkConfig(ttl=5),
             )
-
-
-class TestSparseScoreStack:
-    """CSR-backed PrecomputedScorePolicy batches hit the fused fast path
-    and reproduce the dense-backed (and scalar) results bit for bit."""
-
-    def _score_vectors(self, setting, count=3):
-        import scipy.sparse as sp
-
-        rng = np.random.default_rng(31)
-        n = setting["adjacency"].n_nodes
-        pairs = []
-        for _ in range(count):
-            scores = np.zeros(n)
-            rows = rng.choice(n, n // 3, replace=False)
-            scores[rows] = rng.standard_normal(rows.shape[0])
-            pairs.append((scores, sp.csr_matrix(scores[:, None])))
-        return pairs
-
-    def test_sparse_policies_match_scalar_engine(self, setting):
-        pairs = self._score_vectors(setting, count=1)
-        policy = PrecomputedScorePolicy(pairs[0][1])
-        batch, scalar = run_both(setting, policy, config=WalkConfig(ttl=12))
-        assert_results_identical(batch, scalar)
-
-    def test_sparse_stack_matches_dense_stack(self, setting):
-        pairs = self._score_vectors(setting)
-        starts = setting["starts"]
-        dense_policies = [
-            PrecomputedScorePolicy(dense) for dense, _ in pairs
-        ] * (len(starts) // len(pairs) + 1)
-        sparse_policies = [
-            PrecomputedScorePolicy(vec) for _, vec in pairs
-        ] * (len(starts) // len(pairs) + 1)
-        config = WalkConfig(ttl=15)
-        dense_results = run_queries(
-            setting["adjacency"], setting["stores"],
-            dense_policies[: len(starts)], setting["query"], starts, config,
-        )
-        sparse_results = run_queries(
-            setting["adjacency"], setting["stores"],
-            sparse_policies[: len(starts)], setting["query"], starts, config,
-        )
-        assert_results_identical(sparse_results, dense_results)
-
-    def test_mixed_dense_sparse_batch_still_correct(self, setting):
-        """A mixed batch skips the fused stack but stays bit-identical."""
-        pairs = self._score_vectors(setting, count=2)
-        starts = setting["starts"]
-        policies = []
-        for i in range(len(starts)):
-            dense, vec = pairs[i % 2]
-            policies.append(
-                PrecomputedScorePolicy(dense if i % 2 == 0 else vec)
-            )
-        batch, scalar = run_both(setting, policies, config=WalkConfig(ttl=10))
-        assert_results_identical(batch, scalar)
-
-    def test_sparse_fanout_matches_scalar(self, setting):
-        pairs = self._score_vectors(setting, count=1)
-        policy = PrecomputedScorePolicy(pairs[0][1])
-        batch, scalar = run_both(
-            setting, policy, config=WalkConfig(ttl=8, fanout=3)
-        )
-        assert_results_identical(batch, scalar)
 
 
 class TestHopBudgets:

@@ -10,8 +10,6 @@ import networkx as nx
 import numpy as np
 import pytest
 
-import scipy.sparse as sp
-
 from repro.core.batch import run_queries
 from repro.core.engine import ResilienceConfig, WalkConfig, run_query
 from repro.core.forwarding import (
@@ -22,6 +20,7 @@ from repro.core.forwarding import (
     RandomWalkPolicy,
 )
 from repro.graphs.adjacency import CompressedAdjacency
+from repro.gsp.filters import coerce_sparse_signal
 from repro.retrieval.vector_store import DocumentStore
 from repro.runtime.faults import (
     CrashWindow,
@@ -437,7 +436,7 @@ class TestLockstepMatchesScalar:
     """run_queries under faults ≡ a loop of the scalar reference walk,
     field for field."""
 
-    @pytest.mark.parametrize("cache", ["dense", "csr-float64", "csr-float32"])
+    @pytest.mark.parametrize("cache", ["dense", "block-float64", "block-float32"])
     @pytest.mark.parametrize(
         "resilience",
         [
@@ -450,8 +449,10 @@ class TestLockstepMatchesScalar:
         embeddings = faulty_setting["embeddings"]
         if cache != "dense":
             keep = np.random.default_rng(1).random(embeddings.shape) < 0.5
-            dtype = np.float32 if cache == "csr-float32" else np.float64
-            embeddings = sp.csr_matrix(np.where(keep, embeddings, 0.0), dtype=dtype)
+            dtype = np.float32 if cache == "block-float32" else np.float64
+            embeddings, _ = coerce_sparse_signal(
+                np.where(keep, embeddings, 0.0), embeddings.shape[0], dtype
+            )
         batch, loop, lockstep, scalar = _lockstep_and_loop(
             faulty_setting,
             EmbeddingGuidedPolicy(embeddings),

@@ -292,6 +292,51 @@ class TestPrunedMassGuard:
         assert result.diffused_mass_ratio is not None
         assert result.diffused_mass_ratio >= 0.5
 
+    def test_sign_cancellation_alone_is_silent(self):
+        """Mixed-sign rows lower the mass ratio with no pruning at all: the
+        online-serving example's corpus reads 0.49 unpruned, and ε = 1e-5
+        prunes nothing, so nothing warns."""
+        import warnings
+
+        from repro.graphs.generators import community_cycle_adjacency
+        from repro.gsp.filters import PrunedMassWarning, SparsePersonalizedPageRank
+
+        adjacency = community_cycle_adjacency(
+            800, 8, n_communities=4, cross_fraction=0.05, seed=23
+        )
+        rng = np.random.default_rng(24)
+        docs = rng.standard_normal((80, 32))
+        docs /= np.linalg.norm(docs, axis=1, keepdims=True)
+        signal = np.zeros((800, 32))
+        np.add.at(signal, rng.integers(0, 800, size=80), docs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrunedMassWarning)
+            result = SparsePersonalizedPageRank(0.5, epsilon=1e-5).apply_detailed(
+                transition_matrix(adjacency, "column"), signal
+            )
+        assert result.converged
+        assert result.diffused_mass_ratio < 0.5
+
+    def test_sweep_cap_alone_is_silent(self, operator, small_world_adjacency):
+        """A run stopped by its sweep cap has a large error bound, but not
+        from pruning, so it does not warn."""
+        import warnings
+
+        from repro.gsp.filters import PrunedMassWarning, SparsePersonalizedPageRank
+
+        signal = self._personalization(small_world_adjacency.n_nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrunedMassWarning)
+            result = SparsePersonalizedPageRank(
+                0.5, epsilon=1e-4, max_iterations=1
+            ).apply_detailed(operator, signal)
+        assert not result.converged
+        # The ratio alone reads collapse, and the whole bound is more than
+        # half of what the run spread.
+        assert result.diffused_mass_ratio < 0.5
+        spread = result.diffused_mass_ratio * 0.5 * np.abs(signal.data).sum()
+        assert result.residual_l1 > 0.5 * spread
+
     def test_unpruned_filter_reports_no_ratio(self, operator, small_world_adjacency):
         from repro.gsp.filters import SparsePersonalizedPageRank
 

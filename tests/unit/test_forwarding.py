@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.forwarding import (
     DegreeBiasedPolicy,
@@ -10,6 +11,7 @@ from repro.core.forwarding import (
     RandomWalkPolicy,
 )
 from repro.graphs.adjacency import CompressedAdjacency
+from repro.gsp.filters import RowBlock
 from repro.retrieval.scoring import top_k_indices
 
 
@@ -152,22 +154,20 @@ class TestDegreeBiased:
 
 
 class TestSparseScoring:
-    """CSR-backed policies decide identically to their dense twins.
+    """Block-backed policies decide identically to their dense twins.
 
-    The sparse diffusion pipeline hands policies CSR embeddings (and CSR
-    score vectors); stored entries carry the same values a densified copy
-    would, and absent entries score exactly 0.0, so selections must be
+    The sparse diffusion pipeline hands the policy its embedding cache as a
+    :class:`RowBlock`; held rows carry the same values a densified copy
+    would, and nodes without a row score exactly 0.0, so selections must be
     bit-identical across representations.
     """
 
     @pytest.fixture
     def sparse_embeddings(self, rng):
-        import scipy.sparse as sp
-
         dense = np.zeros((30, 6))
-        rows = rng.choice(30, 12, replace=False)
+        rows = np.sort(rng.choice(30, 12, replace=False))
         dense[rows] = rng.standard_normal((12, 6))
-        return dense, sp.csr_matrix(dense)
+        return dense, RowBlock(rows, dense[rows], 30)
 
     def test_embedding_guided_select_matches_dense(self, sparse_embeddings, rng):
         dense, sparse = sparse_embeddings
@@ -212,8 +212,6 @@ class TestSparseScoring:
     @staticmethod
     def pruned_csr(rng, dtype):
         """A CSR cache with rows of mixed lengths and every fourth row empty."""
-        import scipy.sparse as sp
-
         dense = rng.standard_normal((40, 16)) * (rng.random((40, 16)) < 0.5)
         dense[::4] = 0.0
         # Rows 5 and 9 are equal and long, so they tie for the top score
@@ -222,10 +220,16 @@ class TestSparseScoring:
         dense[9] = dense[5]
         return sp.csr_matrix(dense, dtype=dtype)
 
+    @staticmethod
+    def same_rows(matrix):
+        """The CSR matrix's stored rows as a block (empty rows held by none)."""
+        held = np.flatnonzero(np.diff(matrix.indptr))
+        return RowBlock(held, matrix[held].toarray(), matrix.shape[0])
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_scores_bit_identical_to_row_matvec(self, rng, dtype):
         matrix = self.pruned_csr(rng, dtype)
-        policy = EmbeddingGuidedPolicy(matrix)
+        policy = EmbeddingGuidedPolicy(self.same_rows(matrix))
         query = rng.standard_normal(16)
         empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
         for candidates in (
@@ -237,11 +241,12 @@ class TestSparseScoring:
             want = np.asarray(matrix[candidates] @ query).ravel()
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
+        assert np.all(policy.scores(query, empty) == 0.0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_select_batch_matches_per_segment_top_k(self, rng, dtype):
         matrix = self.pruned_csr(rng, dtype)
-        policy = EmbeddingGuidedPolicy(matrix)
+        policy = EmbeddingGuidedPolicy(self.same_rows(matrix))
         queries = rng.standard_normal((4, 16))
         queries[0] = matrix[5].toarray().ravel()
         segments = [
@@ -277,56 +282,19 @@ class TestSparseScoring:
         with pytest.raises(ValueError, match="mismatch"):
             policy.scores(np.zeros(5), np.array([0, 1]))
 
-    @pytest.mark.parametrize("orientation", ["column", "row"])
-    def test_precomputed_sparse_vector_matches_dense(self, rng, orientation):
-        import scipy.sparse as sp
+    def test_policy_keeps_the_block_it_was_built_over(self, sparse_embeddings):
+        """Blocks are read-only, so a policy never sees a later patch."""
+        _, sparse = sparse_embeddings
+        policy = EmbeddingGuidedPolicy(sparse)
+        assert policy.embeddings is sparse
+        with pytest.raises(ValueError, match="read-only"):
+            sparse.rows[0] = 1.0
 
-        scores = np.zeros(40)
-        nodes = rng.choice(40, 15, replace=False)
-        scores[nodes] = rng.standard_normal(15)
-        vector = (
-            sp.csr_matrix(scores[:, None])
-            if orientation == "column"
-            else sp.csr_matrix(scores[None, :])
-        )
-        dense_policy = PrecomputedScorePolicy(scores)
-        sparse_policy = PrecomputedScorePolicy(vector)
-        assert sparse_policy.n_nodes == 40
-        candidates = np.arange(40, dtype=np.int64)
-        for fanout in (1, 2, 5):
-            assert np.array_equal(
-                dense_policy.select(np.zeros(2), candidates, fanout, rng),
-                sparse_policy.select(np.zeros(2), candidates, fanout, rng),
-            )
-
-    def test_precomputed_candidate_scores_lookup(self, rng):
-        import scipy.sparse as sp
-
-        scores = np.zeros(20)
-        scores[[3, 7, 11]] = [1.5, -2.0, 0.25]
-        policy = PrecomputedScorePolicy(sp.csr_matrix(scores[:, None]))
-        got = policy.candidate_scores(np.array([0, 3, 7, 11, 19]))
-        assert np.array_equal(got, [0.0, 1.5, -2.0, 0.25, 0.0])
-
-    def test_precomputed_all_zero_sparse_vector(self, rng):
-        import scipy.sparse as sp
-
-        policy = PrecomputedScorePolicy(sp.csr_matrix((10, 1)))
-        got = policy.candidate_scores(np.array([0, 5, 9]))
-        assert np.array_equal(got, np.zeros(3))
-
-    def test_precomputed_sparse_matrix_rejected(self):
-        import scipy.sparse as sp
-
-        with pytest.raises(ValueError, match="vector"):
-            PrecomputedScorePolicy(sp.csr_matrix((4, 4)))
-
-    def test_precomputed_does_not_alias_caller_matrix(self, rng):
-        import scipy.sparse as sp
-
-        scores = np.zeros(10)
-        scores[2] = 5.0
-        owned = sp.csc_matrix(scores[:, None])
-        policy = PrecomputedScorePolicy(owned)
-        owned.data[0] = -7.0  # caller mutates their matrix afterwards
-        assert policy.candidate_scores(np.array([2]))[0] == 5.0
+    def test_scipy_sparse_input_rejected(self, sparse_embeddings):
+        """Two input formats: dense or a block.  CSR converts at the API
+        edge (``coerce_sparse_signal``), not in the policies."""
+        dense, _ = sparse_embeddings
+        with pytest.raises(ValueError):
+            EmbeddingGuidedPolicy(sp.csr_matrix(dense))
+        with pytest.raises(ValueError):
+            PrecomputedScorePolicy(sp.csr_matrix(dense[:, :1]))

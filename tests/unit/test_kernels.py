@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.batch import _SparseScoreStack, run_queries
+from repro.core.batch import run_queries
 from repro.core.engine import WalkConfig
 from repro.core.forwarding import EmbeddingGuidedPolicy, PrecomputedScorePolicy
 from repro.core.search import DiffusionSearchNetwork
@@ -193,9 +193,6 @@ class TestPatchPoints:
         assert kernel_info()["backend"] == "numpy"
         rng = np.random.default_rng(19)
         n = adjacency.n_nodes
-        sparse_scores = sp.csc_matrix(
-            np.where(rng.random((n, 1)) < 0.3, rng.random((n, 1)), 0.0)
-        )
         callers = {
             "masked_segment_argmax": lambda: run_queries(
                 adjacency,
@@ -205,9 +202,6 @@ class TestPatchPoints:
                 [0, 1, 2],
                 WalkConfig(ttl=5),
             ),
-            "sparse_key_lookup": lambda: PrecomputedScorePolicy(
-                sparse_scores
-            ).select(np.ones(2), np.arange(5), 1, rng),
         }
         calls = dict.fromkeys(callers, 0)
 
@@ -226,28 +220,6 @@ class TestPatchPoints:
             before = calls[name]
             call()
             assert calls[name] > before, name
-
-
-class TestCompositeKeyOverflowGuard:
-    def test_oversized_stack_fails_loudly(self):
-        huge = np.int64(2) ** 40
-        with pytest.raises(OverflowError, match="composite-key space"):
-            _SparseScoreStack(
-                np.array([0], dtype=np.int64),
-                np.array([1.0]),
-                np.array([huge], dtype=np.int64),
-                n_nodes=int(huge),
-            )
-
-    def test_normal_stack_unaffected(self):
-        stack = _SparseScoreStack(
-            np.array([0, 3], dtype=np.int64),
-            np.array([1.0, 2.0]),
-            np.array([0], dtype=np.int64),
-            n_nodes=3,
-        )
-        got = stack.gather(np.array([0, 0]), np.array([0, 1]))
-        assert np.array_equal(got, np.array([1.0, 0.0]))
 
 
 class TestFloat32Pipeline:
@@ -279,17 +251,17 @@ class TestFloat32Pipeline:
         out64 = ppr64.apply_detailed(operator, signal).signal
         assert out32.dtype == np.float32
         assert out64.dtype == np.float64
-        dense32 = np.asarray(out32.todense(), dtype=np.float64)
-        dense64 = np.asarray(out64.todense())
+        dense32 = out32.toarray().astype(np.float64)
+        dense64 = out64.toarray()
         assert np.allclose(dense32, dense64, atol=5e-5)
 
     def test_sparse_push_float32(self, operator):
         signal = sp.lil_matrix((60, 3))
         signal[0, 0] = 1.0
         signal[5, 2] = -2.0
-        signal = signal.tocsr()
+        block, _ = coerce_sparse_signal(signal, 60)
         out = forward_push(
-            operator, signal, alpha=0.4, tol=1e-5, dtype=np.float32
+            operator, block, alpha=0.4, tol=1e-5, dtype=np.float32
         )
         assert out.estimate.dtype == np.float32
 
@@ -298,13 +270,11 @@ class TestFloat32Pipeline:
         emb32 = rng.standard_normal((20, 4)).astype(np.float32)
         policy = EmbeddingGuidedPolicy(emb32)
         assert policy.embeddings.dtype == np.float32
-        csr = sp.csr_matrix(emb32)
-        sparse_policy = EmbeddingGuidedPolicy(csr)
-        assert sparse_policy.embeddings.dtype == np.float32
+        block, _ = coerce_sparse_signal(emb32, 20, np.float32)
+        block_policy = EmbeddingGuidedPolicy(block)
+        assert block_policy.embeddings.dtype == np.float32
         scores32 = PrecomputedScorePolicy(emb32[:, 0])
         assert scores32.node_scores.dtype == np.float32
-        sparse_scores = PrecomputedScorePolicy(csr[:, 0].tocsc())
-        assert sparse_scores._sparse_values.dtype == np.float32
 
     def test_sparse_key_lookup_float32(self):
         keys = np.array([2, 5], dtype=np.int64)
@@ -328,12 +298,12 @@ class TestFloat32Pipeline:
 
         net32 = build(np.float32, SparseDiffusionBackend(dtype=np.float32))
         net64 = build(np.float64, SparseDiffusionBackend(dtype=np.float64))
-        assert net32.csr_embeddings.dtype == np.float32
-        assert net64.csr_embeddings.dtype == np.float64
+        cache32 = net32.last_diffusion.embeddings
+        cache64 = net64.last_diffusion.embeddings
+        assert cache32.dtype == np.float32
+        assert cache64.dtype == np.float64
         assert np.allclose(
-            np.asarray(net32.csr_embeddings.todense(), dtype=np.float64),
-            np.asarray(net64.csr_embeddings.todense()),
-            atol=1e-4,
+            cache32.toarray().astype(np.float64), cache64.toarray(), atol=1e-4
         )
         query = rng.standard_normal(8)
         r32 = net32.search(query, start_node=0, ttl=12, k=3, seed=1)
@@ -367,8 +337,6 @@ class TestCoalescedDirtyDelta:
         assert outcome.incremental and outcome.converged
         exact = net.diffuse(method="solve", incremental=False)
         got = net.embeddings if method_name == "sparse" else outcome.embeddings
-        if sp.issparse(got):
-            got = np.asarray(got.todense())
         assert np.max(np.abs(got - exact.embeddings)) < 1e-6
 
     def test_repeated_refreshes_stay_exact(self):

@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.generators import connected_watts_strogatz
-from repro.gsp.filters import PersonalizedPageRank
+from repro.gsp.filters import PersonalizedPageRank, RowBlock, coerce_sparse_signal
 from repro.gsp.normalization import transition_matrix
 from repro.gsp import push
 from repro.gsp.push import _RowBlock, forward_push, push_refresh
@@ -152,49 +151,77 @@ class TestRefresh:
 
 
 class TestRowBlockLayouts:
-    """Edges of the row-block layout behind dense and CSR input."""
+    """Edges of the row-block layout behind dense and block input."""
 
     def assert_same_run(self, rows, full):
         assert rows.sweeps == full.sweeps
         assert rows.pushes == full.pushes
         assert rows.edge_operations == full.edge_operations
         got, want = (
-            r.estimate.toarray() if sp.issparse(r.estimate) else r.estimate
+            r.estimate.toarray() if isinstance(r.estimate, RowBlock) else r.estimate
             for r in (rows, full)
         )
         assert np.allclose(got.reshape(want.shape), want, rtol=0, atol=1e-12)
         assert rows.residual_l1 == pytest.approx(full.residual_l1, rel=0, abs=1e-12)
 
-    def test_csr_delta_reaching_every_node(self, operator):
+    def test_block_delta_reaching_every_node(self, operator):
         """The block appends all 40 rows, but its slots are not node ids, so
         a sweep pushing all of them must still scatter by slot."""
         delta = np.zeros((40, 3))
         delta[17] = [1.0, -2.0, 0.5]
-        rows = forward_push(operator, sp.csr_matrix(delta), alpha=0.1, tol=1e-12)
+        block, _ = coerce_sparse_signal(delta, 40)
+        rows = forward_push(operator, block, alpha=0.1, tol=1e-12)
         full = forward_push(operator, delta, alpha=0.1, tol=1e-12)
         assert rows.converged
-        assert rows.estimate.nnz == delta.size  # every node holds a row
+        assert np.array_equal(rows.estimate.nodes, np.arange(40))  # every node
         assert rows.pushes >= 40 * 5
         self.assert_same_run(rows, full)
 
-    def test_vector_signal_matches_csr_column(self, operator):
+    def test_vector_signal_matches_block_column(self, operator):
         rng = np.random.default_rng(21)
         signal = rng.standard_normal(40)
         full = forward_push(operator, signal, alpha=0.5, tol=1e-10)
-        rows = forward_push(
-            operator, sp.csr_matrix(signal[:, None]), alpha=0.5, tol=1e-10
-        )
+        column, _ = coerce_sparse_signal(signal[:, None], 40)
+        rows = forward_push(operator, column, alpha=0.5, tol=1e-10)
         assert full.estimate.shape == (40,)
         assert rows.estimate.shape == (40, 1)
         self.assert_same_run(rows, full)
 
-    def test_empty_csr_signal_runs_no_sweep(self, operator):
-        result = forward_push(operator, sp.csr_matrix((40, 3)), alpha=0.5)
+    def test_empty_block_signal_runs_no_sweep(self, operator):
+        empty = RowBlock(np.empty(0, dtype=np.int64), np.zeros((0, 3)), 40)
+        result = forward_push(operator, empty, alpha=0.5)
         assert result.sweeps == result.pushes == result.edge_operations == 0
         assert result.converged
         assert result.residual == result.residual_l1 == 0.0
-        assert sp.issparse(result.estimate) and result.estimate.shape == (40, 3)
-        assert result.estimate.nnz == 0
+        assert isinstance(result.estimate, RowBlock)
+        assert result.estimate.shape == (40, 3)
+        assert result.estimate.nodes.size == 0
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_zero_row_delta_matches_csr_copy(self, operator, epsilon):
+        """A dirty node whose row nets to zero seeds no slot, as its CSR copy
+        stores no row for it: the run is bit for bit the run of the copy's
+        rows, even though pushes later reach that node."""
+        rng = np.random.default_rng(29)
+        nodes = np.array([2, 9, 10, 11, 30])
+        rows = rng.standard_normal((5, 4))
+        rows[1] = rows[3] = 0.0  # nodes 9 and 11, next to the others
+        block = RowBlock(nodes, rows, 40)
+        copy = block.tocsr()
+        held = np.flatnonzero(np.diff(copy.indptr))
+        stored = RowBlock(held, copy[held].toarray(), 40)
+        got, want = (
+            forward_push(operator, signal, alpha=0.2, tol=1e-12, epsilon=epsilon)
+            for signal in (block, stored)
+        )
+        assert np.array_equal(held, [2, 10, 30])
+        assert (got.sweeps, got.pushes, got.edge_operations) == (
+            want.sweeps, want.pushes, want.edge_operations,
+        )
+        assert got.residual_l1 == want.residual_l1
+        assert {9, 11} <= set(got.estimate.nodes.tolist())
+        assert np.array_equal(got.estimate.nodes, want.estimate.nodes)
+        assert got.estimate.rows.tobytes() == want.estimate.rows.tobytes()
 
     def test_block_grows_past_first_capacity(self):
         thresholds = np.full(10, 1e-8)
@@ -218,7 +245,7 @@ class TestRowBlockLayouts:
         delta[[2, 30]] = rng.standard_normal((2, 4))
         whole = forward_push(operator, delta, alpha=0.3, tol=1e-10)
         monkeypatch.setattr(push, "_SCATTER_CHUNK_ROWS", 3)
-        for signal in (delta, sp.csr_matrix(delta)):
+        for signal in (delta, coerce_sparse_signal(delta, 40)[0]):
             self.assert_same_run(
                 forward_push(operator, signal, alpha=0.3, tol=1e-10), whole
             )

@@ -4,8 +4,8 @@ Equivalence contract: with ``epsilon=0`` the sparse filter is bit-identical
 to the dense power iteration on every normalization; with ``epsilon > 0`` it
 agrees with the exact solve within an ε-dependent tolerance.  The ``sparse``
 backend plugs into every dispatcher (``diffuse_embeddings``,
-``refresh_embeddings``, ``DiffusionSearchNetwork``) with CSR caches end to
-end and a lazily densified dense view for backward compatibility.
+``refresh_embeddings``, ``DiffusionSearchNetwork``) with row-block caches
+end to end and a lazily densified dense view for backward compatibility.
 """
 
 import numpy as np
@@ -16,9 +16,11 @@ from repro.core.backends import available_backends, get_backend
 from repro.core.backends.sparse import SparseDiffusionBackend
 from repro.core.diffusion import diffuse_embeddings, refresh_embeddings
 from repro.core.search import DiffusionSearchNetwork
+from repro.graphs.generators import connected_watts_strogatz
 from repro.gsp.filters import (
     SPARSE_DEFAULT_EPSILON,
     PersonalizedPageRank,
+    RowBlock,
     SparsePersonalizedPageRank,
     coerce_sparse_signal,
     effective_tolerance,
@@ -29,6 +31,11 @@ from repro.gsp.normalization import transition_matrix
 from repro.gsp.push import forward_push, push_refresh
 
 NORMALIZATIONS = ("column", "row", "symmetric")
+
+
+def as_block(matrix):
+    """A CSR test signal as the block ``forward_push`` takes."""
+    return coerce_sparse_signal(matrix, matrix.shape[0])[0]
 ALPHAS = (0.1, 0.4, 0.5, 0.9)
 
 
@@ -43,13 +50,14 @@ def sparse_signal(small_world_adjacency):
 
 
 class TestCoercion:
-    def test_dense_matrix_to_csr(self, small_world_adjacency):
+    def test_dense_matrix_to_block(self, small_world_adjacency):
         n = small_world_adjacency.n_nodes
         dense = np.zeros((n, 3))
-        dense[5] = [1.0, 2.0, 3.0]
+        dense[5] = [1.0, 0.0, 3.0]
         matrix, was_vector = coerce_sparse_signal(dense, n)
-        assert sp.isspmatrix_csr(matrix)
+        assert isinstance(matrix, RowBlock)
         assert not was_vector
+        assert np.array_equal(matrix.nodes, [5])
         assert np.array_equal(matrix.toarray(), dense)
 
     def test_dense_vector_flagged(self, small_world_adjacency):
@@ -60,9 +68,9 @@ class TestCoercion:
 
     def test_sparse_input_not_aliased(self, small_world_adjacency):
         n = small_world_adjacency.n_nodes
-        original = sp.csr_matrix((n, 2))
+        original = sp.csr_matrix(np.ones((n, 2)))
         matrix, _ = coerce_sparse_signal(original, n)
-        assert matrix is not original
+        assert not np.shares_memory(matrix.rows, original.data)
 
     def test_row_count_mismatch(self, small_world_adjacency):
         n = small_world_adjacency.n_nodes
@@ -124,7 +132,7 @@ class TestSparseFilter:
         pruned = SparsePersonalizedPageRank(0.4, epsilon=1e-2).apply(
             operator, sparse
         )
-        assert pruned.nnz < full.nnz
+        assert pruned.nodes.shape[0] < full.nodes.shape[0]
 
     def test_dense_input_accepted(self, small_world_adjacency, sparse_signal):
         dense, sparse = sparse_signal
@@ -154,7 +162,7 @@ class TestSparseFilter:
             operator, sp.csr_matrix((n, 4))
         )
         assert result.converged
-        assert result.signal.nnz == 0
+        assert result.signal.nodes.size == 0
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -243,7 +251,7 @@ class TestSparseFilterAccounting:
             capped = SparsePersonalizedPageRank(
                 0.5, epsilon=epsilon, max_iterations=k
             ).apply(operator, sparse)
-            support = np.flatnonzero(np.diff(capped.indptr))
+            support = capped.nodes
         assert result.edge_operations == expected
 
     def test_operator_l1_norm_is_memoized_max_column_sum(
@@ -274,17 +282,18 @@ class TestSparseFilterAccounting:
 class TestSparsePush:
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
-    def test_dense_and_csr_input_agree(
+    def test_dense_and_block_input_agree(
         self, small_world_adjacency, sparse_signal, epsilon, alpha
     ):
         """One kernel, two layouts: the same signal dense (every row a slot)
-        and as CSR (only its rows, appended as pushes reach nodes)."""
+        and as a block (only its rows, appended as pushes reach nodes)."""
         dense, sparse = sparse_signal
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
         kwargs = dict(alpha=alpha, tol=1e-9, epsilon=epsilon)
         full = forward_push(operator, dense, **kwargs)
-        rows = forward_push(operator, sparse, **kwargs)
-        assert sp.issparse(rows.estimate) and not sp.issparse(full.estimate)
+        rows = forward_push(operator, as_block(sparse), **kwargs)
+        assert isinstance(rows.estimate, RowBlock)
+        assert isinstance(full.estimate, np.ndarray)
         assert rows.converged and full.converged
         assert rows.sweeps == full.sweeps > 0
         assert rows.pushes == full.pushes
@@ -299,7 +308,7 @@ class TestSparsePush:
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
         reference = forward_push(operator, dense, alpha=0.4, tol=1e-9)
         result = forward_push(
-            operator, sparse, alpha=0.4, tol=1e-9, dtype=np.float32
+            operator, as_block(sparse), alpha=0.4, tol=1e-9, dtype=np.float32
         )
         dense32 = forward_push(
             operator, dense, alpha=0.4, tol=1e-9, dtype=np.float32
@@ -314,20 +323,21 @@ class TestSparsePush:
         assert np.allclose(result.estimate.toarray(), reference.estimate, atol=atol)
         assert np.allclose(result.estimate.toarray(), dense32.estimate, atol=atol)
 
-    def test_refresh_patches_cached_csr(self, small_world_adjacency, sparse_signal):
+    def test_refresh_patches_cached_block(self, small_world_adjacency, sparse_signal):
         dense, sparse = sparse_signal
         n, dim = dense.shape
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
-        base = forward_push(operator, sparse, alpha=0.4, tol=1e-10)
+        base = forward_push(operator, as_block(sparse), alpha=0.4, tol=1e-10)
         delta = sp.csr_matrix(
             (np.ones(dim), (np.full(dim, 7), np.arange(dim))), shape=(n, dim)
         )
         patched, result = push_refresh(
-            operator, base.estimate, delta, alpha=0.4, tol=1e-10
+            operator, base.estimate, as_block(delta), alpha=0.4, tol=1e-10
         )
         assert result.converged
+        assert isinstance(patched, RowBlock)
         full = forward_push(
-            operator, sparse + delta, alpha=0.4, tol=1e-10
+            operator, as_block(sparse + delta), alpha=0.4, tol=1e-10
         )
         assert np.allclose(
             patched.toarray(), full.estimate.toarray(), atol=1e-7
@@ -338,9 +348,9 @@ class TestSparsePush:
     ):
         _, sparse = sparse_signal
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
-        exact = forward_push(operator, sparse, alpha=0.4, tol=1e-9)
+        exact = forward_push(operator, as_block(sparse), alpha=0.4, tol=1e-9)
         truncated = forward_push(
-            operator, sparse, alpha=0.4, tol=1e-9, epsilon=1e-2
+            operator, as_block(sparse), alpha=0.4, tol=1e-9, epsilon=1e-2
         )
         assert truncated.edge_operations < exact.edge_operations
 
@@ -355,7 +365,9 @@ class TestSparsePush:
         operator = transition_matrix(small_world_adjacency, "column", fmt="csc")
         with pytest.raises(ValueError, match="does not match"):
             push_refresh(
-                operator, sp.csr_matrix((n, 3)), sp.csr_matrix((n, 4))
+                operator,
+                as_block(sp.csr_matrix((n, 3))),
+                as_block(sp.csr_matrix((n, 4))),
             )
 
 
@@ -384,7 +396,7 @@ class TestSparseBackend:
             method=SparseDiffusionBackend(epsilon=0.0),
             tol=1e-9,
         )
-        assert sp.issparse(outcome.embeddings)
+        assert isinstance(outcome.embeddings, RowBlock)
         reference = diffuse_embeddings(
             small_world_adjacency, dense, alpha=0.4, method="power", tol=1e-9
         )
@@ -428,7 +440,7 @@ class TestSparseBackend:
             tol=1e-10,
         )
         assert patched.incremental
-        assert sp.issparse(patched.embeddings)
+        assert isinstance(patched.embeddings, RowBlock)
         redone = diffuse_embeddings(
             small_world_adjacency,
             sparse + sp.csr_matrix(delta),
@@ -448,8 +460,9 @@ class TestSparseBackend:
     def test_refresh_keeps_backend_format(
         self, small_world_adjacency, sparse_signal, method, cache_csr, delta_csr
     ):
-        """``sparse`` patches into CSR and ``push`` into a dense array, in
-        whichever format the cache and the delta arrive."""
+        """``sparse`` patches into a block and ``push`` into a dense array,
+        in whichever format the cache and the delta arrive (CSR converts at
+        the ``refresh_embeddings`` edge)."""
         dense, sparse = sparse_signal
         n, dim = dense.shape
         cache = diffuse_embeddings(
@@ -467,12 +480,12 @@ class TestSparseBackend:
             tol=1e-10,
         )
         assert patched.incremental and patched.converged
-        assert sp.issparse(patched.embeddings) == (method == "sparse")
+        assert isinstance(patched.embeddings, RowBlock) == (method == "sparse")
         exact = diffuse_embeddings(
             small_world_adjacency, dense + delta, alpha=0.4, method="solve"
         ).embeddings
         got = patched.embeddings
-        got = got.toarray() if sp.issparse(got) else got
+        got = got.toarray() if isinstance(got, RowBlock) else got
         assert np.abs(got - exact).max() < 1e-8
 
 
@@ -492,24 +505,23 @@ class TestSearchFacadeSparse:
             net.personalization_sparse().toarray(), net.personalization()
         )
 
-    def test_sparse_diffuse_caches_csr(self, small_world_adjacency):
+    def test_sparse_diffuse_caches_block(self, small_world_adjacency):
         net, _, _ = self._network(small_world_adjacency)
         outcome = net.diffuse(method="sparse")
         assert outcome.converged
-        assert sp.issparse(outcome.embeddings)
-        assert net.csr_embeddings is not None
+        assert isinstance(outcome.embeddings, RowBlock)
+        assert net.last_diffusion.embeddings is outcome.embeddings
         # the dense view densifies lazily and is memoized
         dense_view = net.embeddings
         assert isinstance(dense_view, np.ndarray)
         assert dense_view is net.embeddings
-        assert np.array_equal(dense_view, net.csr_embeddings.toarray())
+        assert np.array_equal(dense_view, outcome.embeddings.toarray())
 
-    def test_csr_embeddings_none_after_dense_diffusion(
-        self, small_world_adjacency
-    ):
+    def test_dense_diffusion_caches_dense_array(self, small_world_adjacency):
         net, _, _ = self._network(small_world_adjacency)
-        net.diffuse(method="power")
-        assert net.csr_embeddings is None
+        outcome = net.diffuse(method="power")
+        assert isinstance(outcome.embeddings, np.ndarray)
+        assert net.embeddings is outcome.embeddings
 
     def test_search_matches_dense_pipeline(self, small_world_adjacency):
         net, docs, _ = self._network(small_world_adjacency, seed=3)
@@ -536,7 +548,7 @@ class TestSearchFacadeSparse:
         second = net.diffuse(method=backend, tol=1e-10)
         assert second.incremental
         assert second.converged
-        assert net.csr_embeddings is not None
+        assert isinstance(second.embeddings, RowBlock)
         assert not net.is_stale
         # the patched cache matches a cold sparse re-diffusion
         cold = DiffusionSearchNetwork(small_world_adjacency, dim=16, alpha=0.5)
@@ -546,8 +558,8 @@ class TestSearchFacadeSparse:
         redone = cold.diffuse(method=backend, tol=1e-10)
         assert redone.converged
         assert np.allclose(
-            net.csr_embeddings.toarray(),
-            cold.csr_embeddings.toarray(),
+            net.last_diffusion.embeddings.toarray(),
+            redone.embeddings.toarray(),
             atol=1e-6,
         )
 
@@ -586,7 +598,7 @@ class TestSearchFacadeSparse:
         assert np.abs(net.embeddings - exact).max() < 1e-2
 
     def test_sparse_incremental_after_push_cache(self, small_world_adjacency):
-        """A sparse refresh patches a dense push cache into CSR."""
+        """A sparse refresh patches a dense push cache into a block."""
         net, _, _ = self._network(small_world_adjacency, seed=6)
         net.diffuse(method="push", tol=1e-10)
         rng = np.random.default_rng(7)
@@ -595,7 +607,7 @@ class TestSearchFacadeSparse:
             method=SparseDiffusionBackend(epsilon=0.0), tol=1e-10
         )
         assert outcome.incremental and outcome.converged
-        assert sp.issparse(outcome.embeddings)
+        assert isinstance(outcome.embeddings, RowBlock)
         exact = PersonalizedPageRank(0.5, method="solve").apply(
             transition_matrix(small_world_adjacency, "column"),
             net.personalization(),
@@ -620,3 +632,139 @@ class TestRefreshShapes:
             small_world_adjacency, cache, delta, alpha=0.5, method="push"
         )
         assert patched.embeddings.shape == (n,)
+
+
+class TestRowBlock:
+    """The sparse pipeline's one layout: its lookups, copies and patches."""
+
+    @pytest.fixture
+    def block(self):
+        rows = np.array([[1.0, 0.0, -2.0], [0.5, 0.25, 0.0], [0.0, 0.0, 0.0]])
+        return RowBlock(np.array([1, 4, 6]), rows, 8)
+
+    def test_shape_dtype_and_row_lookup(self, block):
+        assert block.shape == (8, 3) and block.dtype == np.float64
+        assert np.array_equal(block[4], [0.5, 0.25, 0.0])
+        assert np.array_equal(block[0], np.zeros(3))
+        assert np.array_equal(block[np.array([7, 1, 6])], [[0, 0, 0], [1, 0, -2], [0, 0, 0]])
+        assert block[np.empty(0, dtype=np.int64)].shape == (0, 3)
+        assert np.array_equal(block.slot_of, [-1, 0, -1, -1, 1, -1, 2, -1])
+
+    def test_toarray_and_tocsr(self, block):
+        dense = block.toarray()
+        assert np.array_equal(dense[[1, 4, 6]], block.rows)
+        assert not dense[[0, 2, 3, 5, 7]].any()
+        csr = block.tocsr()
+        want = sp.csr_matrix(dense)
+        assert csr.indices.dtype == np.int32
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(csr, part), getattr(want, part))
+
+    def test_read_only(self, block):
+        for array in (block.nodes, block.rows, block.slot_of):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    @pytest.mark.parametrize(
+        "nodes", [[4, 1, 6], [1, 1, 6], [-1, 4, 6], [1, 4, 8]]
+    )
+    def test_nodes_must_be_ascending_distinct_and_in_range(self, nodes):
+        with pytest.raises(ValueError, match="ascending"):
+            RowBlock(np.array(nodes), np.ones((3, 2)), 8)
+
+    def test_rows_must_match_nodes(self):
+        with pytest.raises(ValueError, match="one"):
+            RowBlock(np.array([1, 2]), np.ones((3, 2)), 8)
+
+    def test_merged_adds_or_replaces_into_a_new_block(self, block):
+        rows = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        added = block.merged(np.array([0, 4]), rows, add=True)
+        replaced = block.merged(np.array([0, 4]), rows, add=False)
+        assert np.array_equal(added.nodes, [0, 1, 4, 6])
+        assert np.array_equal(added[4], [2.5, 2.25, 2.0])
+        assert np.array_equal(replaced[4], [2.0, 2.0, 2.0])
+        for merged in (added, replaced):
+            assert np.array_equal(merged[0], [1.0, 1.0, 1.0])
+            assert np.array_equal(merged[1], block[1])
+        # The block it came from is untouched.
+        assert np.array_equal(block.nodes, [1, 4, 6])
+        assert np.array_equal(block[4], [0.5, 0.25, 0.0])
+
+    def test_coercion_keeps_only_nonzero_rows(self, block):
+        coerced, was_vector = coerce_sparse_signal(block, 8)
+        assert not was_vector
+        assert np.array_equal(coerced.nodes, [1, 4])  # row 6 is all zero
+        assert np.array_equal(coerced.toarray(), block.toarray())
+        again, _ = coerce_sparse_signal(coerced, 8)
+        assert again is coerced
+        single, _ = coerce_sparse_signal(coerced, 8, np.float32)
+        assert single.dtype == np.float32
+        with pytest.raises(ValueError, match="rows"):
+            coerce_sparse_signal(block, 9)
+
+
+class TestBlockCache:
+    """The facade's block cache: patches build new blocks, exactly."""
+
+    @staticmethod
+    def network(seed):
+        rng = np.random.default_rng(seed)
+        net = DiffusionSearchNetwork(
+            connected_watts_strogatz(80, 6, 0.2, seed=seed), dim=8, alpha=0.5
+        )
+        for i in range(15):
+            net.place_document(f"d{i}", rng.standard_normal(8), int(rng.integers(80)))
+        return net, rng
+
+    def test_policy_snapshot_survives_patch(self):
+        """A policy taken before a patch scores the cache it was built over."""
+        net, rng = self.network(1)
+        net.diffuse(method="sparse")
+        policy = net.default_policy()
+        before = net.last_diffusion.embeddings
+        queries = rng.standard_normal((4, 8))
+        candidates = np.arange(80)
+        scores = [policy.scores(q, candidates) for q in queries]
+        for node in (3, 40, 41):
+            net.place_document(f"late{node}", rng.standard_normal(8), node)
+        outcome = net.diffuse(method="sparse")
+        assert outcome.incremental
+        assert net.last_diffusion.embeddings is not before
+        assert not np.array_equal(
+            net.default_policy().scores(queries[0], candidates), scores[0]
+        )
+        for q, want in zip(queries, scores):
+            assert np.array_equal(policy.scores(q, candidates), want)
+
+    def test_patch_adds_push_estimate_exactly(self):
+        """Each patched cache is the previous cache plus the push estimate
+        of the delta, bit for bit, over random place/remove rounds."""
+        net, rng = self.network(2)
+        backend = SparseDiffusionBackend(epsilon=1e-4)
+        net.diffuse(method=backend, tol=1e-9)
+        operator = transition_matrix(net.adjacency, "column", fmt="csc")
+        for _ in range(5):
+            previous = net.last_diffusion.embeddings.toarray()
+            before = net.personalization()
+            for _ in range(int(rng.integers(1, 5))):
+                docs = sorted(net._doc_locations)
+                if rng.random() < 0.4:
+                    net.remove_document(docs[int(rng.integers(len(docs)))])
+                else:
+                    net.place_document(
+                        f"x{rng.integers(1 << 30)}",
+                        rng.standard_normal(8),
+                        int(rng.integers(80)),
+                    )
+            delta, _ = coerce_sparse_signal(net.personalization() - before, 80)
+            estimate = forward_push(
+                operator, delta, alpha=0.5, tol=1e-9, epsilon=1e-4
+            ).estimate
+            outcome = net.diffuse(method=backend, tol=1e-9)
+            assert outcome.incremental and outcome.converged
+            assert np.array_equal(
+                outcome.embeddings.toarray(), previous + estimate.toarray()
+            )
+            assert np.array_equal(
+                net._diffused_personalization.toarray(), net.personalization()
+            )

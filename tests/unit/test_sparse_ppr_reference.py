@@ -81,7 +81,7 @@ def test_default_chunks_match_reference():
     operator = transition_matrix(overlay, "column")
     ppr = SparsePersonalizedPageRank(0.5, epsilon=1e-4, tol=1e-8)
     got, want = run_both(ppr, operator, sp.csr_matrix(dense))
-    assert got.signal.getnnz(axis=1).astype(bool).sum() > 2 * filters._SPARSE_CHUNK_ROWS
+    assert got.signal.tocsr().getnnz(axis=1).astype(bool).sum() > 2 * filters._SPARSE_CHUNK_ROWS
     assert diffusion_differences(got, want) == []
 
 
@@ -149,7 +149,7 @@ def test_isolated_holders_keep_their_teleport_rows():
 
 
 def support(result) -> set[int]:
-    return set(np.flatnonzero(np.diff(result.signal.indptr)).tolist())
+    return set(np.flatnonzero(np.diff(result.signal.tocsr().indptr)).tolist())
 
 
 @pytest.mark.filterwarnings("ignore::repro.gsp.filters.PrunedMassWarning")
