@@ -148,7 +148,7 @@ def _precomputed_stack(
     Returns a score stack whose ``gather(queries, nodes)`` yields walk
     ``queries[i]``'s score for node ``nodes[i]`` — or None when the batch
     mixes in other policy types.  Distinct policy instances share a row
-    when they are the same object, so the accuracy driver's
+    when they are the same object, so the Fig. 3 accuracy experiment's
     one-policy-per-alpha batch stacks to one row per alpha.
     """
     row_of: dict[int, int] = {}

@@ -312,10 +312,6 @@ class PrecomputedScorePolicy(ForwardingPolicy):
         self.node_scores = scores
         self.n_nodes = scores.shape[0]
 
-    def candidate_scores(self, candidates: np.ndarray) -> np.ndarray:
-        """Per-candidate score: one table lookup."""
-        return self.node_scores[candidates]
-
     def select(
         self,
         query_embedding: np.ndarray,
@@ -327,7 +323,7 @@ class PrecomputedScorePolicy(ForwardingPolicy):
         candidates = np.asarray(candidates, dtype=np.int64)
         if candidates.size == 0:
             return candidates
-        return candidates[top_k_indices(self.candidate_scores(candidates), fanout)]
+        return candidates[top_k_indices(self.node_scores[candidates], fanout)]
 
     def score_batch(
         self,
@@ -335,7 +331,7 @@ class PrecomputedScorePolicy(ForwardingPolicy):
         candidates: np.ndarray,
         offsets: np.ndarray,
     ) -> np.ndarray:
-        return self.candidate_scores(candidates)
+        return self.node_scores[candidates]
 
     def select_batch(
         self,
@@ -345,7 +341,7 @@ class PrecomputedScorePolicy(ForwardingPolicy):
         fanouts: np.ndarray,
         rngs: Sequence[np.random.Generator],
     ) -> tuple[np.ndarray, np.ndarray]:
-        return _segment_top_k(self.candidate_scores(candidates), offsets, fanouts)
+        return _segment_top_k(self.node_scores[candidates], offsets, fanouts)
 
     def describe(self) -> str:
         return "embedding-guided(precomputed)"
