@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit_report
+from repro.core.backends import SparseDiffusionBackend
 from repro.core.search import DiffusionSearchNetwork
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.social import FacebookLikeConfig, facebook_like_graph
@@ -122,13 +123,14 @@ def test_facade_single_placement_refresh(benchmark, overlay):
         net.place_document(
             f"d{i}", rng.standard_normal(dim), int(rng.integers(N_NODES))
         )
-    cold = net.diffuse(method="push", tol=TOL)
+    exact = SparseDiffusionBackend(epsilon=0.0)
+    cold = net.diffuse(method=exact, tol=TOL)
 
     def place_and_refresh():
         net.place_document("hot", rng.standard_normal(dim), 7)
-        outcome = net.diffuse(method="push", tol=TOL)
+        outcome = net.diffuse(method=exact, tol=TOL)
         net.remove_document("hot")
-        net.diffuse(method="push", tol=TOL)
+        net.diffuse(method=exact, tol=TOL)
         return outcome
 
     outcome = benchmark.pedantic(place_and_refresh, rounds=3, iterations=1)

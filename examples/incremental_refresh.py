@@ -3,13 +3,14 @@
 The paper's warm-up (Fig. 2 lines 3-6) diffuses every node's personalization
 vector over the whole network.  When a single document is placed or removed,
 re-running that warm-up repeats work for thousands of unchanged nodes.  The
-``push`` diffusion backend instead patches the cached embeddings by diffusing
-only the sparse *delta* — Forward Push work proportional to the change.
+``sparse`` diffusion backend instead patches the cached embeddings by
+diffusing only the sparse *delta* — Forward Push work proportional to the
+change.  With ``epsilon=0.0`` it prunes nothing, so the patch is exact.
 
 This example:
 
 1. builds a 1000-node overlay and places 300 documents,
-2. runs the cold-start push diffusion,
+2. runs the cold-start diffusion,
 3. places one more document and refreshes incrementally,
 4. compares the incremental cost against a full re-diffusion and verifies
    both give the same embeddings (to push tolerance).
@@ -20,6 +21,7 @@ Run: ``python examples/incremental_refresh.py``
 import numpy as np
 
 from repro import DiffusionSearchNetwork, FacebookLikeConfig, facebook_like_graph
+from repro.core.backends import SparseDiffusionBackend
 
 SEED = 23
 DIM = 64
@@ -38,10 +40,11 @@ def main() -> None:
         )
     print(f"network: {net.n_nodes} nodes, {net.n_documents} documents")
 
-    # Cold start: the push backend diffuses the full personalization matrix.
-    cold = net.diffuse(method="push", tol=1e-8)
+    # Cold start: the exact sparse backend diffuses the full personalization.
+    exact = SparseDiffusionBackend(epsilon=0.0)
+    cold = net.diffuse(method=exact, tol=1e-8)
     print(
-        f"cold-start push: {cold.iterations} sweeps, "
+        f"cold-start: {cold.iterations} sweeps, "
         f"{cold.operations:,} edge operations"
     )
 
@@ -49,7 +52,7 @@ def main() -> None:
     net.place_document("breaking-news", rng.standard_normal(DIM), node=7)
     print(f"placed 1 document; dirty nodes: {sorted(net.dirty_nodes)}")
 
-    incremental = net.diffuse(method="push", tol=1e-8)  # patches, not redoes
+    incremental = net.diffuse(method=exact, tol=1e-8)  # patches, not redoes
     print(
         f"incremental refresh: {incremental.iterations} sweeps, "
         f"{incremental.operations:,} edge operations "
@@ -58,8 +61,10 @@ def main() -> None:
     assert incremental.incremental
 
     # A full re-diffusion computes the same embeddings the expensive way.
-    full = net.diffuse(method="push", tol=1e-8, incremental=False)
-    error = float(np.max(np.abs(incremental.embeddings - full.embeddings)))
+    full = net.diffuse(method=exact, tol=1e-8, incremental=False)
+    error = float(
+        np.max(np.abs(incremental.embeddings.toarray() - full.embeddings.toarray()))
+    )
     print(
         f"full re-diffusion:   {full.iterations} sweeps, "
         f"{full.operations:,} edge operations"

@@ -23,6 +23,18 @@ N_NODES = 50_000
 DIM = 64
 N_DOCUMENTS = 400
 TTL = 50
+# The pruning threshold is absolute (a row survives while its largest entry
+# is at least epsilon times its node's degree), so it is set for the row
+# scale and the overlay.  On this degree-10 overlay unit rows need 5e-5 to
+# keep the pruning term of the error bound under half the spread mass; the
+# default (SPARSE_DEFAULT_EPSILON, 1e-3) prunes 94% of the diffusable mass.
+EPSILON = 5e-5
+
+
+def unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` random unit-norm embeddings."""
+    rows = rng.standard_normal((count, DIM))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def main() -> None:
@@ -36,13 +48,14 @@ def main() -> None:
     )
 
     net = DiffusionSearchNetwork(adjacency, dim=DIM, alpha=0.5)
-    documents = rng.standard_normal((N_DOCUMENTS, DIM))
+    documents = unit_rows(rng, N_DOCUMENTS)
     nodes = rng.choice(N_NODES, N_DOCUMENTS, replace=False)
     for i in range(N_DOCUMENTS):
         net.place_document(f"doc-{i}", documents[i], int(nodes[i]))
 
+    backend = SparseDiffusionBackend(epsilon=EPSILON)
     started = time.perf_counter()
-    outcome = net.diffuse(method="sparse")
+    outcome = net.diffuse(method=backend)
     elapsed = time.perf_counter() - started
     cache = outcome.embeddings
     density = cache.rows.size / float(N_NODES * DIM)
@@ -77,8 +90,8 @@ def main() -> None:
     )
 
     # Content changes patch the cache incrementally (work ~ the change).
-    net.place_document("late-arrival", rng.standard_normal(DIM), node=7)
-    refreshed = net.diffuse(method="sparse")
+    net.place_document("late-arrival", unit_rows(rng, 1)[0], node=7)
+    refreshed = net.diffuse(method=backend)
     print(
         f"incremental refresh after one placement: incremental="
         f"{refreshed.incremental}, {refreshed.operations} edge operations"
@@ -88,9 +101,12 @@ def main() -> None:
     tight = DiffusionSearchNetwork(adjacency, dim=DIM, alpha=0.5)
     for i in range(N_DOCUMENTS):
         tight.place_document(f"doc-{i}", documents[i], int(nodes[i]))
-    tight_cache = tight.diffuse(method=SparseDiffusionBackend(epsilon=1e-4)).embeddings
+    tight_epsilon = EPSILON / 10
+    tight_cache = tight.diffuse(
+        method=SparseDiffusionBackend(epsilon=tight_epsilon)
+    ).embeddings
     print(
-        f"epsilon=1e-4 cache density: "
+        f"epsilon={tight_epsilon:g} cache density: "
         f"{tight_cache.rows.size / float(N_NODES * DIM):.1%} "
         "(keeps more of the score tail)"
     )

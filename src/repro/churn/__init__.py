@@ -21,10 +21,10 @@ cannot afford or hiding staleness it cannot repair:
   benchmark and examples drive.
 
 Serving integration lives in :mod:`repro.serving.service`
-(``StalenessConfig(slo=...)``): batches consume the refreshable part of
-the network's staleness bound, refreshes are scheduled rather than
-size-gated, and responses are stamped with the bound they were served
-under.
+(``StalenessConfig(slo=...)``): the scheduler is the service's one
+refresh decider, batches consume the refreshable part of the network's
+staleness bound, every patch is the ``sparse`` backend's row-block
+refresh, and responses are stamped with the bound they were served under.
 """
 
 from repro.churn.scheduler import (

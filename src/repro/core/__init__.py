@@ -18,7 +18,6 @@ from repro.core.personalization import (
 )
 from repro.core.backends import (
     DiffusionBackend,
-    PushDiffusionBackend,
     SparseDiffusionBackend,
     available_backends,
     get_backend,
@@ -59,7 +58,6 @@ __all__ = [
     "diffuse_embeddings",
     "refresh_embeddings",
     "DiffusionBackend",
-    "PushDiffusionBackend",
     "SparseDiffusionBackend",
     "available_backends",
     "get_backend",

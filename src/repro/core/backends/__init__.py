@@ -1,17 +1,18 @@
 """Pluggable diffusion execution backends.
 
-Importing this package registers the five built-in strategies:
+Importing this package registers the four built-in strategies:
 
 * ``power`` — synchronous power iteration of eq. (7).
 * ``solve`` — exact sparse direct solve of eq. (6); ground truth.
 * ``async`` — the decentralized event-driven protocol.
-* ``push``  — residual Forward Push / Gauss–Southwell with
-  ``supports_incremental = True`` (sparse-delta refresh).
 * ``sparse`` — pruned power iteration on row-sparse signals
   (``accepts_sparse``): embeddings stay a
   :class:`~repro.gsp.filters.RowBlock` from personalization through
-  forwarding, with degree-normalized ε-truncation bounding support; also
-  ``supports_incremental`` via the forward-push kernel on block deltas.
+  forwarding, with degree-normalized ε-truncation bounding support.  The
+  only built-in with ``supports_incremental``: a refresh runs the
+  forward-push kernel on the block delta, and
+  ``SparseDiffusionBackend(epsilon=0.0)`` patches exactly, to the push
+  tolerance.
 
 New strategies plug in via :func:`register_backend`; see
 :mod:`repro.core.backends.base` for the interface contract.
@@ -31,7 +32,6 @@ from repro.core.backends.standard import (
     PowerIterationBackend,
     SparseSolveBackend,
 )
-from repro.core.backends.push import PushDiffusionBackend
 from repro.core.backends.sparse import SparseDiffusionBackend
 
 __all__ = [
@@ -45,6 +45,5 @@ __all__ = [
     "AsyncProtocolBackend",
     "PowerIterationBackend",
     "SparseSolveBackend",
-    "PushDiffusionBackend",
     "SparseDiffusionBackend",
 ]

@@ -16,7 +16,9 @@ strategies with :func:`register_backend` without touching call sites::
 Backends that set :attr:`~DiffusionBackend.supports_incremental` additionally
 implement :meth:`~DiffusionBackend.refresh`: patching an existing diffusion
 from a sparse personalization delta instead of recomputing from scratch
-(see :mod:`repro.gsp.push`).
+(see :mod:`repro.gsp.push`).  The search facade hands a refresh its delta
+as a :class:`~repro.gsp.filters.RowBlock`; the built-in ``sparse`` backend
+is the one that patches.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class DiffusionOutcome:
     ``iterations`` counts power-iteration sweeps (or 1 for the exact solve,
     or events for the async protocol); ``messages``/``events`` are populated
     only by the async strategy; ``operations`` counts edge traversals for
-    the ``push`` and ``sparse`` backends (the unit that makes full and
-    incremental runs comparable); ``incremental`` marks an outcome produced
+    the ``sparse`` backend (the unit that makes full and incremental runs
+    comparable); ``incremental`` marks an outcome produced
     by patching a previous diffusion rather than recomputing it.
 
     ``embeddings`` is a dense array for the standard backends; backends with
@@ -51,8 +53,8 @@ class DiffusionOutcome:
     dense view call ``.toarray()`` (the search facade does this lazily), and
     ``.tocsr()`` gives CSR.
 
-    ``residual_l1`` is the L1 norm of the leftover residual for backends
-    built on the push kernels (``push``, ``sparse`` refresh): since
+    ``residual_l1`` is the L1 norm of the leftover residual for outcomes
+    built on the push kernel (a ``sparse`` refresh): since
     ``‖H‖₁ ≤ 1`` for a column-normalized operator, it upper-bounds the L1
     error the outcome leaves behind — the quantity staleness trackers
     accumulate across incremental refreshes.  A ``sparse`` full run reports

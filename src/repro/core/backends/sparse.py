@@ -11,15 +11,17 @@ as support rows through every sweep, and returns the embeddings as a
 with ``n_nodes × dim``, which is what lets the precompute phase run at
 100k+ nodes (see ``benchmarks/test_bench_sparse_scale.py``).
 
-Like ``push``, the backend ``supports_incremental``: after a sparse
-personalization change it pushes only the delta, with the same
+It is the one built-in backend that ``supports_incremental``: after a
+sparse personalization change it pushes only the delta, with the same
 degree-normalized ε-truncation as the cold start so refresh work stays
-local too, and adds the estimate into a new block.
+local too, and adds the estimate into a new block.  Every incremental
+refresh in the library, the serving path's included, is this patch.
 
 The pruning threshold ε is a constructor knob; ``method="sparse"`` uses
 :data:`~repro.gsp.filters.SPARSE_DEFAULT_EPSILON`, and dispatchers accept a
 pre-built instance (``method=SparseDiffusionBackend(epsilon=...)``) for
-other settings.
+other settings.  ``epsilon=0.0`` prunes nothing: its full run is the dense
+power loop bit for bit, and its patches are exact to the push tolerance.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class SparseDiffusionBackend(DiffusionBackend):
     ) -> DiffusionOutcome:
         operator = transition_matrix(topology, normalization, fmt="csc")
         if not isinstance(embeddings, RowBlock):
-            # A dense cache (from a `push` run, say) is patched as a block,
+            # A dense cache (from a `power` run, say) is patched as a block,
             # the format this backend returns.
             embeddings, _ = coerce_sparse_signal(
                 embeddings, topology.n_nodes, self.dtype

@@ -403,8 +403,7 @@ class _FaultedWalks:
         ttl = ttl.copy()
         sent = np.zeros(entries, dtype=np.int64)
         failures = np.zeros(entries, dtype=np.int64)
-        # Found a peer dead or sent a walker at this hop.
-        tried = np.zeros(entries, dtype=bool)
+        found_dead = np.zeros(entries, dtype=bool)
         died = np.zeros(entries, dtype=bool)
         live = np.ones(entries, dtype=bool)
         n_live = entries
@@ -424,10 +423,12 @@ class _FaultedWalks:
                 keep = (pool | (~any_pool[segments] & open_)) & live[segments]
                 pick, go = select(keep)
             if go.size < n_live:
-                # No candidate left: died of faults when any peer was excluded.
+                # No candidate left: died of faults when a peer was found
+                # dead or quarantined, not when the walker just ran out of
+                # neighbours to send to.
                 stuck = live.copy()
                 stuck[go] = False
-                died[stuck] = tried[stuck] | (self.quarantine is not None)
+                died[stuck] = found_dead[stuck] | (self.quarantine is not None)
                 if go.size == 0:
                     break
             q = r_q[go]
@@ -446,7 +447,7 @@ class _FaultedWalks:
                     self.reroutes.append(q[dead])
                     faults.crash_detections += int(dead.sum())
                     blocked[pick[dead]] = True
-                    tried[go[dead]] = True
+                    found_dead[go[dead]] = True
                 dropped = failed & ~dead
                 if dropped.any():
                     self.retries.append(q[dropped])
@@ -462,7 +463,6 @@ class _FaultedWalks:
                 senders, sent_to = go[delivered], pick[delivered]
             if senders.size:
                 blocked[sent_to] = True  # one walker per distinct peer
-                tried[senders] = True
                 sent[senders] += 1
                 children.append((senders, sent_to, ttl[senders]))
             live = np.zeros(entries, dtype=bool)

@@ -8,15 +8,14 @@ Built-in strategies (see :mod:`repro.core.backends`):
 * ``async`` — the decentralized event-driven protocol of
   :class:`repro.runtime.gossip.AsyncPPRDiffusion`; what the real P2P network
   runs.
-* ``push`` — residual Forward Push / Gauss–Southwell
-  (:mod:`repro.gsp.push`); supports incremental refresh from sparse
-  personalization deltas via :func:`refresh_embeddings`.
 * ``sparse`` — pruned power iteration on row-sparse signals
   (:class:`repro.gsp.filters.SparsePersonalizedPageRank`); personalization
   and embeddings stay :class:`~repro.gsp.filters.RowBlock` rows end to end,
   so precompute memory and work scale with the diffused support instead of
-  ``n_nodes × dim``; its incremental refreshes run the same forward-push
-  kernel as ``push``, on block deltas.
+  ``n_nodes × dim``.  It is the one built-in that refreshes incrementally
+  (:func:`refresh_embeddings`): the forward-push kernel of
+  :mod:`repro.gsp.push` diffuses only the block delta, exactly (to the push
+  tolerance) with ``SparseDiffusionBackend(epsilon=0.0)``.
 
 All strategies agree to within tolerance (verified by tests), so experiments
 may use the cheapest one without changing semantics.  Additional strategies
@@ -126,7 +125,7 @@ def refresh_embeddings(
     delta: np.ndarray | sp.spmatrix | RowBlock,
     *,
     alpha: float = 0.5,
-    method: str | DiffusionBackend = "push",
+    method: str | DiffusionBackend = "sparse",
     normalization: NormalizationKind = "column",
     tol: float = 1e-8,
     max_iterations: int = 10_000,
@@ -137,20 +136,17 @@ def refresh_embeddings(
     diffused personalization matrix (zero outside the changed nodes); by
     linearity the corrected diffusion is ``embeddings + H delta``, computed
     at a cost proportional to the change.  Requires a backend with
-    ``supports_incremental`` (built-in: ``push``, ``sparse``).
+    ``supports_incremental`` (built-in: ``sparse``, which returns the
+    patched embeddings as a ``RowBlock``).
     """
     backend = resolve_backend(method)
     if not backend.supports_incremental:
         raise ValueError(
             f"diffusion method {backend.name!r} does not support incremental "
-            "refresh; use method='push', method='sparse', "
-            "or a custom incremental backend"
+            "refresh; use method='sparse' or a custom incremental backend"
         )
     delta = _coerce_for_backend(delta, topology.n_nodes, backend)
-    # A dense cache passes through uncoerced so a 1-D cache comes back 1-D
-    # (the backend's own shape handling restores it).
-    if sp.issparse(embeddings) or isinstance(embeddings, RowBlock):
-        embeddings = _coerce_for_backend(embeddings, topology.n_nodes, backend)
+    embeddings = _coerce_for_backend(embeddings, topology.n_nodes, backend)
     return backend.refresh(
         topology,
         embeddings,

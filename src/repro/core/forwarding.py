@@ -148,18 +148,12 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
         stores only its neighbors' rows (collected during diffusion); the
         policy reads exactly those rows, so the information access pattern
         is identical.
-    temperature:
-        0 (default) reproduces the paper's deterministic argmax (ties broken
-        by ascending node id).  A positive temperature samples next hops from
-        a softmax over scores — an exploration ablation.
+
+    The choice is the paper's deterministic argmax (ties broken by
+    ascending node id).
     """
 
-    def __init__(
-        self,
-        embeddings: np.ndarray | RowBlock,
-        *,
-        temperature: float = 0.0,
-    ) -> None:
+    def __init__(self, embeddings: np.ndarray | RowBlock) -> None:
         # Blocks are never written, so the policy keeps the caller's; a
         # float32 cache (the float32 diffusion pipeline) is stored in
         # float32 and scored in float64.
@@ -171,10 +165,7 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
                 matrix = np.asarray(matrix, dtype=np.float64)
         if len(matrix.shape) != 2:
             raise ValueError(f"embeddings must be 2-D, got shape {matrix.shape}")
-        if temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {temperature}")
         self.embeddings = matrix
-        self.temperature = float(temperature)
 
     def _score_segments(
         self, queries: np.ndarray, candidates: np.ndarray, offsets: np.ndarray
@@ -218,19 +209,6 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
             query[None, :], candidates, np.array([0, candidates.shape[0]])
         )
 
-    def _sample(
-        self, scores: np.ndarray, fanout: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Softmax draw of ``fanout`` positions without replacement, ascending."""
-        logits = scores / self.temperature
-        logits -= logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        count = min(fanout, scores.shape[0])
-        return np.sort(
-            rng.choice(scores.shape[0], size=count, replace=False, p=probs)
-        )
-
     def select(
         self,
         query_embedding: np.ndarray,
@@ -243,18 +221,14 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
         if candidates.size == 0:
             return candidates
         scores = self.scores(query_embedding, candidates)
-        if self.temperature == 0.0:
-            return candidates[top_k_indices(scores, fanout)]
-        return candidates[self._sample(scores, fanout, rng)]
+        return candidates[top_k_indices(scores, fanout)]
 
     def score_batch(
         self,
         query_embeddings: np.ndarray,
         candidates: np.ndarray,
         offsets: np.ndarray,
-    ) -> np.ndarray | None:
-        if self.temperature != 0.0:
-            return None
+    ) -> np.ndarray:
         return self._score_segments(
             np.asarray(query_embeddings, dtype=np.float64), candidates, offsets
         )
@@ -267,28 +241,10 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
         fanouts: np.ndarray,
         rngs: Sequence[np.random.Generator],
     ) -> tuple[np.ndarray, np.ndarray]:
-        scores = self._score_segments(
-            np.asarray(query_embeddings, dtype=np.float64), candidates, offsets
-        )
-        if self.temperature == 0.0:
-            return _segment_top_k(scores, offsets, fanouts)
-        # Stochastic exploration keeps the per-segment sampling of the
-        # scalar path (one draw per walk from its own generator).
-        lens = np.diff(offsets)
-        chosen = [
-            offsets[s] + self._sample(scores[offsets[s] : offsets[s + 1]], fanout, rng)
-            for s, (fanout, rng) in enumerate(zip(fanouts, rngs))
-            if lens[s]
-        ]
-        counts = np.minimum(fanouts, lens)
-        return (
-            np.concatenate([np.empty(0, dtype=np.int64), *chosen]),
-            np.concatenate(([0], np.cumsum(counts))),
-        )
+        scores = self.score_batch(query_embeddings, candidates, offsets)
+        return _segment_top_k(scores, offsets, fanouts)
 
     def describe(self) -> str:
-        if self.temperature:
-            return f"embedding-guided(T={self.temperature})"
         return "embedding-guided"
 
 

@@ -10,13 +10,16 @@ Typical use (the full pipeline of paper §IV)::
 
 Dynamic content: the network tracks which nodes' personalization rows
 changed since the last warm-up (``place_document``/``remove_document``
-mark their node dirty).  With an incremental-capable backend the next
-``diffuse(method="push")`` patches the cached embeddings from the sparse
-delta instead of recomputing the whole network — work proportional to the
-change, exact to within the push tolerance::
+mark their node dirty).  The ``sparse`` backend, the one built-in that
+patches, then refreshes the cached embeddings from the row-block delta
+instead of recomputing the whole network — work proportional to the
+change; with ``epsilon=0.0`` the patch is exact to within the push
+tolerance::
 
+    exact = SparseDiffusionBackend(epsilon=0.0)
+    net.diffuse(method=exact)
     net.place_document("doc-2", other_embedding, node=9)
-    outcome = net.diffuse(method="push")   # incremental patch, not a redo
+    outcome = net.diffuse(method=exact)   # incremental patch, not a redo
     assert outcome.incremental
 
 Large networks: ``net.diffuse(method="sparse")`` runs the sparse-first
@@ -25,9 +28,7 @@ iteration, and an embedding cache of support rows
 (:class:`~repro.gsp.filters.RowBlock`) that the walk policy scores directly
 — so precompute memory and time scale with the diffused support rather than
 ``n_nodes × dim``.  ``net.embeddings`` still returns the dense view (built
-lazily on first access); ``net.diffuse(method="sparse")`` after further
-placements patches the cached block into a new one, like ``push`` does for
-the dense cache.
+lazily on first access).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.core.personalization import (
     personalization_vector,
 )
 from repro.graphs.adjacency import CompressedAdjacency
-from repro.gsp.filters import RowBlock, coerce_sparse_signal
+from repro.gsp.filters import RowBlock
 from repro.gsp.normalization import NormalizationKind
 from repro.retrieval.vector_store import DocumentStore
 from repro.runtime.faults import FaultInjector
@@ -115,11 +116,11 @@ class DiffusionSearchNetwork:
         self._embeddings_dense: np.ndarray | None = None
         self._last_outcome: DiffusionOutcome | None = None
         self._stale = True
-        # Incremental-refresh state: the personalization matrix the cached
-        # embeddings were diffused from (dense or a RowBlock, matching the
-        # backend that produced it), and the nodes whose rows changed since
-        # (the sparse delta support set).
-        self._diffused_personalization: np.ndarray | RowBlock | None = None
+        # Incremental-refresh state: the personalization the cached
+        # embeddings were diffused from, as a RowBlock of occupied rows
+        # whatever the backend, and the nodes whose rows changed since (the
+        # sparse delta support set).
+        self._diffused_personalization: RowBlock | None = None
         self._dirty_nodes: set[int] = set()
         # The one residual ledger: the full run's error floor, the patches'
         # summed residual and the coalesced per-node pending L1 mass — the
@@ -195,12 +196,10 @@ class DiffusionSearchNetwork:
         baseline = self._diffused_personalization
         if baseline is None:
             return 0.0
-        base_row = baseline[node]
-        store = self.stores.get(node)
-        if store is None or len(store) == 0:
-            return float(np.abs(base_row).sum())
-        current = personalization_vector(store.matrix(), self.weighting)
-        return float(np.abs(current - base_row).sum())
+        # Both rows in the facade dtype, so a row back at its diffused state
+        # reads exactly 0 at float32 too.
+        current = self._personalization_rows([node])[0]
+        return float(np.abs(current - baseline[node]).sum())
 
     def location_of(self, doc_id: Hashable) -> int:
         """Node currently holding ``doc_id``."""
@@ -256,7 +255,7 @@ class DiffusionSearchNetwork:
 
         ``incremental=None`` (the default) patches the cached embeddings
         from the sparse personalization delta whenever possible — an
-        incremental-capable backend (``method="push"``) and a previous
+        incremental-capable backend (``method="sparse"``) and a previous
         diffusion to patch — and falls back to a full cold-start run
         otherwise.  ``True`` forces the incremental path (raising when it
         is unavailable); ``False`` forces a full re-diffusion.
@@ -266,16 +265,17 @@ class DiffusionSearchNetwork:
         cached embeddings, baseline, and staleness are left untouched so a
         retry with a larger budget re-diffuses the full delta.
 
-        With a sparse-capable backend (``method="sparse"``) the whole path
-        stays row-sparse: the personalization is assembled from occupied
-        rows only, the cached embeddings are a
-        :class:`~repro.gsp.filters.RowBlock` (``.embeddings`` densifies
-        lazily; the outcome's ``embeddings`` is the block itself), and an
-        incremental refresh adds the push estimate into a new block without
-        densifying, so a policy built before the patch keeps its block.
+        The diffused personalization is kept as a
+        :class:`~repro.gsp.filters.RowBlock` of the occupied rows whatever
+        the backend (a dense backend receives its ``toarray()``, the
+        values and dtype of :meth:`personalization`).  The cache is kept as
+        the backend returns it: a dense array for ``power``/``solve``/
+        ``async``, a block for ``sparse`` (``.embeddings`` densifies it
+        lazily).  An incremental refresh adds the push estimate of the
+        block delta into a new block, so a policy built before the patch
+        keeps the block it was built over.
         """
         backend = resolve_backend(method)
-        sparse_mode = backend.accepts_sparse
         can_refresh = (
             backend.supports_incremental
             and self._embeddings is not None
@@ -287,8 +287,7 @@ class DiffusionSearchNetwork:
             if not backend.supports_incremental:
                 raise ValueError(
                     f"diffusion method {backend.name!r} does not support "
-                    "incremental refresh; use method='push' or "
-                    "method='sparse'"
+                    "incremental refresh; use method='sparse'"
                 )
             raise ValueError(
                 "incremental refresh needs a previous diffusion to patch; "
@@ -307,30 +306,16 @@ class DiffusionSearchNetwork:
             # remove_document / clear_documents) for the dirty set to be
             # complete.
             baseline = self._diffused_personalization
-            cached = self._embeddings
-            # After a switch of backend family the baseline changes format;
-            # a sparse backend converts a dense cache itself.
-            if sparse_mode and not isinstance(baseline, RowBlock):
-                baseline, _ = coerce_sparse_signal(baseline, self.n_nodes, self.dtype)
-            if not sparse_mode and isinstance(baseline, RowBlock):
-                baseline = baseline.toarray()
-            if not sparse_mode and isinstance(cached, RowBlock):
-                cached = cached.toarray()
             dirty = np.asarray(sorted(self._dirty_nodes), dtype=np.int64)
             current = self._personalization_rows(dirty)
             delta = RowBlock(dirty, current - baseline[dirty], self.n_nodes)
             # Commit-side baseline: exact row *replacement*, never baseline +
             # delta — floating point ``b + (c − b) ≠ c`` would poison every
             # later delta.
-            if sparse_mode:
-                refreshed_baseline = baseline.merged(dirty, current, add=False)
-            else:
-                delta = delta.toarray()
-                refreshed_baseline = baseline.copy()
-                refreshed_baseline[dirty] = current
+            refreshed_baseline = baseline.merged(dirty, current, add=False)
             outcome = backend.refresh(
                 self.adjacency,
-                cached,
+                self._embeddings,
                 delta,
                 alpha=self.alpha,
                 normalization=self.normalization,
@@ -338,13 +323,11 @@ class DiffusionSearchNetwork:
                 max_iterations=max_iterations,
             )
         else:
-            personalization = (
-                self.personalization_sparse() if sparse_mode
-                else self.personalization()
-            )
+            personalization = self.personalization_sparse()
             outcome = backend.diffuse(
                 self.adjacency,
-                personalization,
+                personalization if backend.accepts_sparse
+                else personalization.toarray(),
                 alpha=self.alpha,
                 normalization=self.normalization,
                 tol=tol,
@@ -441,10 +424,8 @@ class DiffusionSearchNetwork:
         base = self._diffused_personalization
         if base is None:
             return 0.0
-        if isinstance(base, RowBlock):
-            # The nonzero entries in row order, as a CSR copy stores them.
-            base = base.rows[base.rows != 0]
-        return float(np.abs(base).sum())
+        # The nonzero entries in row order, as a CSR copy stores them.
+        return float(np.abs(base.rows[base.rows != 0]).sum())
 
     @property
     def dirty_mass(self) -> float:
@@ -466,9 +447,8 @@ class DiffusionSearchNetwork:
         PPR filter satisfies ``‖H‖₁ ≤ 1``, so un-diffused personalization
         mass can only shrink on its way into the cached embeddings (see
         :class:`repro.churn.StalenessTracker` for the argument).  Sound
-        only when the backends report their ``residual_l1`` (the ``push``
-        and ``sparse`` backends do); ``inf`` while no converged diffusion
-        baseline exists.
+        only when the backend reports its ``residual_l1`` (``sparse``
+        does); ``inf`` while no converged diffusion baseline exists.
         O(1); computing the true error costs a full re-diffusion — the whole
         point is that SLO scheduling can consult this every tick.
         """

@@ -20,18 +20,17 @@ a long-lived serving loop over the discrete-event clock:
    :class:`~repro.serving.breaker.PeerCircuitBreaker` folds each walk's
    per-peer failure observations into a quarantine set that subsequent
    walks route around; a ``static_quarantine`` supports oracle baselines.
-5. **Staleness-aware refresh** — when the underlying
-   :class:`~repro.core.search.DiffusionSearchNetwork` is stale, a small
-   dirty set is patched in-line via the incremental push path (its cost
-   charged to the batch); a large one is deferred and the batch serves the
-   stale cache, marked ``stale_served``, rather than blocking on a full
-   re-diffusion.  With ``StalenessConfig(slo=RefreshSLO(...))`` the size
-   heuristic is replaced by the SLO-driven
-   :class:`~repro.churn.RefreshScheduler`: each batch consults the
-   refreshable part of the network's staleness bound, picks defer /
-   incremental / full by fitted cost within a banked edge-operation budget,
-   and every response is stamped with the whole bound it was served under
-   (``QueryResponse.staleness_bound``).
+5. **Staleness-aware refresh** — one decider, the SLO-driven
+   :class:`~repro.churn.RefreshScheduler` that
+   ``StalenessConfig(slo=RefreshSLO(...))`` builds: each batch consults the
+   refreshable part of the underlying
+   :class:`~repro.core.search.DiffusionSearchNetwork`'s staleness bound and
+   picks defer / incremental / full by fitted cost within a banked
+   edge-operation budget; a patch runs in-line (its cost charged to the
+   batch) through the ``sparse`` backend's block refresh.  Without an SLO
+   the service never refreshes: a stale network is served stale, marked
+   ``stale_served``.  Every response is stamped with the whole bound it
+   was served under (``QueryResponse.staleness_bound``).
 
 Every submitted query resolves to exactly one :class:`QueryResponse` with
 outcome ``OK``, ``DEGRADED``, or ``REJECTED`` — never a silent drop.
@@ -126,45 +125,37 @@ class CostModel:
 class StalenessConfig:
     """When and how to patch a stale diffusion before serving a batch.
 
-    A dirty set up to ``max_dirty_refresh`` nodes is refreshed in-line with
-    the incremental ``method`` path; anything larger is deferred (the batch
-    serves stale, marked ``stale_served``) on the grounds that blocking the
-    whole batch on a near-full re-diffusion costs more than slightly stale
-    routing scores.
-
-    Setting ``slo`` replaces that size heuristic with SLO-driven
-    scheduling (:class:`repro.churn.RefreshScheduler`): per batch, the
-    refreshable part of the network's staleness bound
-    (:meth:`repro.churn.StalenessTracker.refreshable`) is compared to
+    ``slo`` opts in to refreshing.  Per batch its
+    :class:`repro.churn.RefreshScheduler` compares the refreshable part of
+    the network's staleness bound
+    (:meth:`repro.churn.StalenessTracker.refreshable`) to
     ``slo.staleness_target``; on a breach the cheaper of incremental/full
     runs (a full re-baseline once the carried patch residual alone
     breaches) when affordable within the banked edge-operation budget —
     otherwise the batch is served stale and the breach counted
-    (``ServiceMetrics.slo_violations``).  With churn
-    absent and an unlimited-budget SLO the scheduled path makes exactly
-    the decisions the heuristic path makes (defer when clean, patch when
-    dirty), so serving results are identical — pinned by tests.
+    (``ServiceMetrics.slo_violations``).  With ``slo=None`` the service
+    makes no refresh: a stale network is served stale, each such batch
+    counted in ``ServiceMetrics.deferred_refreshes``.
 
-    ``method`` must name (or be) a backend that ``supports_incremental``:
-    every refresh the service makes goes through it, and a backend that
-    cannot patch would fail each one and serve stale forever.
+    ``method`` must name (or be) a backend that ``supports_incremental``
+    (built-in: ``sparse``): every refresh the service makes goes through
+    it, and a backend that cannot patch would fail each one and serve
+    stale forever.
     """
 
-    max_dirty_refresh: int = 64
-    method: str | DiffusionBackend = "push"
+    method: str | DiffusionBackend = "sparse"
     tol: float = 1e-8
     max_iterations: int = 10_000
     slo: RefreshSLO | None = None
 
     def __post_init__(self) -> None:
-        check_positive_int(self.max_dirty_refresh, "max_dirty_refresh")
         check_positive(self.tol, "tol")
         check_positive_int(self.max_iterations, "max_iterations")
         backend = resolve_backend(self.method)
         if not backend.supports_incremental:
             raise ValueError(
                 f"staleness method {backend.name!r} cannot patch a diffusion "
-                "(supports_incremental is False); use 'push' or 'sparse'"
+                "(supports_incremental is False); use 'sparse'"
             )
 
 
@@ -529,74 +520,32 @@ class QueryService:
     # -------------------------------------------------------------- staleness
 
     def _maybe_refresh(self) -> float:
-        """Patch a stale diffusion if cheap; otherwise serve stale.
+        """One refresh-scheduler tick: patch a stale diffusion, or serve stale.
 
         Returns the simulated time cost charged to the current batch and
         updates :attr:`_serving_stale` and :attr:`_staleness_bound` (both
-        stamped onto the batch's responses).  With an SLO configured the
-        decision is delegated to the :class:`~repro.churn.RefreshScheduler`
-        (:meth:`_slo_refresh`); otherwise the original dirty-count
-        heuristic applies.
+        stamped onto the batch's responses).  The scheduler sees the
+        refreshable part of the network's staleness bound (dirty mass +
+        patch residual beyond the full run's floor, an O(1) read) rather
+        than a node count, prices incremental vs full with its fitted cost
+        model, and spends a banked edge-operation budget.  Every batch is
+        stamped with the whole bound (floor + patch residual + pending).
+        Degradation is explicit: a deferral over the target serves stale
+        and counts an SLO violation.  Without a scheduler (no SLO) a stale
+        network is served stale.
         """
         network = self.network
+        scheduler = self.refresh_scheduler
         if network is None:
             self._serving_stale = False
             self._staleness_bound = 0.0
             return 0.0
-        if self.refresh_scheduler is not None:
-            return self._slo_refresh(network)
-        if not network.is_stale:
-            self._serving_stale = False
-            self._staleness_bound = network.staleness_bound()
-            return 0.0
-        staleness = self.config.staleness
-        dirty = len(network.dirty_nodes)
-        if dirty > staleness.max_dirty_refresh:
-            self.metrics.deferred_refreshes += 1
-            self._serving_stale = True
-            self._staleness_bound = network.staleness_bound()
-            return 0.0
-        try:
-            outcome = network.diffuse(
-                method=staleness.method,
-                tol=staleness.tol,
-                max_iterations=staleness.max_iterations,
-                incremental=True,
-            )
-        except ValueError:
-            # No baseline to patch: a full re-diffusion would block the
-            # batch, so defer and serve the stale cache instead.
-            self.metrics.deferred_refreshes += 1
-            self._serving_stale = True
-            self._staleness_bound = network.staleness_bound()
-            return 0.0
-        if not outcome.converged:
-            self.metrics.failed_refreshes += 1
-            self._serving_stale = True
-            self._staleness_bound = network.staleness_bound()
-            return 0.0
-        self.metrics.refreshes += 1
-        self._serving_stale = False
+        self._serving_stale = network.is_stale
         self._staleness_bound = network.staleness_bound()
-        # The cached embeddings changed object identity; rebuild the policy
-        # view over them.
-        self.policy = network.default_policy()
-        cost = self.config.cost
-        return cost.refresh_overhead + cost.refresh_per_dirty * dirty
-
-    def _slo_refresh(self, network: "DiffusionSearchNetwork") -> float:
-        """SLO-scheduled refresh: one scheduler tick per served batch.
-
-        The scheduler sees the refreshable part of the network's staleness
-        bound (dirty mass + patch residual beyond the full run's floor, an
-        O(1) read) rather than a node count, prices incremental vs full
-        with its fitted cost model, and spends a banked edge-operation
-        budget.  Every batch is stamped with the whole bound (floor + patch
-        residual + pending).  Degradation is explicit: a deferral over the
-        target serves stale and counts an SLO violation.
-        """
-        scheduler = self.refresh_scheduler
-        assert scheduler is not None
+        if scheduler is None:
+            if network.is_stale:
+                self.metrics.deferred_refreshes += 1
+            return 0.0
         staleness = self.config.staleness
         cost = self.config.cost
         scheduler.tick()
@@ -604,12 +553,9 @@ class QueryService:
             network.staleness.refreshable(), network.dirty_mass
         )
         if decision.action == "defer":
-            stale = network.is_stale and not decision.within_slo
-            if stale:
+            if network.is_stale and not decision.within_slo:
                 self.metrics.deferred_refreshes += 1
                 self.metrics.slo_violations += 1
-            self._serving_stale = network.is_stale
-            self._staleness_bound = network.staleness_bound()
             return 0.0
         dirty = len(network.dirty_nodes)
         dirty_mass = network.dirty_mass

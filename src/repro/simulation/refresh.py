@@ -8,8 +8,9 @@ by the experiment drivers (see :mod:`repro.simulation.runner`):
 * ``stale`` — do nothing; keep routing on yesterday's scores (free, lossy).
 * ``full`` — re-diffuse the whole signal from scratch (exact, O(network)).
 * ``incremental`` — forward-push only the *delta* signal and patch the old
-  scores (exact to push tolerance, O(change)); the strategy enabled by
-  :class:`repro.core.backends.PushDiffusionBackend`.
+  scores (exact to push tolerance, O(change)); the kernel
+  (:func:`repro.gsp.push.push_refresh`) that the ``sparse`` backend's
+  embedding refresh runs on row blocks.
 
 ``full`` and ``incremental`` agree to within tolerance, so the comparison
 is about *cost* (push/edge-operation counts), which the benchmark suite

@@ -236,11 +236,14 @@ def scalar_run_query(
         sent = 0
         failures = 0
         unreachable: list[int] = []
+        found_dead = False
         died_of_faults = False
         while sent < fanout and ttl > 0:
             targets = next_hops(node, 1)
             if targets.size == 0:
-                died_of_faults = bool(quarantined or unreachable)
+                # Lost to faults only when a peer was found dead or is
+                # quarantined, not when the neighbours ran out.
+                died_of_faults = bool(quarantined) or found_dead
                 break
             target = int(targets[0])
             result.messages += 1
@@ -251,6 +254,7 @@ def scalar_run_query(
                 faults.crash_detections += 1
                 excluded[target] = True
                 unreachable.append(target)
+                found_dead = True
                 result.failed_peers[target] = (
                     result.failed_peers.get(target, 0) + 1
                 )

@@ -8,7 +8,7 @@ from repro.core.backends import (
     AsyncProtocolBackend,
     DiffusionBackend,
     DiffusionOutcome,
-    PushDiffusionBackend,
+    SparseDiffusionBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -35,12 +35,13 @@ def personalization(adjacency):
 class TestRegistry:
     def test_builtins_registered(self):
         names = available_backends()
-        for name in ("power", "solve", "async", "push"):
+        for name in ("power", "solve", "async", "sparse"):
             assert name in names
+        assert "push" not in names
 
     def test_get_backend_instantiates(self):
-        backend = get_backend("push")
-        assert isinstance(backend, PushDiffusionBackend)
+        backend = get_backend("sparse")
+        assert isinstance(backend, SparseDiffusionBackend)
         assert backend.supports_incremental
 
     def test_unknown_name_rejected(self):
@@ -49,7 +50,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_backend(PushDiffusionBackend)
+            register_backend(SparseDiffusionBackend)
 
     def test_custom_backend_dispatches(self, adjacency, personalization):
         @register_backend
@@ -87,32 +88,37 @@ class TestRegistry:
             register_backend(Nameless)
 
 
-class TestPushBackend:
+class TestExactSparseBackend:
     def test_agrees_with_solve(self, adjacency, personalization):
-        push = diffuse_embeddings(
-            adjacency, personalization, alpha=0.4, method="push", tol=1e-10
+        exact = diffuse_embeddings(
+            adjacency,
+            personalization,
+            alpha=0.4,
+            method=SparseDiffusionBackend(epsilon=0.0),
+            tol=1e-10,
         )
         solve = diffuse_embeddings(
             adjacency, personalization, alpha=0.4, method="solve"
         )
-        assert push.converged
-        assert push.operations > 0
-        assert np.max(np.abs(push.embeddings - solve.embeddings)) < 1e-8
+        assert exact.converged
+        assert exact.operations > 0
+        assert np.max(np.abs(exact.embeddings.toarray() - solve.embeddings)) < 1e-8
 
     def test_refresh_embeddings_facade(self, adjacency, personalization):
+        backend = SparseDiffusionBackend(epsilon=0.0)
         base = diffuse_embeddings(
-            adjacency, personalization, alpha=0.4, method="push", tol=1e-11
+            adjacency, personalization, alpha=0.4, method=backend, tol=1e-11
         )
         delta = np.zeros_like(personalization)
         delta[7] = 1.0
         patched = refresh_embeddings(
-            adjacency, base.embeddings, delta, alpha=0.4, tol=1e-11
+            adjacency, base.embeddings, delta, alpha=0.4, method=backend, tol=1e-11
         )
         assert patched.incremental
         exact = diffuse_embeddings(
             adjacency, personalization + delta, alpha=0.4, method="solve"
         )
-        assert np.max(np.abs(patched.embeddings - exact.embeddings)) < 1e-6
+        assert np.max(np.abs(patched.embeddings.toarray() - exact.embeddings)) < 1e-6
 
     def test_refresh_requires_incremental_backend(self, adjacency):
         with pytest.raises(ValueError, match="incremental"):

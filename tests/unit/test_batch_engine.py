@@ -335,15 +335,6 @@ class TestStochasticPolicies:
                 )
                 walker.setdefault(hop, []).append(node)
 
-    def test_softmax_policy_runs(self, setting):
-        policy = EmbeddingGuidedPolicy(setting["embeddings"], temperature=0.7)
-        results = run_queries(
-            setting["adjacency"], setting["stores"], policy,
-            setting["query"], setting["starts"], WalkConfig(ttl=6, fanout=2),
-            seed=3,
-        )
-        assert all(len(r.visits) >= 1 for r in results)
-
     def test_chunked_batches_stay_equivalent(self, setting, monkeypatch):
         """A tiny visited-edge budget forces chunking; results must match."""
         from repro.core import batch as batch_module

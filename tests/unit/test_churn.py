@@ -34,6 +34,7 @@ from repro.churn import (
     apply_churn_event,
     check_strategy,
 )
+from repro.core.backends import SparseDiffusionBackend
 from repro.core.search import DiffusionSearchNetwork
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.generators import connected_watts_strogatz
@@ -45,6 +46,9 @@ from repro.simulation.refresh import SignalRefresher
 RATES = ChurnRates(
     doc_add=1.0, doc_move=2.0, doc_delete=0.5, node_leave=0.2, node_join=0.2
 )
+# The exact incremental backend: no pruning, patches exact to the push
+# tolerance.
+EXACT = SparseDiffusionBackend(epsilon=0.0)
 
 
 def make_network(n=30, dim=6, docs=12, seed=0):
@@ -566,7 +570,7 @@ class TestNetworkStaleness:
 
     def test_bound_small_after_diffusion(self):
         net = make_network()
-        net.diffuse(method="push", tol=1e-9)
+        net.diffuse(method=EXACT, tol=1e-9)
         assert net.staleness_bound() < 1e-6
         assert net.dirty_mass == 0.0
 
@@ -574,7 +578,7 @@ class TestNetworkStaleness:
         """Satellite regression guard: cost is O(distinct dirty), not O(events)."""
         def churned(moves):
             net = make_network(seed=3)
-            net.diffuse(method="push", tol=1e-9)
+            net.diffuse(method=EXACT, tol=1e-9)
             vec = np.array(net.stores[net.location_of("doc0")].embedding_of("doc0"))
             for i in range(moves):
                 net.remove_document("doc0")
@@ -592,14 +596,14 @@ class TestNetworkStaleness:
         assert many.dirty_nodes == once.dirty_nodes | {22}
         assert many.staleness.dirty_count <= 3
         assert many.dirty_mass == pytest.approx(once.dirty_mass, rel=1e-9)
-        ops_once = once.diffuse(method="push", tol=1e-9).operations
-        ops_many = many.diffuse(method="push", tol=1e-9).operations
+        ops_once = once.diffuse(method=EXACT, tol=1e-9).operations
+        ops_many = many.diffuse(method=EXACT, tol=1e-9).operations
         assert ops_many == ops_once
         np.testing.assert_allclose(once.embeddings, many.embeddings)
 
     def test_bound_dominates_true_embedding_error(self):
         net = make_network(seed=4)
-        net.diffuse(method="push", tol=1e-9)
+        net.diffuse(method=EXACT, tol=1e-9)
         served = net.embeddings.copy()
         rng = np.random.default_rng(17)
         for d in range(5):
@@ -616,14 +620,14 @@ class TestNetworkStaleness:
             fresh.place_document(
                 doc, np.array(net.stores[node].embedding_of(doc)), node
             )
-        fresh.diffuse(method="push", tol=1e-9)
+        fresh.diffuse(method=EXACT, tol=1e-9)
         true_error = float(np.abs(served - fresh.embeddings).sum())
         assert bound >= true_error - 1e-9
         assert not math.isinf(bound)
 
     def test_churn_back_to_baseline_zeroes_mass(self):
         net = make_network(seed=5)
-        net.diffuse(method="push", tol=1e-9)
+        net.diffuse(method=EXACT, tol=1e-9)
         node = net.location_of("doc0")
         vec = np.array(net.stores[node].embedding_of("doc0"), copy=True)
         net.remove_document("doc0")
@@ -631,9 +635,26 @@ class TestNetworkStaleness:
         net.place_document("doc0", vec, node)  # exactly undone
         assert net.dirty_mass == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_undone_change_leaves_no_pending_mass(self, dtype):
+        """A row back at its diffused state reads exactly 0 pending mass in
+        the network's own dtype: the current and the baseline row are both
+        built in it, so float32 rounding cannot leave mass behind."""
+        graph = nx.connected_watts_strogatz_graph(30, 4, 0.3, seed=0)
+        net = DiffusionSearchNetwork(graph, dim=6, alpha=0.5, dtype=dtype)
+        rng = np.random.default_rng(0)
+        for i in range(2):
+            net.place_document(f"held{i}", rng.standard_normal(6), 3)
+        net.diffuse(method=SparseDiffusionBackend(dtype=dtype), tol=1e-6)
+        net.place_document("third", rng.standard_normal(6), 3)
+        assert net.dirty_mass > 0
+        net.remove_document("third")
+        assert net.dirty_mass == 0.0
+        assert net.staleness.refreshable() == 0.0
+
     def test_clear_documents_counts_full_mass(self):
         net = make_network(seed=6)
-        net.diffuse(method="push", tol=1e-9)
+        net.diffuse(method=EXACT, tol=1e-9)
         net.clear_documents()
         # Every previously-occupied row is now pending at its full mass.
         assert net.dirty_mass > 0

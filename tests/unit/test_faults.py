@@ -696,6 +696,35 @@ class TestLockstepMatchesScalar:
 
 
 class TestResilientWalk:
+    @pytest.mark.parametrize("fanout, redundancy", [(2, 1), (1, 2)])
+    def test_running_out_of_peers_is_not_a_fault(
+        self, path_adjacency, fanout, redundancy
+    ):
+        """Two walkers leave node 0, which has one neighbour: one is sent
+        and the other has no peer left.  Under a plan that injects nothing
+        that is the fault-free walk, not a walker lost to faults, in the
+        engine and in the scalar oracle alike."""
+        policy = PrecomputedScorePolicy(np.arange(6, dtype=float))
+        config = WalkConfig(ttl=8, fanout=fanout)
+        resilience = ResilienceConfig(redundancy=redundancy)
+        query = np.ones(2)
+        clean = run_queries(
+            path_adjacency, {}, policy, query[None, :], [0], config,
+            resilience=resilience,
+        )[0]
+        engine = run_queries(
+            path_adjacency, {}, policy, query[None, :], [0], config,
+            faults=FaultInjector(FaultPlan(6)), resilience=resilience,
+        )[0]
+        oracle = scalar_run_query(
+            path_adjacency, {}, policy, query, 0, config,
+            faults=FaultInjector(FaultPlan(6)), resilience=resilience,
+        )
+        for result in (engine, oracle):
+            assert not result.degraded
+            assert result.walkers_lost == 0
+            assert result.visits == clean.visits
+
     def test_crashed_source_degrades(self, path_adjacency):
         faults = FaultInjector(FaultPlan(6, crashes=(CrashWindow(2),)))
         result = run_query(

@@ -69,17 +69,7 @@ class TestEmbeddingGuided:
         scores = policy.scores(np.array([1.0, 1.0]), np.array([3, 4]))
         assert np.allclose(scores, [3.0, 1.0])
 
-    def test_temperature_sampling_varies(self, embeddings):
-        policy = EmbeddingGuidedPolicy(embeddings, temperature=5.0)
-        query = np.array([1.0, 0.0])
-        rng = np.random.default_rng(1)
-        draws = {
-            int(policy.select(query, np.array([0, 1, 2, 3]), 1, rng)[0])
-            for _ in range(50)
-        }
-        assert len(draws) > 1  # exploration actually explores
-
-    def test_zero_temperature_deterministic(self, embeddings):
+    def test_select_ignores_rng(self, embeddings):
         policy = EmbeddingGuidedPolicy(embeddings)
         query = np.array([1.0, 0.0])
         out = [
@@ -87,10 +77,6 @@ class TestEmbeddingGuided:
             for s in range(5)
         ]
         assert all(o == out[0] for o in out)
-
-    def test_negative_temperature_rejected(self, embeddings):
-        with pytest.raises(ValueError):
-            EmbeddingGuidedPolicy(embeddings, temperature=-1.0)
 
     def test_describe(self, embeddings):
         assert "embedding-guided" in EmbeddingGuidedPolicy(embeddings).describe()

@@ -316,7 +316,11 @@ class TestFloat32Pipeline:
 class TestCoalescedDirtyDelta:
     """One refresh per window diffuses the window's whole dirty set."""
 
-    @pytest.mark.parametrize("method_name", ["push", "sparse"])
+    @pytest.mark.parametrize(
+        "method_name",
+        [SparseDiffusionBackend(epsilon=0.0), "sparse"],
+        ids=["exact", "sparse"],
+    )
     def test_many_batches_one_refresh(self, method_name):
         graph = connected_watts_strogatz(30, 4, 0.2, seed=7)
         rng = np.random.default_rng(17)
@@ -336,8 +340,7 @@ class TestCoalescedDirtyDelta:
         outcome = net.diffuse(method=method_name, tol=1e-10)
         assert outcome.incremental and outcome.converged
         exact = net.diffuse(method="solve", incremental=False)
-        got = net.embeddings if method_name == "sparse" else outcome.embeddings
-        assert np.max(np.abs(got - exact.embeddings)) < 1e-6
+        assert np.max(np.abs(net.embeddings - exact.embeddings)) < 1e-6
 
     def test_repeated_refreshes_stay_exact(self):
         """Row-replacement baseline: drift cannot accumulate over windows."""
@@ -345,10 +348,11 @@ class TestCoalescedDirtyDelta:
         rng = np.random.default_rng(18)
         net = DiffusionSearchNetwork(graph, dim=3)
         net.place_document("seed", rng.standard_normal(3), 0)
-        net.diffuse(method="push", tol=1e-10)
+        exact_backend = SparseDiffusionBackend(epsilon=0.0)
+        net.diffuse(method=exact_backend, tol=1e-10)
         for i in range(6):
             net.place_document(f"w{i}", rng.standard_normal(3), (i * 5) % 30)
-            outcome = net.diffuse(method="push", tol=1e-10)
+            outcome = net.diffuse(method=exact_backend, tol=1e-10)
             assert outcome.incremental
         exact = net.diffuse(method="solve", incremental=False)
         assert np.max(np.abs(net.embeddings - exact.embeddings)) < 1e-6

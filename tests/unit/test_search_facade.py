@@ -4,8 +4,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.core.backends import SparseDiffusionBackend
 from repro.core.search import DiffusionSearchNetwork
 from protocol_reference import event_search
+
+# The exact incremental backend: no pruning, so a patch is exact to the push
+# tolerance.
+EXACT = SparseDiffusionBackend(epsilon=0.0)
 
 
 @pytest.fixture
@@ -114,45 +119,45 @@ class TestIncrementalRefresh:
         rng = np.random.default_rng(0)
         for i in range(6):
             net.place_document(f"d{i}", rng.standard_normal(3), i)
-        net.diffuse(method="push", tol=1e-10)
+        net.diffuse(method=EXACT, tol=1e-10)
         net.place_document("new", rng.standard_normal(3), 7)
-        outcome = net.diffuse(method="push", tol=1e-10)
+        outcome = net.diffuse(method=EXACT, tol=1e-10)
         assert outcome.incremental
         exact = net.diffuse(method="solve", incremental=False)
-        assert np.max(np.abs(outcome.embeddings - exact.embeddings)) < 1e-6
+        assert np.max(np.abs(outcome.embeddings.toarray() - exact.embeddings)) < 1e-6
 
     def test_removal_matches_exact_solve(self, net):
         rng = np.random.default_rng(1)
         for i in range(6):
             net.place_document(f"d{i}", rng.standard_normal(3), i)
-        net.diffuse(method="push", tol=1e-10)
+        net.diffuse(method=EXACT, tol=1e-10)
         net.remove_document("d3")
-        outcome = net.diffuse(method="push", tol=1e-10)
+        outcome = net.diffuse(method=EXACT, tol=1e-10)
         assert outcome.incremental
         exact = net.diffuse(method="solve", incremental=False)
-        assert np.max(np.abs(outcome.embeddings - exact.embeddings)) < 1e-6
+        assert np.max(np.abs(outcome.embeddings.toarray() - exact.embeddings)) < 1e-6
 
-    def test_first_push_diffusion_is_cold_start(self, net):
+    def test_first_sparse_diffusion_is_cold_start(self, net):
         net.place_document("a", np.ones(3), 0)
-        outcome = net.diffuse(method="push")
+        outcome = net.diffuse(method=EXACT)
         assert not outcome.incremental
 
     def test_incremental_after_power_base(self, net):
-        """A push patch composes with any previously cached diffusion."""
+        """A block patch composes with any previously cached diffusion."""
         net.place_document("a", np.ones(3), 0)
         net.diffuse(method="power", tol=1e-12)
         net.place_document("b", np.ones(3), 4)
-        outcome = net.diffuse(method="push", tol=1e-10)
+        outcome = net.diffuse(method=EXACT, tol=1e-10)
         assert outcome.incremental
         exact = net.diffuse(method="solve", incremental=False)
-        assert np.max(np.abs(outcome.embeddings - exact.embeddings)) < 1e-6
+        assert np.max(np.abs(outcome.embeddings.toarray() - exact.embeddings)) < 1e-6
 
     def test_forced_incremental_without_base_rejected(self, net):
         net.place_document("a", np.ones(3), 0)
         with pytest.raises(ValueError, match="previous diffusion"):
-            net.diffuse(method="push", incremental=True)
+            net.diffuse(method=EXACT, incremental=True)
 
-    def test_forced_incremental_on_non_push_backend_rejected(self, net):
+    def test_forced_incremental_on_non_incremental_backend_rejected(self, net):
         net.place_document("a", np.ones(3), 0)
         net.diffuse()
         with pytest.raises(ValueError, match="incremental"):
@@ -160,8 +165,8 @@ class TestIncrementalRefresh:
 
     def test_noop_refresh_costs_nothing(self, net):
         net.place_document("a", np.ones(3), 0)
-        net.diffuse(method="push")
-        outcome = net.diffuse(method="push")
+        net.diffuse(method=EXACT)
+        outcome = net.diffuse(method=EXACT)
         assert outcome.incremental
         assert outcome.iterations == 0
         assert outcome.operations == 0
@@ -171,32 +176,32 @@ class TestIncrementalRefresh:
         correction would become permanently invisible)."""
         rng = np.random.default_rng(3)
         net.place_document("a", rng.standard_normal(3), 0)
-        net.diffuse(method="push", tol=1e-10)
+        net.diffuse(method=EXACT, tol=1e-10)
         before = net.embeddings.copy()
         net.place_document("b", 10.0 * np.ones(3), 4)
-        truncated = net.diffuse(method="push", tol=1e-12, max_iterations=1)
+        truncated = net.diffuse(method=EXACT, tol=1e-12, max_iterations=1)
         assert truncated.incremental and not truncated.converged
         assert net.is_stale
         assert net.dirty_nodes == frozenset({4})
         assert np.array_equal(net.embeddings, before)
         # A retry with budget re-diffuses the full delta and is exact.
-        retried = net.diffuse(method="push", tol=1e-10)
+        retried = net.diffuse(method=EXACT, tol=1e-10)
         assert retried.incremental and retried.converged
         exact = net.diffuse(method="solve", incremental=False)
-        assert np.max(np.abs(retried.embeddings - exact.embeddings)) < 1e-6
+        assert np.max(np.abs(retried.embeddings.toarray() - exact.embeddings)) < 1e-6
 
     def test_unconverged_cold_start_is_not_a_baseline(self, net):
         """A truncated full run must not seed incremental refreshes — its
         residual would be invisible to every later delta patch."""
         rng = np.random.default_rng(4)
         net.place_document("a", rng.standard_normal(3), 0)
-        truncated = net.diffuse(method="push", tol=1e-12, max_iterations=1)
+        truncated = net.diffuse(method=EXACT, tol=1e-12, max_iterations=1)
         assert not truncated.converged
         net.place_document("b", rng.standard_normal(3), 4)
-        outcome = net.diffuse(method="push", tol=1e-10)
+        outcome = net.diffuse(method=EXACT, tol=1e-10)
         assert not outcome.incremental  # fell back to a full run
         exact = net.diffuse(method="solve", incremental=False)
-        assert np.max(np.abs(outcome.embeddings - exact.embeddings)) < 1e-6
+        assert np.max(np.abs(outcome.embeddings.toarray() - exact.embeddings)) < 1e-6
 
     def test_out_of_band_store_mutation_corrected_by_full_run(self, net):
         """The incremental delta is assembled from the dirty-marked rows
@@ -205,9 +210,9 @@ class TestIncrementalRefresh:
         documented way to fold them in, and marking the node dirty through
         the facade repairs the incremental path too."""
         net.place_document("a", np.ones(3), 0)
-        net.diffuse(method="push", tol=1e-10)
+        net.diffuse(method=EXACT, tol=1e-10)
         net.stores[0].add("sneaky", np.array([0.0, 2.0, 0.0]))
-        outcome = net.diffuse(method="push", tol=1e-10)
+        outcome = net.diffuse(method=EXACT, tol=1e-10)
         assert outcome.incremental
         assert outcome.iterations == 0  # no dirty rows -> nothing pushed
         exact = net.diffuse(method="solve", incremental=False)
@@ -216,22 +221,22 @@ class TestIncrementalRefresh:
         # next incremental patch then diffuses the store's *current* row,
         # sneaky document included.
         net.place_document("c", np.ones(3), 0)
-        patched = net.diffuse(method="push", tol=1e-10)
+        patched = net.diffuse(method=EXACT, tol=1e-10)
         assert patched.incremental
         exact = net.diffuse(method="solve", incremental=False)
-        assert np.max(np.abs(patched.embeddings - exact.embeddings)) < 1e-6
+        assert np.max(np.abs(patched.embeddings.toarray() - exact.embeddings)) < 1e-6
 
     def test_accumulated_residual_tracks_patches(self, net):
         """The tracker's patch residual grows across patches and resets on
         a full run, whose own residual becomes the floor."""
         rng = np.random.default_rng(2)
         net.place_document("a", rng.standard_normal(3), 0)
-        first = net.diffuse(method="push", tol=1e-6)
+        first = net.diffuse(method=EXACT, tol=1e-6)
         assert net.staleness.floor_l1 == first.residual_l1
         total = 0.0
         for i in range(3):
             net.place_document(f"b{i}", rng.standard_normal(3), i + 1)
-            total += net.diffuse(method="push", tol=1e-6).residual_l1
+            total += net.diffuse(method=EXACT, tol=1e-6).residual_l1
         assert net.staleness.patch_residual_l1 == pytest.approx(total)
         assert total > 0
         assert net.staleness_bound() == pytest.approx(first.residual_l1 + total)
@@ -241,9 +246,9 @@ class TestIncrementalRefresh:
 
     def test_search_after_incremental_refresh(self, net):
         net.place_document("decoy", np.array([0.0, 1.0, 0.0]), 1)
-        net.diffuse(method="push", tol=1e-10)
+        net.diffuse(method=EXACT, tol=1e-10)
         net.place_document("gold", np.array([1.0, 0.0, 0.0]), 4)
-        net.diffuse(method="push", tol=1e-10)
+        net.diffuse(method=EXACT, tol=1e-10)
         result = net.search(np.array([1.0, 0.0, 0.0]), start_node=2, ttl=8)
         assert result.found("gold", top=1)
 

@@ -11,8 +11,8 @@ Pins the load-bearing contracts:
 * admission control bounds the ingress queue with explicit reasons;
 * the circuit breaker's state machine trips, cools down, probes, and
   recovers as configured;
-* staleness handling refreshes small dirty sets in-line and serves stale
-  (marked) for large ones.
+* staleness handling refreshes in-line only through an SLO's refresh
+  scheduler, and without one serves a stale network stale (marked).
 """
 
 import math
@@ -24,7 +24,9 @@ import pytest
 from repro.core.backends import SparseDiffusionBackend
 from repro.core.batch import run_queries
 from repro.core.engine import ResilienceConfig, WalkConfig
+from repro.core.forwarding import PrecomputedScorePolicy
 from repro.core.search import DiffusionSearchNetwork
+from repro.graphs.adjacency import CompressedAdjacency
 from repro.gsp.filters import PersonalizedPageRank
 from repro.gsp.normalization import transition_matrix
 from repro.runtime.events import EventQueue
@@ -60,7 +62,7 @@ def make_network(n=40, dim=8, docs=10, seed=0):
         node = int(rng.integers(n))
         net.place_document(f"doc{d}", vec, node)
         vectors[f"doc{d}"] = vec
-    net.diffuse(method="push")
+    net.diffuse(method=SparseDiffusionBackend(epsilon=0.0))
     return net, vectors, rng
 
 
@@ -512,7 +514,10 @@ class TestStaleness:
         assert net.is_stale
         service = make_service(
             net,
-            config=ServingConfig(batch=MicroBatchConfig(max_batch=1, max_wait=1.0)),
+            config=ServingConfig(
+                batch=MicroBatchConfig(max_batch=1, max_wait=1.0),
+                staleness=StalenessConfig(slo=RefreshSLO(staleness_target=0.0)),
+            ),
         )
         service.submit(QueryRequest(query_id="q", embedding=vec, start_node=0))
         service.drain()
@@ -522,15 +527,14 @@ class TestStaleness:
         assert not response.stale_served
 
     def test_large_dirty_set_served_stale(self):
+        """Without an SLO the service never refreshes: any dirty set is
+        served stale, marked, and counted as a deferral."""
         net, vectors, rng = make_network()
         for d in range(6):
             net.place_document(f"late{d}", rng.standard_normal(net.dim), d)
         service = make_service(
             net,
-            config=ServingConfig(
-                batch=MicroBatchConfig(max_batch=1, max_wait=1.0),
-                staleness=StalenessConfig(max_dirty_refresh=2),
-            ),
+            config=ServingConfig(batch=MicroBatchConfig(max_batch=1, max_wait=1.0)),
         )
         service.submit(
             QueryRequest(query_id="q", embedding=vectors["doc0"], start_node=0)
@@ -555,7 +559,9 @@ class TestStaleness:
         service = make_service(
             net,
             config=ServingConfig(
-                batch=MicroBatchConfig(max_batch=1, max_wait=1.0), cost=cost
+                batch=MicroBatchConfig(max_batch=1, max_wait=1.0),
+                cost=cost,
+                staleness=StalenessConfig(slo=RefreshSLO(staleness_target=0.0)),
             ),
         )
         service.submit(
@@ -588,12 +594,12 @@ class TestSloServing:
             )
         service.drain()
 
-    def test_zero_churn_unlimited_budget_identical_to_heuristic_path(self):
+    def test_zero_churn_unlimited_budget_identical_to_no_slo(self):
         """Acceptance pin: without churn the SLO path changes nothing.
 
         Same network state, same seed, infinite budget, no churn: the
         scheduled path must produce bit-identical responses (results,
-        timing, staleness stamps) to the pre-existing heuristic serving.
+        timing, staleness stamps) to serving without an SLO.
         """
         def serve(config):
             net, vectors, _ = make_network(seed=5)
@@ -601,12 +607,12 @@ class TestSloServing:
             self.submit_all(service, vectors)
             return service
 
-        legacy = serve(
+        unscheduled = serve(
             ServingConfig(batch=MicroBatchConfig(max_batch=4, max_wait=1.0))
         )
         scheduled = serve(self.slo_config())
-        assert len(legacy.responses) == len(scheduled.responses) == 8
-        for a, b in zip(legacy.responses, scheduled.responses):
+        assert len(unscheduled.responses) == len(scheduled.responses) == 8
+        for a, b in zip(unscheduled.responses, scheduled.responses):
             assert a.query_id == b.query_id
             assert a.outcome == b.outcome
             assert a.stale_served == b.stale_served
@@ -944,6 +950,24 @@ class TestFaultyService:
         (response,) = service.responses
         visited = {node for _, node in response.result.visits}
         assert visited.isdisjoint({1, 2, 3})
+
+    def test_null_fault_plan_answers_ok(self):
+        """A walker that runs out of peers on a plan that injects nothing
+        is not lost to faults, so the answer stays OK."""
+        adjacency = CompressedAdjacency.from_networkx(nx.path_graph(6))
+        service = QueryService(
+            adjacency,
+            {},
+            PrecomputedScorePolicy(np.arange(6, dtype=float)),
+            config=ServingConfig(walk=WalkConfig(ttl=8, fanout=2)),
+            faults=FaultInjector(FaultPlan(6)),
+        )
+        service.submit(QueryRequest(query_id="q", embedding=np.ones(2), start_node=0))
+        service.drain()
+        (response,) = service.responses
+        assert response.outcome is Outcome.OK
+        assert response.reason is None
+        assert response.result.walkers_lost == 0
 
     def test_out_of_range_static_quarantine_rejected_at_construction(self):
         net, _, _ = make_network(n=10)

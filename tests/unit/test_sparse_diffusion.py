@@ -454,15 +454,13 @@ class TestSparseBackend:
             atol=1e-6,
         )
 
-    @pytest.mark.parametrize("method", ["push", "sparse"])
     @pytest.mark.parametrize("cache_csr", [False, True])
     @pytest.mark.parametrize("delta_csr", [False, True])
     def test_refresh_keeps_backend_format(
-        self, small_world_adjacency, sparse_signal, method, cache_csr, delta_csr
+        self, small_world_adjacency, sparse_signal, cache_csr, delta_csr
     ):
-        """``sparse`` patches into a block and ``push`` into a dense array,
-        in whichever format the cache and the delta arrive (CSR converts at
-        the ``refresh_embeddings`` edge)."""
+        """``sparse`` patches into a block in whichever format the cache and
+        the delta arrive (CSR converts at the ``refresh_embeddings`` edge)."""
         dense, sparse = sparse_signal
         n, dim = dense.shape
         cache = diffuse_embeddings(
@@ -470,23 +468,20 @@ class TestSparseBackend:
         ).embeddings
         delta = np.zeros((n, dim))
         delta[11] = 0.7
-        backend = SparseDiffusionBackend(epsilon=0.0) if method == "sparse" else method
         patched = refresh_embeddings(
             small_world_adjacency,
             sp.csr_matrix(cache) if cache_csr else cache,
             sp.csr_matrix(delta) if delta_csr else delta,
             alpha=0.4,
-            method=backend,
+            method=SparseDiffusionBackend(epsilon=0.0),
             tol=1e-10,
         )
         assert patched.incremental and patched.converged
-        assert isinstance(patched.embeddings, RowBlock) == (method == "sparse")
+        assert isinstance(patched.embeddings, RowBlock)
         exact = diffuse_embeddings(
             small_world_adjacency, dense + delta, alpha=0.4, method="solve"
         ).embeddings
-        got = patched.embeddings
-        got = got.toarray() if isinstance(got, RowBlock) else got
-        assert np.abs(got - exact).max() < 1e-8
+        assert np.abs(patched.embeddings.toarray() - exact).max() < 1e-8
 
 
 class TestSearchFacadeSparse:
@@ -582,25 +577,10 @@ class TestSearchFacadeSparse:
         bound = SPARSE_DEFAULT_EPSILON * degrees / 0.5 * 10
         assert np.abs(net.embeddings - exact).max() < bound
 
-    def test_dense_incremental_after_sparse_cache(self, small_world_adjacency):
-        """A push refresh composes with a sparse cache (densified on entry)."""
+    def test_sparse_incremental_after_dense_cache(self, small_world_adjacency):
+        """A sparse refresh patches a dense power cache into a block."""
         net, _, _ = self._network(small_world_adjacency, seed=6)
-        net.diffuse(method="sparse", tol=1e-10)
-        rng = np.random.default_rng(7)
-        net.place_document("extra", rng.standard_normal(16), node=1)
-        outcome = net.diffuse(method="push", tol=1e-10)
-        assert outcome.incremental
-        assert isinstance(outcome.embeddings, np.ndarray)
-        exact = PersonalizedPageRank(0.5, method="solve").apply(
-            transition_matrix(small_world_adjacency, "column"),
-            net.personalization(),
-        )
-        assert np.abs(net.embeddings - exact).max() < 1e-2
-
-    def test_sparse_incremental_after_push_cache(self, small_world_adjacency):
-        """A sparse refresh patches a dense push cache into a block."""
-        net, _, _ = self._network(small_world_adjacency, seed=6)
-        net.diffuse(method="push", tol=1e-10)
+        net.diffuse(method="power", tol=1e-10)
         rng = np.random.default_rng(7)
         net.place_document("extra", rng.standard_normal(16), node=1)
         outcome = net.diffuse(
@@ -613,25 +593,6 @@ class TestSearchFacadeSparse:
             net.personalization(),
         )
         assert np.abs(net.embeddings - exact).max() < 1e-8
-
-
-class TestRefreshShapes:
-    def test_vector_refresh_keeps_vector_shape(self, small_world_adjacency):
-        """refresh_embeddings on a 1-D cache returns a 1-D result (push)."""
-        n = small_world_adjacency.n_nodes
-        rng = np.random.default_rng(17)
-        signal = rng.standard_normal(n)
-        base = diffuse_embeddings(
-            small_world_adjacency, signal, alpha=0.5, method="push", tol=1e-10
-        )
-        delta = np.zeros(n)
-        delta[4] = 1.0
-        # the facade coerces personalization to (n, 1); rebuild a 1-D cache
-        cache = np.asarray(base.embeddings).reshape(-1)
-        patched = refresh_embeddings(
-            small_world_adjacency, cache, delta, alpha=0.5, method="push"
-        )
-        assert patched.embeddings.shape == (n,)
 
 
 class TestRowBlock:
