@@ -120,6 +120,24 @@ class TestExactSparseBackend:
         )
         assert np.max(np.abs(patched.embeddings.toarray() - exact.embeddings)) < 1e-6
 
+    def test_refresh_embeddings_defaults_to_sparse(self, adjacency, personalization):
+        """Without ``method`` the patch runs the ``sparse`` backend."""
+        base = diffuse_embeddings(
+            adjacency, personalization, alpha=0.4, method="sparse", tol=1e-10
+        )
+        delta = np.zeros_like(personalization)
+        delta[7] = 1.0
+        default = refresh_embeddings(
+            adjacency, base.embeddings, delta, alpha=0.4, tol=1e-10
+        )
+        named = refresh_embeddings(
+            adjacency, base.embeddings, delta, alpha=0.4, method="sparse", tol=1e-10
+        )
+        assert default.incremental and default.converged
+        assert default.operations == named.operations > 0
+        assert np.array_equal(default.embeddings.nodes, named.embeddings.nodes)
+        assert np.array_equal(default.embeddings.rows, named.embeddings.rows)
+
     def test_refresh_requires_incremental_backend(self, adjacency):
         with pytest.raises(ValueError, match="incremental"):
             refresh_embeddings(

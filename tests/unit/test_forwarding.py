@@ -78,6 +78,25 @@ class TestEmbeddingGuided:
         ]
         assert all(o == out[0] for o in out)
 
+    def test_score_batch_matches_per_walk_scores(self, embeddings):
+        """``score_batch`` scores every walk's candidates in one call, each
+        segment bit-identical to a one-walk :meth:`scores` call, for a dense
+        and a block cache alike."""
+        queries = np.array([[1.0, 0.0], [0.5, -2.0]])
+        candidates = np.array([0, 1, 2, 3, 4, 2], dtype=np.int64)
+        offsets = np.array([0, 4, 6])
+        block = RowBlock(np.arange(1, 5), embeddings[1:], 5)  # row 0 is zero
+        for cache in (embeddings, block):
+            policy = EmbeddingGuidedPolicy(cache)
+            got = policy.score_batch(queries, candidates, offsets)
+            want = np.concatenate(
+                [
+                    policy.scores(queries[s], candidates[offsets[s] : offsets[s + 1]])
+                    for s in range(2)
+                ]
+            )
+            assert np.array_equal(got, want)
+
     def test_describe(self, embeddings):
         assert "embedding-guided" in EmbeddingGuidedPolicy(embeddings).describe()
 

@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.backends import SparseDiffusionBackend
+from repro.core.backends import SparseDiffusionBackend, get_backend
 from repro.core.search import DiffusionSearchNetwork
 from protocol_reference import event_search
 
@@ -95,6 +95,38 @@ class TestDiffusionLifecycle:
             network.place_document("b", np.array([0.0, 2.0]), 0)
         assert np.allclose(sum_net.personalization()[0], [2.0, 2.0])
         assert np.allclose(mean_net.personalization()[0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dense_backend_diffuses_dense_personalization(self, dtype):
+        """The baseline is kept as a block, but a dense backend still runs
+        on :meth:`personalization`'s values and dtype, bit for bit."""
+        graph = nx.connected_watts_strogatz_graph(30, 4, 0.3, seed=2)
+        net = DiffusionSearchNetwork(graph, dim=4, alpha=0.5, dtype=dtype)
+        rng = np.random.default_rng(2)
+        for i in range(7):
+            net.place_document(f"d{i}", rng.standard_normal(4), (i * 4) % 30)
+        outcome = net.diffuse(method="power", tol=1e-10)
+        direct = get_backend("power").diffuse(
+            net.adjacency, net.personalization(), alpha=0.5, tol=1e-10
+        )
+        assert isinstance(outcome.embeddings, np.ndarray)
+        assert outcome.embeddings.dtype == direct.embeddings.dtype
+        assert np.array_equal(outcome.embeddings, direct.embeddings)
+        assert outcome.iterations == direct.iterations
+
+    @pytest.mark.parametrize("method", ["power", EXACT], ids=["power", "exact"])
+    def test_diffused_signal_mass_is_baseline_l1(self, net, method):
+        """The L1 mass of the diffused personalization, whichever backend
+        ran: 0.0 before a diffusion, unchanged by pending churn."""
+        assert net.diffused_signal_mass() == 0.0
+        rng = np.random.default_rng(5)
+        for i in range(4):
+            net.place_document(f"d{i}", rng.standard_normal(3), i % 3)
+        net.diffuse(method=method, tol=1e-10)
+        mass = float(np.abs(net.personalization()).sum())
+        assert net.diffused_signal_mass() == pytest.approx(mass, rel=1e-12)
+        net.place_document("late", rng.standard_normal(3), 6)
+        assert net.diffused_signal_mass() == pytest.approx(mass, rel=1e-12)
 
 
 class TestIncrementalRefresh:

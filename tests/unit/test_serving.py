@@ -27,7 +27,7 @@ from repro.core.engine import ResilienceConfig, WalkConfig
 from repro.core.forwarding import PrecomputedScorePolicy
 from repro.core.search import DiffusionSearchNetwork
 from repro.graphs.adjacency import CompressedAdjacency
-from repro.gsp.filters import PersonalizedPageRank
+from repro.gsp.filters import PersonalizedPageRank, RowBlock
 from repro.gsp.normalization import transition_matrix
 from repro.runtime.events import EventQueue
 from repro.runtime.faults import FaultInjector, FaultPlan
@@ -545,6 +545,62 @@ class TestStaleness:
         (response,) = service.responses
         assert response.stale_served
         assert service.metrics.stale_served == 1
+
+    def test_single_dirty_node_served_stale_without_slo(self):
+        """No dirty set is small enough to be patched without an SLO: the
+        service builds no scheduler, and every batch over a stale network
+        is served stale, stamped with the network's bound."""
+        net, vectors, rng = make_network()
+        net.place_document("new-doc", rng.standard_normal(net.dim), 5)
+        assert net.dirty_nodes == frozenset({5})
+        bound = net.staleness_bound()
+        service = make_service(
+            net,
+            config=ServingConfig(batch=MicroBatchConfig(max_batch=1, max_wait=1.0)),
+        )
+        assert service.refresh_scheduler is None
+        for i in range(3):
+            service.submit(
+                QueryRequest(
+                    query_id=f"q{i}", embedding=vectors["doc0"], start_node=i
+                )
+            )
+        service.drain()
+        assert net.is_stale
+        assert net.staleness_bound() == bound
+        assert service.metrics.refreshes == 0
+        assert service.metrics.deferred_refreshes == 3
+        assert len(service.responses) == 3
+        for response in service.responses:
+            assert response.stale_served
+            assert response.staleness_bound == bound
+
+    def test_inline_refresh_patches_the_block_cache(self):
+        """The default refresh method is the ``sparse`` backend: an in-line
+        refresh patches the block cache incrementally into a new block."""
+        assert StalenessConfig().method == "sparse"
+        net, vectors, rng = make_network()
+        warm = net.last_diffusion.embeddings
+        assert isinstance(warm, RowBlock)
+        net.place_document("new-doc", rng.standard_normal(net.dim), 5)
+        service = make_service(
+            net,
+            config=ServingConfig(
+                batch=MicroBatchConfig(max_batch=1, max_wait=1.0),
+                staleness=StalenessConfig(slo=RefreshSLO(staleness_target=0.0)),
+            ),
+        )
+        service.submit(
+            QueryRequest(query_id="q", embedding=vectors["doc0"], start_node=0)
+        )
+        service.drain()
+        assert service.metrics.refreshes == 1
+        assert service.refresh_scheduler.decisions["incremental"] == 1
+        patched = net.last_diffusion
+        assert patched.incremental and patched.converged
+        assert isinstance(patched.embeddings, RowBlock)
+        assert patched.embeddings is not warm
+        assert 5 in set(patched.embeddings.nodes.tolist())
 
     def test_refresh_cost_charged_to_batch(self):
         net, vectors, rng = make_network()

@@ -594,6 +594,65 @@ class TestSearchFacadeSparse:
         )
         assert np.abs(net.embeddings - exact).max() < 1e-8
 
+    def test_dense_full_run_after_sparse_cache(self, small_world_adjacency):
+        """A dense backend cannot patch: after a block cache it re-diffuses
+        in full and caches a dense array, and the block baseline it keeps
+        lets the next sparse refresh patch that array."""
+        net, _, _ = self._network(small_world_adjacency, seed=6)
+        net.diffuse(method="sparse", tol=1e-10)
+        rng = np.random.default_rng(7)
+        net.place_document("extra", rng.standard_normal(16), node=1)
+        outcome = net.diffuse(method="power", tol=1e-10)
+        assert not outcome.incremental and outcome.converged
+        assert isinstance(outcome.embeddings, np.ndarray)
+        operator = transition_matrix(small_world_adjacency, "column")
+        exact = PersonalizedPageRank(0.5, method="solve").apply(
+            operator, net.personalization()
+        )
+        assert np.abs(net.embeddings - exact).max() < 1e-8
+        net.place_document("later", rng.standard_normal(16), node=3)
+        patched = net.diffuse(
+            method=SparseDiffusionBackend(epsilon=0.0), tol=1e-10
+        )
+        assert patched.incremental and patched.converged
+        exact = PersonalizedPageRank(0.5, method="solve").apply(
+            operator, net.personalization()
+        )
+        assert np.abs(net.embeddings - exact).max() < 1e-8
+
+
+class TestRefreshShapes:
+    def test_vector_refresh_comes_back_as_column_block(
+        self, small_world_adjacency
+    ):
+        """``refresh_embeddings`` coerces a 1-D cache and delta at its edge:
+        the patch of a scalar signal is an ``(n, 1)`` block."""
+        n = small_world_adjacency.n_nodes
+        rng = np.random.default_rng(17)
+        signal = rng.standard_normal(n)
+        exact_backend = SparseDiffusionBackend(epsilon=0.0)
+        base = diffuse_embeddings(
+            small_world_adjacency, signal, alpha=0.5, method="solve"
+        )
+        cache = np.asarray(base.embeddings).reshape(-1)
+        delta = np.zeros(n)
+        delta[4] = 1.0
+        patched = refresh_embeddings(
+            small_world_adjacency,
+            cache,
+            delta,
+            alpha=0.5,
+            method=exact_backend,
+            tol=1e-10,
+        )
+        assert patched.incremental and patched.converged
+        assert isinstance(patched.embeddings, RowBlock)
+        assert patched.embeddings.shape == (n, 1)
+        exact = diffuse_embeddings(
+            small_world_adjacency, signal + delta, alpha=0.5, method="solve"
+        ).embeddings
+        assert np.abs(patched.embeddings.toarray() - exact.reshape(n, 1)).max() < 1e-8
+
 
 class TestRowBlock:
     """The sparse pipeline's one layout: its lookups, copies and patches."""
