@@ -24,8 +24,7 @@ from typing import Hashable, Mapping
 
 import numpy as np
 
-from repro.core.engine import SearchResult, WalkConfig, run_query
-from repro.core.forwarding import ForwardingPolicy
+from repro.core.engine import SearchResult, WalkConfig
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.retrieval.scoring import top_k_indices
 from repro.retrieval.vector_store import DocumentStore
@@ -85,11 +84,17 @@ class QueryRoutingTable:
         return scores
 
 
-class LearnedRoutingPolicy(ForwardingPolicy):
+class LearnedRoutingPolicy:
     """Forward along the most successful route of similar past queries.
 
     Cold nodes (no relevant cache entries) fall back to uniform random
     forwarding — exactly the cold-start behaviour §II-A describes.
+
+    The choice depends on the node deciding, which a walk-engine policy is
+    never told, so this is not a
+    :class:`~repro.core.forwarding.ForwardingPolicy`:
+    :func:`learned_routing_walk` walks the nodes itself and asks
+    :meth:`route_from` at each.
     """
 
     def __init__(
@@ -108,11 +113,7 @@ class LearnedRoutingPolicy(ForwardingPolicy):
         self.capacity = int(capacity)
         self.decay = float(decay)
         self.epsilon = float(epsilon)
-        self._current_node: int | None = None
 
-    # The engine calls select() without telling the policy *whose* decision
-    # it is; stateful routing needs that, so the trainer walks nodes manually
-    # via route_from().
     def table_of(self, node: int) -> QueryRoutingTable:
         table = self.tables.get(node)
         if table is None:
@@ -134,20 +135,6 @@ class LearnedRoutingPolicy(ForwardingPolicy):
         if scores.max() <= 0.0 or rng.random() < self.epsilon:
             return int(candidates[rng.integers(candidates.size)])
         return int(candidates[top_k_indices(scores, 1)[0]])
-
-    def select(
-        self,
-        query_embedding: np.ndarray,
-        candidates: np.ndarray,
-        fanout: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        # Engine-compatible single-hop selection for the current node set by
-        # the walker below.
-        if self._current_node is None:
-            raise RuntimeError("use learned_routing_walk(); the policy is stateful")
-        chosen = self.route_from(self._current_node, query_embedding, candidates, rng)
-        return np.asarray([chosen], dtype=np.int64)
 
     def describe(self) -> str:
         return "learned-routing"

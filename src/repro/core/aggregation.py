@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.forwarding import ForwardingPolicy
-from repro.retrieval.scoring import top_k_indices
+from repro.core.forwarding import PrecomputedScorePolicy
 from repro.utils import check_non_negative, check_positive, ensure_rng
 from repro.utils.rng import RngLike
 
@@ -122,13 +121,14 @@ def channel_relevance_signals(
     return signals
 
 
-class MaxChannelPolicy(ForwardingPolicy):
+class MaxChannelPolicy(PrecomputedScorePolicy):
     """Forward toward the highest *maximum-channel* diffused relevance.
 
     ``channel_scores`` has shape ``(C, n_nodes)``: the C independently
     diffused scalar relevance signals.  A candidate's score is its best
     channel — the aggregation that keeps the gold document's signal from
-    being averaged away by unrelated local content.
+    being averaged away by unrelated local content — so the policy is the
+    score table of per-node channel maxima.
     """
 
     def __init__(self, channel_scores: np.ndarray) -> None:
@@ -138,20 +138,7 @@ class MaxChannelPolicy(ForwardingPolicy):
                 f"channel_scores must be 2-D (C, n_nodes), got {channel_scores.shape}"
             )
         self.channel_scores = channel_scores
-        self.node_scores = channel_scores.max(axis=0)
-
-    def select(
-        self,
-        query_embedding: np.ndarray,
-        candidates: np.ndarray,
-        fanout: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        check_positive(fanout, "fanout")
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if candidates.size == 0:
-            return candidates
-        return candidates[top_k_indices(self.node_scores[candidates], fanout)]
+        super().__init__(channel_scores.max(axis=0))
 
     def describe(self) -> str:
         return f"max-channel(C={self.channel_scores.shape[0]})"

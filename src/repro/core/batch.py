@@ -15,22 +15,21 @@ per-walk Python loop:
   symmetric "received from / forwarded to" marks become array indexing
   (via :attr:`~repro.graphs.adjacency.CompressedAdjacency.reverse_edge_positions`)
   instead of dict-of-set operations;
-* next hops are chosen through :meth:`ForwardingPolicy.select_batch`, which
-  the built-in policies implement with array-level per-segment top-k (and
-  which falls back to scalar ``select`` calls for custom policies).  When
-  every walk runs a :class:`PrecomputedScorePolicy` — the experiment hot
-  path — selection short-circuits to one fused segment-argmax over a
-  stacked score table (one dense row per distinct policy), no per-walk
-  Python at all.
+* the engine, not the policy, selects next hops.  A scoring policy scores
+  a sub-round's candidates once (:meth:`ForwardingPolicy.score_batch`;
+  per-walk score tables stack into one table, one dense row per distinct
+  policy, so a hop scores with one gather), and the engine takes one
+  masked segment argmax at fanout 1, or a per-segment top-k otherwise.
+  Only a sampling policy selects itself
+  (:meth:`ForwardingPolicy.select_batch`), with per-walk generators.
 
 With a fault injector the same hop loop runs the resilient walk
 (:class:`_FaultedWalks`): liveness and zombie status are node masks, each
 walker carries its own TTL, and a hop's forwarding runs as attempt rounds
 vectorised across walkers — reroutes around dead peers and retries of
-dropped messages pick from one scoring of the hop's candidates
-(:meth:`ForwardingPolicy.score_batch`).  Quarantine without faults only
-filters candidates.  :func:`repro.core.engine.run_query` is this engine's
-one-walk call.
+dropped messages pick from the same one scoring of the hop's candidates.
+Quarantine without faults only filters candidates.
+:func:`repro.core.engine.run_query` is this engine's one-walk call.
 
 Equivalence contract, pinned by ``tests/unit/test_batch_engine.py``,
 ``tests/unit/test_faults.py`` and a property test against the readable
@@ -41,7 +40,8 @@ where a batch takes the injector's next ``B`` walk drop streams in batch
 order, so it equals the loop over the same walks, drops and crash
 detections included.  Stochastic policies draw from per-walk generators
 spawned from ``seed`` (one independent stream per walk), so each walk is
-distributionally equivalent to a per-walk loop with its own seed.
+distributionally equivalent to a per-walk loop with its own seed; they
+are spawned only when a sampler first selects.
 
 Memory note: the visited-edge matrix is ``B × 2·n_edges`` booleans.  When a
 batch would exceed :data:`VISITED_BUDGET_BYTES` (default 64 MB) it is split
@@ -101,8 +101,9 @@ def _within_query_ranks(queries: np.ndarray) -> np.ndarray:
 
 
 def _coerce_policies(
-    policies: ForwardingPolicy | Sequence[ForwardingPolicy], batch: int
+    policies: ForwardingPolicy | Sequence[PrecomputedScorePolicy], batch: int
 ) -> list[ForwardingPolicy]:
+    """One policy per walk: a shared policy, or a per-walk score table."""
     if isinstance(policies, ForwardingPolicy):
         return [policies] * batch
     policy_list = list(policies)
@@ -111,8 +112,11 @@ def _coerce_policies(
             f"{len(policy_list)} policies for a batch of {batch} queries"
         )
     for policy in policy_list:
-        if not isinstance(policy, ForwardingPolicy):
-            raise TypeError(f"not a ForwardingPolicy: {policy!r}")
+        if not isinstance(policy, PrecomputedScorePolicy):
+            raise TypeError(
+                "a per-walk policy list must hold score tables "
+                f"(PrecomputedScorePolicy), got {policy!r}"
+            )
     return policy_list
 
 
@@ -134,6 +138,8 @@ class _ScoreStack:
     def __init__(self, stack: np.ndarray, rows: np.ndarray) -> None:
         self.stack = stack
         self.rows = rows
+        # Checked once per call, not per hop as a policy's scores are.
+        self.finite = bool(np.isfinite(stack).all())
 
     def gather(self, queries: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Score of ``nodes[i]`` under walk ``queries[i]``'s policy."""
@@ -143,150 +149,78 @@ class _ScoreStack:
 def _precomputed_stack(
     policy_list: list[ForwardingPolicy], n_nodes: int
 ) -> _ScoreStack | None:
-    """Stack per-walk score vectors when every policy is score-table based.
+    """Stack per-walk score vectors when every policy is a score table.
 
     Returns a score stack whose ``gather(queries, nodes)`` yields walk
-    ``queries[i]``'s score for node ``nodes[i]`` — or None when the batch
-    mixes in other policy types.  Distinct policy instances share a row
-    when they are the same object, so the Fig. 3 accuracy experiment's
-    one-policy-per-alpha batch stacks to one row per alpha.
+    ``queries[i]``'s score for node ``nodes[i]`` — or None for a batch of
+    any other policy.  Distinct policy instances share a row when they are
+    the same object, so the Fig. 3 accuracy experiment's one-policy-per-alpha
+    batch stacks to one row per alpha.
     """
     row_of: dict[int, int] = {}
     vectors: list[np.ndarray] = []
     rows = np.empty(len(policy_list), dtype=np.int64)
     for q, policy in enumerate(policy_list):
-        if type(policy) is not PrecomputedScorePolicy:
+        if not isinstance(policy, PrecomputedScorePolicy):
             return None
         if policy.n_nodes != n_nodes:
-            return None
+            raise ValueError(
+                f"score table covers {policy.n_nodes} nodes, "
+                f"the overlay has {n_nodes}"
+            )
         row = row_of.get(id(policy))
         if row is None:
-            if not np.isfinite(policy.node_scores).all():
-                # The fused selection uses -inf as its masking sentinel;
-                # non-finite scores take the general select_batch path.
-                return None
             row = row_of[id(policy)] = len(vectors)
             vectors.append(policy.node_scores)
         rows[q] = row
     return _ScoreStack(np.stack(vectors), rows)
 
 
-def _policy_groups(
-    policy_list: list[ForwardingPolicy], homogeneous: bool, r_q: np.ndarray
-) -> list[tuple[ForwardingPolicy, np.ndarray | None]]:
-    """Frontier entries grouped by their walk's policy.
-
-    Each group is ``(policy, entry indices)``; ``None`` stands for every
-    entry, the one group of a homogeneous batch.
-    """
-    if homogeneous:
-        return [(policy_list[0], None)]
-    by_policy: dict[int, list[int]] = {}
-    for j, q in enumerate(r_q.tolist()):
-        by_policy.setdefault(id(policy_list[q]), []).append(j)
-    return [
-        (policy_list[r_q[js[0]]], np.asarray(js, dtype=np.int64))
-        for js in by_policy.values()
-    ]
-
-
-def _group_segments(
-    js: np.ndarray, entries: int, lens: np.ndarray, segments: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices and segment offsets of entries ``js``'s candidates."""
-    member = np.zeros(entries, dtype=bool)
-    member[js] = True
-    return (
-        np.flatnonzero(member[segments]),
-        np.concatenate(([0], np.cumsum(lens[js]))),
-    )
-
-
 def _select(
-    policy_list: list[ForwardingPolicy],
-    homogeneous: bool,
+    policy: ForwardingPolicy,
     r_q: np.ndarray,
     embeddings: np.ndarray,
-    rngs: list[np.random.Generator],
+    rngs: list[np.random.Generator] | None,
     cand: np.ndarray,
     lens: np.ndarray,
-    segments: np.ndarray,
+    scores: np.ndarray | None,
     fanout: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Choose up to ``fanout`` candidates per frontier entry via the policies.
+    """Choose up to ``fanout`` candidates per frontier entry.
 
     ``cand`` concatenates one candidate segment per entry (``lens[j]``
-    candidates for entry ``j``; ``segments`` maps each to its entry).
-    Returns the chosen flat indices into ``cand`` and the entry that chose
-    each, in entry order, then each entry's selection order.
+    candidates for entry ``j``) and ``scores`` holds their scores, or None
+    for a sampler, which then draws from ``rngs``.  Returns the chosen flat
+    indices into ``cand`` and the entry that chose each, in entry order,
+    then each entry's selection order.
     """
     entries = r_q.shape[0]
     offsets = np.concatenate(([0], np.cumsum(lens)))
-    picked_parts: list[np.ndarray] = []
-    entry_parts: list[np.ndarray] = []
-    groups = _policy_groups(policy_list, homogeneous, r_q)
-    for policy, js in groups:
-        if js is None:
-            js = np.arange(entries, dtype=np.int64)
-            sub_index = None
-            sub_cand, sub_offsets = cand, offsets
-        else:
-            sub_index, sub_offsets = _group_segments(js, entries, lens, segments)
-            sub_cand = cand[sub_index]
-        group_q = r_q[js]
+    fanouts = np.full(entries, fanout, dtype=np.int64)
+    if scores is not None:
+        chosen, chosen_offsets = _segment_top_k(scores, offsets, fanouts)
+    else:
         chosen, chosen_offsets = policy.select_batch(
-            embeddings[group_q],
-            sub_cand,
-            sub_offsets,
-            np.full(js.shape[0], fanout, dtype=np.int64),
-            [rngs[q] for q in group_q.tolist()],
+            embeddings[r_q], cand, offsets, fanouts, [rngs[q] for q in r_q.tolist()]
         )
-        picked_parts.append(chosen if sub_index is None else sub_index[chosen])
-        entry_parts.append(np.repeat(js, np.diff(chosen_offsets)))
-    if len(groups) == 1:
-        return picked_parts[0], entry_parts[0]
-    # Entry order, then each entry's selection order.
-    entry = np.concatenate(entry_parts)
-    order = np.argsort(entry, kind="stable")
-    return np.concatenate(picked_parts)[order], entry[order]
+    return chosen, np.repeat(np.arange(entries), np.diff(chosen_offsets))
 
 
 def _hop_scores(
+    policy: ForwardingPolicy,
     stacked: _ScoreStack | None,
-    policy_list: list[ForwardingPolicy],
-    homogeneous: bool,
     r_q: np.ndarray,
     embeddings: np.ndarray,
     flat_q: np.ndarray,
     cand: np.ndarray,
     lens: np.ndarray,
-    segments: np.ndarray,
 ) -> np.ndarray | None:
-    """One scoring of a sub-round's candidates, or None to select per attempt.
-
-    None when a policy's choice is not a score ranking
-    (:meth:`ForwardingPolicy.score_batch`) or a score is non-finite: the
-    masked argmax uses -inf as its sentinel.
-    """
+    """One scoring of a sub-round's candidates; None for a sampler."""
     if stacked is not None:
         return stacked.gather(flat_q, cand)
-    entries = r_q.shape[0]
-    scores: np.ndarray | None = None
-    for policy, js in _policy_groups(policy_list, homogeneous, r_q):
-        if js is None:
-            offsets = np.concatenate(([0], np.cumsum(lens)))
-            scores = policy.score_batch(embeddings[r_q], cand, offsets)
-            if scores is None:
-                return None
-            continue
-        sub_index, sub_offsets = _group_segments(js, entries, lens, segments)
-        part = policy.score_batch(embeddings[r_q[js]], cand[sub_index], sub_offsets)
-        if part is None:
-            return None
-        if scores is None:
-            scores = np.empty(cand.shape[0], dtype=np.float64)
-        scores[sub_index] = part
-    return scores if np.isfinite(scores).all() else None
+    return policy.score_batch(
+        embeddings[r_q], cand, np.concatenate(([0], np.cumsum(lens)))
+    )
 
 
 class _FaultedWalks:
@@ -387,10 +321,10 @@ class _FaultedWalks:
         """Run one sub-round's attempt rounds.
 
         ``scores`` is the sub-round's one scoring (each attempt takes the
-        masked segment argmax); without it ``select(keep)`` asks the
-        policies once per round among the ``keep`` candidates.  Returns the
-        delivered children as (entry, flat candidate index, TTL) arrays,
-        each walker's in send order.
+        masked segment argmax); without it (a sampler, or a non-finite
+        score) ``select(keep)`` picks once per round among the ``keep``
+        candidates.  Returns the delivered children as (entry, flat
+        candidate index, TTL) arrays, each walker's in send order.
         """
         faults, res = self.faults, self.resilience
         entries = r_q.shape[0]
@@ -513,7 +447,7 @@ class _FaultedWalks:
 def run_queries(
     adjacency: CompressedAdjacency,
     stores: Mapping[int, DocumentStore],
-    policies: ForwardingPolicy | Sequence[ForwardingPolicy],
+    policies: ForwardingPolicy | Sequence[PrecomputedScorePolicy],
     query_embeddings: np.ndarray,
     start_nodes: Sequence[int] | np.ndarray,
     config: WalkConfig | None = None,
@@ -530,17 +464,18 @@ def run_queries(
     Parameters
     ----------
     policies:
-        A single :class:`ForwardingPolicy` shared by every walk, or one per
-        walk (e.g. one :class:`PrecomputedScorePolicy` per teleport alpha in
-        the accuracy experiment).  Walks are grouped by policy each hop, so
-        mixed batches still select with one array call per policy.
+        A single :class:`ForwardingPolicy` shared by every walk, or one
+        score table (:class:`PrecomputedScorePolicy` or a subclass) per
+        walk, e.g. one per teleport alpha in the accuracy experiment; the
+        tables stack, so a hop scores every walk with one gather.  Any
+        other list raises ``TypeError``.
     query_embeddings:
         ``(dim,)`` for a shared query or ``(B, dim)`` for per-walk queries.
     query_ids:
         ``None``, a single shared id, or a list/tuple/array of ``B`` ids.
     seed:
-        Spawned into ``B`` independent per-walk generators (stochastic
-        policies only; deterministic policies never draw from them).
+        Spawned into ``B`` independent per-walk generators when a sampling
+        policy first selects (scoring policies never draw from it).
         Anything but ``None``, an int, a ``SeedSequence`` or a
         ``Generator`` raises ``TypeError``, on every path.
     hop_budgets:
@@ -566,7 +501,7 @@ def run_queries(
         One result per start node, index-aligned with ``start_nodes``.
     """
     config = config or WalkConfig()
-    # Checked up front: the stacked score path never spawns from the seed.
+    # Checked up front: a scoring policy never spawns from the seed.
     check_seed(seed)
     start = np.asarray(start_nodes, dtype=np.int64)
     if start.ndim != 1:
@@ -637,7 +572,9 @@ def run_queries(
                 run_queries(
                     adjacency,
                     stores,
-                    policy_list[lo:hi],
+                    policies
+                    if isinstance(policies, ForwardingPolicy)
+                    else policy_list[lo:hi],
                     embeddings[lo:hi],
                     start[lo:hi],
                     config,
@@ -651,13 +588,10 @@ def run_queries(
             )
         return results
 
-    homogeneous = all(policy is policy_list[0] for policy in policy_list)
     stacked = _precomputed_stack(policy_list, n_nodes)
-    # Per-walk generators, spawned only if a policy can actually draw from
-    # them (the stacked fast path is deterministic end to end).
-    rngs: list[np.random.Generator] | None = (
-        None if stacked is not None else spawn_rngs(seed, batch)
-    )
+    policy = policy_list[0]  # every walk's, unless the tables stacked
+    # Per-walk generators, spawned when a sampler first selects.
+    rngs: list[np.random.Generator] | None = None
 
     results = [
         SearchResult(
@@ -793,43 +727,47 @@ def run_queries(
             # Memory filter (paper §IV-C): which candidate edges are still
             # unvisited for their walk.
             unseen = ~seen[flat_q, flat_pos]
+            flat_cand = indices[flat_pos]
+            # One scoring per sub-round; the masked argmax uses -inf as its
+            # sentinel, so a non-finite score ranks by top-k instead.
+            scores = _hop_scores(
+                policy, stacked, r_q, embeddings, flat_q, flat_cand, lens
+            )
+            if scores is None and rngs is None:
+                rngs = spawn_rngs(seed, batch)
+            fused = scores is not None and (
+                stacked.finite if stacked is not None
+                else bool(np.isfinite(scores).all())
+            )
 
             if faulted is not None:
                 # Resilient forwarding: attempt rounds over one scoring.
-                flat_cand = indices[flat_pos]
-                scores = _hop_scores(
-                    stacked, policy_list, homogeneous, r_q, embeddings,
-                    flat_q, flat_cand, lens, segments,
-                )
-
-                def select(keep, r_q=r_q, flat_cand=flat_cand, segments=segments):
+                def select(
+                    keep, r_q=r_q, flat_cand=flat_cand, segments=segments,
+                    scores=scores,
+                ):
                     kept = np.flatnonzero(keep)
-                    kept_segments = segments[kept]
                     picked, entry = _select(
-                        policy_list, homogeneous, r_q, embeddings, rngs,
-                        flat_cand[kept],
-                        np.bincount(kept_segments, minlength=r_q.shape[0]),
-                        kept_segments,
+                        policy, r_q, embeddings, rngs, flat_cand[kept],
+                        np.bincount(segments[kept], minlength=r_q.shape[0]),
+                        None if scores is None else scores[kept],
                         1,
                     )
                     return kept[picked], entry
 
                 child_entry, child_flat, child_ttl = faulted.forward(
                     hop, fanout_now, r_q, r_ttl, flat_cand, segments,
-                    seg_starts, unseen, scores, select, iota,
+                    seg_starts, unseen, scores if fused else None, select, iota,
                 )
                 child_q = r_q[child_entry]
                 child_pos = flat_pos[child_flat]
                 child_node = flat_cand[child_flat]
                 round_child_ttl.append(child_ttl)
-            elif stacked is not None and fanout_now == 1 and blocked_nodes is None:
-                # Fused fast path: every walk scores candidates from one
-                # stacked table, and the memory filter plus footnote-9
-                # fallback fold into a -inf mask, so a whole hop selects via
-                # one segment argmax (first-position tie-break — exactly
+            elif fused and fanout_now == 1 and blocked_nodes is None:
+                # Fused path: the memory filter plus footnote-9 fallback
+                # fold into a -inf mask, so a whole hop selects via one
+                # segment argmax (first-position tie-break — exactly
                 # top_k_indices(scores, 1) per segment).
-                flat_cand = indices[flat_pos]
-                scores = stacked.gather(flat_q, flat_cand)
                 chosen = kernels.masked_segment_argmax(
                     scores, unseen, seg_starts, segments, iota
                 )
@@ -838,15 +776,14 @@ def run_queries(
                 child_node = flat_cand[chosen]
             else:
                 # General path: compress to the per-segment candidate sets
-                # (footnote-9 fallback included) and dispatch to the
-                # policies.  Quarantined peers are filtered from both pools.
+                # (footnote-9 fallback included) and select among them.
+                # Quarantined peers are filtered from both pools.
                 allowed = None
                 if blocked_nodes is not None:
-                    allowed = ~blocked_nodes[indices[flat_pos]]
+                    allowed = ~blocked_nodes[flat_cand]
                     unseen &= allowed
                 if unseen.all():
-                    kept_pos, kept_q, kept_segments = flat_pos, flat_q, segments
-                    kept_lens = lens
+                    kept, kept_lens = iota[:total], lens
                 else:
                     any_unseen = (
                         np.bincount(segments, weights=unseen, minlength=entries) > 0
@@ -854,29 +791,15 @@ def run_queries(
                     keep = unseen | ~any_unseen[segments]
                     if allowed is not None:
                         keep &= allowed
-                    kept_pos = flat_pos[keep]
-                    kept_q = flat_q[keep]
-                    kept_segments = segments[keep]
-                    kept_lens = np.bincount(kept_segments, minlength=entries)
-                kept_cand = indices[kept_pos]
-
-                if stacked is not None:
-                    scores = stacked.gather(kept_q, kept_cand)
-                    kept_offsets = np.concatenate(([0], np.cumsum(kept_lens)))
-                    chosen, chosen_offsets = _segment_top_k(
-                        scores,
-                        kept_offsets,
-                        np.full(entries, fanout_now, dtype=np.int64),
-                    )
-                    child_q = np.repeat(r_q, np.diff(chosen_offsets))
-                else:
-                    chosen, child_entry = _select(
-                        policy_list, homogeneous, r_q, embeddings, rngs,
-                        kept_cand, kept_lens, kept_segments, fanout_now,
-                    )
-                    child_q = r_q[child_entry]
-                child_pos = kept_pos[chosen]
-                child_node = kept_cand[chosen]
+                    kept = np.flatnonzero(keep)
+                    kept_lens = np.bincount(segments[kept], minlength=entries)
+                chosen, child_entry = _select(
+                    policy, r_q, embeddings, rngs, flat_cand[kept], kept_lens,
+                    None if scores is None else scores[kept], fanout_now,
+                )
+                child_q = r_q[child_entry]
+                child_pos = flat_pos[kept[chosen]]
+                child_node = flat_cand[kept[chosen]]
 
             if child_q.size == 0:
                 continue

@@ -1,23 +1,31 @@
 """Forwarding policies: the next-hop decision of paper §IV-C.
 
-A policy ranks a query's candidate next hops.  The paper's policy matches the
-query embedding against the stored *diffused* embeddings of the candidate
-neighbors by dot product and picks the best; blind policies (uniform random,
-degree-biased) implement the unstructured-search baselines of §II-A behind
-the same interface, so the walk engine runs them all identically.
+A policy ranks a query's candidate next hops and the walk engine,
+:func:`repro.core.batch.run_queries`, selects among them.  The paper's
+policy scores each candidate neighbor by the dot product of the query
+embedding with its stored *diffused* embedding, and the walk goes to the
+best unvisited one (Fig. 1).  The blind baselines of §II-A rank neighbors by
+degree or draw them at random, behind the same interface:
+
+* a *scorer* implements :meth:`ForwardingPolicy.score_batch`, one score
+  per candidate; every built-in deterministic policy is one.  The
+  score-table policies (:class:`PrecomputedScorePolicy` and its subclasses
+  :class:`DegreeBiasedPolicy` and
+  :class:`~repro.core.aggregation.MaxChannelPolicy`) read a fixed per-node
+  table, so one batch can walk a different table per walk;
+* a *sampler* implements :meth:`ForwardingPolicy.select_batch` and picks
+  for itself, drawing from each walk's own generator
+  (:class:`RandomWalkPolicy`).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Sequence
 
 import numpy as np
 
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.gsp.filters import RowBlock
-from repro.retrieval.scoring import top_k_indices
-from repro.utils import check_positive
 
 
 def _segment_top_k(
@@ -45,18 +53,31 @@ def _segment_top_k(
     return chosen, chosen_offsets
 
 
-class ForwardingPolicy(ABC):
-    """Selects ``fanout`` next hops among candidate neighbor ids."""
+class ForwardingPolicy:
+    """Ranks a walk's candidate next hops; the walk engine selects.
 
-    @abstractmethod
-    def select(
+    Both methods take ``S`` walks' candidates at once: ``candidates``
+    concatenates one segment per walk (node ids, ascending within a
+    segment), segment ``s`` spans ``candidates[offsets[s]:offsets[s + 1]]``
+    and is ranked for ``query_embeddings[s]``.  A policy implements one of
+    them: :meth:`score_batch` (a scorer) or :meth:`select_batch` (a
+    sampler).
+    """
+
+    def score_batch(
         self,
-        query_embedding: np.ndarray,
+        query_embeddings: np.ndarray,
         candidates: np.ndarray,
-        fanout: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Return up to ``fanout`` node ids drawn from ``candidates``."""
+        offsets: np.ndarray,
+    ) -> np.ndarray | None:
+        """One score per candidate; ``None`` (the default) marks a sampler.
+
+        The engine scores a sub-round's candidates once and sends each
+        walker to its best-scoring unvisited candidates (ties to the lower
+        position), every retry and reroute of the hop included, so a
+        candidate's score must not depend on the other candidates.
+        """
+        return None
 
     def select_batch(
         self,
@@ -66,69 +87,17 @@ class ForwardingPolicy(ABC):
         fanouts: np.ndarray,
         rngs: Sequence[np.random.Generator],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Select next hops for ``S`` walks at once (batch engine hook).
+        """A sampler's choice of up to ``fanouts[s]`` candidates per segment.
 
-        ``candidates`` concatenates one candidate segment per walk (node ids,
-        ascending within a segment); segment ``s`` spans
-        ``candidates[offsets[s]:offsets[s + 1]]`` and is scored against
-        ``query_embeddings[s]`` with per-walk generator ``rngs[s]``.  Returns
-        ``(chosen, chosen_offsets)`` where ``chosen`` holds flat indices into
-        ``candidates`` (selection order within each segment) and
-        ``chosen_offsets`` the per-segment boundaries of ``chosen``.
-
-        The base implementation falls back to one :meth:`select` call per
-        segment, so custom scalar policies work in the batch engine
-        unchanged; built-in policies override it with array-level selection.
+        ``rngs[s]`` is segment ``s``'s walk generator.  Returns ``(chosen,
+        chosen_offsets)``: flat indices into ``candidates`` (selection order
+        within each segment) and the per-segment boundaries of ``chosen``.
+        The engine calls it only when :meth:`score_batch` returns ``None``.
         """
-        chosen_parts: list[np.ndarray] = []
-        counts = np.zeros(len(rngs), dtype=np.int64)
-        for s, rng in enumerate(rngs):
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            if hi == lo:
-                continue
-            segment = candidates[lo:hi]
-            picked = np.asarray(
-                self.select(query_embeddings[s], segment, int(fanouts[s]), rng),
-                dtype=np.int64,
-            )
-            if picked.size == 0:
-                continue
-            positions = np.searchsorted(segment, picked)
-            in_range = positions < segment.shape[0]
-            if not (
-                np.all(in_range)
-                and np.array_equal(segment[positions[in_range]], picked[in_range])
-            ):
-                raise ValueError(
-                    f"policy {self.describe()!r} selected nodes outside its "
-                    "candidate set; select() must return a subset of candidates"
-                )
-            chosen_parts.append(lo + positions)
-            counts[s] = positions.shape[0]
-        chosen = (
-            np.concatenate(chosen_parts)
-            if chosen_parts
-            else np.empty(0, dtype=np.int64)
+        raise TypeError(
+            f"policy {self.describe()!r} implements neither score_batch "
+            "nor select_batch"
         )
-        return chosen, np.concatenate(([0], np.cumsum(counts)))
-
-    def score_batch(
-        self,
-        query_embeddings: np.ndarray,
-        candidates: np.ndarray,
-        offsets: np.ndarray,
-    ) -> np.ndarray | None:
-        """Per-candidate scores whose segment top-1 is this policy's choice.
-
-        Same segment layout as :meth:`select_batch`.  A policy whose choice
-        is a deterministic top-k of per-candidate scores (ties to the lower
-        position) returns those scores, so the batch engine can rank a hop
-        once and pick every retry and reroute of that hop from one scoring.
-        ``None`` (the default, and every stochastic policy) means the
-        choice is not a score ranking: the engine calls
-        :meth:`select_batch` for each attempt instead.
-        """
-        return None
 
     def describe(self) -> str:
         """Short human-readable policy name for reports."""
@@ -167,8 +136,11 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
             raise ValueError(f"embeddings must be 2-D, got shape {matrix.shape}")
         self.embeddings = matrix
 
-    def _score_segments(
-        self, queries: np.ndarray, candidates: np.ndarray, offsets: np.ndarray
+    def score_batch(
+        self,
+        query_embeddings: np.ndarray,
+        candidates: np.ndarray,
+        offsets: np.ndarray,
     ) -> np.ndarray:
         """``queries[s] · E[c]`` for every candidate ``c`` of every segment ``s``.
 
@@ -180,10 +152,11 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
         block's CSR copy (``.sum(axis=1)`` and ``einsum`` sum in other
         orders and change the last bits).  A dense cache takes a row-wise
         ``einsum``.  Both compute in float64 whatever the storage dtype,
-        and a candidate's score never depends on the other segments, so a
-        one-segment call (one walk, or :meth:`select`) and an S-segment call
-        agree bit for bit.
+        and a candidate's score depends on nothing but its row and its
+        walk's query, so a one-segment call (one walk, as the scalar oracle
+        makes) and an S-segment call agree bit for bit.
         """
+        queries = np.asarray(query_embeddings, dtype=np.float64)
         dim = self.embeddings.shape[1]
         if queries.ndim != 2 or queries.shape[1] != dim:
             raise ValueError(
@@ -196,19 +169,10 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
             return np.cumsum(rows * queries[walk_of], axis=1)[:, -1]
         return np.einsum("ij,ij->i", rows, queries[walk_of])
 
-    def scores(self, query_embedding: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """Dot-product relevance of each candidate's diffused embedding."""
-        query = np.asarray(query_embedding, dtype=np.float64)
-        if query.ndim != 1:
-            raise ValueError(
-                f"dimension mismatch: query has shape {query.shape}, "
-                f"embeddings have {self.embeddings.shape[1]} dims"
-            )
-        candidates = np.asarray(candidates, dtype=np.int64)
-        return self._score_segments(
-            query[None, :], candidates, np.array([0, candidates.shape[0]])
-        )
-
+    # ``perfbench/layers.py`` patches ``select`` and ``select_batch`` (looked
+    # up through ``vars()``) for its ``core.forwarding.*`` metrics, so both
+    # names stay until a benchmark change re-points those metrics.  The walk
+    # engine calls neither: it selects over :meth:`score_batch`.
     def select(
         self,
         query_embedding: np.ndarray,
@@ -216,22 +180,16 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
         fanout: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        check_positive(fanout, "fanout")
+        """Up to ``fanout`` of one walk's ``candidates``, best first."""
         candidates = np.asarray(candidates, dtype=np.int64)
-        if candidates.size == 0:
-            return candidates
-        scores = self.scores(query_embedding, candidates)
-        return candidates[top_k_indices(scores, fanout)]
-
-    def score_batch(
-        self,
-        query_embeddings: np.ndarray,
-        candidates: np.ndarray,
-        offsets: np.ndarray,
-    ) -> np.ndarray:
-        return self._score_segments(
-            np.asarray(query_embeddings, dtype=np.float64), candidates, offsets
+        chosen, _ = self.select_batch(
+            np.asarray(query_embedding)[None, :],
+            candidates,
+            np.array([0, candidates.shape[0]]),
+            np.array([fanout]),
+            [rng],
         )
+        return candidates[chosen]
 
     def select_batch(
         self,
@@ -241,8 +199,10 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
         fanouts: np.ndarray,
         rngs: Sequence[np.random.Generator],
     ) -> tuple[np.ndarray, np.ndarray]:
-        scores = self.score_batch(query_embeddings, candidates, offsets)
-        return _segment_top_k(scores, offsets, fanouts)
+        """Each segment's top ``fanouts[s]`` by :meth:`score_batch`."""
+        return _segment_top_k(
+            self.score_batch(query_embeddings, candidates, offsets), offsets, fanouts
+        )
 
     def describe(self) -> str:
         return "embedding-guided"
@@ -257,6 +217,9 @@ class PrecomputedScorePolicy(ForwardingPolicy):
     embedding-guided policy computes, at 1/dim of the cost.  The experiment
     harness relies on this; an integration test pins its walks to
     :class:`EmbeddingGuidedPolicy` over the full embedding matrix.
+
+    A score table scores a node the same for every query, so the engine
+    stacks a batch's per-walk tables and scores a hop with one gather.
     """
 
     def __init__(self, scores: np.ndarray) -> None:
@@ -268,19 +231,6 @@ class PrecomputedScorePolicy(ForwardingPolicy):
         self.node_scores = scores
         self.n_nodes = scores.shape[0]
 
-    def select(
-        self,
-        query_embedding: np.ndarray,
-        candidates: np.ndarray,
-        fanout: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        check_positive(fanout, "fanout")
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if candidates.size == 0:
-            return candidates
-        return candidates[top_k_indices(self.node_scores[candidates], fanout)]
-
     def score_batch(
         self,
         query_embeddings: np.ndarray,
@@ -289,37 +239,12 @@ class PrecomputedScorePolicy(ForwardingPolicy):
     ) -> np.ndarray:
         return self.node_scores[candidates]
 
-    def select_batch(
-        self,
-        query_embeddings: np.ndarray,
-        candidates: np.ndarray,
-        offsets: np.ndarray,
-        fanouts: np.ndarray,
-        rngs: Sequence[np.random.Generator],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return _segment_top_k(self.node_scores[candidates], offsets, fanouts)
-
     def describe(self) -> str:
         return "embedding-guided(precomputed)"
 
 
 class RandomWalkPolicy(ForwardingPolicy):
     """Blind uniform forwarding: the classic random-walk baseline."""
-
-    def select(
-        self,
-        query_embedding: np.ndarray,
-        candidates: np.ndarray,
-        fanout: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        check_positive(fanout, "fanout")
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if candidates.size == 0:
-            return candidates
-        count = min(fanout, candidates.size)
-        chosen = rng.choice(candidates.size, size=count, replace=False)
-        return candidates[np.sort(chosen)]
 
     def select_batch(
         self,
@@ -330,16 +255,15 @@ class RandomWalkPolicy(ForwardingPolicy):
         rngs: Sequence[np.random.Generator],
     ) -> tuple[np.ndarray, np.ndarray]:
         # A uniform subset without replacement equals keeping the largest
-        # random keys; keys come from each walk's own generator, so batch
-        # walks stay distributionally equivalent to scalar ones per walk.
+        # random keys; keys come from each walk's own generator, so walks
+        # in one batch draw independently.
         keys = np.empty(candidates.shape[0], dtype=np.float64)
         for s, rng in enumerate(rngs):
             lo, hi = int(offsets[s]), int(offsets[s + 1])
             if hi > lo:
                 keys[lo:hi] = rng.random(hi - lo)
         chosen, chosen_offsets = _segment_top_k(keys, offsets, fanouts)
-        # Scalar select() returns its subset in ascending candidate order;
-        # restore that ordering within each segment.
+        # Each segment's subset in ascending candidate order.
         segments = np.repeat(
             np.arange(len(rngs)), np.diff(chosen_offsets)
         )
@@ -349,51 +273,16 @@ class RandomWalkPolicy(ForwardingPolicy):
         return "random-walk"
 
 
-class DegreeBiasedPolicy(ForwardingPolicy):
+class DegreeBiasedPolicy(PrecomputedScorePolicy):
     """Forward toward high-degree nodes (hub-seeking blind baseline).
 
     High-degree nodes see more documents and more queries; seeking them is
-    the classic heuristic of Adamic et al. for power-law P2P networks.
+    the classic heuristic of Adamic et al. for power-law P2P networks.  The
+    score table is the node degrees.
     """
 
     def __init__(self, adjacency: CompressedAdjacency) -> None:
-        self.degrees = adjacency.degrees
-
-    def select(
-        self,
-        query_embedding: np.ndarray,
-        candidates: np.ndarray,
-        fanout: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        check_positive(fanout, "fanout")
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if candidates.size == 0:
-            return candidates
-        scores = self.degrees[candidates].astype(np.float64)
-        return candidates[top_k_indices(scores, fanout)]
-
-    def score_batch(
-        self,
-        query_embeddings: np.ndarray,
-        candidates: np.ndarray,
-        offsets: np.ndarray,
-    ) -> np.ndarray:
-        return self.degrees[candidates].astype(np.float64)
-
-    def select_batch(
-        self,
-        query_embeddings: np.ndarray,
-        candidates: np.ndarray,
-        offsets: np.ndarray,
-        fanouts: np.ndarray,
-        rngs: Sequence[np.random.Generator],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return _segment_top_k(
-            self.score_batch(query_embeddings, candidates, offsets),
-            offsets,
-            fanouts,
-        )
+        super().__init__(adjacency.degrees.astype(np.float64))
 
     def describe(self) -> str:
         return "degree-biased"

@@ -230,29 +230,27 @@ def baseline_comparison(
     successes = {m: 0 for m in methods}
     messages = {m: 0 for m in methods}
     total = 0
+    hubby = DegreeBiasedPolicy(env.adjacency)
 
     for rng in rngs:
         data = sampler.sample(n_documents, rng)
         scores = sampler.diffuse_scores(data.relevance_signal, 0.5)
-        guided = PrecomputedScorePolicy(scores)
-        blind = RandomWalkPolicy()
-        hubby = DegreeBiasedPolicy(env.adjacency)
         start = int(rng.integers(env.adjacency.n_nodes))
         total += 1
 
+        # The two score-table walks run as one batch; the random walk keeps
+        # its own call, whose per-walk generator is spawned from ``rng``.
+        guided, degree = run_queries(
+            env.adjacency, data.stores, [PrecomputedScorePolicy(scores), hubby],
+            data.query_embedding, [start, start], config,
+        )
         runs = {
-            "diffusion walk": run_query(
-                env.adjacency, data.stores, guided, data.query_embedding,
-                start, config, seed=rng,
-            ),
+            "diffusion walk": guided,
             "random walk": run_query(
-                env.adjacency, data.stores, blind, data.query_embedding,
-                start, config, seed=rng,
+                env.adjacency, data.stores, RandomWalkPolicy(),
+                data.query_embedding, start, config, seed=rng,
             ),
-            "degree-biased walk": run_query(
-                env.adjacency, data.stores, hubby, data.query_embedding,
-                start, config, seed=rng,
-            ),
+            "degree-biased walk": degree,
             "flooding@budget": flood_query(
                 env.adjacency, data.stores, data.query_embedding, start,
                 config, max_messages=ttl,
@@ -377,18 +375,20 @@ def aggregation_comparison(
 
         start = int(rng.integers(n))
         total += 1
-        for bits, hasher in hashers.items():
+        # One walk per channel setting, all from ``start``, as one batch.
+        policies = []
+        for hasher in hashers.values():
             signals = channel_relevance_signals(
                 embeddings, nodes, n, data.query_embedding, hasher
             )
-            channel_scores = np.vstack(
+            policies.append(MaxChannelPolicy(np.vstack(
                 [sampler.diffuse_scores(signals[c], 0.5) for c in range(hasher.n_channels)]
-            )
-            policy = MaxChannelPolicy(channel_scores)
-            result = run_query(
-                env.adjacency, data.stores, policy,
-                data.query_embedding, start, config,
-            )
+            )))
+        results = run_queries(
+            env.adjacency, data.stores, policies, data.query_embedding,
+            [start] * len(policies), config,
+        )
+        for bits, result in zip(hashers, results):
             successes[bits] += result.found(data.gold_word, top=1)
 
     return [

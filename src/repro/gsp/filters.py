@@ -111,10 +111,11 @@ def check_pruned_mass(
             f"personalization mass and left an L1 error bound of {bound:.3g}, "
             f"more than half of the {spread:.3g} it spread beyond the "
             "teleport term — the diffusion has degenerated toward the bare "
-            "teleport term and distant nodes will score ~0.  Lower epsilon "
-            "(safe range for unit-scale embeddings: <= ~3e-3, see "
-            "SPARSE_DEFAULT_EPSILON) or rescale it with the personalization "
-            "magnitude.",
+            "teleport term and distant nodes will score ~0.  Lower epsilon: "
+            "a row is pruned when its largest entry falls under epsilon "
+            "times its node's degree, so a safe epsilon scales with the row "
+            "magnitude and shrinks with degree and dimension (see "
+            "SPARSE_DEFAULT_EPSILON).",
             PrunedMassWarning,
             stacklevel=3,
         )
@@ -575,17 +576,19 @@ class PersonalizedPageRank(GraphFilter):
         return f"PersonalizedPageRank(alpha={self.alpha}, method={self.method!r})"
 
 
-#: Default pruning threshold of :class:`SparsePersonalizedPageRank`.  At this
-#: setting the diffused top-k node rankings overlap the dense filter's by
-#: > 0.99 on the benchmark workloads (see
+#: Default pruning threshold of :class:`SparsePersonalizedPageRank`.  On
+#: the sparse-scale benchmark's overlays the diffused top-k node rankings
+#: overlap the dense filter's by > 0.99 at this setting (see
 #: ``benchmarks/test_bench_sparse_scale.py`` for the measured ε sweep) while
 #: keeping the iterate support — and therefore memory and per-sweep work —
-#: a small fraction of ``n_nodes × dim``.  The threshold is *absolute*
-#: (``ε · d(u)`` against raw signal values), calibrated for unit-scale
-#: document embeddings; rescale ε with the personalization magnitude.  Safe
-#: range for unit-scale rows: up to ~3e-3; by ε = 1e-2 the diffusion
-#: collapses to the teleport term (overlap@20 = 0.46 in the reduced sweep)
-#: and the filter emits a :class:`PrunedMassWarning`.
+#: a small fraction of ``n_nodes × dim``.  It is not calibrated for any row
+#: scale: the threshold is *absolute*, ``ε · d(u)`` against each row's raw
+#: peak, so the right ε grows with the personalization magnitude and
+#: shrinks with node degree and with dimension (a unit row's peak falls as
+#: its dimension grows).  Unit 64-d rows on the degree-10 overlay of
+#: ``examples/sparse_scaling.py`` lose 94% of the diffusable mass at 1e-3
+#: and need about 5e-5; perfbench's serving corpus runs 1e-4.  When pruning
+#: removes most of the mass the filter emits a :class:`PrunedMassWarning`.
 SPARSE_DEFAULT_EPSILON = 1e-3
 
 #: Row-chunk size of the sparse filter's propagate-and-prune sweep: bounds
@@ -748,12 +751,15 @@ class SparsePersonalizedPageRank(GraphFilter):
       collapse is total: every neighbor row is pruned on the first sweep
       and the "diffusion" degenerates to the bare teleport ``a·E0`` (the
       reduced benchmark sweep measures overlap@20 = 0.46 at ``ε = 0.01``).
-      **Safe range for unit-scale personalization rows: ε ≲ 3e-3** (the
+      Where that point lies depends on the rows' scale, the degrees and
+      the dimension, so no ε is safe for unit-scale rows in general: the
       committed sweep holds top-k overlap ≥ 0.99 at 1e-3 and ≥ 0.96 at
-      3e-3); the filter guards the footgun at run time — see
-      :func:`check_pruned_mass`, which emits a :class:`PrunedMassWarning`
-      when more than half of the diffusable mass was truncated and the
-      run's error bound confirms it.
+      3e-3 on its overlays, while unit 64-d rows on a degree-10 overlay
+      lose 94% of the diffusable mass at 1e-3 (see
+      :data:`SPARSE_DEFAULT_EPSILON`).  The filter guards the footgun at
+      run time — see :func:`check_pruned_mass`, which emits a
+      :class:`PrunedMassWarning` when more than half of the diffusable
+      mass was truncated and the run's error bound confirms it.
 
     Pruning is applied with *hysteresis*: a row that has ever exceeded its
     threshold (or carried initial personalization mass) joins a monotone

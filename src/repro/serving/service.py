@@ -304,11 +304,15 @@ class QueryService:
             # Seed the fit from the warm-up diffusion when one exists: its
             # cost anchors the full price, and cost ÷ signal mass anchors
             # the incremental rate — without this the analytic prior
-            # overprices small deltas until the first observed run.
+            # overprices small deltas until the first observed run.  A
+            # dense warm-up (power, solve, async) counts no edge
+            # operations; it is priced at the analytic prior, not as free.
             warmup = network.last_diffusion
             if warmup is not None and warmup.converged and not warmup.incremental:
                 model.observe(
-                    "full", network.diffused_signal_mass(), warmup.operations
+                    "full",
+                    network.diffused_signal_mass(),
+                    warmup.operations or model.estimate("full"),
                 )
             self.refresh_scheduler = RefreshScheduler(slo, model)
 

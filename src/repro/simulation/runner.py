@@ -11,13 +11,13 @@ full-matrix pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.batch import run_queries
 from repro.core.engine import WalkConfig
-from repro.core.forwarding import ForwardingPolicy, PrecomputedScorePolicy
+from repro.core.forwarding import PrecomputedScorePolicy
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.communities import label_propagation_communities
 from repro.graphs.metrics import bfs_distances
@@ -34,15 +34,6 @@ from repro.simulation.scenario import AccuracyScenario, HopCountScenario
 from repro.simulation.workload import RetrievalWorkload
 from repro.utils import check_positive_int
 from repro.utils.rng import spawn_rngs
-
-PolicyFactory = Callable[[np.ndarray, CompressedAdjacency], ForwardingPolicy]
-
-
-def _default_policy_factory(
-    scores: np.ndarray, adjacency: CompressedAdjacency
-) -> ForwardingPolicy:
-    return PrecomputedScorePolicy(scores)
-
 
 @dataclass
 class IterationData:
@@ -249,7 +240,6 @@ def run_accuracy_experiment(
     scenario: AccuracyScenario,
     *,
     communities: np.ndarray | None = None,
-    policy_factory: PolicyFactory = _default_policy_factory,
 ) -> AccuracyGrid:
     """Reproduce one Fig. 3 panel.
 
@@ -286,10 +276,10 @@ def run_accuracy_experiment(
             sampler.diffuse_scores_multi(data.relevance_signal, scenario.alphas).T
         )
         cells: list[tuple[float, int]] = []
-        batch_policies: list[ForwardingPolicy] = []
+        batch_policies: list[PrecomputedScorePolicy] = []
         batch_starts: list[int] = []
         for j, alpha in enumerate(scenario.alphas):
-            policy = policy_factory(score_rows[j], adjacency)
+            policy = PrecomputedScorePolicy(score_rows[j])
             for radius, start in starts.items():
                 cells.append((alpha, radius))
                 batch_policies.append(policy)
@@ -315,7 +305,6 @@ def run_hop_count_experiment(
     scenario: HopCountScenario,
     *,
     communities: np.ndarray | None = None,
-    policy_factory: PolicyFactory = _default_policy_factory,
 ) -> HopStatistics:
     """Reproduce one Table I row.
 
@@ -340,7 +329,7 @@ def run_hop_count_experiment(
     for rng in rngs:
         data = sampler.sample(scenario.n_documents, rng)
         scores = sampler.diffuse_scores(data.relevance_signal, scenario.alpha)
-        policy = policy_factory(scores, adjacency)
+        policy = PrecomputedScorePolicy(scores)
         starts = rng.integers(
             0, adjacency.n_nodes, size=scenario.queries_per_iteration
         )

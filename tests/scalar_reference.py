@@ -15,9 +15,12 @@ are the per-walk reference drivers of
 start, and a per-alpha ``diffuse_scores`` power iteration where the batched
 driver solves all alphas in one multi-column pass.
 
-Stochastic policies draw from ``ensure_rng(seed)`` here, where the engine
-spawns one generator per walk, so only deterministic policies compare walk
-for walk.
+Every next hop of the oracle comes from :func:`reference_select`: the top
+``fanout`` of a one-segment ``score_batch`` for a scoring policy, the
+``rng.choice`` draw the random walk made before it had a batch method, and
+a one-segment ``select_batch`` for any other sampler.  Stochastic policies
+draw from ``ensure_rng(seed)`` here, where the engine spawns one generator
+per walk, so only deterministic policies compare walk for walk.
 
 :func:`reference_build_workload` is the per-word loop that once was
 :func:`repro.simulation.workload.build_workload`: one full-vocabulary
@@ -43,7 +46,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.engine import ResilienceConfig, SearchResult, WalkConfig
-from repro.core.forwarding import ForwardingPolicy, PrecomputedScorePolicy
+from repro.core.forwarding import (
+    ForwardingPolicy,
+    PrecomputedScorePolicy,
+    RandomWalkPolicy,
+)
 from repro.embeddings.model import WordEmbeddingModel
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.graphs.metrics import bfs_distances
@@ -56,6 +63,7 @@ from repro.gsp.filters import (
     effective_tolerance,
     operator_out_degrees,
 )
+from repro.retrieval.scoring import top_k_indices
 from repro.retrieval.topk import TopKTracker
 from repro.retrieval.vector_store import DocumentStore
 from repro.runtime.faults import FaultInjector
@@ -70,6 +78,36 @@ from repro.utils import (
     ensure_rng,
 )
 from repro.utils.rng import RngLike, spawn_rngs
+
+
+def reference_select(
+    policy: ForwardingPolicy,
+    query_embedding: np.ndarray,
+    candidates: np.ndarray,
+    fanout: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Up to ``fanout`` node ids of one walker's ``candidates``.
+
+    A scoring policy's best ``fanout`` by ``top_k_indices`` (ties to the
+    lower position); for the random walk a uniform draw without
+    replacement, returned in ascending order; any other sampler's
+    ``select_batch`` over one segment.
+    """
+    candidates = np.asarray(candidates, dtype=np.int64)
+    query = np.asarray(query_embedding, dtype=np.float64)[None, :]
+    offsets = np.array([0, candidates.shape[0]])
+    scores = policy.score_batch(query, candidates, offsets)
+    if scores is not None:
+        return candidates[top_k_indices(scores, fanout)]
+    if isinstance(policy, RandomWalkPolicy):
+        count = min(fanout, candidates.shape[0])
+        chosen = rng.choice(candidates.shape[0], size=count, replace=False)
+        return candidates[np.sort(chosen)]
+    chosen, _ = policy.select_batch(
+        query, candidates, offsets, np.array([fanout]), [rng]
+    )
+    return candidates[chosen]
 
 
 def scalar_run_query(
@@ -158,7 +196,7 @@ def scalar_run_query(
                 candidates = candidates[~excluded[candidates]]
             if candidates.size == 0:
                 return candidates
-        return policy.select(query_embedding, candidates, fanout, rng)
+        return reference_select(policy, query_embedding, candidates, fanout, rng)
 
     def remember(node: int, other: int) -> None:
         """Mark ``other`` in ``node``'s neighbor-row memory mask."""

@@ -9,7 +9,9 @@ from repro.core.aggregation import (
     channel_personalization,
     channel_relevance_signals,
 )
+from repro.core.forwarding import PrecomputedScorePolicy
 from repro.embeddings.similarity import l2_normalize
+from scalar_reference import reference_select
 
 
 class TestChannelHasher:
@@ -127,20 +129,25 @@ class TestMaxChannelPolicy:
         )
         policy = MaxChannelPolicy(scores)
         rng = np.random.default_rng(0)
-        chosen = policy.select(np.ones(2), np.array([0, 1, 2]), 1, rng)
+        chosen = reference_select(policy, np.ones(2), np.array([0, 1, 2]), 1, rng)
         assert list(chosen) == [1]  # max over channels: [0.2, 0.9, 0.5]
 
     def test_single_channel_equals_precomputed(self):
-        from repro.core.forwarding import PrecomputedScorePolicy
-
         rng = np.random.default_rng(1)
         scores = rng.standard_normal(10)
         multi = MaxChannelPolicy(scores[None, :])
         flat = PrecomputedScorePolicy(scores)
         candidates = np.array([1, 4, 7, 9])
-        a = multi.select(np.ones(2), candidates, 2, rng)
-        b = flat.select(np.ones(2), candidates, 2, rng)
+        a = reference_select(multi, np.ones(2), candidates, 2, rng)
+        b = reference_select(flat, np.ones(2), candidates, 2, rng)
         assert np.array_equal(a, b)
+
+    def test_is_the_channel_max_table(self):
+        scores = np.random.default_rng(2).standard_normal((3, 12))
+        policy = MaxChannelPolicy(scores)
+        assert isinstance(policy, PrecomputedScorePolicy)
+        assert np.array_equal(policy.node_scores, scores.max(axis=0))
+        assert policy.n_nodes == 12
 
     def test_1d_scores_rejected(self):
         with pytest.raises(ValueError):

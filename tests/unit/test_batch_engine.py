@@ -11,6 +11,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.core.aggregation import MaxChannelPolicy
 from repro.core.batch import run_queries
 from repro.core.engine import WalkConfig, run_query
 from repro.core.forwarding import (
@@ -177,6 +178,55 @@ class TestDeterministicEquivalence:
         ]
         assert_results_identical(batch, scalar)
 
+    @pytest.mark.parametrize("fanout", [1, 2])
+    def test_table_subclasses_walk_like_their_table(self, setting, fanout):
+        """Degree-biased and max-channel walks are score-table walks, bit
+        for bit, alone and stacked in one per-walk list."""
+        adjacency = setting["adjacency"]
+        channels = np.random.default_rng(8).standard_normal((3, adjacency.n_nodes))
+        twins = [
+            (DegreeBiasedPolicy(adjacency),
+             PrecomputedScorePolicy(adjacency.degrees.astype(np.float64))),
+            (MaxChannelPolicy(channels), PrecomputedScorePolicy(channels.max(axis=0))),
+        ]
+        config = WalkConfig(ttl=12, fanout=fanout, k=2)
+        for subclass, table in twins:
+            got, _ = run_both(setting, subclass, config=config)
+            want, scalar = run_both(setting, table, config=config)
+            assert_results_identical(got, want)
+            assert_results_identical(got, scalar)
+        mixed = [twins[i % 2][0] for i in range(len(setting["starts"]))]
+        tables = [twins[i % 2][1] for i in range(len(setting["starts"]))]
+        got, scalar = run_both(setting, mixed, config=config)
+        want, _ = run_both(setting, tables, config=config)
+        assert_results_identical(got, want)
+        assert_results_identical(got, scalar)
+
+    def test_embedding_guided_hop_is_one_masked_argmax(self, setting, monkeypatch):
+        """A fault-free fanout-1 batch of a scoring policy selects each hop
+        with one masked segment argmax, never through the policy."""
+        from repro.kernels import dispatch
+
+        calls = []
+        argmax = dispatch.masked_segment_argmax
+
+        def spy(*args):
+            calls.append(args[0].shape[0])
+            return argmax(*args)
+
+        monkeypatch.setattr(dispatch, "masked_segment_argmax", spy)
+
+        class Unselectable(EmbeddingGuidedPolicy):
+            def select_batch(self, *args):
+                raise AssertionError("the engine selects for a scoring policy")
+
+        policy = Unselectable(setting["embeddings"])
+        config = WalkConfig(ttl=9, k=2)
+        batch, scalar = run_both(setting, policy, config=config)
+        assert_results_identical(batch, scalar)
+        assert len(calls) == config.ttl - 1  # one per forwarding hop
+        assert all(size > len(setting["starts"]) for size in calls)
+
     def test_non_finite_scores_fall_back_and_match(self, setting):
         """-inf scores bypass the fused argmax but stay bit-identical."""
         rng = np.random.default_rng(5)
@@ -273,6 +323,34 @@ class TestEdgeCases:
                 setting["starts"],
             )
 
+    @pytest.mark.parametrize("other", ["embedding-guided", "random-walk"])
+    def test_per_walk_list_of_non_tables_rejected(self, setting, other):
+        """Per-walk policy lists are score tables; anything else in one
+        raises TypeError before a walk starts."""
+        policy = (
+            EmbeddingGuidedPolicy(setting["embeddings"])
+            if other == "embedding-guided"
+            else RandomWalkPolicy()
+        )
+        table = PrecomputedScorePolicy(setting["embeddings"] @ setting["query"])
+        starts = setting["starts"]
+        for policies in (
+            [policy] * len(starts),
+            [table if i % 2 else policy for i in range(len(starts))],
+        ):
+            with pytest.raises(TypeError, match="score tables"):
+                run_queries(
+                    setting["adjacency"], {}, policies, setting["query"], starts
+                )
+
+    def test_per_walk_table_of_another_overlay_rejected(self, setting):
+        n = setting["adjacency"].n_nodes
+        tables = [PrecomputedScorePolicy(np.zeros(n)), PrecomputedScorePolicy(np.zeros(n - 1))]
+        with pytest.raises(ValueError, match=f"covers {n - 1} nodes"):
+            run_queries(
+                setting["adjacency"], {}, tables, setting["query"], setting["starts"][:2]
+            )
+
     @pytest.mark.parametrize("call", ["run_query", "run_queries"])
     @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "unstacked"])
     @pytest.mark.parametrize("seed", ["abc", 1.5, object()], ids=["str", "float", "object"])
@@ -366,30 +444,31 @@ class TestStochasticPolicies:
 
 
 class _EveryOtherPolicy(ForwardingPolicy):
-    """Deterministic custom policy without a select_batch override."""
+    """Deterministic custom policy with only a select_batch: every other
+    candidate of each segment."""
 
-    def select(self, query_embedding, candidates, fanout, rng):
-        candidates = np.asarray(candidates, dtype=np.int64)
-        return candidates[::2][:fanout]
-
-
-class _RoguePolicy(ForwardingPolicy):
-    """Violates the contract: returns nodes outside its candidates."""
-
-    def select(self, query_embedding, candidates, fanout, rng):
-        return np.asarray([10_000_000], dtype=np.int64)
+    def select_batch(self, query_embeddings, candidates, offsets, fanouts, rngs):
+        chosen = [
+            np.arange(lo, hi, 2, dtype=np.int64)[:fanout]
+            for lo, hi, fanout in zip(offsets[:-1], offsets[1:], fanouts)
+        ]
+        counts = [part.shape[0] for part in chosen]
+        return np.concatenate(chosen), np.concatenate(([0], np.cumsum(counts)))
 
 
 class TestCustomPolicies:
-    def test_scalar_fallback_matches_run_query(self, setting):
+    @pytest.mark.parametrize("fanout", [1, 2])
+    def test_select_batch_only_policy_matches_oracle(self, setting, fanout):
         policy = _EveryOtherPolicy()
-        batch, scalar = run_both(setting, policy, config=WalkConfig(ttl=10))
+        batch, scalar = run_both(
+            setting, policy, config=WalkConfig(ttl=10, fanout=fanout)
+        )
         assert_results_identical(batch, scalar)
 
-    def test_contract_violation_is_reported(self, setting):
-        with pytest.raises(ValueError, match="outside its candidate set"):
+    def test_policy_with_neither_method_fails_clearly(self, setting):
+        with pytest.raises(TypeError, match="neither score_batch nor select_batch"):
             run_queries(
-                setting["adjacency"], {}, _RoguePolicy(),
+                setting["adjacency"], {}, ForwardingPolicy(),
                 setting["query"], setting["starts"], WalkConfig(ttl=5),
             )
 

@@ -10,6 +10,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.core.aggregation import MaxChannelPolicy
 from repro.core.batch import run_queries
 from repro.core.engine import ResilienceConfig, WalkConfig, run_query
 from repro.core.forwarding import (
@@ -397,8 +398,11 @@ def faulty_setting(small_world_adjacency):
 
 
 def _lockstep_and_loop(setting, policy, config, **kwargs):
-    """(batch results, scalar results, batch injector, scalar injector)."""
+    """(batch results, scalar results, batch injector, scalar injector).
+
+    ``policy`` is one policy or a per-walk list of score tables."""
     plan = setting["plan"]
+    walk_policies = policy if isinstance(policy, list) else [policy] * len(setting["starts"])
     budgets = kwargs.pop("hop_budgets", None)
     lockstep = FaultInjector(plan) if kwargs.pop("faults", True) else None
     scalar = FaultInjector(plan) if lockstep is not None else None
@@ -409,7 +413,7 @@ def _lockstep_and_loop(setting, policy, config, **kwargs):
     )
     loop = [
         scalar_run_query(
-            setting["adjacency"], setting["stores"], policy,
+            setting["adjacency"], setting["stores"], walk_policies[i],
             setting["queries"][i], start, config, query_id=i, faults=scalar,
             hop_budget=None if budgets is None else budgets[i], **kwargs,
         )
@@ -426,10 +430,16 @@ def _assert_equal_walks(batch, loop, lockstep=None, scalar=None):
 
 
 class _LargestIdPolicy(ForwardingPolicy):
-    """Deterministic custom policy with no score ranking (no score_batch)."""
+    """Deterministic custom policy with only a select_batch (no score
+    ranking): the largest ids of each ascending segment first."""
 
-    def select(self, query_embedding, candidates, fanout, rng):
-        return np.sort(np.asarray(candidates, dtype=np.int64))[::-1][:fanout]
+    def select_batch(self, query_embeddings, candidates, offsets, fanouts, rngs):
+        chosen = [
+            np.arange(hi - 1, lo - 1, -1, dtype=np.int64)[:fanout]
+            for lo, hi, fanout in zip(offsets[:-1], offsets[1:], fanouts)
+        ]
+        counts = [part.shape[0] for part in chosen]
+        return np.concatenate(chosen), np.concatenate(([0], np.cumsum(counts)))
 
 
 class TestLockstepMatchesScalar:
@@ -488,37 +498,51 @@ class TestLockstepMatchesScalar:
         _assert_equal_walks([batch], [want], lockstep, scalar)
         assert (batch.rerouted, batch.walkers_lost, batch.degraded) == (3, 1, True)
 
-    @pytest.mark.parametrize("scored", [True, False])
-    def test_mixed_policies_per_walk(self, faulty_setting, scored):
-        """Per-walk policies: scored in groups, or (with a policy that has
-        no score ranking) selected per attempt round in groups."""
+    def test_per_walk_score_tables(self, faulty_setting):
+        """Per-walk score tables of three kinds stack into one batch."""
+        adjacency = faulty_setting["adjacency"]
         embeddings = faulty_setting["embeddings"]
-        others = (
-            [DegreeBiasedPolicy(faulty_setting["adjacency"]),
-             PrecomputedScorePolicy(embeddings[:, 2])]
-            if scored
-            else [_LargestIdPolicy()]
-        )
-        cycle = [EmbeddingGuidedPolicy(embeddings), *others]
-        policies = [cycle[i % len(cycle)] for i in range(len(faulty_setting["starts"]))]
-        plan = faulty_setting["plan"]
-        lockstep, scalar = FaultInjector(plan), FaultInjector(plan)
-        config = WalkConfig(ttl=12, fanout=2)
-        resilience = ResilienceConfig(redundancy=2)
-        batch = run_queries(
-            faulty_setting["adjacency"], faulty_setting["stores"], policies,
-            faulty_setting["queries"], faulty_setting["starts"], config,
-            faults=lockstep, resilience=resilience, quarantine=[5],
-        )
-        loop = [
-            scalar_run_query(
-                faulty_setting["adjacency"], faulty_setting["stores"], policy,
-                faulty_setting["queries"][i], start, config, faults=scalar,
-                resilience=resilience, quarantine=[5],
-            )
-            for i, (policy, start) in enumerate(zip(policies, faulty_setting["starts"]))
+        cycle = [
+            DegreeBiasedPolicy(adjacency),
+            PrecomputedScorePolicy(embeddings[:, 2]),
+            MaxChannelPolicy(embeddings[:, :3].T),
         ]
-        _assert_equal_walks(batch, loop, lockstep, scalar)
+        policies = [cycle[i % len(cycle)] for i in range(len(faulty_setting["starts"]))]
+        _assert_equal_walks(
+            *_lockstep_and_loop(
+                faulty_setting, policies, WalkConfig(ttl=12, fanout=2),
+                resilience=ResilienceConfig(redundancy=2), quarantine=[5],
+            )
+        )
+
+    @pytest.mark.parametrize("subclass", ["degree", "max-channel"])
+    def test_table_subclass_walks_like_its_table(self, faulty_setting, subclass):
+        """A degree-biased or max-channel walk under faults is the walk of
+        a plain score table over the same values, field for field."""
+        adjacency = faulty_setting["adjacency"]
+        if subclass == "degree":
+            policy = DegreeBiasedPolicy(adjacency)
+        else:
+            policy = MaxChannelPolicy(faulty_setting["embeddings"][:, :3].T)
+        table = PrecomputedScorePolicy(policy.node_scores.copy())
+        kwargs = dict(resilience=ResilienceConfig(redundancy=2), quarantine=[5])
+        config = WalkConfig(ttl=12, fanout=2)
+        got, loop, lockstep, scalar = _lockstep_and_loop(
+            faulty_setting, policy, config, **kwargs
+        )
+        want = _lockstep_and_loop(faulty_setting, table, config, **kwargs)[0]
+        _assert_equal_walks(got, loop, lockstep, scalar)
+        _assert_equal_walks(got, want)
+
+    def test_select_batch_only_policy(self, faulty_setting):
+        """A deterministic policy that selects itself picks once per
+        attempt round and still equals the oracle."""
+        _assert_equal_walks(
+            *_lockstep_and_loop(
+                faulty_setting, _LargestIdPolicy(), WalkConfig(ttl=12, fanout=2),
+                resilience=ResilienceConfig(redundancy=2), quarantine=[5],
+            )
+        )
 
     @pytest.mark.parametrize("kind", ["crashes", "recovering", "drops", "zombies"])
     def test_one_fault_kind_at_a_time(self, faulty_setting, kind):

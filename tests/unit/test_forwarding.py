@@ -1,4 +1,9 @@
-"""Tests for forwarding policies (§IV-C next-hop selection)."""
+"""Tests for forwarding policies (§IV-C next-hop selection).
+
+A scoring policy is tested through its ``score_batch`` and the scalar
+oracle's ``reference_select`` (the top ``fanout`` of a one-segment scoring),
+a sampler through its ``select_batch``.
+"""
 
 import numpy as np
 import pytest
@@ -7,12 +12,38 @@ import scipy.sparse as sp
 from repro.core.forwarding import (
     DegreeBiasedPolicy,
     EmbeddingGuidedPolicy,
+    ForwardingPolicy,
     PrecomputedScorePolicy,
     RandomWalkPolicy,
 )
 from repro.graphs.adjacency import CompressedAdjacency
 from repro.gsp.filters import RowBlock
 from repro.retrieval.scoring import top_k_indices
+from scalar_reference import reference_select
+
+
+def one_walk_scores(policy, query, candidates):
+    """``score_batch`` over one walk's candidates."""
+    candidates = np.asarray(candidates, dtype=np.int64)
+    return policy.score_batch(
+        np.asarray(query, dtype=np.float64)[None, :],
+        candidates,
+        np.array([0, candidates.shape[0]]),
+    )
+
+
+def one_walk_sample(policy, candidates, fanout, rng):
+    """A sampler's ``select_batch`` over one walk's candidates, as node ids."""
+    candidates = np.asarray(candidates, dtype=np.int64)
+    chosen, offsets = policy.select_batch(
+        np.zeros((1, 2)),
+        candidates,
+        np.array([0, candidates.shape[0]]),
+        np.array([fanout]),
+        [rng],
+    )
+    assert list(offsets) == [0, chosen.shape[0]]
+    return candidates[chosen]
 
 
 @pytest.fixture
@@ -64,9 +95,9 @@ class TestEmbeddingGuided:
         out = policy.select(np.ones(2), np.array([], dtype=np.int64), 1, rng)
         assert out.size == 0
 
-    def test_scores_helper(self, embeddings):
+    def test_one_walk_scores(self, embeddings):
         policy = EmbeddingGuidedPolicy(embeddings)
-        scores = policy.scores(np.array([1.0, 1.0]), np.array([3, 4]))
+        scores = one_walk_scores(policy, np.array([1.0, 1.0]), np.array([3, 4]))
         assert np.allclose(scores, [3.0, 1.0])
 
     def test_select_ignores_rng(self, embeddings):
@@ -80,8 +111,8 @@ class TestEmbeddingGuided:
 
     def test_score_batch_matches_per_walk_scores(self, embeddings):
         """``score_batch`` scores every walk's candidates in one call, each
-        segment bit-identical to a one-walk :meth:`scores` call, for a dense
-        and a block cache alike."""
+        segment bit-identical to a one-walk call, for a dense and a block
+        cache alike."""
         queries = np.array([[1.0, 0.0], [0.5, -2.0]])
         candidates = np.array([0, 1, 2, 3, 4, 2], dtype=np.int64)
         offsets = np.array([0, 4, 6])
@@ -91,7 +122,9 @@ class TestEmbeddingGuided:
             got = policy.score_batch(queries, candidates, offsets)
             want = np.concatenate(
                 [
-                    policy.scores(queries[s], candidates[offsets[s] : offsets[s + 1]])
+                    one_walk_scores(
+                        policy, queries[s], candidates[offsets[s] : offsets[s + 1]]
+                    )
                     for s in range(2)
                 ]
             )
@@ -109,8 +142,8 @@ class TestPrecomputedScore:
         precomputed = PrecomputedScorePolicy(embeddings @ query)
         candidates = np.array([0, 1, 2, 3, 4])
         for fanout in (1, 2, 3):
-            a = guided.select(query, candidates, fanout, rng)
-            b = precomputed.select(query, candidates, fanout, rng)
+            a = reference_select(guided, query, candidates, fanout, rng)
+            b = reference_select(precomputed, query, candidates, fanout, rng)
             assert np.array_equal(a, b)
 
     def test_rejects_matrix_scores(self):
@@ -119,12 +152,16 @@ class TestPrecomputedScore:
 
 
 class TestRandomWalk:
+    def test_is_a_sampler(self):
+        policy = RandomWalkPolicy()
+        assert policy.score_batch(np.zeros((1, 2)), np.arange(3), np.array([0, 3])) is None
+
     def test_uniform_coverage(self):
         policy = RandomWalkPolicy()
         rng = np.random.default_rng(2)
         counts = {1: 0, 2: 0, 3: 0}
         for _ in range(600):
-            chosen = policy.select(np.zeros(2), np.array([1, 2, 3]), 1, rng)
+            chosen = one_walk_sample(policy, np.array([1, 2, 3]), 1, rng)
             counts[int(chosen[0])] += 1
         for count in counts.values():
             assert 120 <= count <= 280  # roughly uniform
@@ -132,13 +169,13 @@ class TestRandomWalk:
     def test_fanout_without_replacement(self):
         policy = RandomWalkPolicy()
         rng = np.random.default_rng(3)
-        chosen = policy.select(np.zeros(2), np.array([1, 2, 3]), 3, rng)
-        assert sorted(chosen) == [1, 2, 3]
+        chosen = one_walk_sample(policy, np.array([1, 2, 3]), 3, rng)
+        assert list(chosen) == [1, 2, 3]  # ascending within the segment
 
     def test_fanout_capped_at_candidates(self):
         policy = RandomWalkPolicy()
         rng = np.random.default_rng(4)
-        chosen = policy.select(np.zeros(2), np.array([5]), 4, rng)
+        chosen = one_walk_sample(policy, np.array([5]), 4, rng)
         assert list(chosen) == [5]
 
 
@@ -148,8 +185,18 @@ class TestDegreeBiased:
 
         adjacency = CompressedAdjacency.from_networkx(nx.star_graph(4))
         policy = DegreeBiasedPolicy(adjacency)
-        chosen = policy.select(np.zeros(2), np.array([0, 1, 2]), 1, rng)
+        chosen = reference_select(policy, np.zeros(2), np.array([0, 1, 2]), 1, rng)
         assert list(chosen) == [0]  # the hub
+
+    def test_is_the_degree_table(self):
+        import networkx as nx
+
+        adjacency = CompressedAdjacency.from_networkx(nx.star_graph(4))
+        policy = DegreeBiasedPolicy(adjacency)
+        assert isinstance(policy, PrecomputedScorePolicy)
+        assert policy.node_scores.dtype == np.float64
+        assert np.array_equal(policy.node_scores, adjacency.degrees)
+        assert policy.n_nodes == adjacency.n_nodes
 
     def test_describe(self):
         import networkx as nx
@@ -190,8 +237,8 @@ class TestSparseScoring:
         dense, sparse = sparse_embeddings
         query = rng.standard_normal(6)
         candidates = np.array([0, 4, 7, 29])
-        got = EmbeddingGuidedPolicy(sparse).scores(query, candidates)
-        want = EmbeddingGuidedPolicy(dense).scores(query, candidates)
+        got = one_walk_scores(EmbeddingGuidedPolicy(sparse), query, candidates)
+        want = one_walk_scores(EmbeddingGuidedPolicy(dense), query, candidates)
         assert np.allclose(got, want, atol=1e-14)
 
     def test_embedding_guided_select_batch_matches_dense(
@@ -242,11 +289,11 @@ class TestSparseScoring:
             np.array([5]),
             empty[:4],
         ):
-            got = policy.scores(query, candidates)
+            got = one_walk_scores(policy, query, candidates)
             want = np.asarray(matrix[candidates] @ query).ravel()
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
-        assert np.all(policy.scores(query, empty) == 0.0)
+        assert np.all(one_walk_scores(policy, query, empty) == 0.0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_select_batch_matches_per_segment_top_k(self, rng, dtype):
@@ -285,7 +332,7 @@ class TestSparseScoring:
         _, sparse = sparse_embeddings
         policy = EmbeddingGuidedPolicy(sparse)
         with pytest.raises(ValueError, match="mismatch"):
-            policy.scores(np.zeros(5), np.array([0, 1]))
+            one_walk_scores(policy, np.zeros(5), np.array([0, 1]))
 
     def test_policy_keeps_the_block_it_was_built_over(self, sparse_embeddings):
         """Blocks are read-only, so a policy never sees a later patch."""
@@ -303,3 +350,56 @@ class TestSparseScoring:
             EmbeddingGuidedPolicy(sp.csr_matrix(dense))
         with pytest.raises(ValueError):
             PrecomputedScorePolicy(sp.csr_matrix(dense[:, :1]))
+
+
+class _EverySecondPolicy(ForwardingPolicy):
+    """A deterministic sampler: every second candidate of each segment."""
+
+    def select_batch(self, query_embeddings, candidates, offsets, fanouts, rngs):
+        chosen = [
+            np.arange(lo, hi, 2, dtype=np.int64)[:fanout]
+            for lo, hi, fanout in zip(offsets[:-1], offsets[1:], fanouts)
+        ]
+        counts = [part.shape[0] for part in chosen]
+        return np.concatenate(chosen), np.concatenate(([0], np.cumsum(counts)))
+
+
+class TestReferenceSelect:
+    """The scalar oracle's one next-hop choice, for every kind of policy."""
+
+    def test_scorer_takes_top_k_of_one_segment(self, embeddings, rng):
+        policy = EmbeddingGuidedPolicy(embeddings)
+        query = np.array([1.0, 0.25])
+        candidates = np.array([0, 1, 2, 3, 4])
+        scores = embeddings[candidates] @ query
+        for fanout in (1, 2, 5, 9):
+            got = reference_select(policy, query, candidates, fanout, rng)
+            assert list(got) == list(candidates[top_k_indices(scores, fanout)])
+            assert np.array_equal(got, policy.select(query, candidates, fanout, rng))
+
+    def test_ties_go_to_the_lower_position(self, rng):
+        policy = PrecomputedScorePolicy(np.array([0.0, 2.0, 1.0, 2.0, 2.0]))
+        got = reference_select(policy, np.ones(2), np.array([0, 1, 3, 4]), 2, rng)
+        assert list(got) == [1, 3]
+
+    def test_empty_candidates(self, rng):
+        policy = PrecomputedScorePolicy(np.arange(3.0))
+        got = reference_select(policy, np.ones(2), np.array([], dtype=np.int64), 1, rng)
+        assert got.size == 0
+
+    def test_random_walk_draws_like_rng_choice(self):
+        candidates = np.array([2, 5, 7, 11, 13])
+        got = reference_select(
+            RandomWalkPolicy(), np.zeros(2), candidates, 3, np.random.default_rng(8)
+        )
+        want = np.random.default_rng(8).choice(5, size=3, replace=False)
+        assert list(got) == list(candidates[np.sort(want)])
+
+    def test_other_sampler_selects_one_segment(self, rng):
+        candidates = np.array([3, 4, 6, 8, 9])
+        got = reference_select(_EverySecondPolicy(), np.zeros(2), candidates, 2, rng)
+        assert list(got) == [3, 6]
+
+    def test_policy_with_neither_method_raises(self, rng):
+        with pytest.raises(TypeError, match="neither score_batch nor select_batch"):
+            reference_select(ForwardingPolicy(), np.zeros(2), np.array([1, 2]), 1, rng)

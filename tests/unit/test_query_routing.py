@@ -143,12 +143,6 @@ class TestLearnedRoutingWalk:
         scores = policy.table_of(4).score_neighbors(orthogonal, np.array([3, 5]))
         assert np.allclose(scores, 0.0)
 
-    def test_engine_select_requires_walker(self, simple_world):
-        adjacency, _, _ = simple_world
-        policy = LearnedRoutingPolicy(adjacency)
-        with pytest.raises(RuntimeError, match="stateful"):
-            policy.select(np.ones(2), np.array([1]), 1, np.random.default_rng(0))
-
     def test_invalid_params(self, simple_world):
         adjacency, _, _ = simple_world
         with pytest.raises(ValueError):

@@ -208,24 +208,6 @@ class TestRunners:
         b = run_hop_count_experiment(social_adjacency, tiny_workload, scenario)
         assert a == b
 
-    def test_policy_factory_override(self, social_adjacency, tiny_workload):
-        """A blind policy must not beat the informed default."""
-        from repro.core.forwarding import RandomWalkPolicy
-
-        scenario = HopCountScenario(
-            n_documents=30, iterations=15, queries_per_iteration=4, seed=3
-        )
-        informed = run_hop_count_experiment(
-            social_adjacency, tiny_workload, scenario
-        )
-        blind = run_hop_count_experiment(
-            social_adjacency,
-            tiny_workload,
-            scenario,
-            policy_factory=lambda scores, adj: RandomWalkPolicy(),
-        )
-        assert informed.successes >= blind.successes
-
 
 class TestMultiColumnDiffusion:
     ALPHAS = (0.1, 0.5, 0.9)

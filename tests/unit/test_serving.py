@@ -21,6 +21,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.churn.scheduler import RefreshCostModel
 from repro.core.backends import SparseDiffusionBackend
 from repro.core.batch import run_queries
 from repro.core.engine import ResilienceConfig, WalkConfig
@@ -738,6 +739,31 @@ class TestSloServing:
         assert not net.is_stale
         assert service.metrics.refreshes == 1
         assert service.metrics.slo_violations >= 1  # degraded while saving up
+
+    @pytest.mark.parametrize("method", ["power", "solve", "async"])
+    def test_dense_warmup_is_not_priced_as_free(self, method):
+        """A dense warm-up counts no edge operations: the cost model then
+        starts from its analytic full-run prior, so neither a full refresh
+        nor a patch is priced at 0, while a sparse warm-up keeps seeding
+        the fit with the edge operations it counted."""
+        sparse_net, _, _ = make_network(seed=10)  # a full sparse run
+        sparse = make_service(sparse_net, config=self.slo_config())
+        warmup = sparse_net.last_diffusion
+        assert not warmup.incremental and warmup.operations > 0
+        assert sparse.refresh_scheduler.cost_model.estimate("full") == warmup.operations
+
+        net, _, _ = make_network(seed=10)
+        net.diffuse(method=method)
+        assert not net.last_diffusion.incremental
+        assert net.last_diffusion.operations == 0
+        prior = RefreshCostModel(
+            nnz=2 * net.adjacency.n_edges,
+            alpha=net.alpha,
+            tol=StalenessConfig().tol,
+        ).estimate("full")
+        model = make_service(net, config=self.slo_config()).refresh_scheduler.cost_model
+        assert model.estimate("full") == prior > 0
+        assert model.estimate("incremental", 1.0) > 0
 
     def test_within_target_serves_stale_without_violation(self):
         net, vectors, rng = make_network(seed=9)

@@ -744,17 +744,21 @@ class TestBlockCache:
         before = net.last_diffusion.embeddings
         queries = rng.standard_normal((4, 8))
         candidates = np.arange(80)
-        scores = [policy.scores(q, candidates) for q in queries]
+
+        def scores_of(policy, query):
+            return policy.score_batch(query[None, :], candidates, np.array([0, 80]))
+
+        scores = [scores_of(policy, q) for q in queries]
         for node in (3, 40, 41):
             net.place_document(f"late{node}", rng.standard_normal(8), node)
         outcome = net.diffuse(method="sparse")
         assert outcome.incremental
         assert net.last_diffusion.embeddings is not before
         assert not np.array_equal(
-            net.default_policy().scores(queries[0], candidates), scores[0]
+            scores_of(net.default_policy(), queries[0]), scores[0]
         )
         for q, want in zip(queries, scores):
-            assert np.array_equal(policy.scores(q, candidates), want)
+            assert np.array_equal(scores_of(policy, q), want)
 
     def test_patch_adds_push_estimate_exactly(self):
         """Each patched cache is the previous cache plus the push estimate
