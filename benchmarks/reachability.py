@@ -10,8 +10,8 @@ pipelines are:
 - ``pytest benchmarks -q --benchmark-disable`` in reduced mode
   (pytest-benchmark turns the profiler off inside ``benchmark(...)``
   calls unless benchmarking is disabled);
-- ``push_table.py --check``, ``workload_scan.py`` and
-  ``full_diffusion_scan.py``;
+- ``push_table.py --check``, ``workload_scan.py``,
+  ``full_diffusion_scan.py`` and ``churn_patch_scan.py``;
 - all four ``perfbench/run.py`` workloads at ``--seed 1 --seconds 1``,
   traced and untraced.
 
@@ -59,6 +59,7 @@ SCANS = (
     ("benchmarks/push_table.py", "--check"),
     ("benchmarks/workload_scan.py",),
     ("benchmarks/full_diffusion_scan.py",),
+    ("benchmarks/churn_patch_scan.py",),
 )
 WORKLOADS = ("serve_steady", "serve_faulted", "churn_serve", "paper_fig3")
 

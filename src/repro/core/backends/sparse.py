@@ -14,8 +14,11 @@ with ``n_nodes × dim``, which is what lets the precompute phase run at
 It is the one built-in backend that ``supports_incremental``: after a
 sparse personalization change it pushes only the delta, with the same
 degree-normalized ε-truncation as the cold start so refresh work stays
-local too, and adds the estimate into a new block.  Every incremental
-refresh in the library, the serving path's included, is this patch.
+local too, and adds the pushed rows into the cache block in place, once
+the push has converged: a node the cache holds no row for joins it in
+spare capacity grown by doubling, and no other row is copied.  Every
+incremental refresh in the library, the serving path's included, is this
+patch.
 
 The pruning threshold ε is a constructor knob; ``method="sparse"`` uses
 :data:`~repro.gsp.filters.SPARSE_DEFAULT_EPSILON`, and dispatchers accept a

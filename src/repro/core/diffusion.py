@@ -137,7 +137,8 @@ def refresh_embeddings(
     linearity the corrected diffusion is ``embeddings + H delta``, computed
     at a cost proportional to the change.  Requires a backend with
     ``supports_incremental`` (built-in: ``sparse``, which returns the
-    patched embeddings as a ``RowBlock``).
+    patched embeddings as a ``RowBlock``; a block cache in its dtype is
+    patched in place and returned, so copy it first to keep the old rows).
     """
     backend = resolve_backend(method)
     if not backend.supports_incremental:

@@ -123,9 +123,10 @@ class EmbeddingGuidedPolicy(ForwardingPolicy):
     """
 
     def __init__(self, embeddings: np.ndarray | RowBlock) -> None:
-        # Blocks are never written, so the policy keeps the caller's; a
-        # float32 cache (the float32 diffusion pipeline) is stored in
-        # float32 and scored in float64.
+        # A block is kept as the caller's, so the policy scores whatever
+        # a later in-place patch writes into it; a float32 cache (the
+        # float32 diffusion pipeline) is stored in float32 and scored in
+        # float64.
         self._block = isinstance(embeddings, RowBlock)
         matrix = embeddings
         if not self._block:

@@ -272,8 +272,9 @@ class DiffusionSearchNetwork:
         the backend returns it: a dense array for ``power``/``solve``/
         ``async``, a block for ``sparse`` (``.embeddings`` densifies it
         lazily).  An incremental refresh adds the push estimate of the
-        block delta into a new block, so a policy built before the patch
-        keeps the block it was built over.
+        block delta into the cache block in place, once the push has
+        converged, and writes the dirty rows into the baseline block in
+        place; a policy built before the patch scores the patched rows.
         """
         backend = resolve_backend(method)
         can_refresh = (
@@ -309,10 +310,6 @@ class DiffusionSearchNetwork:
             dirty = np.asarray(sorted(self._dirty_nodes), dtype=np.int64)
             current = self._personalization_rows(dirty)
             delta = RowBlock(dirty, current - baseline[dirty], self.n_nodes)
-            # Commit-side baseline: exact row *replacement*, never baseline +
-            # delta — floating point ``b + (c − b) ≠ c`` would poison every
-            # later delta.
-            refreshed_baseline = baseline.merged(dirty, current, add=False)
             outcome = backend.refresh(
                 self.adjacency,
                 self._embeddings,
@@ -351,7 +348,10 @@ class DiffusionSearchNetwork:
         # diffuse() falls back to a full run (seed behaviour preserved: the
         # embeddings themselves are still cached and searchable).
         if incremental:
-            self._diffused_personalization = refreshed_baseline
+            # Commit-side baseline: exact row *replacement*, never baseline +
+            # delta — floating point ``b + (c − b) ≠ c`` would poison every
+            # later delta.
+            self._diffused_personalization.put(dirty, current)
         else:
             self._diffused_personalization = (
                 personalization if outcome.converged else None
@@ -424,8 +424,8 @@ class DiffusionSearchNetwork:
         base = self._diffused_personalization
         if base is None:
             return 0.0
-        # The nonzero entries in row order, as a CSR copy stores them.
-        return float(np.abs(base.rows[base.rows != 0]).sum())
+        # The nonzero entries in node order, as a CSR copy stores them.
+        return float(np.abs(base.tocsr().data).sum())
 
     @property
     def dirty_mass(self) -> float:
@@ -465,9 +465,9 @@ class DiffusionSearchNetwork:
 
         A block cache (sparse diffusion) is handed to the policy as is:
         walks score candidate rows straight from the block, so the dense
-        ``(n_nodes, dim)`` view is never materialized.  Blocks are never
-        written, so the policy keeps scoring the cache it was built over
-        after a later patch.
+        ``(n_nodes, dim)`` view is never materialized.  A patch writes
+        into the block, so the policy scores the latest rows after a later
+        patch, like a policy built after it.
         """
         return EmbeddingGuidedPolicy(self._cached_embeddings())
 

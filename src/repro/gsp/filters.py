@@ -122,26 +122,24 @@ def check_pruned_mass(
     return ratio
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    view = array.view()
-    view.flags.writeable = False
-    return view
-
-
 class RowBlock:
     """A row-sparse ``(n, dim)`` signal: dense rows at some nodes, zero elsewhere.
 
     The sparse pipeline's one layout, from the personalization through the
-    filter and the push patches to the embedding cache the walk scorer
-    reads (PPRGo keeps its PPR vectors the same way).  Diffusion mixes
-    whole personalization rows, so a node the mass reaches holds a full row
-    and a CSR column index would carry nothing.
+    filter and the push's residual and estimate to the embedding cache the
+    walk scorer reads (PPRGo keeps its PPR vectors the same way).
+    Diffusion mixes whole personalization rows, so a node the mass reaches
+    holds a full row and a CSR column index would carry nothing.
 
-    ``nodes`` are ascending node ids, ``rows`` their ``(k, dim)`` values and
-    ``slot_of`` the node → row map (-1 where the block holds no row).  A
-    block is immutable: its arrays are read-only views, and a patch builds
-    a new block (:meth:`merged`), so a policy built over a block never sees
-    a later patch.
+    ``nodes`` are distinct node ids in slot order, ``rows`` their
+    ``(k, dim)`` values and ``slot_of`` the node → slot map (-1 where the
+    block holds no row).  The block keeps the ``rows`` it is built over
+    without a copy, and grows in place: :meth:`slots` appends a zero row
+    for each node it does not hold, into spare capacity that doubles when
+    it runs out, and :meth:`add` and :meth:`put` write rows through it.
+    A block built here has no spare capacity.  A patch writes into the
+    block it patches, so a policy built over a block scores its latest
+    rows.  Node order is slot order; :meth:`tocsr` sorts.
     """
 
     def __init__(self, nodes: np.ndarray, rows: np.ndarray, n: int) -> None:
@@ -152,27 +150,77 @@ class RowBlock:
                 f"need one (k, dim) row per node, got {nodes.shape[0]} nodes "
                 f"and rows of shape {rows.shape}"
             )
-        if nodes.size and (
-            nodes[0] < 0 or nodes[-1] >= n or np.any(np.diff(nodes) <= 0)
-        ):
-            raise ValueError(f"nodes must be ascending distinct ids in [0, {n})")
         slot_of = np.full(n, -1, dtype=np.int64)
-        slot_of[nodes] = np.arange(nodes.shape[0])
-        self.nodes = _read_only(nodes)
-        self.rows = _read_only(rows)
-        self.slot_of = _read_only(slot_of)
+        if nodes.size:
+            if nodes.min() < 0 or nodes.max() >= n:
+                raise ValueError(f"nodes must be distinct ids in [0, {n})")
+            slot_of[nodes] = np.arange(nodes.shape[0])
+            # A repeated node keeps only its last slot.
+            if np.any(slot_of[nodes] != np.arange(nodes.shape[0])):
+                raise ValueError(f"nodes must be distinct ids in [0, {n})")
+        self._nodes = nodes
+        self._rows = rows
+        self.slot_of = slot_of
+        self.size = nodes.shape[0]
         self.shape = (int(n), rows.shape[1])
 
     @property
+    def nodes(self) -> np.ndarray:
+        return self._nodes[: self.size]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[: self.size]
+
+    @property
     def dtype(self) -> np.dtype:
-        return self.rows.dtype
+        return self._rows.dtype
+
+    def slots(self, nodes: np.ndarray) -> np.ndarray:
+        """Slots of the distinct ``nodes``, appending a zero row for each not held.
+
+        Capacity doubles (capped at ``n`` rows) when the appended rows do not
+        fit, so appending ``k`` rows one call at a time copies ``O(k)`` rows.
+        """
+        slots = self.slot_of[nodes]
+        new = slots < 0
+        if new.any():
+            added = nodes[new]
+            end = self.size + added.shape[0]
+            capacity = self._rows.shape[0]
+            if end > capacity:
+                self._grow(min(self.shape[0], max(end, 2 * capacity)))
+            slots[new] = np.arange(self.size, end)
+            self.slot_of[added] = slots[new]
+            self._nodes[self.size:end] = added
+            self.size = end
+        return slots
+
+    def _grow(self, capacity: int) -> None:
+        nodes = np.empty(capacity, dtype=np.int64)
+        nodes[: self.size] = self.nodes
+        rows = np.zeros((capacity, self.shape[1]), dtype=self.dtype)
+        rows[: self.size] = self.rows
+        self._nodes, self._rows = nodes, rows
+
+    def add(self, nodes: np.ndarray, rows: np.ndarray) -> None:
+        """Add ``rows`` onto the rows of the distinct ``nodes``, in place;
+        a node the block holds no row for joins with ``0 + row``."""
+        slots = self.slots(nodes)  # before reading the buffer it may grow
+        self._rows[slots] += rows
+
+    def put(self, nodes: np.ndarray, rows: np.ndarray) -> None:
+        """Write ``rows`` over the rows of the distinct ``nodes``, in place;
+        a node the block holds no row for joins."""
+        slots = self.slots(nodes)
+        self._rows[slots] = rows
 
     def __getitem__(self, nodes: int | np.ndarray) -> np.ndarray:
         """The rows of ``nodes`` (one id or an id array), zero where none is held."""
         slots = self.slot_of[nodes]
         out = np.zeros(np.shape(slots) + (self.shape[1],), dtype=self.dtype)
         held = slots >= 0
-        out[held] = self.rows[slots[held]]
+        out[held] = self._rows[slots[held]]
         return out
 
     def toarray(self) -> np.ndarray:
@@ -182,39 +230,30 @@ class RowBlock:
         return out
 
     def tocsr(self) -> sp.csr_matrix:
-        """The block as CSR, explicit zeros dropped.
+        """The block as CSR, rows in node order, explicit zeros dropped.
 
         ``O(k × dim)`` whatever ``n``.  Index arrays are int32 whenever they
         fit.
         """
         n, dim = self.shape
-        k = self.nodes.shape[0]
+        nodes, rows = self.nodes, self.rows
+        if np.any(nodes[1:] < nodes[:-1]):
+            order = np.argsort(nodes)
+            nodes, rows = nodes[order], rows[order]
+        k = nodes.shape[0]
         idx_dtype = (
             np.int32 if max(k * dim, n + 1, dim) < np.iinfo(np.int32).max else np.int64
         )
         counts = np.zeros(n, dtype=idx_dtype)
-        counts[self.nodes] = dim
+        counts[nodes] = dim
         indptr = np.concatenate(
             (np.zeros(1, dtype=idx_dtype), np.cumsum(counts, dtype=idx_dtype))
         )
         indices = np.tile(np.arange(dim, dtype=idx_dtype), k)
         # A copy of the values: eliminate_zeros compacts them in place.
-        result = sp.csr_matrix((self.rows.flatten(), indices, indptr), shape=(n, dim))
+        result = sp.csr_matrix((rows.flatten(), indices, indptr), shape=(n, dim))
         result.eliminate_zeros()
         return result
-
-    def merged(self, nodes: np.ndarray, rows: np.ndarray, *, add: bool) -> RowBlock:
-        """A new block: ``rows`` added onto (``add``) or written over the rows
-        of the distinct ``nodes``, which join the block where it held none."""
-        union = np.union1d(self.nodes, nodes)
-        out = np.zeros((union.shape[0], self.shape[1]), dtype=self.dtype)
-        out[np.searchsorted(union, self.nodes)] = self.rows
-        at = np.searchsorted(union, nodes)
-        if add:
-            out[at] += rows
-        else:
-            out[at] = rows
-        return RowBlock(union, out, self.shape[0])
 
 
 class GraphFilter(ABC):
@@ -279,13 +318,18 @@ def coerce_sparse_signal(
     exactly its rows with a nonzero entry, in ascending node order — the
     rows a CSR copy stores, so the filter and the push seed the same rows
     whatever format the signal arrives in.  A block that already holds
-    only such rows, in ``dtype``, is returned as is.  Returns the block
-    plus whether the input was a bare vector (dense 1-D); other inputs are
-    never vectors.
+    only such rows, ascending, in ``dtype``, is returned as is.  Returns
+    the block plus whether the input was a bare vector (dense 1-D); other
+    inputs are never vectors.
     """
     was_vector = False
-    if isinstance(signal, RowBlock):
+    as_is = isinstance(signal, RowBlock)
+    if as_is:
         shape, nodes, rows = signal.shape, signal.nodes, signal.rows
+        if np.any(nodes[1:] < nodes[:-1]):
+            order = np.argsort(nodes)
+            nodes, rows = nodes[order], rows[order]
+            as_is = False
     elif sp.issparse(signal):
         matrix = signal.tocsr().astype(dtype)
         shape = matrix.shape
@@ -297,9 +341,10 @@ def coerce_sparse_signal(
         nodes = np.arange(n)
     if len(shape) != 2 or shape[0] != n:
         raise ValueError(f"signal must have {n} rows, got shape {shape}")
+    as_is = as_is and rows.dtype == dtype
     rows = rows.astype(dtype, copy=False)
     keep = np.any(rows != 0, axis=1)
-    if isinstance(signal, RowBlock) and rows is signal.rows and keep.all():
+    if as_is and keep.all():
         return signal, False
     return RowBlock(nodes[keep], rows[keep], n), was_vector
 

@@ -21,14 +21,16 @@ time, every above-threshold node is relaxed per sweep (the vertex-centric
 decomposition used by systems like PowerWalk), which vectorizes cleanly.
 
 One kernel serves dense signals and :class:`~repro.gsp.filters.RowBlock`
-signals.  Residual and estimate are a growable row block: a node → slot map
-plus dense ``slots × dim`` arrays.  A dense signal is the block that holds
-every row (slot = node), so a sweep that pushes every row or a wide share
-of the edges is one sparse × dense product over the whole block.  A
-``RowBlock`` signal starts from its rows with a nonzero entry, ascending,
-and appends rows as pushes reach them.  Every other sweep scatters with one
-CSR product over the rows it touches, in bounded row chunks, and updates
-only those rows' peaks.  The result keeps the input's format.
+signals.  Residual and estimate are each a growable ``RowBlock``: a node →
+slot map plus a dense ``slots × dim`` array.  A dense signal is the block
+that holds every row (slot = node), so a sweep that pushes every row or a
+wide share of the edges is one sparse × dense product over the whole
+block.  A ``RowBlock`` signal's residual starts from its rows with a
+nonzero entry, ascending, and appends rows as pushes reach them; its
+estimate holds only the rows of the nodes it pushes, appended as each is
+first pushed.  Every other sweep scatters with one CSR product over the
+rows it touches, in bounded row chunks, and updates only those rows'
+peaks.  The result keeps the input's format.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ class PushResult:
     estimate:
         The diffused signal ``≈ H r0``, in the input's format: a dense
         ``(n_nodes,)`` or ``(n_nodes, dim)`` array, or a
-        :class:`~repro.gsp.filters.RowBlock` of every row the push held.
+        :class:`~repro.gsp.filters.RowBlock` of the rows of the nodes the
+        push pushed, in the order each was first pushed (every other row of
+        the estimate is zero).
     residual:
         Final max-abs entry of the residual matrix (the convergence metric).
     residual_l1:
@@ -106,63 +110,41 @@ def _row_peaks(rows: np.ndarray) -> np.ndarray:
     return np.abs(rows).max(axis=1, initial=0.0)
 
 
-class _RowBlock:
-    """Residual and estimate rows at slots, with each row's peak and threshold.
+class _Push:
+    """A push's state: its residual rows and its pushed nodes' estimate
+    rows, each a :class:`~repro.gsp.filters.RowBlock`, and each residual
+    row's peak, indexed by node.
 
-    ``slot_of`` maps a node to its slot (-1 while it holds no row) and
-    ``nodes`` a slot to its node; rows past ``size`` are spare capacity.  A
-    ``full`` block holds every node at slot = node.
+    The residual starts from the signal's rows and appends a row for each
+    node a scatter first reaches; the estimate appends a row for each node
+    when it is first pushed.  A ``full`` push starts both from every node
+    at slot = node.
     """
 
-    def __init__(
-        self,
-        nodes: np.ndarray,
-        residual: np.ndarray,
-        thresholds: np.ndarray,
-        *,
-        full: bool,
-    ) -> None:
+    def __init__(self, residual: RowBlock, *, full: bool) -> None:
+        n, dim = residual.shape
         self.full = full
-        self.size = nodes.shape[0]
-        self.nodes = nodes
-        self.slot_of = np.full(thresholds.shape[0], -1, dtype=np.int64)
-        self.slot_of[nodes] = np.arange(self.size)
         self.residual = residual
-        self.estimate = np.zeros_like(residual)
-        self.peak = _row_peaks(residual)
-        self.limit = thresholds[nodes]
-        self.thresholds = thresholds
+        if full:
+            self.estimate = RowBlock(
+                residual.nodes, np.zeros_like(residual.rows), n
+            )
+        else:
+            self.estimate = RowBlock(
+                residual.nodes[:0], np.zeros((0, dim), dtype=residual.dtype), n
+            )
+        self.peak = np.zeros(n, dtype=residual.dtype)
+        self.peak[residual.nodes] = _row_peaks(residual.rows)
         # Scratch for finding a scatter's touched rows in O(entries).
-        self._marked = np.zeros(thresholds.shape[0], dtype=bool)
-        self._position = np.zeros(thresholds.shape[0], dtype=np.int64)
+        self._marked = np.zeros(n, dtype=bool)
+        self._position = np.zeros(n, dtype=np.int64)
 
-    def slots(self, nodes: np.ndarray) -> np.ndarray:
-        """Slots of ``nodes``, appending a zero row for each node not held."""
-        slots = self.slot_of[nodes]
-        new = slots < 0
-        if new.any():
-            added = nodes[new]
-            end = self.size + added.shape[0]
-            capacity = self.nodes.shape[0]
-            if end > capacity:
-                n = self.thresholds.shape[0]
-                self._grow(min(n, max(end, 2 * capacity)))
-            slots[new] = np.arange(self.size, end)
-            self.slot_of[added] = slots[new]
-            self.nodes[self.size:end] = added
-            self.limit[self.size:end] = self.thresholds[added]
-            self.size = end
-        return slots
-
-    def _grow(self, capacity: int) -> None:
-        def grown(array: np.ndarray) -> np.ndarray:
-            out = np.zeros((capacity,) + array.shape[1:], dtype=array.dtype)
-            out[: self.size] = array[: self.size]
-            return out
-
-        self.nodes, self.residual, self.estimate, self.peak, self.limit = map(
-            grown, (self.nodes, self.residual, self.estimate, self.peak, self.limit)
-        )
+    def active(self, thresholds: np.ndarray) -> np.ndarray:
+        """Slots of the residual rows above their node's threshold, in slot order."""
+        if self.full:  # slot = node: no gather
+            return np.flatnonzero(self.peak > thresholds)
+        held = self.residual.nodes
+        return np.flatnonzero(self.peak[held] > thresholds[held])
 
     def scatter(self, sub: sp.csc_matrix, pushed: np.ndarray) -> None:
         """Add ``sub @ pushed`` (nodes × pushed rows) onto the rows it touches.
@@ -178,21 +160,22 @@ class _RowBlock:
             (sub.data, self._position[sub.indices], sub.indptr),
             shape=(touched.shape[0], sub.shape[1]),
         )
-        slots = self.slots(touched)
+        slots = self.residual.slots(touched)
         if touched.shape[0] <= _SCATTER_CHUNK_ROWS:
             # One chunk: the CSC product needs no conversion to CSR.
-            parts = [(slots, compact @ pushed)]
+            parts = [(0, compact @ pushed)]
         else:
             compact = compact.tocsr()
             parts = (
-                (slots[lo:lo + _SCATTER_CHUNK_ROWS],
-                 compact[lo:lo + _SCATTER_CHUNK_ROWS] @ pushed)
+                (lo, compact[lo:lo + _SCATTER_CHUNK_ROWS] @ pushed)
                 for lo in range(0, touched.shape[0], _SCATTER_CHUNK_ROWS)
             )
-        for chunk, part in parts:
-            rows = self.residual[chunk] + part
-            self.residual[chunk] = rows
-            self.peak[chunk] = _row_peaks(rows)
+        residual = self.residual.rows
+        for lo, part in parts:
+            hi = lo + part.shape[0]
+            rows = residual[slots[lo:hi]] + part
+            residual[slots[lo:hi]] = rows
+            self.peak[touched[lo:hi]] = _row_peaks(rows)
 
 
 def forward_push(
@@ -256,59 +239,60 @@ def forward_push(
     rows_input = isinstance(signal, RowBlock)
     if rows_input:
         signal, was_vector = coerce_sparse_signal(signal, n, dtype)
-        block = _RowBlock(
-            signal.nodes.copy(), signal.rows.copy(), thresholds, full=False
-        )
+        state = _Push(RowBlock(signal.nodes, signal.rows.copy(), n), full=False)
     else:
         residual, was_vector = coerce_signal(signal, n, dtype)
-        block = _RowBlock(np.arange(n), residual.copy(), thresholds, full=True)
+        state = _Push(RowBlock(np.arange(n), residual.copy(), n), full=True)
 
     damping = 1.0 - alpha
     sweeps = 0
     pushes = 0
     edge_operations = 0
     for sweeps in range(1, max_sweeps + 1):
-        active = np.flatnonzero(block.peak[: block.size] > block.limit[: block.size])
+        active = state.active(thresholds)
         if active.size == 0:
             sweeps -= 1
             break
-        active_nodes = block.nodes[active]
+        active_nodes = state.residual.nodes[active]
         nnz_active = int(col_degrees[active_nodes].sum())
         pushes += int(active.size)
         edge_operations += nnz_active
-        if block.full and active.size == n:
+        residual = state.residual.rows
+        if state.full and active.size == n:
             # Everyone is active (typical cold-start sweeps): push the whole
             # residual through the operator without slicing a copy of it.
-            block.estimate += alpha * block.residual
-            block.residual = np.asarray(columns @ (damping * block.residual))
-            block.peak = _row_peaks(block.residual)
+            estimate = state.estimate.rows
+            estimate += alpha * residual
+            residual *= damping
+            residual[...] = columns @ residual
+            state.peak = _row_peaks(residual)
             continue
-        pushed = block.residual[active]
-        block.estimate[active] += alpha * pushed
-        block.residual[active] = 0.0
-        block.peak[active] = 0.0
+        pushed = residual[active]
+        state.estimate.add(active_nodes, alpha * pushed)
+        residual[active] = 0.0
+        state.peak[active_nodes] = 0.0
         sub = columns[:, active_nodes]
-        if block.full and nnz_active >= n // _WIDE_SWEEP_DIVISOR:
-            block.residual += np.asarray(sub @ (damping * pushed))
-            block.peak = _row_peaks(block.residual)
+        if state.full and nnz_active >= n // _WIDE_SWEEP_DIVISOR:
+            residual += np.asarray(sub @ (damping * pushed))
+            state.peak = _row_peaks(residual)
         else:
-            block.scatter(sub, damping * pushed)
+            state.scatter(sub, damping * pushed)
 
-    size = block.size
-    peaks = block.peak[:size]
+    held = state.residual.nodes
+    peaks = state.peak[held]
     if rows_input:
-        order = np.argsort(block.nodes[:size])
-        estimate = RowBlock(block.nodes[order], block.estimate[order], n)
+        estimate = state.estimate
     else:
-        estimate = block.estimate[:, 0] if was_vector else block.estimate
+        estimate = state.estimate.rows
+        estimate = estimate[:, 0] if was_vector else estimate
     return PushResult(
         estimate=estimate,
-        residual=float(peaks.max()) if size else 0.0,
+        residual=float(peaks.max()) if held.size else 0.0,
         sweeps=sweeps,
         pushes=pushes,
         edge_operations=edge_operations,
-        converged=bool(np.all(peaks <= block.limit[:size])),
-        residual_l1=float(np.abs(block.residual[:size]).sum()),
+        converged=bool(np.all(peaks <= thresholds[held])),
+        residual_l1=float(np.abs(state.residual.rows).sum()),
     )
 
 
@@ -329,9 +313,15 @@ def push_refresh(
     changed rows), returns ``(embeddings + H delta, push_result)`` — the
     diffusion of the *new* personalization — at a cost proportional to the
     magnitude of the change rather than the size of the network.  The
-    patched cache keeps the format of ``embeddings`` (a block cache comes
-    back as a new block, a dense vector stays a vector) whatever format
+    patched cache keeps the format of ``embeddings`` whatever format
     ``delta`` arrives in; the other parameters go to :func:`forward_push`.
+
+    A block cache is patched in place once the push has converged: the
+    pushed nodes' estimate rows are added into its rows, joining nodes
+    take spare capacity grown by doubling, and no other row is copied.  An
+    unconverged push returns the cache untouched.  A cache in another
+    dtype is converted to a new block first; a dense cache comes back as a
+    new array (a vector stays a vector), converged or not.
     """
     n = operator.shape[0]
     if isinstance(embeddings, RowBlock):
@@ -359,8 +349,14 @@ def push_refresh(
     )
     estimate = result.estimate
     if isinstance(base, RowBlock):
-        estimate, _ = coerce_sparse_signal(estimate, n, dtype)
-        return base.merged(estimate.nodes, estimate.rows, add=True), result
+        if result.converged:
+            if not isinstance(estimate, RowBlock):
+                estimate, _ = coerce_sparse_signal(estimate, n, dtype)
+            # A row whose pushes cancelled to zero would join the cache for
+            # nothing.
+            keep = np.any(estimate.rows != 0, axis=1)
+            base.add(estimate.nodes[keep], estimate.rows[keep])
+        return base, result
     if isinstance(estimate, RowBlock):
         estimate = estimate.toarray()
     patched = base + estimate.reshape(base.shape)

@@ -33,6 +33,13 @@ with ``searchsorted`` whenever the active rows change, slices each row chunk
 again every sweep, and assembles every iterate and residual through
 ``union1d``.  The filter must return the same :class:`DiffusionResult`, field
 for field and bit for bit.
+
+:func:`reference_push_refresh` is the block patch that once was
+``repro.gsp.push.push_refresh``: its push keeps an estimate row for every
+row the residual holds, sorts them by node and drops the zero ones, and the
+patch merges them into a new cache block by ``union1d``, copying every
+cached row.  The in-place patch must leave the same cache, byte for byte,
+after the same push.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from repro.gsp.filters import (
     effective_tolerance,
     operator_out_degrees,
 )
+from repro.gsp.push import PushResult
 from repro.retrieval.scoring import top_k_indices
 from repro.retrieval.topk import TopKTracker
 from repro.retrieval.vector_store import DocumentStore
@@ -614,3 +622,140 @@ def diffusion_differences(got: DiffusionResult, want: DiffusionResult) -> list[s
     ):
         differ.append("signal")
     return differ
+
+
+#: Rows per scatter product of ``reference_push_refresh``'s localized sweeps.
+REFERENCE_SCATTER_ROWS = 8192
+
+
+class _ReferencePushRows:
+    """Residual and estimate rows at shared slots, with each row's peak and
+    threshold; rows past ``size`` are spare capacity."""
+
+    def __init__(self, nodes: np.ndarray, residual: np.ndarray, thresholds: np.ndarray):
+        self.size = nodes.shape[0]
+        self.nodes = nodes
+        self.slot_of = np.full(thresholds.shape[0], -1, dtype=np.int64)
+        self.slot_of[nodes] = np.arange(self.size)
+        self.residual = residual
+        self.estimate = np.zeros_like(residual)
+        self.peak = np.abs(residual).max(axis=1, initial=0.0)
+        self.limit = thresholds[nodes]
+        self.thresholds = thresholds
+
+    def slots(self, nodes: np.ndarray) -> np.ndarray:
+        slots = self.slot_of[nodes]
+        new = slots < 0
+        if new.any():
+            added = nodes[new]
+            end = self.size + added.shape[0]
+            capacity = self.nodes.shape[0]
+            if end > capacity:
+                capacity = min(self.thresholds.shape[0], max(end, 2 * capacity))
+
+                def grown(array: np.ndarray) -> np.ndarray:
+                    out = np.zeros((capacity,) + array.shape[1:], dtype=array.dtype)
+                    out[: self.size] = array[: self.size]
+                    return out
+
+                self.nodes, self.residual, self.estimate, self.peak, self.limit = map(
+                    grown,
+                    (self.nodes, self.residual, self.estimate, self.peak, self.limit),
+                )
+            slots[new] = np.arange(self.size, end)
+            self.slot_of[added] = slots[new]
+            self.nodes[self.size:end] = added
+            self.limit[self.size:end] = self.thresholds[added]
+            self.size = end
+        return slots
+
+    def scatter(self, sub: sp.csc_matrix, pushed: np.ndarray) -> None:
+        touched = np.unique(sub.indices)
+        position = np.zeros(self.thresholds.shape[0], dtype=np.int64)
+        position[touched] = np.arange(touched.shape[0])
+        compact = sp.csc_matrix(
+            (sub.data, position[sub.indices], sub.indptr),
+            shape=(touched.shape[0], sub.shape[1]),
+        )
+        slots = self.slots(touched)
+        if touched.shape[0] <= REFERENCE_SCATTER_ROWS:
+            parts = [(slots, compact @ pushed)]
+        else:
+            compact = compact.tocsr()
+            parts = [
+                (slots[lo:lo + REFERENCE_SCATTER_ROWS],
+                 compact[lo:lo + REFERENCE_SCATTER_ROWS] @ pushed)
+                for lo in range(0, touched.shape[0], REFERENCE_SCATTER_ROWS)
+            ]
+        for chunk, part in parts:
+            rows = self.residual[chunk] + part
+            self.residual[chunk] = rows
+            self.peak[chunk] = np.abs(rows).max(axis=1, initial=0.0)
+
+
+def reference_push_refresh(
+    operator: sp.spmatrix,
+    embeddings: RowBlock,
+    delta: RowBlock,
+    *,
+    alpha: float = 0.5,
+    tol: float = 1e-8,
+    epsilon: float = 0.0,
+    max_sweeps: int = 10_000,
+    dtype: np.dtype | type = np.float64,
+) -> tuple[RowBlock, PushResult]:
+    """``push_refresh(operator, embeddings, delta, ...)`` for a block cache
+    and delta, patched into a new block by a sorted merge.
+
+    ``embeddings`` is not written.  Unlike the in-place patch, an
+    unconverged push is merged too.
+    """
+    dtype = np.dtype(dtype)
+    tol = effective_tolerance(tol, dtype)
+    n = operator.shape[0]
+    columns = operator.tocsc()
+    col_degrees = operator_out_degrees(columns)
+    if columns.data.dtype != dtype:
+        columns = columns.astype(dtype)
+    thresholds = np.maximum(tol, epsilon * col_degrees.astype(np.float64))
+    signal, _ = coerce_sparse_signal(delta, n, dtype)
+    block = _ReferencePushRows(signal.nodes.copy(), signal.rows.copy(), thresholds)
+
+    damping = 1.0 - alpha
+    sweeps = pushes = edge_operations = 0
+    for sweeps in range(1, max_sweeps + 1):
+        active = np.flatnonzero(block.peak[: block.size] > block.limit[: block.size])
+        if active.size == 0:
+            sweeps -= 1
+            break
+        active_nodes = block.nodes[active]
+        pushes += int(active.size)
+        edge_operations += int(col_degrees[active_nodes].sum())
+        pushed = block.residual[active]
+        block.estimate[active] += alpha * pushed
+        block.residual[active] = 0.0
+        block.peak[active] = 0.0
+        block.scatter(columns[:, active_nodes], damping * pushed)
+
+    size = block.size
+    peaks = block.peak[:size]
+    order = np.argsort(block.nodes[:size])
+    estimate = RowBlock(block.nodes[order], block.estimate[order], n)
+    result = PushResult(
+        estimate=estimate,
+        residual=float(peaks.max()) if size else 0.0,
+        sweeps=sweeps,
+        pushes=pushes,
+        edge_operations=edge_operations,
+        converged=bool(np.all(peaks <= block.limit[:size])),
+        residual_l1=float(np.abs(block.residual[:size]).sum()),
+    )
+    base = embeddings
+    if base.dtype != dtype:
+        base = RowBlock(base.nodes, base.rows.astype(dtype), n)
+    estimate, _ = coerce_sparse_signal(estimate, n, dtype)
+    union = np.union1d(base.nodes, estimate.nodes)
+    merged = np.zeros((union.shape[0], base.shape[1]), dtype=dtype)
+    merged[np.searchsorted(union, base.nodes)] = base.rows
+    merged[np.searchsorted(union, estimate.nodes)] += estimate.rows
+    return RowBlock(union, merged, n), result

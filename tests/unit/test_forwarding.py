@@ -334,13 +334,24 @@ class TestSparseScoring:
         with pytest.raises(ValueError, match="mismatch"):
             one_walk_scores(policy, np.zeros(5), np.array([0, 1]))
 
-    def test_policy_keeps_the_block_it_was_built_over(self, sparse_embeddings):
-        """Blocks are read-only, so a policy never sees a later patch."""
-        _, sparse = sparse_embeddings
+    def test_policy_scores_the_block_it_was_built_over(self, sparse_embeddings, rng):
+        """A policy keeps the caller's block, so it scores a later in-place
+        patch of it, a row joining past the capacity included, as a policy
+        built after the patch does."""
+        dense, sparse = sparse_embeddings
         policy = EmbeddingGuidedPolicy(sparse)
         assert policy.embeddings is sparse
-        with pytest.raises(ValueError, match="read-only"):
-            sparse.rows[0] = 1.0
+        query = rng.standard_normal(6)
+        candidates = np.arange(30)
+        before = one_walk_scores(policy, query, candidates)
+        absent = np.setdiff1d(candidates, sparse.nodes)[:2]
+        patch = np.concatenate((sparse.nodes[:3], absent))
+        sparse.add(patch, rng.standard_normal((5, 6)))
+        after = one_walk_scores(policy, query, candidates)
+        fresh = one_walk_scores(EmbeddingGuidedPolicy(sparse), query, candidates)
+        assert after.tobytes() == fresh.tobytes()
+        changed = np.flatnonzero(after != before)
+        assert np.array_equal(np.sort(changed), np.sort(patch))
 
     def test_scipy_sparse_input_rejected(self, sparse_embeddings):
         """Two input formats: dense or a block.  CSR converts at the API

@@ -8,7 +8,7 @@ from repro.graphs.generators import connected_watts_strogatz
 from repro.gsp.filters import PersonalizedPageRank, RowBlock, coerce_sparse_signal
 from repro.gsp.normalization import transition_matrix
 from repro.gsp import push
-from repro.gsp.push import _RowBlock, forward_push, push_refresh
+from repro.gsp.push import forward_push, push_refresh
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +133,44 @@ class TestRefresh:
         assert patched.shape == (40,)
         assert np.max(np.abs(patched - exact(signal + delta, 0.5))) < 1e-8
 
+    def test_block_patch_without_joins_keeps_the_buffer(self, operator):
+        """A block cache with spare capacity, patched by a push that pushes
+        only nodes it holds, keeps its row buffer: only the pushed rows
+        change, and no slot moves."""
+        rng = np.random.default_rng(31)
+        cache = RowBlock(np.arange(30), rng.standard_normal((30, 4)), 40)
+        cache.slots(np.array([30]))  # spare capacity: 31 of 40 rows held
+        buffer = cache.rows.base
+        assert buffer.shape[0] > cache.size
+        rows_before = cache.rows.copy()
+        slot_of_before = cache.slot_of.copy()
+        delta = np.zeros((40, 4))
+        delta[5] = [1.0, -0.5, 0.25, 0.0]
+        # tol 0.3: node 5 pushes, its neighbors receive at most 0.5 / degree.
+        patched, result = push_refresh(
+            operator, cache, coerce_sparse_signal(delta, 40)[0], alpha=0.5, tol=0.3
+        )
+        assert patched is cache and result.converged
+        assert np.array_equal(result.estimate.nodes, [5])
+        assert cache.rows.base is buffer and cache.size == 31
+        assert cache.slot_of.tobytes() == slot_of_before.tobytes()
+        untouched = np.arange(31) != cache.slot_of[5]
+        assert cache.rows[untouched].tobytes() == rows_before[untouched].tobytes()
+        assert np.array_equal(cache[5], rows_before[5] + 0.5 * delta[5])
+
+    def test_unconverged_block_patch_leaves_the_cache(self, operator):
+        rng = np.random.default_rng(37)
+        cache = RowBlock(np.arange(40), rng.standard_normal((40, 3)), 40)
+        before = cache.toarray()
+        delta = np.zeros((40, 3))
+        delta[[3, 20]] = rng.standard_normal((2, 3))
+        patched, result = push_refresh(
+            operator, cache, coerce_sparse_signal(delta, 40)[0],
+            alpha=0.1, tol=1e-12, max_sweeps=2,
+        )
+        assert patched is cache and not result.converged
+        assert cache.toarray().tobytes() == before.tobytes()
+
     def test_shape_mismatch_rejected(self, operator):
         with pytest.raises(ValueError, match="match"):
             push_refresh(operator, np.zeros((40, 2)), np.zeros((40, 3)))
@@ -173,7 +211,8 @@ class TestRowBlockLayouts:
         rows = forward_push(operator, block, alpha=0.1, tol=1e-12)
         full = forward_push(operator, delta, alpha=0.1, tol=1e-12)
         assert rows.converged
-        assert np.array_equal(rows.estimate.nodes, np.arange(40))  # every node
+        # Every node, in the order each was first pushed.
+        assert np.array_equal(np.sort(rows.estimate.nodes), np.arange(40))
         assert rows.pushes >= 40 * 5
         self.assert_same_run(rows, full)
 
@@ -201,7 +240,8 @@ class TestRowBlockLayouts:
     def test_zero_row_delta_matches_csr_copy(self, operator, epsilon):
         """A dirty node whose row nets to zero seeds no slot, as its CSR copy
         stores no row for it: the run is bit for bit the run of the copy's
-        rows, even though pushes later reach that node."""
+        rows, even though pushes later reach that node and push it, so that
+        it holds an estimate row."""
         rng = np.random.default_rng(29)
         nodes = np.array([2, 9, 10, 11, 30])
         rows = rng.standard_normal((5, 4))
@@ -223,21 +263,42 @@ class TestRowBlockLayouts:
         assert np.array_equal(got.estimate.nodes, want.estimate.nodes)
         assert got.estimate.rows.tobytes() == want.estimate.rows.tobytes()
 
+    @pytest.mark.parametrize("epsilon", [0.02, 0.05])
+    def test_block_estimate_holds_exactly_the_pushed_rows(self, operator, epsilon):
+        """Block input keeps estimate rows only for the nodes it pushes: the
+        rows a dense run's estimate holds nonzero, not the wider set of rows
+        the scatters reached."""
+        delta = np.zeros((40, 3))
+        delta[17] = [1.0, -2.0, 0.5]
+        block, _ = coerce_sparse_signal(delta, 40)
+        rows = forward_push(operator, block, alpha=0.1, tol=1e-12, epsilon=epsilon)
+        full = forward_push(operator, delta, alpha=0.1, tol=1e-12, epsilon=epsilon)
+        pushed = np.flatnonzero(np.any(full.estimate != 0, axis=1))
+        nodes = rows.estimate.nodes
+        assert np.unique(nodes).shape == nodes.shape
+        assert np.array_equal(np.sort(nodes), pushed)
+        assert pushed.shape[0] < 40
+        self.assert_same_run(rows, full)
+
     def test_block_grows_past_first_capacity(self):
-        thresholds = np.full(10, 1e-8)
-        residual = np.array([[1.0, 2.0], [3.0, -4.0]])
-        block = _RowBlock(np.array([4, 7]), residual.copy(), thresholds, full=False)
-        block.estimate[:] = 9.0
+        """The growth the push's residual and estimate and the cache share:
+        each node not held gets a zero row in slot order, and capacity
+        doubles, capped at ``n`` rows."""
+        rows = np.array([[1.0, 2.0], [3.0, -4.0]])
+        block = RowBlock(np.array([4, 7]), rows.copy(), 10)
+        assert block.rows.base.shape[0] == 2  # no spare capacity
         slots = block.slots(np.array([7, 0, 9, 3, 4, 8]))
         assert np.array_equal(slots, [1, 2, 3, 4, 0, 5])
-        assert block.size == 6 and block.nodes.shape[0] >= 6
-        assert np.array_equal(block.nodes[:6], [4, 7, 0, 9, 3, 8])
-        assert np.array_equal(block.residual[:2], residual)
-        assert np.array_equal(block.estimate[:2], np.full((2, 2), 9.0))
-        assert not block.residual[2:].any() and not block.estimate[2:].any()
-        assert np.array_equal(block.peak[:6], [2.0, 4.0, 0, 0, 0, 0])
+        assert block.size == 6 and block.rows.base.shape[0] == 6
+        assert np.array_equal(block.nodes, [4, 7, 0, 9, 3, 8])
+        assert np.array_equal(block.rows[:2], rows)
+        assert not block.rows[2:].any()
         assert np.array_equal(block.slot_of[[0, 3, 4, 7, 8, 9]], [2, 4, 0, 1, 5, 3])
         assert (block.slot_of[[1, 2, 5, 6]] == -1).all()
+        assert np.array_equal(block.slots(np.array([1])), [6])
+        assert block.rows.base.shape[0] == 10  # min(n, 2 * 6)
+        assert np.array_equal(block.nodes, [4, 7, 0, 9, 3, 8, 1])
+        assert np.array_equal(block.rows[:2], rows) and not block.rows[2:].any()
 
     def test_scatter_in_row_chunks(self, operator, monkeypatch):
         rng = np.random.default_rng(23)

@@ -205,17 +205,30 @@ class TestIncrementalRefresh:
 
     def test_truncated_incremental_patch_not_committed(self, net):
         """A sweep-capped patch must not advance the baseline (the lost
-        correction would become permanently invisible)."""
+        correction would become permanently invisible), nor write into the
+        block cache it patches in place: the block's bytes and the scores
+        of a policy over it are unchanged."""
         rng = np.random.default_rng(3)
         net.place_document("a", rng.standard_normal(3), 0)
         net.diffuse(method=EXACT, tol=1e-10)
         before = net.embeddings.copy()
+        block_bytes = net.last_diffusion.embeddings.toarray().tobytes()
+        query = rng.standard_normal(3)
+
+        def scores():
+            return net.default_policy().score_batch(
+                query[None, :], np.arange(8), np.array([0, 8])
+            )
+
+        scores_before = scores()
         net.place_document("b", 10.0 * np.ones(3), 4)
         truncated = net.diffuse(method=EXACT, tol=1e-12, max_iterations=1)
         assert truncated.incremental and not truncated.converged
         assert net.is_stale
         assert net.dirty_nodes == frozenset({4})
         assert np.array_equal(net.embeddings, before)
+        assert net.last_diffusion.embeddings.toarray().tobytes() == block_bytes
+        assert scores().tobytes() == scores_before.tobytes()
         # A retry with budget re-diffuses the full delta and is exact.
         retried = net.diffuse(method=EXACT, tol=1e-10)
         assert retried.incremental and retried.converged

@@ -578,7 +578,7 @@ class TestStaleness:
 
     def test_inline_refresh_patches_the_block_cache(self):
         """The default refresh method is the ``sparse`` backend: an in-line
-        refresh patches the block cache incrementally into a new block."""
+        refresh patches the block cache incrementally, in place."""
         assert StalenessConfig().method == "sparse"
         net, vectors, rng = make_network()
         warm = net.last_diffusion.embeddings
@@ -600,7 +600,7 @@ class TestStaleness:
         patched = net.last_diffusion
         assert patched.incremental and patched.converged
         assert isinstance(patched.embeddings, RowBlock)
-        assert patched.embeddings is not warm
+        assert patched.embeddings is warm
         assert 5 in set(patched.embeddings.nodes.tolist())
 
     def test_refresh_cost_charged_to_batch(self):

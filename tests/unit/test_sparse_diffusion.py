@@ -680,35 +680,78 @@ class TestRowBlock:
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(csr, part), getattr(want, part))
 
-    def test_read_only(self, block):
-        for array in (block.nodes, block.rows, block.slot_of):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
-
-    @pytest.mark.parametrize(
-        "nodes", [[4, 1, 6], [1, 1, 6], [-1, 4, 6], [1, 4, 8]]
-    )
-    def test_nodes_must_be_ascending_distinct_and_in_range(self, nodes):
-        with pytest.raises(ValueError, match="ascending"):
+    @pytest.mark.parametrize("nodes", [[1, 1, 6], [-1, 4, 6], [1, 4, 8]])
+    def test_nodes_must_be_distinct_and_in_range(self, nodes):
+        with pytest.raises(ValueError, match="distinct"):
             RowBlock(np.array(nodes), np.ones((3, 2)), 8)
+
+    def test_nodes_keep_slot_order(self):
+        rows = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        block = RowBlock(np.array([4, 1, 6]), rows, 8)
+        assert np.array_equal(block.nodes, [4, 1, 6])
+        assert np.array_equal(block.slot_of[[1, 4, 6]], [1, 0, 2])
+        assert np.array_equal(block[1], [2.0, 3.0])
+        assert block.rows.base is rows  # kept, not copied
 
     def test_rows_must_match_nodes(self):
         with pytest.raises(ValueError, match="one"):
             RowBlock(np.array([1, 2]), np.ones((3, 2)), 8)
 
-    def test_merged_adds_or_replaces_into_a_new_block(self, block):
-        rows = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        added = block.merged(np.array([0, 4]), rows, add=True)
-        replaced = block.merged(np.array([0, 4]), rows, add=False)
-        assert np.array_equal(added.nodes, [0, 1, 4, 6])
-        assert np.array_equal(added[4], [2.5, 2.25, 2.0])
-        assert np.array_equal(replaced[4], [2.0, 2.0, 2.0])
-        for merged in (added, replaced):
-            assert np.array_equal(merged[0], [1.0, 1.0, 1.0])
-            assert np.array_equal(merged[1], block[1])
-        # The block it came from is untouched.
-        assert np.array_equal(block.nodes, [1, 4, 6])
-        assert np.array_equal(block[4], [0.5, 0.25, 0.0])
+    def test_add_and_put_write_in_place(self, block):
+        """``add`` sums into held rows and ``put`` overwrites them, in the
+        block's own buffer; a node not held joins at the end."""
+        buffer = block.rows.base
+        block.add(np.array([4, 1]), np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]))
+        assert block.rows.base is buffer
+        assert np.array_equal(block[4], [1.5, 1.25, 1.0])
+        assert np.array_equal(block[1], [3.0, 2.0, 0.0])
+        block.put(np.array([6]), np.array([[7.0, 8.0, 9.0]]))
+        assert block.rows.base is buffer
+        assert np.array_equal(block[6], [7.0, 8.0, 9.0])
+        block.add(np.array([0, 4]), np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]))
+        block.put(np.array([7, 1]), np.array([[5.0, 5.0, 5.0], [0.0, 0.0, 0.0]]))
+        assert np.array_equal(block.nodes, [1, 4, 6, 0, 7])
+        assert np.array_equal(block[0], [1.0, 1.0, 1.0])  # 0 + row
+        assert np.array_equal(block[4], [2.5, 1.25, 1.0])
+        assert np.array_equal(block[7], [5.0, 5.0, 5.0])
+        assert np.array_equal(block[1], np.zeros(3))
+        assert np.array_equal(block.slot_of, [3, 0, -1, -1, 1, -1, 2, 4])
+
+    def test_add_grows_past_capacity(self, block):
+        """Joining rows past the spare capacity double it, capped at ``n``
+        rows; every held row survives the copy and spare rows stay zero."""
+        before = block.toarray()
+        block.add(np.array([2]), np.ones((1, 3)))
+        buffer = block.rows.base
+        assert buffer.shape[0] == 6  # 2 × 3
+        assert block.size == 4 and not buffer[4:].any()
+        block.put(np.array([0, 3]), np.full((2, 3), 2.0))
+        assert block.rows.base is buffer  # filled, not grown
+        block.add(np.array([5, 7]), np.full((2, 3), 3.0))
+        assert block.rows.base.shape[0] == 8  # min(n, 2 × 6)
+        assert block.size == 8
+        want = before
+        want[2] += 1.0
+        want[[0, 3]] = 2.0
+        want[[5, 7]] = 3.0
+        assert np.array_equal(block.toarray(), want)
+        assert np.array_equal(block.nodes, [1, 4, 6, 2, 0, 3, 5, 7])
+
+    def test_patched_block_tocsr_sorts(self, block):
+        """A block patched out of node order converts to the CSR of its
+        dense array: rows in node order, explicit zeros dropped."""
+        block.add(np.array([5, 0]), np.array([[0.0, 1.5, 0.0], [-1.0, 0.0, 2.0]]))
+        assert np.array_equal(block.nodes, [1, 4, 6, 5, 0])
+        csr, want = block.tocsr(), sp.csr_matrix(block.toarray())
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(csr, part), getattr(want, part))
+
+    def test_coercion_sorts_a_patched_block(self, block):
+        block.add(np.array([0]), np.ones((1, 3)))
+        coerced, _ = coerce_sparse_signal(block, 8)
+        assert coerced is not block
+        assert np.array_equal(coerced.nodes, [0, 1, 4])
+        assert np.array_equal(coerced.toarray(), block.toarray())
 
     def test_coercion_keeps_only_nonzero_rows(self, block):
         coerced, was_vector = coerce_sparse_signal(block, 8)
@@ -724,7 +767,7 @@ class TestRowBlock:
 
 
 class TestBlockCache:
-    """The facade's block cache: patches build new blocks, exactly."""
+    """The facade's block cache: patches write into it in place, exactly."""
 
     @staticmethod
     def network(seed):
@@ -736,8 +779,10 @@ class TestBlockCache:
             net.place_document(f"d{i}", rng.standard_normal(8), int(rng.integers(80)))
         return net, rng
 
-    def test_policy_snapshot_survives_patch(self):
-        """A policy taken before a patch scores the cache it was built over."""
+    def test_policy_built_before_a_patch_scores_the_patched_cache(self):
+        """A patch writes into the cache block, so a policy taken before it
+        scores like ``default_policy()`` after it (``QueryService`` rebuilds
+        its policy after every refresh either way)."""
         net, rng = self.network(1)
         net.diffuse(method="sparse")
         policy = net.default_policy()
@@ -753,12 +798,11 @@ class TestBlockCache:
             net.place_document(f"late{node}", rng.standard_normal(8), node)
         outcome = net.diffuse(method="sparse")
         assert outcome.incremental
-        assert net.last_diffusion.embeddings is not before
-        assert not np.array_equal(
-            scores_of(net.default_policy(), queries[0]), scores[0]
-        )
-        for q, want in zip(queries, scores):
-            assert np.array_equal(scores_of(policy, q), want)
+        assert net.last_diffusion.embeddings is before
+        fresh = net.default_policy()
+        assert not np.array_equal(scores_of(fresh, queries[0]), scores[0])
+        for q in queries:
+            assert scores_of(policy, q).tobytes() == scores_of(fresh, q).tobytes()
 
     def test_patch_adds_push_estimate_exactly(self):
         """Each patched cache is the previous cache plus the push estimate
