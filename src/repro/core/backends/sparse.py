@@ -16,7 +16,8 @@ sparse personalization change it pushes only the delta, with the same
 degree-normalized ε-truncation as the cold start so refresh work stays
 local too, and adds the pushed rows into the cache block in place, once
 the push has converged: a node the cache holds no row for joins it in
-spare capacity grown by doubling, and no other row is copied.  Every
+spare capacity, and only a doubling of that capacity copies the other
+rows.  Every
 incremental refresh in the library, the serving path's included, is this
 patch.
 

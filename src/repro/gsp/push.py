@@ -317,9 +317,9 @@ def push_refresh(
     ``delta`` arrives in; the other parameters go to :func:`forward_push`.
 
     A block cache is patched in place once the push has converged: the
-    pushed nodes' estimate rows are added into its rows, joining nodes
-    take spare capacity grown by doubling, and no other row is copied.  An
-    unconverged push returns the cache untouched.  A cache in another
+    pushed nodes' estimate rows are added into its rows, and joining nodes
+    take spare capacity; only a doubling of that capacity copies the other
+    rows.  An unconverged push returns the cache untouched.  A cache in another
     dtype is converted to a new block first; a dense cache comes back as a
     new array (a vector stays a vector), converged or not.
     """
