@@ -5,7 +5,9 @@ seeds, diffuses it with the ``sparse`` backend at the serving settings
 (α = 0.5, ε = 1e-4, tol = 1e-8), then replays churn_serve's write mix
 (``perfbench.workloads.make_stream(..., churn=True)``: four writes a round,
 add:move:delete 1:6:1) and patches the cache every five rounds, twelve
-patches a seed.  Each patch runs once through
+patches a run.  Seeds 1 and 2 run in float64; seed 1 runs again through
+a float32 facade and backend, so the rows a patch writes are checked at
+both dtypes.  Each patch runs once through
 ``DiffusionSearchNetwork.diffuse``, which patches the block cache in place,
 and once through ``reference_push_refresh`` from
 ``tests/scalar_reference.py``: the full-estimate push and sorted merge into
@@ -49,7 +51,7 @@ from repro.gsp.filters import RowBlock  # noqa: E402
 from repro.gsp.normalization import transition_matrix  # noqa: E402
 from tests.scalar_reference import reference_push_refresh  # noqa: E402
 
-SEEDS = (1, 2)
+RUNS = ((1, np.float64), (2, np.float64), (1, np.float32))
 PATCHES = 12
 ROUNDS_PER_PATCH = 5
 FIELDS = ("sweeps", "pushes", "edge_operations", "residual", "residual_l1", "converged")
@@ -67,25 +69,26 @@ def main() -> int:
 
     sparse_backend.push_refresh = recorded
     failed = False
-    for seed in SEEDS:
+    for seed, dtype in RUNS:
         corpus = make_corpus(seed)
         stream = make_stream(
             corpus, seed, 0, PATCHES * ROUNDS_PER_PATCH, faults=False, churn=True
         )
         adjacency = CompressedAdjacency(corpus.indptr, corpus.indices)
         n = adjacency.n_nodes
-        network = DiffusionSearchNetwork(adjacency, DIM, alpha=ALPHA)
+        network = DiffusionSearchNetwork(adjacency, DIM, alpha=ALPHA, dtype=dtype)
         network.place_documents(
             zip(corpus.doc_ids, corpus.vectors, corpus.nodes.tolist())
         )
-        backend = SparseDiffusionBackend(epsilon=EPSILON)
+        backend = SparseDiffusionBackend(epsilon=EPSILON, dtype=dtype)
         network.diffuse(method=backend, tol=TOL)
         cache = network.last_diffusion.embeddings
         reference = RowBlock(cache.nodes.copy(), cache.rows.copy(), n)
         previous = network.personalization_sparse()
         operator = transition_matrix(adjacency, "column", fmt="csc")
         print(
-            f"seed {seed}: {n:,} nodes, {cache.nodes.shape[0]:,} cached rows, "
+            f"seed {seed}, {np.dtype(dtype).name}: {n:,} nodes, "
+            f"{cache.nodes.shape[0]:,} cached rows, "
             f"{PATCHES} patches of {ROUNDS_PER_PATCH * WRITES_PER_ROUND} writes"
         )
         times: dict[str, list[float]] = {"in place": [], "reference": []}
@@ -106,7 +109,8 @@ def main() -> int:
             times["in place"].append(time.perf_counter() - start)
             start = time.perf_counter()
             reference, want = reference_push_refresh(
-                operator, reference, delta, alpha=ALPHA, tol=TOL, epsilon=EPSILON
+                operator, reference, delta,
+                alpha=ALPHA, tol=TOL, epsilon=EPSILON, dtype=dtype,
             )
             times["reference"].append(time.perf_counter() - start)
 

@@ -16,10 +16,10 @@ sparse personalization change it pushes only the delta, with the same
 degree-normalized ε-truncation as the cold start so refresh work stays
 local too, and adds the pushed rows into the cache block in place, once
 the push has converged: a node the cache holds no row for joins it in
-spare capacity, and only a doubling of that capacity copies the other
-rows.  Every
-incremental refresh in the library, the serving path's included, is this
-patch.
+spare capacity, and only a doubling of that capacity copies the cache's
+rows (into an uninitialized buffer; each joining row is zeroed before the
+add).  Every incremental refresh in the library, the serving path's
+included, is this patch.
 
 The pruning threshold ε is a constructor knob; ``method="sparse"`` uses
 :data:`~repro.gsp.filters.SPARSE_DEFAULT_EPSILON`, and dispatchers accept a

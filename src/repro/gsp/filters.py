@@ -135,11 +135,14 @@ class RowBlock:
     ``(k, dim)`` values and ``slot_of`` the node → slot map (-1 where the
     block holds no row).  The block keeps the ``rows`` it is built over
     without a copy, and grows in place: :meth:`slots` appends a zero row
-    for each node it does not hold, into spare capacity that doubles when
-    it runs out, and :meth:`add` and :meth:`put` write rows through it.
-    A block built here has no spare capacity.  A patch writes into the
-    block it patches, so a policy built over a block scores its latest
-    rows.  Node order is slot order; :meth:`tocsr` sorts.
+    for each node it does not hold and :meth:`append` a given row, into
+    spare capacity that doubles when it runs out, and :meth:`add` and
+    :meth:`put` write rows through :meth:`slots`.  Spare capacity is
+    uninitialized: a row is zeroed or written when it is appended, and
+    growth copies only the held rows.  A block built here has no spare
+    capacity.  A patch writes into the block it patches, so a policy built
+    over a block scores its latest rows.  Node order is slot order;
+    :meth:`tocsr` sorts.
     """
 
     def __init__(self, nodes: np.ndarray, rows: np.ndarray, n: int) -> None:
@@ -177,31 +180,36 @@ class RowBlock:
         return self._rows.dtype
 
     def slots(self, nodes: np.ndarray) -> np.ndarray:
-        """Slots of the distinct ``nodes``, appending a zero row for each not held.
+        """Slots of the distinct ``nodes``, appending a zero row for each not held."""
+        slots = self.slot_of[nodes]
+        new = slots < 0
+        if new.any():
+            start = self.size
+            self.append(nodes[new], 0.0)
+            slots[new] = np.arange(start, self.size)
+        return slots
+
+    def append(self, nodes: np.ndarray, rows: np.ndarray | float) -> None:
+        """Append ``rows`` (or one value for every row) for the distinct
+        ``nodes``, none of them held, in order after the last slot: each
+        row is written once.
 
         Capacity doubles (capped at ``n`` rows) when the appended rows do not
         fit, so appending ``k`` rows one call at a time copies ``O(k)`` rows.
         """
-        slots = self.slot_of[nodes]
-        new = slots < 0
-        if new.any():
-            added = nodes[new]
-            end = self.size + added.shape[0]
-            capacity = self._rows.shape[0]
-            if end > capacity:
-                self._grow(min(self.shape[0], max(end, 2 * capacity)))
-            slots[new] = np.arange(self.size, end)
-            self.slot_of[added] = slots[new]
-            self._nodes[self.size:end] = added
-            self.size = end
-        return slots
-
-    def _grow(self, capacity: int) -> None:
-        nodes = np.empty(capacity, dtype=np.int64)
-        nodes[: self.size] = self.nodes
-        rows = np.zeros((capacity, self.shape[1]), dtype=self.dtype)
-        rows[: self.size] = self.rows
-        self._nodes, self._rows = nodes, rows
+        start, end = self.size, self.size + nodes.shape[0]
+        capacity = self._rows.shape[0]
+        if end > capacity:
+            capacity = min(self.shape[0], max(end, 2 * capacity))
+            grown_nodes = np.empty(capacity, dtype=np.int64)
+            grown_nodes[:start] = self.nodes
+            grown_rows = np.empty((capacity, self.shape[1]), dtype=self.dtype)
+            grown_rows[:start] = self.rows
+            self._nodes, self._rows = grown_nodes, grown_rows
+        self.slot_of[nodes] = np.arange(start, end)
+        self._nodes[start:end] = nodes
+        self._rows[start:end] = rows
+        self.size = end
 
     def add(self, nodes: np.ndarray, rows: np.ndarray) -> None:
         """Add ``rows`` onto the rows of the distinct ``nodes``, in place;

@@ -28,9 +28,11 @@ wide share of the edges is one sparse × dense product over the whole
 block.  A ``RowBlock`` signal's residual starts from its rows with a
 nonzero entry, ascending, and appends rows as pushes reach them; its
 estimate holds only the rows of the nodes it pushes, appended as each is
-first pushed.  Every other sweep scatters with one CSR product over the
-rows it touches, in bounded row chunks, and updates only those rows'
-peaks.  The result keeps the input's format.
+first pushed.  Every other sweep scatters with one sparse product over
+the rows it touches, in bounded row chunks, and updates only those rows'
+peaks: it adds the product onto the rows the residual holds, and writes
+the rows of the nodes it reaches first once, appended in ascending node
+order.  The result keeps the input's format.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ class _Push:
     row's peak, indexed by node.
 
     The residual starts from the signal's rows and appends a row for each
-    node a scatter first reaches; the estimate appends a row for each node
-    when it is first pushed.  A ``full`` push starts both from every node
-    at slot = node.
+    node a scatter first reaches, written once with its product row; the
+    estimate appends a zero row for each node when it is first pushed, and
+    adds onto it.  A ``full`` push starts both from every node at
+    slot = node.
     """
 
     def __init__(self, residual: RowBlock, *, full: bool) -> None:
@@ -150,32 +153,48 @@ class _Push:
         """Add ``sub @ pushed`` (nodes × pushed rows) onto the rows it touches.
 
         The product runs over the touched rows only, at most
-        ``_SCATTER_CHUNK_ROWS`` of them at a time.
+        ``_SCATTER_CHUNK_ROWS`` of them at a time: first the rows the
+        residual holds, ascending, which it adds onto; then the rows it does
+        not hold yet, ascending, which it appends, each written once.
         """
         self._marked[sub.indices] = True
         touched = np.flatnonzero(self._marked)
         self._marked[touched] = False
-        self._position[touched] = np.arange(touched.shape[0])
+        slots = self.residual.slot_of[touched]
+        new = slots < 0
+        held_slots = slots[~new]
+        order = np.concatenate((touched[~new], touched[new]))
+        n_held = held_slots.shape[0]
+        self._position[order] = np.arange(order.shape[0])
         compact = sp.csc_matrix(
             (sub.data, self._position[sub.indices], sub.indptr),
-            shape=(touched.shape[0], sub.shape[1]),
+            shape=(order.shape[0], sub.shape[1]),
         )
-        slots = self.residual.slots(touched)
-        if touched.shape[0] <= _SCATTER_CHUNK_ROWS:
+        if order.shape[0] <= _SCATTER_CHUNK_ROWS:
             # One chunk: the CSC product needs no conversion to CSR.
             parts = [(0, compact @ pushed)]
         else:
             compact = compact.tocsr()
             parts = (
                 (lo, compact[lo:lo + _SCATTER_CHUNK_ROWS] @ pushed)
-                for lo in range(0, touched.shape[0], _SCATTER_CHUNK_ROWS)
+                for lo in range(0, order.shape[0], _SCATTER_CHUNK_ROWS)
             )
-        residual = self.residual.rows
+        residual = self.residual
         for lo, part in parts:
             hi = lo + part.shape[0]
-            rows = residual[slots[lo:hi]] + part
-            residual[slots[lo:hi]] = rows
-            self.peak[touched[lo:hi]] = _row_peaks(rows)
+            mid = min(max(n_held, lo), hi)  # the chunk's held rows end here
+            if mid > lo:
+                chunk = held_slots[lo:mid]
+                rows = residual.rows[chunk] + part[: mid - lo]
+                residual.rows[chunk] = rows
+                self.peak[order[lo:mid]] = _row_peaks(rows)
+            if hi > mid:
+                # A product row sums into zeros, so it is never -0.0: written
+                # as is, it equals bit for bit the ``0.0 + row`` that adding
+                # it onto a zero row gives.
+                rows = part[mid - lo:]
+                residual.append(order[mid:hi], rows)
+                self.peak[order[mid:hi]] = _row_peaks(rows)
 
 
 def forward_push(
@@ -318,10 +337,12 @@ def push_refresh(
 
     A block cache is patched in place once the push has converged: the
     pushed nodes' estimate rows are added into its rows, and joining nodes
-    take spare capacity; only a doubling of that capacity copies the other
-    rows.  An unconverged push returns the cache untouched.  A cache in another
-    dtype is converted to a new block first; a dense cache comes back as a
-    new array (a vector stays a vector), converged or not.
+    take spare capacity.  Only a doubling of that capacity copies the
+    cache's rows, and the estimate's rows are copied only when a pushed row
+    cancelled to zero and is left out.  An unconverged push returns the
+    cache untouched.  A cache in another dtype is converted to a new block
+    first; a dense cache comes back as a new array (a vector stays a
+    vector), converged or not.
     """
     n = operator.shape[0]
     if isinstance(embeddings, RowBlock):
@@ -353,9 +374,12 @@ def push_refresh(
             if not isinstance(estimate, RowBlock):
                 estimate, _ = coerce_sparse_signal(estimate, n, dtype)
             # A row whose pushes cancelled to zero would join the cache for
-            # nothing.
-            keep = np.any(estimate.rows != 0, axis=1)
-            base.add(estimate.nodes[keep], estimate.rows[keep])
+            # nothing; usually none did, and the rows go in uncopied.
+            nodes, rows = estimate.nodes, estimate.rows
+            keep = np.any(rows != 0, axis=1)
+            if not keep.all():
+                nodes, rows = nodes[keep], rows[keep]
+            base.add(nodes, rows)
         return base, result
     if isinstance(estimate, RowBlock):
         estimate = estimate.toarray()

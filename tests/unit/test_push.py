@@ -9,6 +9,7 @@ from repro.gsp.filters import PersonalizedPageRank, RowBlock, coerce_sparse_sign
 from repro.gsp.normalization import transition_matrix
 from repro.gsp import push
 from repro.gsp.push import forward_push, push_refresh
+from scalar_reference import reference_push_refresh
 
 
 @pytest.fixture(scope="module")
@@ -310,3 +311,54 @@ class TestRowBlockLayouts:
             self.assert_same_run(
                 forward_push(operator, signal, alpha=0.3, tol=1e-10), whole
             )
+
+
+class TestBlockPatchOracle:
+    """The in-place block patch against ``reference_push_refresh``, the
+    full-estimate push and copying merge it replaced, byte for byte over a
+    run of patches."""
+
+    @staticmethod
+    def same_bits(a, b):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_patches_match_the_copying_merge(self, epsilon, dtype, monkeypatch):
+        # Three rows a scatter product: chunk boundaries fall between the
+        # residual rows a scatter adds onto and the ones it appends.
+        monkeypatch.setattr(push, "_SCATTER_CHUNK_ROWS", 3)
+        n = 60
+        operator = transition_matrix(
+            CompressedAdjacency.from_networkx(
+                connected_watts_strogatz(n, 4, 0.2, seed=47)
+            ),
+            "column",
+            fmt="csc",
+        )
+        rng = np.random.default_rng(53)
+        cache = RowBlock(
+            np.arange(0, n, 6), rng.standard_normal((10, 4)).astype(dtype), n
+        )
+        cache.slots(np.array([1]))  # spare capacity: 11 of 20 rows held
+        reference = RowBlock(cache.nodes.copy(), cache.rows.copy(), n)
+        for _ in range(4):
+            dirty = np.sort(rng.choice(n, size=4, replace=False))
+            rows = rng.standard_normal((4, 4))
+            rows[0] = 0.0  # a dirty row that nets to zero
+            rows[1, 0] = -0.0
+            delta = RowBlock(dirty, rows.astype(dtype), n)
+            settings = dict(alpha=0.3, tol=1e-8, epsilon=epsilon, dtype=dtype)
+            patched, got = push_refresh(operator, cache, delta, **settings)
+            reference, want = reference_push_refresh(
+                operator, reference, delta, **settings
+            )
+            assert patched is cache and want.converged
+            assert (got.sweeps, got.pushes, got.edge_operations, got.converged) == (
+                want.sweeps, want.pushes, want.edge_operations, want.converged,
+            )
+            assert self.same_bits(got.residual, want.residual)
+            assert self.same_bits(got.residual_l1, want.residual_l1)
+            assert cache.dtype == reference.dtype == dtype
+            assert cache.toarray().tobytes() == reference.toarray().tobytes()
+        assert cache.size > 20  # joins grew the cache past its spare capacity

@@ -719,12 +719,12 @@ class TestRowBlock:
 
     def test_add_grows_past_capacity(self, block):
         """Joining rows past the spare capacity double it, capped at ``n``
-        rows; every held row survives the copy and spare rows stay zero."""
+        rows; every held row survives the copy."""
         before = block.toarray()
         block.add(np.array([2]), np.ones((1, 3)))
         buffer = block.rows.base
         assert buffer.shape[0] == 6  # 2 × 3
-        assert block.size == 4 and not buffer[4:].any()
+        assert block.size == 4
         block.put(np.array([0, 3]), np.full((2, 3), 2.0))
         assert block.rows.base is buffer  # filled, not grown
         block.add(np.array([5, 7]), np.full((2, 3), 3.0))
@@ -736,6 +736,27 @@ class TestRowBlock:
         want[[5, 7]] = 3.0
         assert np.array_equal(block.toarray(), want)
         assert np.array_equal(block.nodes, [1, 4, 6, 2, 0, 3, 5, 7])
+
+    def test_appended_rows_do_not_read_spare_capacity(self, block):
+        """Spare capacity is uninitialized: a row ``slots`` appends reads
+        exactly 0.0, one ``add`` appends exactly ``0.0 + row`` and one
+        ``append`` appends exactly the row given, whatever the spare rows
+        held before."""
+        block.add(np.array([2]), np.ones((1, 3)))  # grown to 6 rows
+        buffer = block.rows.base
+        buffer[block.size:] = np.nan
+        assert np.array_equal(block.slots(np.array([4, 0])), [1, 4])
+        assert block[0].tobytes() == np.zeros(3).tobytes()
+        block.append(np.array([7]), np.array([[-0.0, 1.0, 2.0]]))
+        assert block.rows.base is buffer and block.size == 6
+        assert block[7].tobytes() == np.array([-0.0, 1.0, 2.0]).tobytes()
+        block.add(np.array([3]), np.array([[-0.0, 1.5, -2.0]]))  # 6 → 8 rows
+        assert block[3].tobytes() == np.array([0.0, 1.5, -2.0]).tobytes()
+        block.rows.base[block.size:] = np.nan
+        block.add(np.array([5]), np.array([[3.0, -4.0, -0.0]]))
+        assert block[5].tobytes() == np.array([3.0, -4.0, 0.0]).tobytes()
+        assert np.array_equal(block.nodes, [1, 4, 6, 2, 0, 7, 3, 5])
+        assert not np.isnan(block.toarray()).any()
 
     def test_patched_block_tocsr_sorts(self, block):
         """A block patched out of node order converts to the CSR of its
